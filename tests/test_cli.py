@@ -47,6 +47,27 @@ def test_bad_config_exits_two(capsys):
     assert "error" in err
 
 
+def test_options_before_files(tmp_path, capsys):
+    from voacalc.moduli import format_moduli_element, two_puncture_element
+    f1 = tmp_path / "p2.mod"
+    f1.write_text(format_moduli_element(two_puncture_element(2, 8)))
+    code, out, _ = run_cli(["moduli", "nu", "--level", "4",
+                            "--cutoffs", "2,4", str(f1)], capsys)
+    assert code == 0
+    assert out.count("cutoff") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["moduli", "nu", "--cutoffs", "2,4", "p2.mod", "--bogus"],
+    ["check", "delta", "extra"],
+])
+def test_leftover_arguments_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert argv[-1] in capsys.readouterr().err
+
+
 def test_bad_fixture_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.fus"
     bad.write_text("labels: V\nV V 1\n")

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voacalc import contragredient as contra
-from voacalc.fock import GradedVector, build_heisenberg, partitions_upto
+from voacalc.fock import (GradedVector, build_heisenberg, partitions,
+                          partitions_upto)
 from voacalc.reports import Status
 from voacalc.series import Window
 
@@ -149,3 +151,60 @@ class TestInvariantForm:
                     lhs = phi(M.act(v, n, w))
                     rhs = Mp.act(v, n, phi(w))
                     assert lhs == rhs, (lv, n, mu)
+
+
+@pytest.fixture(scope="module")
+def warm_duals():
+    return {level: contra.ContragredientModule(
+        contra.VOAModule(build_heisenberg(level))) for level in (4, 5)}
+
+
+@st.composite
+def dual_action_args(draw):
+    level = draw(st.sampled_from((4, 5)))
+    labels = partitions_upto(level)
+    terms = draw(st.dictionaries(st.sampled_from(labels),
+                                 st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=3))
+    v = GradedVector({lab: Fraction(c) for lab, c in terms.items()})
+    n = draw(st.integers(-level - 2, level + 1))
+    mu = draw(st.sampled_from(labels))
+    return level, v, n, mu
+
+
+@given(dual_action_args())
+@settings(max_examples=60, deadline=None)
+def test_block_memo_matches_per_label_adjoint(warm_duals, args):
+    # reference: one adjoint image per (nu, mu), read off at mu, on a
+    # module whose block memo is never used
+    level, v, n, mu = args
+    Mp = warm_duals[level]
+    ref = contra.ContragredientModule(Mp.base)
+    want = GradedVector()
+    for wtv in sorted(v.weights()):
+        part = v.component(wtv)
+        target = sum(mu) + wtv - n - 1
+        if not 0 <= target <= level:
+            continue
+        want = want + GradedVector(
+            {nu: ref.conj_operator(part, n, B(nu),
+                                   ceiling=sum(mu)).coeff.get(mu, 0)
+             for nu in partitions(target)})
+    assert Mp.act(v, n, B(mu)) == want
+
+
+def test_fresh_module_sees_corruption_after_warm_memos():
+    V = build_heisenberg(4)
+    M = contra.VOAModule(V)
+    win = Window.symmetric(("x0", "x1", "x2"), 2)
+    a = B((1,))
+    warm = contra.ContragredientModule(M)
+    assert all(r.passed for r in contra.check_defining_relation(M, warm))
+    assert contra.check_contragredient_jacobi(M, a, a, a, win, warm).passed
+    V.corrupt((1,), 0, (1, 1), (1, 1), 1)
+    try:
+        assert contra.check_contragredient_jacobi(M, a, a, a, win).failed
+        with pytest.raises(contra.NotSelfDual):
+            contra.build_invariant_form(M)
+    finally:
+        V.clear_corruptions()

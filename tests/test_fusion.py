@@ -46,6 +46,11 @@ class TestParsing:
         with pytest.raises(FixtureError):
             fusion.parse_fusion_tensor("labels: V\nV V W 1\n")
 
+    def test_repeated_triple_rejected(self):
+        with pytest.raises(FixtureError, match=r"dup\.fus:3: .*line 2"):
+            fusion.parse_fusion_tensor("labels: V\nV V V 1\nV V V 0\n",
+                                       "dup.fus")
+
 
 class TestSymmetry:
     def test_one_label(self):
@@ -79,6 +84,29 @@ class TestVerlinde:
         assert A.product("eps", "sigma") == {"sigma": 1}
         assert fusion.check_commutativity(A).passed
         assert fusion.check_associativity(A).passed
+
+    def test_fixture_units(self):
+        for name in ("one_label.fus", "ising.fus", "bad_assoc.fus"):
+            rep = fusion.check_unit(fusion.build_verlinde(load(name)))
+            assert rep.passed and rep.note == "two-sided unit"
+
+    def test_non_unit_algebra_label_fails(self):
+        # N(V, a, b) = 1 with a != b, in a fully symmetric tensor, so the
+        # algebra builds but V is not a unit
+        from itertools import permutations
+        entries = {}
+        for i in ("V", "a", "b"):
+            for p in set(permutations(("V", i, i))):
+                entries[p] = 1
+        for p in permutations(("V", "a", "b")):
+            entries[p] = 1
+        T = fusion.FusionTensor(("V", "a", "b"), (), tuple(entries.items()))
+        A = fusion.build_verlinde(T)
+        assert not A.has_unit
+        rep = fusion.check_unit(A)
+        assert rep.failed and rep.note == "no exact unit"
+        assert (("left", "a", "b"), 1, 0) in rep.diffs
+        assert (("right", "b", "a"), 1, 0) in rep.diffs
 
     def test_symmetry_violation_blocks_build(self):
         with pytest.raises(fusion.SymmetryViolation):
