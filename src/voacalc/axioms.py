@@ -11,6 +11,17 @@ loss test is exact: an inner mode application whose true value has
 nonzero content above the working level marks the instance as out of
 budget whenever an outer mode could map that content back into the
 observable range.
+
+In the three-term engine (``three_term_check``, and the rewrite
+``check_translate_skew``) each term depends on the window position only
+through its two mode indices, so each product, and each inner image, is
+computed once per check call and then looked up; the expansion
+coefficients are tabulated once per exponent. The memos are local to the
+call and are never kept on an action or an algebra: a structure constant
+corrupted between two calls, as negative controls do, is seen by the
+second, and contragredient and intertwiner actions, whose values are not
+the algebra's, share the engine safely. Coefficients stay integers until
+a genuine fraction enters.
 """
 
 from __future__ import annotations
@@ -82,6 +93,77 @@ def _positions(win: Window):
                 yield a, b, c
 
 
+def _expansion_rows(win: Window, k_prod: int, k_iter: int):
+    """The delta-function expansion coefficients, tabulated once per check
+    instead of per position: binom(-a-1, k) (-1)^k for each x0 exponent a
+    (the two products) and binom(b+k, k) (-1)^k for each x1 exponent b
+    (the iterate)."""
+    prod = {a: [binom(-a - 1, k) * (-1) ** k for k in range(k_prod)]
+            for a in range(win.lo("x0"), win.hi("x0") + 1)}
+    iterate = {b: [binom(b + k, k) * (-1) ** k for k in range(k_iter)]
+               for b in range(win.lo("x1"), win.hi("x1") + 1)}
+    return prod, iterate
+
+
+class _Term:
+    """The products of one term of a three-term identity within one check
+    call, memoised by their two mode indices (i, j): x_i (y_j z), or
+    (y_j z)_i x for an iterate, with the inner images y_j z memoised by j.
+
+    An inner image above the inner action's level is tested once for true
+    loss, and only when the outer mode can see it: ``kron`` is the one
+    outer index at which x acts, when x is a vacuum multiple.
+    """
+
+    def __init__(self, outer, x, inner, y, z, iterate: bool, kron, note: str):
+        self.outer, self.x, self.inner, self.y, self.z = outer, x, inner, y, z
+        self.iterate = iterate
+        self.kron = kron
+        self.note = note
+        self.yz_weight = y.weight() + z.weight()
+        self.memo: dict = {}
+        self.images: dict = {}
+
+    def compute(self, key: tuple, pos: tuple) -> dict:
+        i, j = key
+        iw = self.yz_weight - j - 1
+        if iw > self.inner.level:
+            if (self.kron is None or i == self.kron) \
+                    and self.inner.true_nonzero(self.y, j, self.z):
+                raise _Skip(f"{self.note} weight {iw} at {pos}")
+            val = {}
+        else:
+            img = self.images.get(j)
+            if img is None:
+                img = self.images[j] = self.inner.act(self.y, j, self.z)
+            if not img:
+                val = {}
+            elif self.iterate:
+                val = self.outer.act(img, i, self.x).coeff
+            else:
+                val = self.outer.act(self.x, i, img).coeff
+        self.memo[key] = val
+        return val
+
+
+def _add(acc: dict, term: _Term, pairs, pos: tuple) -> None:
+    """acc += co * product(key) over the (key, co) pairs of one position."""
+    memo = term.memo
+    for key, co in pairs:
+        val = memo.get(key)
+        if val is None:
+            val = term.compute(key, pos)
+        for label, x in val.items():
+            acc[label] = acc.get(label, 0) + co * x
+
+
+def _diff_labels(diffs: list, where: tuple, lhs: dict, rhs: dict) -> None:
+    for label in sorted(set(lhs) | set(rhs)):
+        lc, rc = lhs.get(label, 0), rhs.get(label, 0)
+        if lc != rc:
+            diffs.append((where + (label,), lc, rc))
+
+
 def three_term_check(p: GradedVector, q: GradedVector, tgt,
                      win: Window, acts: JacobiActions,
                      identity: str, params: str) -> VerificationReport:
@@ -109,69 +191,37 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
     pw, qw, tw = p.weight(), q.weight(), tgt.weight()
     l_obs = min(acts.out1.level, acts.out2.level, acts.out3.level)
     diffs = []
-    kron_p_out1 = acts.out1.kron(p)
-    kron_q_out2 = acts.out2.kron(q)
+    prod_co, iter_co = _expansion_rows(
+        win, max(qw + tw + win.hi("x2"), pw + tw + win.hi("x1")) + 1,
+        pw + qw + win.hi("x0") + 1)
+    # each term depends on the position only through its two mode indices
+    first = _Term(acts.out1, p, acts.in1, q, tgt, iterate=False,
+                  kron=acts.out1.kron(p), note="product-inner")
+    second = _Term(acts.out2, q, acts.in2, p, tgt, iterate=False,
+                   kron=acts.out2.kron(q), note="product-inner")
+    third = _Term(acts.out3, tgt, acts.iterate, p, q, iterate=True,
+                  kron=None, note="iterate-inner")
     try:
-        for a, b, c in _positions(win):
+        for pos in _positions(win):
+            a, b, c = pos
             final = pw + qw + tw + a + b + c + 1
             if final < 0 or final > l_obs:
                 continue
-            lhs = GradedVector()
-            rhs = GradedVector()
+            lhs: dict = {}
+            rhs: dict = {}
+            row = prod_co[a]
+            sign2 = 1 if a % 2 else -1
             # first product: p outer at r, q inner at s
-            n = -a - 1
-            for k in range(0, qw + tw + c + 1):
-                co = binom(n, k) * (-1) ** k
-                if not co:
-                    continue
-                s = k - c - 1
-                r = -(a + b + k + 2)
-                iw = qw + tw + c - k
-                if iw > acts.in1.level:
-                    if (kron_p_out1 is None or r == kron_p_out1) \
-                            and acts.in1.true_nonzero(q, s, tgt):
-                        raise _Skip(f"product-inner weight {iw} at {(a, b, c)}")
-                    continue
-                inner = acts.in1.act(q, s, tgt)
-                if inner:
-                    lhs = lhs + acts.out1.act(p, r, inner).scale(co)
+            _add(lhs, first, (((-(a + b + k + 2), k - c - 1), row[k])
+                              for k in range(qw + tw + c + 1) if row[k]), pos)
             # second product: q outer at s2, p inner at r2
-            for k in range(0, pw + tw + b + 1):
-                co = (-1) ** (n % 2) * binom(n, k) * (-1) ** k
-                if not co:
-                    continue
-                r2 = k - b - 1
-                s2 = -(a + c + k + 2)
-                iw = pw + tw + b - k
-                if iw > acts.in2.level:
-                    if (kron_q_out2 is None or s2 == kron_q_out2) \
-                            and acts.in2.true_nonzero(p, r2, tgt):
-                        raise _Skip(f"product-inner weight {iw} at {(a, b, c)}")
-                    continue
-                inner = acts.in2.act(p, r2, tgt)
-                if inner:
-                    lhs = lhs - acts.out2.act(q, s2, inner).scale(co)
+            _add(lhs, second, (((-(a + c + k + 2), k - b - 1), -sign2 * row[k])
+                               for k in range(pw + tw + b + 1) if row[k]), pos)
             # iterate: p_m q at x0, result acting at x2
-            for k in range(0, pw + qw + a + 1):
-                co = binom(b + k, k) * (-1) ** k
-                if not co:
-                    continue
-                m = k - a - 1
-                t = -(b + c + k + 2)
-                iw = pw + qw + a - k
-                if iw > acts.iterate.level:
-                    if acts.iterate.true_nonzero(p, m, q):
-                        raise _Skip(f"iterate-inner weight {iw} at {(a, b, c)}")
-                    continue
-                inner = acts.iterate.act(p, m, q)
-                if inner:
-                    rhs = rhs + acts.out3.act(inner, t, tgt).scale(co)
-            delta = lhs - rhs
-            if delta:
-                for label in sorted(delta.coeff):
-                    diffs.append(((a, b, c) + (label,),
-                                  lhs.coeff.get(label, 0),
-                                  rhs.coeff.get(label, 0)))
+            row = iter_co[b]
+            _add(rhs, third, (((-(b + c + k + 2), k - a - 1), row[k])
+                              for k in range(pw + qw + a + 1) if row[k]), pos)
+            _diff_labels(diffs, pos, lhs, rhs)
     except _Skip as sk:
         return VerificationReport.skipped(identity, params, sk.note)
     return VerificationReport.from_diffs(identity, params, diffs)
@@ -217,7 +267,7 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
             if base.is_zero():
                 continue
             sign = (-1) ** ((k - pexp) % 2)
-            rhs = rhs + V.exp_virasoro(-1, base, pexp).scale(Fraction(sign))
+            rhs = rhs + V.exp_virasoro(-1, base, pexp).scale(sign)
         delta = lhs - rhs
         for label in sorted(delta.coeff):
             diffs.append(((k, label), lhs.coeff.get(label, 0),
@@ -440,7 +490,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                     base = V.apply_mode(v, n, wq)
                     if base.is_zero():
                         continue
-                    val = V.exp_virasoro(1, base, pp).scale(Fraction(sign))
+                    val = V.exp_virasoro(1, base, pp).scale(sign)
                     if val:
                         key = (j, e)
                         lhs[key] = lhs.get(key, GradedVector()) + val
@@ -471,8 +521,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                             base = V.apply_mode(vi, tprime, w)
                             if base.is_zero():
                                 continue
-                            co = Fraction(bg * bm * bh
-                                          * (-1) ** ((g + m + h) % 2))
+                            co = bg * bm * bh * (-1) ** ((g + m + h) % 2)
                             key = (j, e)
                             rhs[key] = rhs.get(key, GradedVector()) \
                                 + base.scale(co)
@@ -516,7 +565,7 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                     base = V.apply_mode(v, n, wq)
                     if base.is_zero():
                         continue
-                    val = V.exp_virasoro(-1, base, pp).scale(Fraction(sign))
+                    val = V.exp_virasoro(-1, base, pp).scale(sign)
                     if val:
                         lhs[-n - 1] = lhs.get(-n - 1, GradedVector()) + val
             rhs: dict = {}
@@ -526,7 +575,7 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                     continue
                 co = binom(-n - 1, j)
                 if co:
-                    val, _ = base.scale(Fraction(co)).clip(V.level)
+                    val, _ = base.scale(co).clip(V.level)
                     if val:
                         rhs[-n - 1 - j] = rhs.get(-n - 1 - j,
                                                   GradedVector()) + val
@@ -594,7 +643,7 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
         for e in range(-(wu + wv), a + 1):
             base = V.apply_mode(v, -e - 1, u)
             if base:
-                b_parts[e] = base.scale(Fraction((-1) ** (e % 2)))
+                b_parts[e] = base.scale((-1) ** (e % 2))
         a_vec = GradedVector()
         for e, be in b_parts.items():
             a_vec = a_vec + V.exp_virasoro(-1, be, a - e)
@@ -611,7 +660,7 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                     continue
                 co = binom(c + k, k)
                 if co:
-                    e3 = e3 + act.act(be, -c - k - 1, w).scale(Fraction(co))
+                    e3 = e3 + act.act(be, -c - k - 1, w).scale(co)
             for tag, lhs, rhs in (("skew", e1, e2), ("shift", e1, e3)):
                 delta = lhs - rhs
                 for label in sorted(delta.coeff):
@@ -629,83 +678,59 @@ def check_translate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
         x0^-1 d((x1-x2)/x0) Y(u, x1-x2) Y(w, -x2) v
       - x0^-1 d((x2-x1)/-x0) Y(Y(u, x1)w, -x2) v
       = x2^-1 d((x1-x0)/x2) Y(w, -x2) Y(u, x0) v
+
+    As in ``three_term_check``, each product is memoised per call by its
+    two mode indices and the expansion coefficients per exponent.
     """
     wu, wv, ww = u.weight(), v.weight(), w.weight()
     W = wu + wv + ww
     params = _triple_params(u, v, w, f"win={win.hi('x0')}")
     act = VOAAction(V)
-    kron_u = act.kron(u)
-    kron_w = act.kron(w)
     diffs = []
+    prod_co, iter_co = _expansion_rows(
+        win, max(ww + wv + win.hi("x2"), wu + ww + win.hi("x1")) + 1,
+        wu + wv + win.hi("x0") + 1)
+    term_a = _Term(act, u, act, w, v, iterate=False, kron=act.kron(u),
+                   note="inner")
+    term_b = _Term(act, v, act, u, w, iterate=True, kron=None,
+                   note="iterate")
+    term_c = _Term(act, w, act, u, v, iterate=False, kron=act.kron(w),
+                   note="inner")
+
+    def pairs_a(a, b, c):
+        for k1 in range(ww + wv + c + 1):
+            c1 = prod_co[a][k1]
+            if not c1:
+                continue
+            for k2 in range(ww + wv + c - k1 + 1):
+                r = -(a + b + k1 + k2 + 2)
+                c2 = binom(-r - 1, k2) * (-1) ** k2
+                if c2:
+                    s = k1 + k2 - c - 1
+                    yield (r, s), c1 * c2 * (-1) ** ((s + 1) % 2)
+
     try:
-        for a, b, c in _positions(win):
+        for pos in _positions(win):
+            a, b, c = pos
             final = W + a + b + c + 1
             if final < 0 or final > V.level:
                 continue
-            n = -a - 1
-            lhs = GradedVector()
-            rhs = GradedVector()
+            lhs: dict = {}
+            rhs: dict = {}
+            row = prod_co[a]
+            sign = 1 if a % 2 else -1
             # term a: delta * Y(u, x1-x2) Y(w, -x2) v
-            for k1 in range(0, ww + wv + c + 1):
-                c1 = binom(n, k1) * (-1) ** k1
-                if not c1:
-                    continue
-                for k2 in range(0, ww + wv + c - k1 + 1):
-                    r = -(a + b + k1 + k2 + 2)
-                    c2 = binom(-r - 1, k2) * (-1) ** k2
-                    if not c2:
-                        continue
-                    s = k1 + k2 - c - 1
-                    iw = ww + wv + c - k1 - k2
-                    if iw > V.level:
-                        if (kron_u is None or r == kron_u) \
-                                and act.true_nonzero(w, s, v):
-                            raise _Skip(f"inner weight {iw} at {(a, b, c)}")
-                        continue
-                    inner = act.act(w, s, v)
-                    if inner.is_zero():
-                        continue
-                    co = Fraction(c1 * c2 * (-1) ** ((s + 1) % 2))
-                    lhs = lhs + act.act(u, r, inner).scale(co)
-            # term b: delta * Y(Y(u,x1)w, -x2) v
-            for k in range(0, wu + ww + b + 1):
-                cb = (-1) ** (n % 2) * binom(n, k) * (-1) ** k
-                if not cb:
-                    continue
-                r = k - b - 1
-                t = -(a + c + k + 2)
-                iw = wu + ww + b - k
-                if iw > V.level:
-                    if act.true_nonzero(u, r, w):
-                        raise _Skip(f"iterate weight {iw} at {(a, b, c)}")
-                    continue
-                inner = act.act(u, r, w)
-                if inner.is_zero():
-                    continue
-                co = Fraction(cb * (-1) ** ((t + 1) % 2))
-                lhs = lhs - act.act(inner, t, v).scale(co)
-            # term c: delta * Y(w, -x2) Y(u, x0) v
-            for k in range(0, wu + wv + a + 1):
-                cc = binom(b + k, k) * (-1) ** k
-                if not cc:
-                    continue
-                r = k - a - 1
-                s = -(b + c + k + 2)
-                iw = wu + wv + a - k
-                if iw > V.level:
-                    if (kron_w is None or s == kron_w) \
-                            and act.true_nonzero(u, r, v):
-                        raise _Skip(f"inner weight {iw} at {(a, b, c)}")
-                    continue
-                inner = act.act(u, r, v)
-                if inner.is_zero():
-                    continue
-                co = Fraction(cc * (-1) ** ((s + 1) % 2))
-                rhs = rhs + act.act(w, s, inner).scale(co)
-            delta = lhs - rhs
-            for label in sorted(delta.coeff):
-                diffs.append(((a, b, c, label), lhs.coeff.get(label, 0),
-                              rhs.coeff.get(label, 0)))
+            _add(lhs, term_a, pairs_a(a, b, c), pos)
+            # term b: delta * Y(Y(u,x1)w, -x2) v, with t = -(a+c+k+2)
+            _add(lhs, term_b, (((-(a + c + k + 2), k - b - 1),
+                                -sign * row[k] * (-1) ** ((a + c + k + 1) % 2))
+                               for k in range(wu + ww + b + 1) if row[k]), pos)
+            # term c: delta * Y(w, -x2) Y(u, x0) v, with s = -(b+c+k+2)
+            row = iter_co[b]
+            _add(rhs, term_c, (((-(b + c + k + 2), k - a - 1),
+                                row[k] * (-1) ** ((b + c + k + 1) % 2))
+                               for k in range(wu + wv + a + 1) if row[k]), pos)
+            _diff_labels(diffs, pos, lhs, rhs)
     except _Skip as sk:
         return VerificationReport.skipped("translate-skew-rewrite", params,
                                           sk.note)

@@ -125,16 +125,8 @@ def voa_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     out.append(VerificationReport.from_diffs(
         "creation-property", f"level={cfg.level}", diffs))
 
-    for lu in V.basis_upto():
-        for lv in V.basis_upto():
-            if lu > lv:
-                continue
-            out.append(axioms.check_skew_symmetry(
-                V, GradedVector.basis(lu), GradedVector.basis(lv), cfg.level))
-
-    win = Window.of(x=(-cfg.level - 1, cfg.level + 1))
-    for lv in V.basis_upto():
-        out.extend(axioms.check_commutators(V, GradedVector.basis(lv), win))
+    out.extend(_skew_reports(V, cfg))
+    out.extend(_commutator_reports(V, cfg))
 
     diffs = []
     c = V.central_charge
@@ -156,6 +148,41 @@ def voa_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     out.append(VerificationReport.from_diffs(
         "virasoro-bracket", "range=4;maxwt=4", diffs))
     return _tag(out, "voa-axioms")
+
+
+def _skew_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
+    out = []
+    for lu in V.basis_upto():
+        for lv in V.basis_upto():
+            if lu > lv:
+                continue
+            out.append(axioms.check_skew_symmetry(
+                V, GradedVector.basis(lu), GradedVector.basis(lv), cfg.level))
+    return out
+
+
+def _commutator_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
+    win = Window.of(x=(-cfg.level - 1, cfg.level + 1))
+    out = []
+    for lv in V.basis_upto():
+        out.extend(axioms.check_commutators(V, GradedVector.basis(lv), win))
+    return out
+
+
+def _conjugation_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
+    out = []
+    for lv in V.basis_upto(min(cfg.level, 4)):
+        out.extend(axioms.check_conjugation(V, GradedVector.basis(lv),
+                                            cfg.order))
+    return out
+
+
+# `check` targets that run one part of a suite: (suite tag, reports)
+PARTS = {
+    "skew": ("voa-axioms", _skew_reports),
+    "commutators": ("voa-axioms", _commutator_reports),
+    "conjugation": ("conjugation", _conjugation_reports),
+}
 
 
 def _jacobi_triples(level: int, max_total: int):
@@ -214,7 +241,7 @@ def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     out.append(contra.check_dual_virasoro(M, cfg.level, Mp))
     out.append(contra.check_dual_derivative(M, cfg.level, Mp))
     out.append(contra.check_double_contragredient(M, Mp))
-    out.extend(contra.check_invariant_form(M))
+    out.extend(contra.check_invariant_form(M, Mp=Mp))
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = GradedVector.basis((1,))
     om = V.omega
@@ -533,13 +560,10 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "check":
         cfg = _config_from(args)
-        mapping = {"delta": ["delta"], "jacobi": ["jacobi"], "s3": ["s3"],
-                   "skew": ["voa-axioms"], "commutators": ["voa-axioms"],
-                   "conjugation": None}
-        if args.suite == "conjugation":
-            run = _conjugation_run(cfg)
+        if args.suite in PARTS:
+            run = _part_run(cfg, *PARTS[args.suite])
         else:
-            run = run_suites(mapping[args.suite], cfg)
+            run = run_suites([args.suite], cfg)
         emit(run, cfg.fmt)
         return run.exit_code
 
@@ -603,13 +627,12 @@ def _dispatch(args) -> int:
     return run.exit_code
 
 
-def _conjugation_run(cfg: SuiteConfig) -> RunReport:
-    V = build_heisenberg(cfg.level)
+def _part_run(cfg: SuiteConfig, suite: str, reports) -> RunReport:
+    """One part of a suite on a fresh algebra, tagged and sorted as
+    ``run_suites`` does."""
     run = RunReport()
     t0 = time.time()
-    for lv in V.basis_upto(min(cfg.level, 4)):
-        run.extend(_tag(axioms.check_conjugation(
-            V, GradedVector.basis(lv), cfg.order), "conjugation"))
+    run.extend(_tag(reports(build_heisenberg(cfg.level), cfg), suite))
     run.reports.sort(key=lambda r: (r.suite, r.identity, r.params))
     run.elapsed = time.time() - t0
     return run

@@ -115,6 +115,25 @@ class ContragredientModule:
             out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m, ceiling)
         return out.scale(sign)
 
+    def adjoint_block(self, v: GradedVector, n: int, weight: int) -> dict:
+        """The matrix {mu: {nu: coefficient}} of A(v, n) into the block of
+        this weight, for homogeneous v, memoised on the instance."""
+        vkey = tuple(sorted(v.coeff.items()))
+        key = (vkey, n, weight)
+        block = self._blocks.get(key)
+        if block is None:
+            # A(v, n) maps each basis vector nu of the source weight into
+            # the whole block of this weight, so one image per nu fills
+            # the matrix for every mu of the block
+            block = {}
+            for nu in partitions(weight + v.weight() - n - 1):
+                img = self.conj_operator(v, n, GradedVector.basis(nu),
+                                         ceiling=weight)
+                for lab, coef in img.coeff.items():
+                    block.setdefault(lab, {})[nu] = coef
+            self._blocks[key] = block
+        return block
+
     def act(self, v: GradedVector, n: int, wp: GradedVector,
             ceiling: int | None = None) -> GradedVector:
         """Dual-module mode action on a dual vector."""
@@ -122,26 +141,12 @@ class ContragredientModule:
         out: dict = {}
         for wtv in sorted(v.weights()):
             vpart = v.component(wtv)
-            vkey = tuple(sorted(vpart.coeff.items()))
             for mu, c in wp.coeff.items():
                 weight = sum(mu)
                 target = weight + wtv - n - 1
                 if target < 0 or target > cap:
                     continue
-                key = (vkey, n, weight)
-                block = self._blocks.get(key)
-                if block is None:
-                    # A(v, n) maps each basis vector nu of weight target
-                    # into the whole block of this weight, so one image
-                    # per nu fills the matrix for every mu of the block
-                    block = {}
-                    for nu in partitions(target):
-                        img = self.conj_operator(vpart, n,
-                                                 GradedVector.basis(nu),
-                                                 ceiling=weight)
-                        for lab, coef in img.coeff.items():
-                            block.setdefault(lab, {})[nu] = coef
-                    self._blocks[key] = block
+                block = self.adjoint_block(vpart, n, weight)
                 for lab, x in block.get(mu, {}).items():
                     s = out.get(lab, 0) + c * x
                     if s:
@@ -395,13 +400,17 @@ class BilinearForm:
 
 
 def build_invariant_form(M, normalization: Fraction = Fraction(1),
-                         verify: bool = True) -> BilinearForm:
+                         verify: bool = True,
+                         Mp: ContragredientModule | None = None
+                         ) -> BilinearForm:
     """Invariant form with (vacuum, vacuum) equal to ``normalization``.
 
     Propagates through the oscillator adjoint a(n)* = -a(-n), which is the
     invariance constraint specialized to the current generator, then
     cross-checks the full constraint family for every basis operator and
-    pair; any inconsistency or degenerate block raises NotSelfDual.
+    pair; any inconsistency or degenerate block raises NotSelfDual. The
+    cross-check reads the adjoint images from ``Mp``'s block memo, so a
+    module shared with other checks serves the images it already holds.
     """
     level = M.level
     index: dict[tuple, tuple[int, int]] = {}
@@ -440,7 +449,7 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
         raise NotSelfDual("degenerate weight block at this truncation")
 
     if verify:
-        Mp = ContragredientModule(M)
+        Mp = Mp or ContragredientModule(M)
         for lv in M.V.basis_upto():
             v = GradedVector.basis(lv)
             wtv = sum(lv)
@@ -462,8 +471,10 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
                     lhs = form.pair(img, w2)
                     adj = adjoint.get((nu, wmu))
                     if adj is None:
-                        adj = adjoint[(nu, wmu)] = Mp.conj_operator(
-                            v, n, w2, ceiling=wmu)
+                        block = Mp.adjoint_block(v, n, wmu)
+                        adj = adjoint[(nu, wmu)] = GradedVector(
+                            {lab: col[nu] for lab, col in block.items()
+                             if nu in col})
                     rhs = form.pair(w1, adj)
                     if lhs != rhs:
                         raise NotSelfDual(
@@ -472,13 +483,14 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
     return form
 
 
-def check_invariant_form(M, normalization: Fraction = Fraction(1)
+def check_invariant_form(M, normalization: Fraction = Fraction(1),
+                         Mp: ContragredientModule | None = None
                          ) -> list[VerificationReport]:
     """Existence plus the structural properties of the invariant form, and
     the norm of the conformal vector, c/2 times the normalization."""
     out = []
     try:
-        form = build_invariant_form(M, normalization)
+        form = build_invariant_form(M, normalization, Mp=Mp)
     except NotSelfDual as e:
         out.append(VerificationReport.from_diffs(
             "invariant-form", f"norm={normalization}", [("build", str(e), "")]))

@@ -145,7 +145,8 @@ def gauss_solve(rows: list[list[Fraction]], rhs: list) -> list | None:
     """Solve a square exact linear system by Gaussian elimination.
 
     Returns the solution vector, or None when the matrix is singular.
-    Entries may be Fractions or QQi; rhs entries likewise.
+    Entries may be ints, Fractions or QQi; rhs entries likewise. Pivots
+    are inverted exactly, so integer input gives Fraction output.
     """
     n = len(rows)
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
@@ -155,7 +156,7 @@ def gauss_solve(rows: list[list[Fraction]], rhs: list) -> list | None:
             return None
         a[col], a[piv] = a[piv], a[col]
         inv = (a[col][col].inverse() if isinstance(a[col][col], QQi)
-               else 1 / a[col][col])
+               else Fraction(1) / a[col][col])
         a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r != col and a[r][col]:
@@ -165,8 +166,8 @@ def gauss_solve(rows: list[list[Fraction]], rhs: list) -> list | None:
 
 
 def exact_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of Fractions, by fraction-free-ish
-    elimination with exact arithmetic."""
+    """Determinant of a square matrix of ints or Fractions, by Gaussian
+    elimination with exact arithmetic; always a Fraction."""
     n = len(rows)
     a = [list(r) for r in rows]
     det = Fraction(1)
@@ -178,7 +179,7 @@ def exact_det(rows: list[list[Fraction]]) -> Fraction:
             a[col], a[piv] = a[piv], a[col]
             det = -det
         det *= a[col][col]
-        inv = 1 / a[col][col]
+        inv = Fraction(1) / a[col][col]
         for r in range(col + 1, n):
             if a[r][col] != 0:
                 f = a[r][col] * inv

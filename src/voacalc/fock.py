@@ -16,6 +16,12 @@ computed exactly (independent of the truncation level) and memoized. The
 declared level only controls where results get clipped, so callers that
 need exact intermediate values above the level can pass an explicit
 ceiling.
+
+Vector coefficients are exact: ``int`` first, since basis vectors carry
+the integer 1 and every structure constant is an integer, and ``Fraction``
+or ``QQi`` only once a genuine fraction (the 1/2 of the conformal vector,
+the 1/j! of an exponential) or a Gaussian rational enters. They are never
+``float``.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ def partitions_upto(maxweight: int) -> list[tuple[int, ...]]:
 class GradedVector:
     """Finite linear combination of partition-labelled basis states.
 
-    Coefficients are exact (Fractions, or Gaussian rationals where moduli
-    evaluations need them); zero coefficients are never stored.
+    Coefficients are exact: ``int`` until a division brings in a
+    ``Fraction``, or ``QQi`` where moduli evaluations need Gaussian
+    rationals; never ``float``. Zero coefficients are never stored.
     """
 
     __slots__ = ("coeff",)
@@ -69,7 +76,7 @@ class GradedVector:
 
     @staticmethod
     def basis(label) -> "GradedVector":
-        return GradedVector({tuple(label): Fraction(1)})
+        return GradedVector({tuple(label): 1})
 
     def is_zero(self) -> bool:
         return not self.coeff

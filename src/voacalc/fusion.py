@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 
 from .fock import GradedVector
@@ -33,7 +34,7 @@ class FusionTensor:
     entries: tuple[tuple[tuple[str, str, str], int], ...]
 
     def __post_init__(self):
-        d = dict(self.dual)
+        d = self._dual_map
         for i in self.labels:
             j = d.get(i, i)
             if d.get(j, j) != i:
@@ -49,12 +50,22 @@ class FusionTensor:
     def algebra_label(self) -> str:
         return self.labels[0]
 
+    # lookup maps built once per tensor; equality and hashing still go by
+    # the three fields alone
+    @cached_property
+    def _dual_map(self) -> dict[str, str]:
+        return dict(self.dual)
+
+    @cached_property
+    def _entry_map(self) -> dict[tuple[str, str, str], int]:
+        return dict(self.entries)
+
     def dual_of(self, i: str) -> str:
-        return dict(self.dual).get(i, i)
+        return self._dual_map.get(i, i)
 
     def n(self, i: str, j: str, k: str) -> int:
         """N^k_{ij}, defaulting to zero for unlisted triples."""
-        return dict(self.entries).get((i, j, k), 0)
+        return self._entry_map.get((i, j, k), 0)
 
     def lowered(self, i: str, j: str, k: str) -> int:
         """The fully lowered tensor N_{ijk} pairs the third slot through

@@ -48,6 +48,40 @@ class TestJacobi:
         V.clear_corruptions()
         assert rep.failed and rep.diffs
 
+    def test_products_are_not_remembered_across_calls(self):
+        # a constant whose corruption a fresh algebra's check catches is
+        # caught just the same on an algebra, and through an action, that
+        # already ran the check
+        u, v, w = B((1,)), B((2,)), B((1,))
+        V = build_heisenberg(6)
+        acts = axioms.JacobiActions.uniform(axioms.VOAAction(V))
+
+        def run(alg, actions=None):
+            if actions is None:
+                return axioms.check_jacobi(alg, u, v, w, WIN2)
+            return axioms.three_term_check(u, v, w, WIN2, actions,
+                                           "jacobi", "-")
+
+        assert run(V).passed and run(V, acts).passed
+        caught = None
+        for key in sorted(V.touched_mode_keys()):
+            values = V.mode_basis(*key)
+            if not values:
+                continue
+            fresh = build_heisenberg(6)
+            fresh.corrupt(*key, min(values), 1)
+            if run(fresh).failed:
+                caught = key + (min(values),)
+                break
+        assert caught is not None
+        V.corrupt(*caught, 1)
+        try:
+            assert run(V).failed
+            assert run(V, acts).failed
+        finally:
+            V.clear_corruptions()
+        assert run(V).passed and run(V, acts).passed
+
     def test_linearity_in_each_slot(self, V):
         u = B((1,)).scale(Fraction(1, 2)) + B((2,))
         rep = axioms.check_jacobi(V, u, B((1,)), V.vacuum, WIN2)

@@ -128,3 +128,18 @@ def test_jobs_do_not_change_structured_output(capsys):
     _, out1, _ = run_cli(argv + ["--jobs", "1"], capsys)
     _, out8, _ = run_cli(argv + ["--jobs", "8"], capsys)
     assert out1 == out8
+
+
+@pytest.mark.parametrize("target, identities, count", [
+    ("skew", {"skew-symmetry"}, 465),
+    ("commutators", {"bracket-L(-1)", "bracket-L(0)", "bracket-L(1)"}, 90),
+])
+def test_check_part_prints_only_its_records(target, identities, count,
+                                            capsys):
+    code, out, _ = run_cli(["check", target, "--format", "structured"],
+                           capsys)
+    assert code == 0
+    records = [line.split(" ") for line in out.strip().splitlines()]
+    assert len(records) == count
+    assert {r[0] for r in records} == {"voa-axioms"}
+    assert {r[1] for r in records} == identities

@@ -130,6 +130,31 @@ class TestInvariantForm:
         V.clear_corruptions()
         contra.build_invariant_form(M)
 
+    def test_shared_module_builds_same_form(self):
+        V = build_heisenberg(4)
+        M = contra.VOAModule(V)
+        Mp = contra.ContragredientModule(M)
+        assert all(r.passed for r in contra.check_defining_relation(M, Mp))
+        shared = contra.build_invariant_form(M, Mp=Mp)
+        own = contra.build_invariant_form(M)
+        assert shared.blocks == own.blocks
+        assert shared.symmetric == own.symmetric
+
+    def test_warm_shared_module_still_raises(self):
+        V = build_heisenberg(3)
+        M = contra.VOAModule(V)
+        Mp = contra.ContragredientModule(M)
+        assert all(r.passed for r in contra.check_defining_relation(M, Mp))
+        contra.build_invariant_form(M, Mp=Mp)
+        V.corrupt((1,), 1, (1,), (), 1)
+        try:
+            with pytest.raises(contra.NotSelfDual):
+                contra.build_invariant_form(M, Mp=Mp)
+            reps = contra.check_invariant_form(M, Mp=Mp)
+            assert reps[0].failed
+        finally:
+            V.clear_corruptions()
+
     def test_intertwines_into_dual(self, setup4):
         # w -> (w, .) is a module map onto the contragredient
         V, M, Mp = setup4

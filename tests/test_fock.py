@@ -160,3 +160,55 @@ def test_vertex_series_matches_modes(V6):
         want = V6.apply_mode(u, n, v)
         got = ys.coefficient((-n - 1,)) or GradedVector()
         assert got == want
+
+
+# -- no float reaches a verification path ------------------------------------
+
+
+def _floats(x):
+    """Every float inside a (possibly nested) diff value."""
+    if isinstance(x, float):
+        yield x
+    elif isinstance(x, (list, tuple, set)):
+        for y in x:
+            yield from _floats(y)
+    elif isinstance(x, dict):
+        for k, y in x.items():
+            yield from _floats(k)
+            yield from _floats(y)
+
+
+def test_apply_mode_coefficients_are_exact():
+    V = build_heisenberg(5)
+    labels = partitions_upto(5)
+    for lu in labels:
+        u = GradedVector.basis(lu)
+        for lv in labels:
+            v = GradedVector.basis(lv)
+            for n in V.mode_range(u, v):
+                for c in V.apply_mode(u, n, v).coeff.values():
+                    assert isinstance(c, int), (lu, n, lv, c)
+
+
+def test_no_float_in_any_suite(monkeypatch):
+    from collections import Counter
+
+    from voacalc import cli
+    from voacalc.fock import HeisenbergVOA
+
+    kinds: Counter = Counter()
+    real = HeisenbergVOA.apply_mode_flagged
+
+    def spy(self, u, n, v, ceiling=None):
+        out, overflow = real(self, u, n, v, ceiling)
+        for vec in (u, v, out):
+            kinds.update(type(c).__name__ for c in vec.coeff.values())
+        return out, overflow
+
+    monkeypatch.setattr(HeisenbergVOA, "apply_mode_flagged", spy)
+    run = cli.run_suites(list(cli.SUITES), cli.SuiteConfig(level=4))
+    assert kinds["float"] == 0, kinds
+    assert kinds["int"] > kinds["Fraction"], kinds
+    for rep in run.reports:
+        for d in rep.diffs:
+            assert not list(_floats(d)), (rep.identity, d)

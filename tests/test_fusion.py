@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from importlib import resources
 
@@ -50,6 +51,23 @@ class TestParsing:
         with pytest.raises(FixtureError, match=r"dup\.fus:3: .*line 2"):
             fusion.parse_fusion_tensor("labels: V\nV V V 1\nV V V 0\n",
                                        "dup.fus")
+
+
+@pytest.mark.parametrize("name", ["one_label.fus", "ising.fus",
+                                  "bad_assoc.fus", "bad_symmetry.fus"])
+def test_lookups_agree_with_fields(name):
+    # n and dual_of read maps built once per tensor; the reference scans
+    # the entries and dual fields directly
+    T = load(name)
+    for i in T.labels:
+        want = next((b for a, b in T.dual if a == i), i)
+        assert T.dual_of(i) == want
+    for i, j, k in itertools.product(T.labels, repeat=3):
+        want = next((n for t, n in T.entries if t == (i, j, k)), 0)
+        assert T.n(i, j, k) == want
+    # the maps do not take part in equality or hashing
+    fresh = load(name)
+    assert T == fresh and hash(T) == hash(fresh)
 
 
 class TestSymmetry:
