@@ -6,11 +6,16 @@ transfer of the three-term identity.
 Every check compares both sides of an identity by structurally different
 evaluation paths on a finite exponent window, in exact arithmetic. A
 check is only allowed to return pass/fail when truncation provably loses
-nothing at any examined coefficient; otherwise it reports skipped. The
-loss test is exact: an inner mode application whose true value has
-nonzero content above the working level marks the instance as out of
-budget whenever an outer mode could map that content back into the
-observable range.
+nothing at any examined coefficient; otherwise it reports skipped.
+
+Every space is driven through one action protocol, ``VOAAction``:
+``level``, ``act``, ``true_nonzero`` and ``kron``. The algebra acting on
+itself is a ``VOAAction``, a contragredient module is a subclass, and
+``fusion.IntertwinerAction`` wraps stored intertwiner modes. The loss
+test ``true_nonzero`` is exact: an inner mode application whose true
+value has nonzero content above the working level marks the instance as
+out of budget whenever an outer mode could map that content back into
+the observable range.
 
 In the three-term engine (``three_term_check``, and the rewrite
 ``check_translate_skew``) each term depends on the window position only
@@ -31,33 +36,39 @@ from fractions import Fraction
 
 from .exact import binom
 from .fock import GradedVector, HeisenbergVOA
-from .reports import Status, VerificationReport, fmt_label
+from .reports import Status, VerificationReport, fmt_label, fmt_vec
 from .series import Window
 
 
 class VOAAction:
-    """Mode action of algebra elements on a graded space, with the exact
-    metadata the budget scanner needs."""
+    """The algebra acting on itself by its modes, clipped at ``level``;
+    ``ContragredientModule`` overrides ``act`` for the graded dual."""
 
-    def __init__(self, V: HeisenbergVOA, level: int | None = None):
+    def __init__(self, V: HeisenbergVOA):
         self.V = V
-        self.level = V.level if level is None else level
+        self.level = V.level
+        self.grading_shift = Fraction(0)
 
-    def act(self, op: GradedVector, n: int, vec: GradedVector) -> GradedVector:
-        return self.V.apply_mode(op, n, vec, self.level)
+    def act(self, op: GradedVector, n: int, vec: GradedVector,
+            ceiling: int | None = None) -> GradedVector:
+        return self.V.apply_mode(op, n, vec, ceiling)
 
     def true_nonzero(self, op: GradedVector, n: int, vec: GradedVector) -> bool:
-        acc: dict = {}
-        for lu, cu in op.coeff.items():
-            c = cu
-            for lv, cv in vec.coeff.items():
-                for label, m in self.V.mode_basis(lu, n, lv).items():
-                    acc[label] = acc.get(label, 0) + c * cv * m
-        return any(acc.values())
+        """Whether op_n vec is nonzero before any clipping: the action with
+        a ceiling at or above every weight the mode can reach."""
+        top = sum(max(x.weights(), default=0) for x in (op, vec)) + abs(n) + 1
+        return bool(self.act(op, n, vec, ceiling=top))
 
     def kron(self, op: GradedVector) -> int | None:
         """Mode index n0 when op acts as delta_{n,n0} times a scalar."""
         return -1 if self.V.is_vacuum_multiple(op) else None
+
+    def virasoro(self, n: int, vec: GradedVector,
+                 ceiling: int | None = None) -> GradedVector:
+        return self.act(self.V.omega, n + 1, vec, ceiling)
+
+    def basis_upto(self, maxweight: int | None = None):
+        return self.V.basis_upto(maxweight)
 
 
 @dataclass
@@ -227,15 +238,8 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
     return VerificationReport.from_diffs(identity, params, diffs)
 
 
-def _fmt_vec(x) -> str:
-    if len(x.coeff) == 1:
-        ((label, c),) = x.coeff.items()
-        return fmt_label(label) if c == 1 else f"{c}*{fmt_label(label)}"
-    return "+".join(f"{c}*{fmt_label(k)}" for k, c in sorted(x.coeff.items()))
-
-
 def _triple_params(u, v, w, extra: str = "") -> str:
-    s = f"u={_fmt_vec(u)};v={_fmt_vec(v)};w={_fmt_vec(w)}"
+    s = f"u={fmt_vec(u)};v={fmt_vec(v)};w={fmt_vec(w)}"
     return s + (";" + extra if extra else "")
 
 
@@ -252,7 +256,7 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                         order: int) -> VerificationReport:
     """Y(u, x)v against exp(x L(-1)) Y(v, -x)u through order x^order."""
     wu, wv = u.weight(), v.weight()
-    params = f"u={_fmt_vec(u)};v={_fmt_vec(v)};order={order}"
+    params = f"u={fmt_vec(u)};v={fmt_vec(v)};order={order}"
     hi = min(order, V.level - wu - wv)
     lo = -(wu + wv + order + 1)
     if hi < 0:
@@ -339,7 +343,7 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
                     diffs.append(((fmt_label(lw), n, label),
                                   lhs.coeff.get(label, 0),
                                   rhs.coeff.get(label, 0)))
-        params = _vec_params(v) + f";win={win.hi('x')}"
+        params = f"v={fmt_vec(v)};win={win.hi('x')}"
         if checked == 0:
             out.append(VerificationReport.skipped(ident, params,
                                                   "no assertable modes"))
@@ -351,13 +355,6 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
     return out
 
 
-def _vec_params(v: GradedVector) -> str:
-    if len(v.coeff) == 1:
-        ((label, c),) = v.coeff.items()
-        return f"v={fmt_label(label)}" if c == 1 else f"v={c}*{fmt_label(label)}"
-    return "v=" + "+".join(f"{c}*{fmt_label(k)}" for k, c in sorted(v.coeff.items()))
-
-
 # -- conjugation identities -------------------------------------------------
 
 
@@ -366,7 +363,7 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
     """The sl(2) conjugation identities with f(x) = x, expanded termwise."""
     wv = v.weight()
     out = []
-    params = _vec_params(v) + f";order={order}"
+    params = f"v={fmt_vec(v)};order={order}"
 
     # L(-1) e^{xL(0)} = e^{xL(0)} L(-1) e^{-x}
     if wv + 1 > V.level:
@@ -452,7 +449,8 @@ def _scale_conjugation_report(V: HeisenbergVOA, v: GradedVector) -> Verification
             rhs_exp = wv - n - 1
             if lhs_exp != rhs_exp:
                 diffs.append(((fmt_label(lw), n), lhs_exp, rhs_exp))
-    return VerificationReport.from_diffs("conj-scale", _vec_params(v), diffs)
+    return VerificationReport.from_diffs("conj-scale", f"v={fmt_vec(v)}",
+                                         diffs)
 
 
 def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
@@ -464,7 +462,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
     the level, which keeps the verdict exact.
     """
     wv = v.weight()
-    params = _vec_params(v) + f";order={order}"
+    params = f"v={fmt_vec(v)};order={order}"
     diffs = []
     any_checked = False
     for lw in V.basis_upto():
@@ -543,7 +541,7 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                                   order: int) -> VerificationReport:
     """e^{x0 L(-1)} Y(v, x) e^{-x0 L(-1)} = Y(v, x + x0) termwise."""
     wv = v.weight()
-    params = _vec_params(v) + f";order={order}"
+    params = f"v={fmt_vec(v)};order={order}"
     diffs = []
     any_checked = False
     for lw in V.basis_upto():

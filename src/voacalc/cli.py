@@ -234,7 +234,7 @@ def s3_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
 def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     V = build_heisenberg(cfg.level)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     Mp = contra.ContragredientModule(M)
     out = []
     out.extend(contra.check_defining_relation(M, Mp))
@@ -256,9 +256,9 @@ def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
 def _direct_sum_reports(level: int) -> list[VerificationReport]:
     V = build_heisenberg(level)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     form = contra.build_invariant_form(M)
-    ds = contra.combine_direct_sum(V, M, form, form)
+    ds = contra.DirectSumMap(V, M, form, form)
     zero = GradedVector()
     out = []
 
@@ -351,7 +351,7 @@ def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     for rep in fusion.check_intertwiner(I1, win):
         rep.params += ";type=self"
         out.append(rep)
-    Mp = contra.ContragredientModule(contra.VOAModule(V))
+    Mp = contra.ContragredientModule(axioms.VOAAction(V))
     I2 = fusion.intertwiner_from_module(V, Mp)
     for rep in fusion.check_intertwiner(I2, win):
         rep.params += ";type=dual-module"
@@ -571,7 +571,7 @@ def _dispatch(args) -> int:
         cfg = _config_from(args)
         if args.action == "build":
             V = build_heisenberg(cfg.level)
-            M = contra.VOAModule(V)
+            M = axioms.VOAAction(V)
             form = contra.build_invariant_form(M)
             dets = form.block_determinants()
             for w in sorted(dets):

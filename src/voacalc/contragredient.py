@@ -10,11 +10,14 @@ so that pairing a dual vector against A(v, n) reproduces the defining
 relation of the dual action. Because every pairing projects onto a single
 weight block, these adjoints are exact at any truncation.
 
-A ContragredientModule memoises two things, both on the instance: the
-lowered vectors [(k, L(1)^k v / k!)] of each homogeneous v, and for each
-(v, n, weight block) the matrix of A(v, n) into that block, filled from
-one image per basis vector of the source block. A memo never outlives its
-module, so a module built after a structure constant is corrupted sees the
+A ContragredientModule is an ``axioms.VOAAction`` that overrides only
+``act``, so the three-term engine, the intertwiner checker and the
+direct-sum map take it wherever they take the algebra acting on itself.
+It memoises two things, both on the instance: the lowered vectors
+[(k, L(1)^k v / k!)] of each homogeneous v, and for each (v, n, weight
+block) the matrix of A(v, n) into that block, filled from one image per
+basis vector of the source block. A memo never outlives its module, so
+a module built after a structure constant is corrupted sees the
 corruption; one built before keeps serving the values it has already
 computed.
 
@@ -29,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import binom, exact_det, gauss_solve
+# through the module, so that a wrapper installed on axioms sees every call
+from . import axioms
+from .exact import exact_det, gauss_solve
 from .fock import GradedVector, HeisenbergVOA, partitions
 from .reports import VerificationReport, fmt_label
 from .series import FormalSeries, Support, Window
@@ -47,39 +52,11 @@ class AsymmetricForm(Exception):
     """Direct-sum construction requires a symmetric module form."""
 
 
-class VOAModule:
-    """The algebra acting on itself, as the reference module."""
-
-    def __init__(self, V: HeisenbergVOA):
-        self.V = V
-        self.level = V.level
-        self.grading_shift = Fraction(0)
-
-    def act(self, v: GradedVector, n: int, m: GradedVector,
-            ceiling: int | None = None) -> GradedVector:
-        return self.V.apply_mode(v, n, m, ceiling)
-
-    def true_nonzero(self, v: GradedVector, n: int, m: GradedVector) -> bool:
-        acc: dict = {}
-        for lu, cu in v.coeff.items():
-            for lv, cv in m.coeff.items():
-                for label, c in self.V.mode_basis(lu, n, lv).items():
-                    acc[label] = acc.get(label, 0) + cu * cv * c
-        return any(acc.values())
-
-    def virasoro(self, n: int, m: GradedVector,
-                 ceiling: int | None = None) -> GradedVector:
-        return self.V.virasoro(n, m, ceiling)
-
-    def basis_upto(self, maxweight: int | None = None):
-        return self.V.basis_upto(maxweight)
-
-
-class ContragredientModule:
+class ContragredientModule(axioms.VOAAction):
     """Dual action on the graded dual of a module, per the adjoint of the
     conjugated modes. Nesting the construction gives the double dual."""
 
-    def __init__(self, base):
+    def __init__(self, base: axioms.VOAAction):
         self.base = base
         self.V = base.V
         self.level = base.level
@@ -155,36 +132,6 @@ class ContragredientModule:
                         out.pop(lab, None)
         return GradedVector(out)
 
-    def true_nonzero(self, v: GradedVector, n: int, wp: GradedVector) -> bool:
-        hi = max((sum(mu) for mu in wp.coeff), default=-1)
-        top = hi + max(v.weights(), default=0) + abs(n) + 1
-        return bool(self.act(v, n, wp, ceiling=top))
-
-    def virasoro(self, n: int, wp: GradedVector,
-                 ceiling: int | None = None) -> GradedVector:
-        return self.act(self.V.omega, n + 1, wp, ceiling)
-
-    def basis_upto(self, maxweight: int | None = None):
-        return self.base.basis_upto(maxweight)
-
-
-class DualJacobiAction:
-    """Adapter exposing a module action with the interface the generic
-    three-term checker expects."""
-
-    def __init__(self, module, level: int | None = None):
-        self.module = module
-        self.level = module.level if level is None else level
-
-    def act(self, op, n, vec):
-        return self.module.act(op, n, vec, self.level)
-
-    def true_nonzero(self, op, n, vec):
-        return self.module.true_nonzero(op, n, vec)
-
-    def kron(self, op):
-        return -1 if self.module.V.is_vacuum_multiple(op) else None
-
 
 def conjugate_vector(V: HeisenbergVOA, v: GradedVector,
                      var: str = "x") -> FormalSeries:
@@ -212,10 +159,6 @@ def conjugate_vector(V: HeisenbergVOA, v: GradedVector,
                         Support.FINITE)
 
 
-def build_contragredient(M) -> ContragredientModule:
-    return ContragredientModule(M)
-
-
 def check_defining_relation(M, Mp: ContragredientModule | None = None
                             ) -> list[VerificationReport]:
     """The pairing relation defining the dual action, on every basis triple
@@ -238,24 +181,21 @@ def check_defining_relation(M, Mp: ContragredientModule | None = None
             left: dict = {}
             for nu in M.basis_upto():
                 wnu = sum(nu)
-                n = wtv + wnu - wmu - 1
+                # the mode index that maps the weight of mu onto that of nu
+                n = wtv + wmu - wnu - 1
                 lhs_img = left.get(wnu)
                 if lhs_img is None:
                     lhs_img = left[wnu] = Mp.act(v, n, GradedVector.basis(mu))
                 lhs = lhs_img.coeff.get(nu, 0)
-                rhs = 0
-                # every term lands in weight 2|nu| - |mu|, above the
-                # ceiling |mu| when |nu| > |mu|, so the sum is zero there
-                if wnu <= wmu:
-                    rhs_img = right.get((nu, wmu))
-                    if rhs_img is None:
-                        rhs_img = GradedVector()
-                        for (e,), comp in conj.coeff.items():
-                            rhs_img = rhs_img + M.act(
-                                comp, -n - 2 - e, GradedVector.basis(nu),
-                                ceiling=wmu)
-                        right[(nu, wmu)] = rhs_img
-                    rhs = rhs_img.coeff.get(mu, 0)
+                rhs_img = right.get((nu, wmu))
+                if rhs_img is None:
+                    rhs_img = GradedVector()
+                    for (e,), comp in conj.coeff.items():
+                        rhs_img = rhs_img + M.act(
+                            comp, -n - 2 - e, GradedVector.basis(nu),
+                            ceiling=wmu)
+                    right[(nu, wmu)] = rhs_img
+                rhs = rhs_img.coeff.get(mu, 0)
                 if lhs != rhs:
                     diffs.append(((fmt_label(mu), fmt_label(nu), n), lhs, rhs))
         out.append(VerificationReport.from_diffs(
@@ -335,15 +275,13 @@ def check_contragredient_jacobi(M, v1: GradedVector, v2: GradedVector,
                                 ) -> VerificationReport:
     """Three-term identity for the dual action, with the iterate taken in
     the algebra and everything else acting on dual vectors."""
-    from .axioms import JacobiActions, VOAAction, three_term_check, _triple_params
     Mp = Mp or ContragredientModule(M)
-    dual = DualJacobiAction(Mp)
-    alg = VOAAction(M.V)
-    acts = JacobiActions(out1=dual, in1=dual, out2=dual, in2=dual,
-                         iterate=alg, out3=dual)
-    params = _triple_params(v1, v2, wp, f"win={win.hi('x0')};space=dual")
-    return three_term_check(v1, v2, wp, win, acts,
-                            "dual-jacobi", params)
+    acts = axioms.JacobiActions(out1=Mp, in1=Mp, out2=Mp, in2=Mp,
+                                iterate=axioms.VOAAction(M.V), out3=Mp)
+    params = axioms._triple_params(v1, v2, wp,
+                                   f"win={win.hi('x0')};space=dual")
+    return axioms.three_term_check(v1, v2, wp, win, acts,
+                                   "dual-jacobi", params)
 
 
 def check_double_contragredient(M, Mp: ContragredientModule | None = None
@@ -568,7 +506,7 @@ class DirectSumMap:
     recovered from the module form against the algebra form blockwise.
     """
 
-    def __init__(self, V: HeisenbergVOA, W: VOAModule,
+    def __init__(self, V: HeisenbergVOA, W: axioms.VOAAction,
                  form_V: BilinearForm, form_W: BilinearForm):
         if W.grading_shift != 0:
             raise GradingViolation("module grading is not integral")
@@ -660,7 +598,3 @@ class DirectSumMap:
             w_out = w_out + self.w_on_v(u.w, n, x.v, cap)
         return DSVector(v_out, w_out)
 
-
-def combine_direct_sum(V: HeisenbergVOA, W: VOAModule, form_V: BilinearForm,
-                       form_W: BilinearForm) -> DirectSumMap:
-    return DirectSumMap(V, W, form_V, form_W)

@@ -55,10 +55,6 @@ class QQi:
             return x
         return QQi(_frac(x))
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

@@ -161,13 +161,6 @@ class GradedVector:
         return " + ".join(parts)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 class HeisenbergVOA:
     """Truncated free boson vertex operator algebra.
 
@@ -198,10 +191,6 @@ class HeisenbergVOA:
 
     def basis_upto(self, maxweight: int | None = None) -> list[tuple[int, ...]]:
         return partitions_upto(self.level if maxweight is None else maxweight)
-
-    @staticmethod
-    def weight_of(label: tuple[int, ...]) -> int:
-        return sum(label)
 
     def is_vacuum_multiple(self, u: GradedVector) -> bool:
         return set(u.coeff) == {()}
@@ -388,16 +377,3 @@ def build_heisenberg(level: int) -> HeisenbergVOA:
     """Construct the truncated free boson algebra at the given level."""
     return HeisenbergVOA(level)
 
-
-def apply_mode(V: HeisenbergVOA, u: GradedVector, n: int,
-               v: GradedVector) -> GradedVector:
-    return V.apply_mode(u, n, v)
-
-
-def vertex_operator(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
-                    window: Window) -> FormalSeries:
-    return V.vertex_series(u, v, window)
-
-
-def virasoro_mode(V: HeisenbergVOA, n: int, v: GradedVector) -> GradedVector:
-    return V.virasoro(n, v)

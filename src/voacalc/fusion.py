@@ -5,7 +5,10 @@ Fusion tensors arrive as fixture files rather than being computed from
 module categories; the machinery here verifies their permutation
 symmetry, builds the algebra they span, and brute-forces commutativity,
 unit behavior, and associativity. Intertwiner data is checked against
-lower truncation, the three-term identity, and the derivative property.
+lower truncation, the three-term identity, and the derivative property;
+the three-term engine takes the modules themselves (``axioms.VOAAction``
+or a contragredient module) and ``IntertwinerAction`` for the stored
+modes.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 
+# through the module, so that a wrapper installed on axioms sees every call
+from . import axioms
 from .fock import GradedVector
-from .reports import FixtureError, VerificationReport
+from .reports import FixtureError, VerificationReport, fmt_vec
 from .series import Window
 
 
@@ -263,7 +268,6 @@ class IntertwinerData:
     m3: object                     # module structure on the output
     shift: Fraction
     modes: dict
-    true_nonzero_fn: object = None  # optional exact loss oracle
 
     @property
     def level(self) -> int:
@@ -271,7 +275,8 @@ class IntertwinerData:
 
 
 class IntertwinerAction:
-    """Adapter letting the three-term engine drive the stored mode maps."""
+    """The stored mode maps behind the action protocol of the three-term
+    engine (``axioms.VOAAction``); true loss is the output module's."""
 
     def __init__(self, data: IntertwinerData):
         self.data = data
@@ -295,42 +300,23 @@ class IntertwinerAction:
         return out.clip(self.level)[0]
 
     def true_nonzero(self, op, j, vec) -> bool:
-        if self.data.true_nonzero_fn is not None:
-            return self.data.true_nonzero_fn(op, j, vec)
-        return True  # unknown beyond the stored budget: assume loss
+        return self.data.m3.true_nonzero(op, j, vec)
 
     def kron(self, op) -> int | None:
         return None
 
 
-class _ModuleJacobiAction:
-    def __init__(self, module):
-        self.module = module
-        self.level = module.level
-
-    def act(self, op, n, vec):
-        return self.module.act(op, n, vec, self.level)
-
-    def true_nonzero(self, op, n, vec):
-        return self.module.true_nonzero(op, n, vec)
-
-    def kron(self, op):
-        return -1 if self.module.V.is_vacuum_multiple(op) else None
-
-
 def intertwiner_from_algebra(V) -> IntertwinerData:
     """The vertex operator of the algebra acting on itself, as the
     canonical intertwiner of self-type."""
-    from .contragredient import VOAModule
-    M = VOAModule(V)
+    M = axioms.VOAAction(V)
     return _intertwiner_from_action(V, M, M, M)
 
 
 def intertwiner_from_module(V, M) -> IntertwinerData:
     """The action of the algebra on a module, as the canonical intertwiner
     of module type (first slot the algebra)."""
-    from .contragredient import VOAModule
-    return _intertwiner_from_action(V, VOAModule(V), M, M)
+    return _intertwiner_from_action(V, axioms.VOAAction(V), M, M)
 
 
 def _intertwiner_from_action(V, m1, m2, m3) -> IntertwinerData:
@@ -344,11 +330,7 @@ def _intertwiner_from_action(V, m1, m2, m3) -> IntertwinerData:
                 val = m3.act(op, j, vec)
                 if val:
                     modes[(l1, j, l2)] = dict(val.coeff)
-
-    def true_fn(op, j, vec):
-        return m3.true_nonzero(op, j, vec)
-
-    return IntertwinerData(V, m1, m2, m3, Fraction(0), modes, true_fn)
+    return IntertwinerData(V, m1, m2, m3, Fraction(0), modes)
 
 
 def shaped_jacobi_window(pw: int, qw: int, tw: int, level: int,
@@ -376,7 +358,6 @@ def check_intertwiner(I: IntertwinerData, win: Window,
     leaves no skipped instances, and every stored mode entry is pinned by
     some examined coefficient.
     """
-    from .axioms import JacobiActions, three_term_check, _fmt_vec
     V = I.V
     cap = I.level if max_weight is None else max_weight
     width = max(win.hi(v) for v in win.variables) + I.level + 1
@@ -415,10 +396,8 @@ def check_intertwiner(I: IntertwinerData, win: Window,
         return reports
 
     # three-term identity on shaped windows
-    acts = JacobiActions(
-        out1=_ModuleJacobiAction(I.m3), in1=y_act,
-        out2=y_act, in2=_ModuleJacobiAction(I.m2),
-        iterate=_ModuleJacobiAction(I.m1), out3=y_act)
+    acts = axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
+                                in2=I.m2, iterate=I.m1, out3=y_act)
     fail_rep = None
     checked = 0
     done = False
@@ -432,9 +411,9 @@ def check_intertwiner(I: IntertwinerData, win: Window,
                                               I.level, width)
                 if shaped is None:
                     continue
-                rep = three_term_check(
+                rep = axioms.three_term_check(
                     v, w1, w2, shaped, acts, "intertwiner-jacobi",
-                    f"v={_fmt_vec(v)};w1={_fmt_vec(w1)};w2={_fmt_vec(w2)}")
+                    f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
                 if rep.failed and fail_rep is None:
                     fail_rep = rep
                     if fail_fast:

@@ -226,10 +226,6 @@ class ModuliElement:
         return all(not a for a in self.inf_coord) and \
             all(c.is_linear and c.scale == ONE for c in self.coords)
 
-    def linear_coordinates(self) -> bool:
-        return all(not a for a in self.inf_coord) and \
-            all(c.is_linear for c in self.coords)
-
 
 def _pad(seq, order) -> tuple[QQi, ...]:
     out = [QQi.promote(x) for x in seq]
@@ -259,12 +255,9 @@ def cap_element(order: int) -> ModuliElement:
 
 @dataclass
 class SewingResult:
-    """Sewn element plus the exact transition data used to build it."""
+    """The sewn element."""
 
     element: ModuliElement
-    transition_scale: QQi = ONE
-    transition_shift: QQi = ZERO
-    renormalization_shift: QQi = ZERO
 
 
 def _translated_inf(inf_coord, t: QQi, order: int) -> tuple[QQi, ...]:
@@ -332,7 +325,7 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
         if t:
             taylor = _translated_inf(taylor, t, order)
         elem = ModuliElement(0, order, (), taylor, (), det)
-        return SewingResult(elem, ONE / a_i, p_i, t)
+        return SewingResult(elem)
     shift = new_pos[-1]
     if shift:
         z_new = tuple(p - shift for p in new_pos[:-1])
@@ -341,7 +334,7 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
         z_new = new_pos[:-1]
         inf = Q1.inf_coord
     elem = ModuliElement(arity, order, z_new, inf, tuple(new_coords), det)
-    return SewingResult(elem, ONE / a_i, p_i, shift)
+    return SewingResult(elem)
 
 
 def permute(Q: ModuliElement, perm: tuple[int, ...]) -> ModuliElement:

@@ -96,7 +96,9 @@ def fmt_label(label) -> str:
 
 
 def fmt_vec(v) -> str:
-    """Compact, whitespace-free rendering of a graded vector."""
-    if not v.coeff:
-        return "0"
-    return "+".join(f"{c}*{fmt_label(k)}" for k, c in sorted(v.coeff.items()))
+    """Compact, whitespace-free rendering of a graded vector: a basis
+    vector as its label, anything else as ``c*[label]`` terms."""
+    terms = sorted(v.coeff.items())
+    if len(terms) == 1 and terms[0][1] == 1:
+        return fmt_label(terms[0][0])
+    return "+".join(f"{c}*{fmt_label(k)}" for k, c in terms) or "0"

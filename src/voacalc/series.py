@@ -106,15 +106,6 @@ class Window:
                 return False
         return True
 
-    def widen(self, var: str, dlo: int, dhi: int) -> "Window":
-        out = []
-        for name, lo, hi in self.bounds:
-            if name == var:
-                out.append((name, lo + dlo, hi + dhi))
-            else:
-                out.append((name, lo, hi))
-        return Window(tuple(out))
-
 
 @dataclass(frozen=True)
 class ExpansionDirection:
@@ -158,15 +149,6 @@ class FormalSeries:
         self.coeff = clean
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_terms(variables, terms, window: Window) -> "FormalSeries":
-        """Finite series from explicit terms; the window must contain them."""
-        coeff = {}
-        for exps, c in terms:
-            if c:
-                coeff[exps] = coeff.get(exps, 0) + c
-        return FormalSeries(variables, coeff, window, Support.FINITE)
 
     @staticmethod
     def zero(variables, window: Window) -> "FormalSeries":

@@ -149,7 +149,7 @@ def test_criterion_4_s3_suite():
 
 def test_criterion_5_contragredient_suite():
     V = build_heisenberg(6)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     Mp = contra.ContragredientModule(M)
 
     for rep in contra.check_defining_relation(M, Mp):
@@ -180,9 +180,9 @@ def test_criterion_5_contragredient_suite():
 
 def test_criterion_6_direct_sum_suite():
     V = build_heisenberg(4)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     form = contra.build_invariant_form(M)
-    ds = contra.combine_direct_sum(V, M, form, form)
+    ds = contra.DirectSumMap(V, M, form, form)
     zero = GradedVector()
 
     from test_direct_sum import independent_pairing_rhs, independent_skew_block
@@ -235,7 +235,7 @@ def test_criterion_7_fusion_suite():
 
     V = build_heisenberg(2)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
-    Mp = contra.ContragredientModule(contra.VOAModule(V))
+    Mp = contra.ContragredientModule(axioms.VOAAction(V))
     cases = [("self", fusion.intertwiner_from_algebra(V)),
              ("module", fusion.intertwiner_from_module(V, Mp))]
     mutations = 0

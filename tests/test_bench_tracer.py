@@ -1,0 +1,36 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps voacalc names
+from outside; a rename that leaves it counting nothing fails here."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import voacalc
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# install wraps module attributes in place, so the run gets its own process
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import tracing
+from voacalc import cli
+tracer = tracing.Tracer()
+algebras = tracing.install(tracer)
+suites = list(cli.SUITES)
+cli.run_suites(suites, cli.SuiteConfig(level=3))
+print(json.dumps(tracing.layer_metrics(tracer, algebras, suites, 1.0)))
+"""
+
+
+def test_tracer_counts_every_suite_run():
+    src = str(Path(voacalc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(src=src, perfbench=str(PERFBENCH))],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    assert metrics["axioms.true_nonzero.calls"] > 0
+    assert metrics["fock.apply_mode.calls"] > 0
+    assert metrics["fock.float_coeffs"] == 0

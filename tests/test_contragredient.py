@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import contragredient as contra
+from voacalc import axioms, contragredient as contra
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
 from voacalc.reports import Status
@@ -17,7 +17,7 @@ def B(label):
 @pytest.fixture(scope="module")
 def setup4():
     V = build_heisenberg(4)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     return V, M, contra.ContragredientModule(M)
 
 
@@ -36,6 +36,25 @@ def test_defining_relation(setup4):
     V, M, Mp = setup4
     for rep in contra.check_defining_relation(M, Mp):
         assert rep.passed, (rep.params, rep.diffs[:3])
+
+
+def test_defining_relation_checks_weight_changing_modes():
+    # a dual action wrong only for a(-1), which maps the dual of weight
+    # w to weight w + 1, can be seen only by pairs with |nu| != |mu|
+    V = build_heisenberg(4)
+    M = axioms.VOAAction(V)
+    a = B((1,))
+
+    class Doubled(contra.ContragredientModule):
+        def act(self, v, n, wp, ceiling=None):
+            out = super().act(v, n, wp, ceiling)
+            return out.scale(2) if v == a and n == -1 else out
+
+    reps = {r.params: r for r in contra.check_defining_relation(M, Doubled(M))}
+    bad = reps.pop("v=[1]")
+    assert bad.failed
+    assert all(n == -1 for (_, _, n), _, _ in bad.diffs)
+    assert all(r.passed for r in reps.values())
 
 
 def test_dual_virasoro_adjoint_and_bracket(setup4):
@@ -70,7 +89,7 @@ def test_dual_jacobi(setup4):
 
 def test_dual_jacobi_corrupted_adjoint_fails():
     V = build_heisenberg(4)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = B((1,))
     rep = contra.check_contragredient_jacobi(M, a, a, B((1,)), win)
@@ -123,7 +142,7 @@ class TestInvariantForm:
 
     def test_corrupted_action_raises(self):
         V = build_heisenberg(3)
-        M = contra.VOAModule(V)
+        M = axioms.VOAAction(V)
         V.corrupt((1,), 1, (1,), (), 1)
         with pytest.raises(contra.NotSelfDual):
             contra.build_invariant_form(M)
@@ -132,7 +151,7 @@ class TestInvariantForm:
 
     def test_shared_module_builds_same_form(self):
         V = build_heisenberg(4)
-        M = contra.VOAModule(V)
+        M = axioms.VOAAction(V)
         Mp = contra.ContragredientModule(M)
         assert all(r.passed for r in contra.check_defining_relation(M, Mp))
         shared = contra.build_invariant_form(M, Mp=Mp)
@@ -142,7 +161,7 @@ class TestInvariantForm:
 
     def test_warm_shared_module_still_raises(self):
         V = build_heisenberg(3)
-        M = contra.VOAModule(V)
+        M = axioms.VOAAction(V)
         Mp = contra.ContragredientModule(M)
         assert all(r.passed for r in contra.check_defining_relation(M, Mp))
         contra.build_invariant_form(M, Mp=Mp)
@@ -181,7 +200,7 @@ class TestInvariantForm:
 @pytest.fixture(scope="module")
 def warm_duals():
     return {level: contra.ContragredientModule(
-        contra.VOAModule(build_heisenberg(level))) for level in (4, 5)}
+        axioms.VOAAction(build_heisenberg(level))) for level in (4, 5)}
 
 
 @st.composite
@@ -218,9 +237,77 @@ def test_block_memo_matches_per_label_adjoint(warm_duals, args):
     assert Mp.act(v, n, B(mu)) == want
 
 
+def _untruncated(V, op: dict, n: int, vec: dict) -> dict:
+    """op_n vec accumulated from the structure constants, never clipped."""
+    acc: dict = {}
+    for lu, cu in op.items():
+        for lv, cv in vec.items():
+            for label, m in V.mode_basis(lu, n, lv).items():
+                acc[label] = acc.get(label, 0) + cu * cv * m
+    return acc
+
+
+def _dual_untruncated(V, v: GradedVector, n: int, wp: GradedVector) -> dict:
+    """v_n wp on the graded dual, paired against every basis vector nu
+    through the adjoint formula, from the structure constants alone."""
+    acc: dict = {}
+    for wtv in v.weights():
+        lowered, lv = [], v.component(wtv).coeff
+        for k in range(wtv + 1):
+            lowered.append((k, lv))
+            lv = {lab: Fraction(c, k + 1)
+                  for lab, c in _untruncated(V, V.omega.coeff, 2, lv).items()}
+        for mu, c in wp.coeff.items():
+            for nu in partitions(sum(mu) + wtv - n - 1):
+                for k, lv in lowered:
+                    img = _untruncated(V, lv, 2 * wtv - 2 - n - k, {nu: 1})
+                    acc[nu] = acc.get(nu, 0) \
+                        + (-1) ** wtv * c * img.get(mu, 0)
+    return acc
+
+
+@st.composite
+def loss_args(draw):
+    level = draw(st.sampled_from((3, 4)))
+    labels = partitions_upto(level)
+
+    def vec():
+        # mixed weights, several terms
+        return GradedVector(draw(st.dictionaries(
+            st.sampled_from(labels), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=3)))
+
+    op, target = vec(), vec()
+    n = draw(st.integers(-level - 2, level + 1))
+    corruption = None
+    lu = draw(st.sampled_from(sorted(op.coeff)))
+    lv = draw(st.sampled_from(sorted(target.coeff)))
+    out_weight = sum(lu) + sum(lv) - n - 1
+    if out_weight >= 0 and draw(st.booleans()):
+        corruption = (lu, n, lv, draw(st.sampled_from(partitions(out_weight))),
+                      draw(st.sampled_from((-1, 1))))
+    return level, op, n, target, corruption
+
+
+@given(loss_args())
+@settings(max_examples=80, deadline=None)
+def test_true_nonzero_matches_structure_constant_sum(args):
+    # reference: the accumulation of untruncated structure constants that
+    # the loss test was written as before it went through ``act``
+    level, op, n, target, corruption = args
+    V = build_heisenberg(level)
+    if corruption is not None:
+        V.corrupt(*corruption)
+    want = any(_untruncated(V, op.coeff, n, target.coeff).values())
+    assert axioms.VOAAction(V).true_nonzero(op, n, target) == want
+    Mp = contra.ContragredientModule(axioms.VOAAction(V))
+    want = any(_dual_untruncated(V, op, n, target).values())
+    assert Mp.true_nonzero(op, n, target) == want
+
+
 def test_fresh_module_sees_corruption_after_warm_memos():
     V = build_heisenberg(4)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = B((1,))
     warm = contra.ContragredientModule(M)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from voacalc import contragredient as contra
+from voacalc import axioms, contragredient as contra
 from voacalc.fock import GradedVector, build_heisenberg, partitions_upto
 
 
@@ -16,9 +16,9 @@ def B(label):
 @pytest.fixture(scope="module")
 def ds4():
     V = build_heisenberg(4)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     form = contra.build_invariant_form(M)
-    return V, M, form, contra.combine_direct_sum(V, M, form, form)
+    return V, M, form, contra.DirectSumMap(V, M, form, form)
 
 
 def independent_skew_block(V, w1, n, v):
@@ -145,16 +145,16 @@ def test_vacuum_and_conformal_come_from_algebra(ds4):
 
 def test_grading_violation():
     V = build_heisenberg(3)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     form = contra.build_invariant_form(M)
     M.grading_shift = Fraction(1, 2)
     with pytest.raises(contra.GradingViolation):
-        contra.combine_direct_sum(V, M, form, form)
+        contra.DirectSumMap(V, M, form, form)
 
 
 def test_asymmetric_form_rejected():
     V = build_heisenberg(3)
-    M = contra.VOAModule(V)
+    M = axioms.VOAAction(V)
     form = contra.build_invariant_form(M)
     bad = contra.BilinearForm({w: [row[:] for row in b]
                                for w, b in form.blocks.items()},
@@ -162,4 +162,4 @@ def test_asymmetric_form_rejected():
     bad.blocks[2][0][1] += 1
     bad.symmetric = False
     with pytest.raises(contra.AsymmetricForm):
-        contra.combine_direct_sum(V, M, form, bad)
+        contra.DirectSumMap(V, M, form, bad)

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import contragredient as contra, fusion
+from voacalc import axioms, contragredient as contra, fusion
 from voacalc.fock import GradedVector, build_heisenberg
 from voacalc.reports import FixtureError
 from voacalc.series import Window
@@ -199,7 +199,7 @@ class TestIntertwiners:
             assert rep.passed, (rep.identity, rep.diffs[:2])
 
     def test_module_type_on_dual(self, V):
-        Mp = contra.ContragredientModule(contra.VOAModule(V))
+        Mp = contra.ContragredientModule(axioms.VOAAction(V))
         I = fusion.intertwiner_from_module(V, Mp)
         win = Window.symmetric(("x0", "x1", "x2"), 2)
         for rep in fusion.check_intertwiner(I, win):
