@@ -636,6 +636,10 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                         "iterate-skew-rewrite", params,
                         f"skew-inner weight {wu+wv+e} at x0^{e}")
     for a in range(win.lo("x0"), win.hi("x0") + 1):
+        cs = [c for c in range(win.lo("x2"), win.hi("x2") + 1)
+              if 0 <= W + a + c <= V.level]
+        if not cs:
+            continue
         # B_e = (-1)^e v_{-e-1} u, the skew-reversed iterate
         b_parts = {}
         for e in range(-(wu + wv), a + 1):
@@ -645,11 +649,9 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
         a_vec = GradedVector()
         for e, be in b_parts.items():
             a_vec = a_vec + V.exp_virasoro(-1, be, a - e)
-        for c in range(win.lo("x2"), win.hi("x2") + 1):
-            final = W + a + c
-            if final < 0 or final > V.level:
-                continue
-            e1 = act.act(act.act(u, -a - 1, v), -c - 1, w)
+        inner = act.act(u, -a - 1, v)
+        for c in cs:
+            e1 = act.act(inner, -c - 1, w)
             e2 = act.act(a_vec, -c - 1, w)
             e3 = GradedVector()
             for k in range(0, wu + wv + a + 1):

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from . import axioms, contragredient as contra, fusion, moduli
+from . import axioms, contragredient as contra, fusion, moduli, series
 from .exact import QQi
 from .fock import GradedVector, build_heisenberg, partitions
 from .reports import (ConfigError, FixtureError, RunReport, Status,
                       VerificationReport)
-from .series import Window, check_delta_identity, random_laurent_polynomial
+from .series import Window, random_laurent_polynomial
 
 
 @dataclass
@@ -69,12 +69,12 @@ def delta_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     out = []
     for i in range(25):
         f = random_laurent_polynomial(rng)
-        rep = check_delta_identity("fundamental", f, win1)
+        rep = series.check_delta_identity("fundamental", f, win1)
         rep.identity = f"delta-fundamental#{i:02d}"
         out.append(rep)
     win3 = Window.symmetric(("x0", "x1", "x2"), cfg.window + 1)
-    out.append(check_delta_identity("two-term", None, win3))
-    out.append(check_delta_identity("three-term", None, win3))
+    out.append(series.check_delta_identity("two-term", None, win3))
+    out.append(series.check_delta_identity("three-term", None, win3))
     return _tag(out, "delta")
 
 

@@ -290,8 +290,9 @@ class HeisenbergVOA:
                 if target < 0:
                     continue
                 if target > cap:
-                    # a nonzero true value here would be lost entirely
-                    if self.mode_basis(lu, n, lv):
+                    # a nonzero true value here would be lost entirely;
+                    # once one is found the flag is settled
+                    if not overflow and self.mode_basis(lu, n, lv):
                         overflow = True
                     continue
                 c = cu * cv

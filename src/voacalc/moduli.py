@@ -22,6 +22,13 @@ The evaluation map sends an element with standard coordinates and
 strictly decreasing puncture moduli to the matrix element of a product
 of vertex operators at exact points; scales act per slot through the
 grading. All arithmetic is over Gaussian rationals.
+
+One function is memoised: ``_translated_inf``, the infinity flow data
+after a translation, in a bounded module-level ``lru_cache``. It is safe
+because the function is pure and its arguments (a tuple of ``QQi``, a
+``QQi`` shift, an int order) and its tuple result are exact and
+immutable; the operad checks repeat a handful of distinct translations
+hundreds of times.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import QQi
 from .fock import GradedVector, HeisenbergVOA
@@ -166,10 +174,12 @@ def extract_coordinate_data(series: PSeries,
         raise ValueError("series has vanishing linear coefficient")
     taylor: list[QQi] = []
     for j in range(1, ncoeffs + 1):
-        current = coordinate_series(a0, tuple(taylor), series.order)
         if j + 1 > series.order:
             taylor.append(ZERO)
             continue
+        # the flow raises degree, so degree j + 1 of the series built from
+        # A_1..A_{j-1} is already exact when built to order j + 1
+        current = coordinate_series(a0, tuple(taylor), j + 1)
         defect = series.c[j + 1] - current.c[j + 1]
         taylor.append(defect / a0)
     return a0, tuple(taylor)
@@ -260,6 +270,7 @@ class SewingResult:
     element: ModuliElement
 
 
+@lru_cache(maxsize=256)
 def _translated_inf(inf_coord, t: QQi, order: int) -> tuple[QQi, ...]:
     """Flow data at infinity after translating the sphere by -t: the old
     coordinate composed with 1/(w + t), i.e. x/(1 + t x) in the local
@@ -274,6 +285,21 @@ def _translated_inf(inf_coord, t: QQi, order: int) -> tuple[QQi, ...]:
     if scale != ONE:
         raise SewingUndefined("translation should preserve the scale at infinity")
     return taylor
+
+
+def _rescaled(coord: LocalCoordinate, a: QQi) -> LocalCoordinate:
+    """The coordinate composed with x -> a x: the scale gains a factor a
+    and A_j becomes A_j a^j, one multiplication per power; a linear
+    coordinate keeps its zero tuple."""
+    taylor = coord.taylor
+    if not coord.is_linear:
+        out = []
+        power = a
+        for c in taylor:
+            out.append(c * power if c else ZERO)
+            power = power * a
+        taylor = tuple(out)
+    return LocalCoordinate(coord.scale * a, taylor)
 
 
 def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
@@ -311,9 +337,7 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
         raise SewingUndefined("punctures collide after gluing")
     new_coords = []
     new_coords.extend(Q1.coords[:i - 1])
-    for c in Q2.coords:
-        taylor = tuple(c.taylor[k] * a_i ** (k + 1) for k in range(order))
-        new_coords.append(LocalCoordinate(c.scale * a_i, taylor))
+    new_coords.extend(_rescaled(c, a_i) for c in Q2.coords)
     new_coords.extend(Q1.coords[i:])
     arity = Q1.arity + Q2.arity - 1
     det = Q1.det_slot * Q2.det_slot

@@ -20,7 +20,8 @@ tracer = tracing.Tracer()
 algebras = tracing.install(tracer)
 suites = list(cli.SUITES)
 cli.run_suites(suites, cli.SuiteConfig(level=3))
-print(json.dumps(tracing.layer_metrics(tracer, algebras, suites, 1.0)))
+print(json.dumps([tracing.layer_metrics(tracer, algebras, suites, 1.0),
+                  [span[2] for span in tracer.spans]]))
 """
 
 
@@ -30,7 +31,9 @@ def test_tracer_counts_every_suite_run():
         [sys.executable, "-c", SCRIPT.format(src=src, perfbench=str(PERFBENCH))],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout)
+    metrics, spans = json.loads(proc.stdout)
     assert metrics["axioms.true_nonzero.calls"] > 0
     assert metrics["fock.apply_mode.calls"] > 0
     assert metrics["fock.float_coeffs"] == 0
+    # the delta suite's 25 fundamental checks plus the two- and three-term
+    assert spans.count("series.check_delta_identity") == 27

@@ -126,6 +126,25 @@ def test_truncation_overflow_flag(V6):
     assert not lost2 and full == GradedVector.basis((6, 1))
 
 
+_labels_upto_4 = st.sampled_from(partitions_upto(4))
+_mixed_vectors = st.dictionaries(_labels_upto_4,
+                                 st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=5).map(GradedVector)
+
+
+@given(_mixed_vectors, _mixed_vectors, st.integers(-6, 6),
+       st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_overflow_flag_matches_full_scan(u, v, n, cap):
+    V = build_heisenberg(4)
+    out, overflow = V.apply_mode_flagged(u, n, v, ceiling=cap)
+    lost = any(V.mode_basis(lu, n, lv) for lu in u.coeff for lv in v.coeff
+               if sum(lu) + sum(lv) - n - 1 > cap)
+    assert overflow == lost
+    full = V.apply_mode(u, n, v, ceiling=20)
+    assert out == full.clip(cap)[0]
+
+
 def test_virasoro_bracket_extended(V6):
     c = V6.central_charge
     for m in range(-3, 4):

@@ -146,6 +146,56 @@ class TestPermutations:
         assert permute(got, (2, 1)) == Q
 
 
+def _full_order_extraction(series, ncoeffs):
+    """Reference for extract_coordinate_data: each coefficient read off a
+    coordinate series rebuilt at the input's full order."""
+    a0 = series.c[1]
+    taylor = []
+    for j in range(1, ncoeffs + 1):
+        current = coordinate_series(a0, tuple(taylor), series.order)
+        if j + 1 > series.order:
+            taylor.append(QQi(0))
+            continue
+        taylor.append((series.c[j + 1] - current.c[j + 1]) / a0)
+    return a0, tuple(taylor)
+
+
+def _reference_translated_inf(inf, t, order):
+    series = coordinate_series(QQi(1), tuple(inf), order + 1)
+    geom = [QQi(0)] + [(-t) ** (k - 1) for k in range(1, order + 2)]
+    scale, taylor = _full_order_extraction(
+        series.compose(PSeries(geom, order + 1)), order)
+    assert scale == QQi(1)
+    return taylor
+
+
+_small_qqi = st.builds(lambda a, b, d: QQi(Fraction(a, d), Fraction(b, d)),
+                       st.integers(-3, 3), st.integers(-3, 3),
+                       st.integers(1, 3))
+
+
+class TestTranslation:
+    """Infinity flow data under the renormalizing translation, against the
+    full-order extraction, on complex data the linear samples never reach."""
+
+    @given(st.lists(_small_qqi, min_size=1, max_size=5).filter(any),
+           st.lists(_small_qqi.filter(bool), min_size=2, max_size=2,
+                    unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_permute_matches_full_order_extraction(self, inf, z):
+        order = 5
+        inf = tuple(inf) + (QQi(0),) * (order - len(inf))
+        coords = (LocalCoordinate(QQi(1), (QQi(0),) * order),) * 3
+        Q = ModuliElement(3, order, tuple(z), inf, coords)
+        # moving puncture 1 into the zero slot translates by z_1
+        got = permute(Q, (3, 2, 1))
+        assert got.inf_coord == _reference_translated_inf(inf, z[0], order)
+        hits = moduli._translated_inf.cache_info().hits
+        cached = moduli._translated_inf(inf, z[0], order)
+        assert moduli._translated_inf.cache_info().hits == hits + 1
+        assert cached == moduli._translated_inf.__wrapped__(inf, z[0], order)
+
+
 def test_operad_axiom_reports():
     rng = random.Random(5)
     sample = [random_supported_element(rng, M) for _ in range(4)]
@@ -218,6 +268,20 @@ class TestEvaluation:
                                  identity_element(M), [a, a],
                                  GradedVector.basis(()), (4, 6, 8))
         assert rep.passed and rep.note == "exact-zero"
+
+    def test_overflow_flag_stops_at_first_loss(self):
+        # the omega sewing check keeps only the above-cutoff structure
+        # constants the overflow flag needed before it was set: 48 here,
+        # against 2,026 when every above-ceiling pair was computed
+        V = build_heisenberg(6)
+        om = V.omega
+        rep = check_sewing_axiom(V, two_puncture_element(2, M), 1,
+                                 two_puncture_element(1, M), [om] * 3, om,
+                                 (6, 12, 18))
+        assert rep.passed
+        above = [(lu, n, lv) for lu, n, lv in V.touched_mode_keys()
+                 if sum(lu) + sum(lv) - n - 1 > 18]
+        assert len(above) <= 100
 
     def test_sewing_nontrivial_shrinks(self, V):
         a = GradedVector.basis((1,))
