@@ -65,7 +65,7 @@ class VOAAction:
 
     def virasoro(self, n: int, vec: GradedVector,
                  ceiling: int | None = None) -> GradedVector:
-        return self.act(self.V.omega, n + 1, vec, ceiling)
+        return self.act(self.V.twice_omega, n + 1, vec, ceiling).divide(2)
 
     def basis_upto(self, maxweight: int | None = None):
         return self.V.basis_upto(maxweight)

@@ -74,8 +74,7 @@ class ContragredientModule(axioms.VOAAction):
             lv = v
             for k in range(v.weight() + 1):
                 if k > 0:
-                    lv = self.V.virasoro(1, lv, self.V.level).scale(
-                        Fraction(1, k))
+                    lv = self.V.virasoro(1, lv, self.V.level).divide(k)
                 if lv.is_zero():
                     break
                 out.append((k, lv))
@@ -86,7 +85,7 @@ class ContragredientModule(axioms.VOAAction):
                       ceiling: int | None = None) -> GradedVector:
         """A(v, n) applied to a vector of the base module."""
         wtv = v.weight()
-        sign = Fraction((-1) ** (wtv % 2))
+        sign = -1 if wtv % 2 else 1
         out = GradedVector()
         for k, lv in self._lowerings(v):
             out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m, ceiling)
@@ -139,11 +138,11 @@ def conjugate_vector(V: HeisenbergVOA, v: GradedVector,
     coeff: dict = {}
     for wtv in sorted(v.weights()):
         part = v.component(wtv)
-        sign = Fraction((-1) ** (wtv % 2))
+        sign = -1 if wtv % 2 else 1
         lv = part
         for k in range(wtv + 1):
             if k > 0:
-                lv = V.virasoro(1, lv).scale(Fraction(1, k))
+                lv = V.virasoro(1, lv).divide(k)
             if lv.is_zero():
                 break
             e = k - 2 * wtv
@@ -232,7 +231,7 @@ def check_dual_virasoro(M, n_range: int,
                 top = sum(mu) + abs(m) + abs(n) + 2
                 lhs = Mp.virasoro(m, Mp.virasoro(n, wp, top), top) \
                     - Mp.virasoro(n, Mp.virasoro(m, wp, top), top)
-                rhs = Mp.virasoro(m + n, wp, top).scale(Fraction(m - n))
+                rhs = Mp.virasoro(m + n, wp, top).scale(m - n)
                 if m + n == 0:
                     rhs = rhs + wp.scale(c * Fraction(m ** 3 - m, 12))
                 l6, _ = lhs.clip(M.level)
@@ -258,7 +257,7 @@ def check_dual_derivative(M, order: int,
         for mu in M.basis_upto():
             wp = GradedVector.basis(mu)
             for n in range(-(order + 1), order + 1):
-                lhs = Mp.act(v, n, wp).scale(Fraction(-n - 1))
+                lhs = Mp.act(v, n, wp).scale(-n - 1)
                 rhs = Mp.act(dv, n + 1, wp)
                 delta = lhs - rhs
                 for label in sorted(delta.coeff):
@@ -316,12 +315,12 @@ def check_double_contragredient(M, Mp: ContragredientModule | None = None
 class BilinearForm:
     """Weight-block-diagonal pairing on a truncated module."""
 
-    blocks: dict[int, list[list[Fraction]]]
+    blocks: dict[int, list[list]]  # exact entries: int or Fraction
     index: dict[tuple, tuple[int, int]] = field(repr=False)
     symmetric: bool = False
 
     def pair(self, u: GradedVector, v: GradedVector) -> Fraction:
-        total = Fraction(0)
+        total = 0
         for lu, cu in u.coeff.items():
             wu, iu = self.index[lu]
             for lv, cv in v.coeff.items():
@@ -358,19 +357,24 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
 
     from functools import lru_cache
 
+    # an integral normalization enters as an int, so that the entries, and
+    # the pairings of integer vectors, stay ints
+    if isinstance(normalization, Fraction) and normalization.denominator == 1:
+        normalization = normalization.numerator
+
     @lru_cache(maxsize=None)
-    def entry(lam: tuple, mu: tuple) -> Fraction:
+    def entry(lam: tuple, mu: tuple):
         if sum(lam) != sum(mu):
-            return Fraction(0)
+            return 0
         if not lam:
             return normalization
         m, rest = lam[0], lam[1:]
         mult = sum(1 for p in mu if p == m)
         if mult == 0:
-            return Fraction(0)
+            return 0
         reduced = list(mu)
         reduced.remove(m)
-        return -Fraction(m * mult) * entry(rest, tuple(reduced))
+        return -m * mult * entry(rest, tuple(reduced))
 
     blocks = {}
     for w in range(level + 1):
@@ -532,9 +536,9 @@ class DirectSumMap:
             base = self.W.act(v, n + j, w1, cap)
             if base.is_zero():
                 continue
-            term = base.scale(Fraction((-1) ** ((n + j + 1) % 2)))
+            term = base if (n + j) % 2 else -base
             for i in range(1, j + 1):
-                term = self.W.virasoro(-1, term, cap).scale(Fraction(1, i))
+                term = self.W.virasoro(-1, term, cap).divide(i)
             out = out + term
         return out
 
@@ -566,24 +570,24 @@ class DirectSumMap:
         """(v, Y(w1, x)w2)_V coefficient of x^{-n-1}, evaluated through the
         module form."""
         v = GradedVector.basis(v_lab)
-        total = Fraction(0)
+        total = 0
         lp = w1
         for p in range(0, wt1 + 1):
             if p > 0:
-                lp = self.W.virasoro(1, lp, self.W.level).scale(Fraction(1, p))
+                lp = self.W.virasoro(1, lp, self.W.level).divide(p)
             if lp.is_zero():
                 break
             lq = w2
             for q in range(0, wt2 + 1):
                 if q > 0:
-                    lq = self.W.virasoro(1, lq, self.W.level).scale(Fraction(1, q))
+                    lq = self.W.virasoro(1, lq, self.W.level).divide(q)
                 if lq.is_zero():
                     break
                 t = 2 * wt1 - n - 2 - p + q
                 img = self.W.act(v, t, lp, self.W.level)
                 if img.is_zero():
                     continue
-                sign = Fraction((-1) ** ((wt1 + t + 1) % 2))
+                sign = 1 if (wt1 + t) % 2 else -1
                 total += self.form_W.pair(img, lq) * sign
         return total
 

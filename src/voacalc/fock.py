@@ -12,16 +12,36 @@ with a(x) = sum_m a(m) x^(-m-1). The conformal vector is half the square
 of the current, giving central charge 1.
 
 Mode coefficients of basis states on basis states are integers; they are
-computed exactly (independent of the truncation level) and memoized. The
-declared level only controls where results get clipped, so callers that
-need exact intermediate values above the level can pass an explicit
-ceiling.
+computed exactly (independent of the truncation level). The declared level
+only controls where results get clipped, so callers that need exact
+intermediate values above the level can pass an explicit ceiling.
+
+A coefficient follows from Wick's theorem for the free field,
+
+    Y(a(-k)w, x) = : d^(k-1)a(x)/(k-1)! Y(w, x) :,
+
+by peeling one oscillator at a time (``_wick``): the creators of the
+first factor go to the left of the remaining state's mode, its
+annihilators to the right, and a single oscillator keeps only the mode
+a(n-k+1). What is memoised where:
+
+* ``HeisenbergVOA._modes`` holds exactly the keys asked for through
+  ``mode_basis``; ``touched_mode_keys`` lists them.
+* The subkeys of one computation live in a dict local to it, which reads
+  ``_modes`` for keys already there and is dropped on return. Storing
+  them on the instance would grow it by keys nobody asked for.
+* The overflow probe of ``apply_mode_flagged`` (a pair above the ceiling,
+  tested only for being nonzero) is not stored: it never yields a vector,
+  and the sewing checks probe thousands of high-weight keys once each.
+* A corruption (``corrupt``) is applied where ``mode_basis`` returns, so
+  it changes its own key only; the recursion reads clean values.
 
 Vector coefficients are exact: ``int`` first, since basis vectors carry
 the integer 1 and every structure constant is an integer, and ``Fraction``
-or ``QQi`` only once a genuine fraction (the 1/2 of the conformal vector,
-the 1/j! of an exponential) or a Gaussian rational enters. They are never
-``float``.
+or ``QQi`` only once a genuine fraction or a Gaussian rational enters.
+The Virasoro modes act with the integer vector a(-1)^2|0> and halve, and
+an exponential divides by j at each step, both exactly (``divide``), so a
+coefficient that is integral stays an ``int``. They are never ``float``.
 """
 
 from __future__ import annotations
@@ -29,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import exact
 from .series import FormalSeries, Support, Window
 
 
@@ -55,6 +76,69 @@ def partitions_upto(maxweight: int) -> list[tuple[int, ...]]:
     out = []
     for w in range(maxweight + 1):
         out.extend(partitions(w))
+    return out
+
+
+def _insert(label: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """The descending label with one more part m."""
+    i = 0
+    for p in label:
+        if p < m:
+            break
+        i += 1
+    return label[:i] + (m,) + label[i:]
+
+
+def _wick(lu, n, lv, target, local, modes) -> dict:
+    """mode_basis(lu, n, lv) for nonempty lu and target weight >= 0, by
+    peeling the first oscillator a(-k) of lu.
+
+    Y(a(-k)w, x) = :d^(k-1)a(x)/(k-1)! Y(w, x):, whose x^(-n-1)
+    coefficient puts the creators a(-m), m >= k, to the left of w's mode
+    n+m-k with weight binom(m-1, k-1), and the annihilators a(p) to its
+    right with weight binom(-p-1, k-1); a(p) takes one part p out of lv
+    with factor p times the multiplicity of p. Keys with two or more
+    oscillators are looked up in ``local``, then ``modes``, and stored in
+    ``local``.
+    """
+    binom = exact.binom
+    k = lu[0]
+    if len(lu) == 1:
+        # only a(n-k+1) survives
+        m = n - k + 1
+        if m < 0:
+            if -m < k:
+                return {}
+            return {_insert(lv, -m): binom(-m - 1, k - 1)}
+        cnt = lv.count(m) if m else 0
+        if not cnt:
+            return {}
+        i = lv.index(m)
+        return {lv[:i] + lv[i + 1:]: binom(-m - 1, k - 1) * m * cnt}
+    key = (lu, n, lv)
+    out = local.get(key)
+    if out is None:
+        out = modes.get(key)
+    if out is not None:
+        return out
+    rest = lu[1:]
+    acc: dict = {}
+    for m in range(k, target + 1):
+        c = binom(m - 1, k - 1)
+        for lab, x in _wick(rest, n + m - k, lv, target - m,
+                            local, modes).items():
+            lab = _insert(lab, m)
+            acc[lab] = acc.get(lab, 0) + c * x
+    prev = 0
+    for i, p in enumerate(lv):
+        if p == prev:
+            continue
+        prev = p
+        c = binom(-p - 1, k - 1) * p * lv.count(p)
+        for lab, x in _wick(rest, n - p - k, lv[:i] + lv[i + 1:], target,
+                            local, modes).items():
+            acc[lab] = acc.get(lab, 0) + c * x
+    out = local[key] = {lab: x for lab, x in acc.items() if x}
     return out
 
 
@@ -126,6 +210,20 @@ class GradedVector:
         r.coeff = {k: c * v for k, v in self.coeff.items()}
         return r
 
+    def divide(self, d: int) -> "GradedVector":
+        """The vector divided exactly by a nonzero integer; an ``int``
+        coefficient stays an ``int`` when d divides it."""
+        out = {}
+        for k, v in self.coeff.items():
+            if type(v) is int:
+                q, r = divmod(v, d)
+                out[k] = Fraction(v, d) if r else q
+            else:
+                out[k] = v / d
+        r = GradedVector.__new__(GradedVector)
+        r.coeff = out
+        return r
+
     def weights(self) -> set[int]:
         return {sum(k) for k in self.coeff}
 
@@ -176,6 +274,8 @@ class HeisenbergVOA:
         self.central_charge = Fraction(1)
         self.vacuum = GradedVector.basis(())
         self.omega = GradedVector.basis((1, 1)).scale(Fraction(1, 2))
+        # a(-1)^2|0> = 2 omega, the integer vector the Virasoro modes use
+        self.twice_omega = GradedVector.basis((1, 1))
         self._modes: dict = {}
         self._corruptions: dict = {}
 
@@ -198,14 +298,19 @@ class HeisenbergVOA:
     # -- exact mode coefficients -------------------------------------------
 
     def mode_basis(self, lu: tuple[int, ...], n: int,
-                   lv: tuple[int, ...]) -> dict:
+                   lv: tuple[int, ...], *, store: bool = True) -> dict:
         """Exact action of the n-th mode of basis state lu on basis state lv,
-        as a map partition -> integer coefficient (untruncated)."""
+        as a map partition -> integer coefficient (untruncated).
+
+        The result is memoised unless ``store`` is false, which the
+        overflow probe uses for keys it only tests for zero.
+        """
         key = (lu, n, lv)
         out = self._modes.get(key)
         if out is None:
             out = self._compute_mode(lu, n, lv)
-            self._modes[key] = out
+            if store:
+                self._modes[key] = out
         if self._corruptions:
             delta = self._corruptions.get(key)
             if delta:
@@ -222,57 +327,14 @@ class HeisenbergVOA:
         target = sum(lu) + sum(lv) - n - 1
         if target < 0:
             return {}
-        k = len(lu)
-        if k == 0:
+        if not lu:
             return {lv: 1} if n == -1 else {}
-
-        from .exact import binom
-
-        total = n + 1 - sum(lu)
-        maxpart = max(lv) if lv else 0
-        out: dict = {}
-        avail: dict[int, int] = {}
-        for p in lv:
-            avail[p] = avail.get(p, 0) + 1
-        created: list[int] = []
-
-        # each factor consumes one oscillator index: an annihilator must
-        # match an available part (normal ordering applies them jointly,
-        # which the incremental multiplicity factor reproduces), while a
-        # creator must clear the derivative order for a nonzero binomial
-        def rec(i: int, remaining: int, created_wt: int):
-            if i == k:
-                if remaining != 0:
-                    return
-                label = created[:]
-                for p, cnt in avail.items():
-                    label.extend([p] * cnt)
-                lab = tuple(sorted(label, reverse=True))
-                out[lab] = out.get(lab, 0) + coefs[k]
-                return
-            ni = lu[i]
-            rest = k - i - 1
-            lo = remaining - rest * maxpart
-            hi = remaining + rest * target
-            base = coefs[i]
-            for p in avail:
-                cnt = avail[p]
-                if cnt and lo <= p <= hi:
-                    coefs[i + 1] = base * binom(-p - 1, ni - 1) * p * cnt
-                    avail[p] = cnt - 1
-                    rec(i + 1, remaining - p, created_wt)
-                    avail[p] = cnt
-            m_hi = min(-ni, hi)
-            m_lo = max(-(target - created_wt), lo)
-            for m in range(m_lo, m_hi + 1):
-                coefs[i + 1] = base * binom(-m - 1, ni - 1)
-                created.append(-m)
-                rec(i + 1, remaining - m, created_wt - m)
-                created.pop()
-
-        coefs = [1] * (k + 1)
-        rec(0, total, 0)
-        return {label: c for label, c in out.items() if c}
+        # subkeys go into a memo local to this computation, which reads
+        # the instance memo for keys already asked for. _wick is a module
+        # function, not a closure: a recursive closure is a reference cycle,
+        # which would keep the local memo alive until the cycle collector
+        # runs (it raised the sewing check's peak memory by about 1%)
+        return _wick(lu, n, lv, target, {}, self._modes)
 
     # -- public operations --------------------------------------------------
 
@@ -291,8 +353,10 @@ class HeisenbergVOA:
                     continue
                 if target > cap:
                     # a nonzero true value here would be lost entirely;
-                    # once one is found the flag is settled
-                    if not overflow and self.mode_basis(lu, n, lv):
+                    # once one is found the flag is settled. The probe only
+                    # tests for zero, so its value is not memoised
+                    if not overflow and self.mode_basis(lu, n, lv,
+                                                        store=False):
                         overflow = True
                     continue
                 c = cu * cv
@@ -344,15 +408,16 @@ class HeisenbergVOA:
 
     def virasoro(self, n: int, v: GradedVector,
                  ceiling: int | None = None) -> GradedVector:
-        """L(n) v, the (n+1)-st mode of the conformal vector."""
-        return self.apply_mode(self.omega, n + 1, v, ceiling)
+        """L(n) v, the (n+1)-st mode of the conformal vector, as half the
+        mode of the integer vector a(-1)^2|0>."""
+        return self.apply_mode(self.twice_omega, n + 1, v, ceiling).divide(2)
 
     def exp_virasoro(self, n: int, v: GradedVector, power: int,
                      ceiling: int | None = None) -> GradedVector:
         """L(n)^power v / power! as an exact vector."""
         out = v
         for j in range(1, power + 1):
-            out = self.virasoro(n, out, ceiling).scale(Fraction(1, j))
+            out = self.virasoro(n, out, ceiling).divide(j)
             if out.is_zero():
                 break
         return out

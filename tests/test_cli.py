@@ -143,3 +143,25 @@ def test_check_part_prints_only_its_records(target, identities, count,
     assert len(records) == count
     assert {r[0] for r in records} == {"voa-axioms"}
     assert {r[1] for r in records} == identities
+
+
+def test_all_reports_a_defective_algebra(monkeypatch, capsys):
+    # a(1) a(-1)|0> = 2|0> breaks the invariant form, which the direct-sum
+    # records need; they fail with the reason instead of a traceback
+    real = cli.build_heisenberg
+
+    def corrupted(level):
+        V = real(level)
+        V.corrupt((1,), 1, (1,), (), 1)
+        return V
+
+    monkeypatch.setattr(cli, "build_heisenberg", corrupted)
+    code, out, _ = run_cli(["all", "--level", "3", "--format", "structured"],
+                           capsys)
+    assert code == 1
+    records = [line.split(" ") for line in out.splitlines()]
+    direct = [r for r in records if r[1] in cli.DIRECT_SUM_IDENTITIES]
+    assert [r[1] for r in direct] == sorted(cli.DIRECT_SUM_IDENTITIES)
+    assert all(r[3] == "fail" for r in direct)
+    assert ["contragredient", "invariant-form", "norm=1", "fail", "1"] \
+        in records

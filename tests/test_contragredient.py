@@ -320,3 +320,27 @@ def test_fresh_module_sees_corruption_after_warm_memos():
             contra.build_invariant_form(M)
     finally:
         V.clear_corruptions()
+
+
+def _integer_first(values, where):
+    """Each coefficient is an int, or a Fraction that is not integral."""
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            (where, c)
+
+
+def test_integral_coefficients_stay_int():
+    V = build_heisenberg(5)
+    Mp = contra.ContragredientModule(axioms.VOAAction(V))
+    for lab in V.basis_upto():
+        v, wv = B(lab), sum(lab)
+        for n in range(-3, 6):
+            _integer_first(V.virasoro(n, v, ceiling=12).coeff.values(),
+                           ("virasoro", lab, n))
+        for k, lv in Mp._lowerings(v):
+            _integer_first(lv.coeff.values(), ("lowering", lab, k))
+        for weight in range(V.level + 1):
+            for source in range(V.level + 1):
+                n = weight + wv - 1 - source
+                for col in Mp.adjoint_block(v, n, weight).values():
+                    _integer_first(col.values(), ("adjoint", lab, n, weight))

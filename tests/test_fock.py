@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voacalc.exact import binom
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
 from voacalc.series import Window
@@ -179,6 +180,132 @@ def test_vertex_series_matches_modes(V6):
         want = V6.apply_mode(u, n, v)
         got = ys.coefficient((-n - 1,)) or GradedVector()
         assert got == want
+
+
+# -- the Wick recursion against the assignment enumeration -----------------
+
+
+def enumerated_mode(lu, n, lv):
+    """mode_basis by enumerating every assignment of each factor of lu to
+    an annihilator a(p), p a part of lv, or a creator a(m), m < 0 (the
+    computation the Wick recursion replaced)."""
+    target = sum(lu) + sum(lv) - n - 1
+    if target < 0:
+        return {}
+    k = len(lu)
+    if k == 0:
+        return {lv: 1} if n == -1 else {}
+    total = n + 1 - sum(lu)
+    maxpart = max(lv) if lv else 0
+    out = {}
+    avail = {}
+    for p in lv:
+        avail[p] = avail.get(p, 0) + 1
+    created = []
+    coefs = [1] * (k + 1)
+
+    def rec(i, remaining, created_wt):
+        if i == k:
+            if remaining != 0:
+                return
+            label = created[:]
+            for p, cnt in avail.items():
+                label.extend([p] * cnt)
+            lab = tuple(sorted(label, reverse=True))
+            out[lab] = out.get(lab, 0) + coefs[k]
+            return
+        ni = lu[i]
+        rest = k - i - 1
+        lo = remaining - rest * maxpart
+        hi = remaining + rest * target
+        base = coefs[i]
+        for p in avail:
+            cnt = avail[p]
+            if cnt and lo <= p <= hi:
+                coefs[i + 1] = base * binom(-p - 1, ni - 1) * p * cnt
+                avail[p] = cnt - 1
+                rec(i + 1, remaining - p, created_wt)
+                avail[p] = cnt
+        for m in range(max(-(target - created_wt), lo), min(-ni, hi) + 1):
+            coefs[i + 1] = base * binom(-m - 1, ni - 1)
+            created.append(-m)
+            rec(i + 1, remaining - m, created_wt - m)
+            created.pop()
+
+    rec(0, total, 0)
+    return {label: c for label, c in out.items() if c}
+
+
+_short_labels = st.lists(st.integers(1, 5), max_size=7).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@given(_short_labels, _short_labels, st.data())
+@settings(max_examples=80, deadline=None)
+def test_wick_recursion_matches_enumeration(lu, lv, data):
+    # n down to -24 and target weights up to 24, the range the omega
+    # sewing check reaches; the enumeration is exponential in len(lu), so
+    # a long lu gets targets up to 14
+    top = sum(lu) + sum(lv)
+    max_target = 24 if len(lu) <= 4 else 14
+    n = data.draw(st.integers(max(-24, top - 1 - max_target), top),
+                  label="n")
+    V = build_heisenberg(6)
+    assert V.mode_basis(lu, n, lv) == enumerated_mode(lu, n, lv)
+
+
+def test_wick_recursion_matches_enumeration_exhaustively():
+    V = build_heisenberg(4)
+    labels = partitions_upto(4)
+    for lu in labels:
+        for lv in labels:
+            for n in range(-8, sum(lu) + sum(lv) + 1):
+                assert V.mode_basis(lu, n, lv) == enumerated_mode(lu, n, lv)
+
+
+def test_corruption_stays_at_its_key():
+    # peeling a(-2) or a(-1) reaches `sub` through the creator a(-2), the
+    # annihilator a(2) and the annihilator a(1), in that order
+    sub = ((1, 1), -3, (2, 1))
+    through = [((2, 1, 1), -3, (2, 1)), ((2, 1, 1), 1, (2, 2, 1)),
+               ((1, 1, 1), -1, (2, 1, 1))]
+    clean = build_heisenberg(6)
+    # a wrong memoised value at `sub` reaches each of them
+    poisoned = build_heisenberg(6)
+    poisoned._modes[sub] = {}
+    for key in through:
+        assert poisoned.mode_basis(*key) != clean.mode_basis(*key), key
+    keys = [(lu, n, lv) for lu in partitions_upto(4)
+            for lv in partitions_upto(3)
+            for n in range(-4, sum(lu) + sum(lv))] + through
+    for asked_first in (False, True):
+        V = build_heisenberg(6)
+        if asked_first:
+            # the recursion then reads the instance memo at `sub`
+            V.mode_basis(*sub)
+        label = min(clean.mode_basis(*sub))
+        V.corrupt(*sub, label, 1)
+        for key in keys:
+            if key == sub:
+                assert V.mode_basis(*key) != clean.mode_basis(*key)
+            else:
+                assert V.mode_basis(*key) == clean.mode_basis(*key), key
+
+
+def test_only_public_keys_are_memoised():
+    V = build_heisenberg(6)
+    key = ((3, 2, 1, 1), -4, (2, 1, 1))
+    assert V.mode_basis(*key)
+    assert V.touched_mode_keys() == [key]
+    # apply_mode asks for each below-ceiling pair; its above-ceiling
+    # probes are not memoised
+    u = GradedVector({(2, 1): 1, (1,): 3})
+    v = GradedVector({(3, 1): 1, (1, 1): -2})
+    out, lost = V.apply_mode_flagged(u, -2, v, ceiling=6)
+    assert lost and out
+    asked = {(lu, -2, lv) for lu in u.coeff for lv in v.coeff
+             if 0 <= sum(lu) + sum(lv) + 1 <= 6}
+    assert set(V.touched_mode_keys()) == asked | {key}
 
 
 # -- no float reaches a verification path ------------------------------------
