@@ -27,6 +27,12 @@ corrupted between two calls, as negative controls do, is seen by the
 second, and contragredient and intertwiner actions, whose values are not
 the algebra's, share the engine safely. Coefficients stay integers until
 a genuine fraction enters.
+
+The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
+written once (``skew_coefficient``): the skew-symmetry check and the
+direct-sum cross block both call it. It, the sl(2) conjugation checks and
+the iterate rewrite read L(+-1)^k w / k! off ``fock.exp_chain``, one chain
+per vector.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import binom
-from .fock import GradedVector, HeisenbergVOA
+from .fock import GradedVector, HeisenbergVOA, exp_chain
 from .reports import Status, VerificationReport, fmt_label, fmt_vec
 from .series import Window
 
@@ -252,6 +258,26 @@ def check_jacobi(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                             "jacobi", params)
 
 
+def skew_coefficient(action: VOAAction, v: GradedVector, n: int,
+                     u: GradedVector, ceiling: int | None = None
+                     ) -> GradedVector:
+    """The x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u,
+
+        sum_j (-1)^(n+j+1) L(-1)^j/j! v_(n+j) u,
+
+    which skew-symmetry equates with u_n v. The modes and L(-1) are
+    ``action``'s, each clipped at the ceiling."""
+    out = GradedVector()
+    if not v or not u:
+        return out
+    for j in range(max(v.weights()) + max(u.weights()) - n):
+        chain = exp_chain(action, -1, action.act(v, n + j, u, ceiling),
+                          ceiling, j + 1)
+        if len(chain) > j:
+            out = out + (chain[j] if (n + j) % 2 else -chain[j])
+    return out
+
+
 def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                         order: int) -> VerificationReport:
     """Y(u, x)v against exp(x L(-1)) Y(v, -x)u through order x^order."""
@@ -262,20 +288,11 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     if hi < 0:
         return VerificationReport.skipped(
             "skew-symmetry", params, f"no orders below level {V.level}")
+    act = VOAAction(V)
     diffs = []
     for k in range(lo, hi + 1):
-        lhs = V.apply_mode(u, -k - 1, v)
-        rhs = GradedVector()
-        for pexp in range(0, k + wu + wv + 2):
-            base = V.apply_mode(v, -(k - pexp) - 1, u)
-            if base.is_zero():
-                continue
-            sign = (-1) ** ((k - pexp) % 2)
-            rhs = rhs + V.exp_virasoro(-1, base, pexp).scale(sign)
-        delta = lhs - rhs
-        for label in sorted(delta.coeff):
-            diffs.append(((k, label), lhs.coeff.get(label, 0),
-                          rhs.coeff.get(label, 0)))
+        _diff_labels(diffs, (k,), V.apply_mode(u, -k - 1, v).coeff,
+                     skew_coefficient(act, v, -k - 1, u).coeff)
     return VerificationReport.from_diffs("skew-symmetry", params, diffs)
 
 
@@ -284,78 +301,85 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
 
 def check_commutators(V: HeisenbergVOA, v: GradedVector,
                       win: Window) -> list[VerificationReport]:
-    """The three Virasoro bracket formulas [L(i), Y(v, x)], i = -1, 0, 1,
+    """The three Virasoro bracket formulas
+
+        [L(i), v_n] = sum_j binom(i+1, j) (L(i-j)v)_(n+j),   i = -1, 0, 1,
+
     applied to every basis vector, coefficientwise in the mode index.
 
     Mode indices n are taken from the exponent window (n = -exp - 1); a
     (w, n) pair is only asserted when every constituent stays below the
     level, and instances with no assertable pair at all report skipped.
+    Each image is computed once: L(i)v per v, v_n w per (w, n), and
+    (L(j)v)_m w per w for all three formulas.
     """
     wv = v.weight()
     n_lo = -win.hi("x") - 1
     n_hi = -win.lo("x") - 1
     vac = V.is_vacuum_multiple(v)
     act = VOAAction(V)
-    # the bracket formulas need L(-1)v exactly; test the loss, not the bound
+    # the formulas need L(-1)v exactly; test the loss, not the bound
+    # (L(-1) is the zero mode of 2 omega)
     lost_raise_v = (not vac and wv + 1 > V.level
-                    and bool(V.virasoro(-1, v, ceiling=wv + 1)))
-    out = []
-    for ident, i_mode in (("bracket-L(-1)", -1), ("bracket-L(0)", 0),
-                          ("bracket-L(1)", 1)):
-        diffs = []
-        checked = 0
-        skipped = 0
-        for lw in V.basis_upto():
-            w = GradedVector.basis(lw)
-            ww = sum(lw)
-            lost_raise_w = (ww + 1 > V.level
-                            and bool(V.virasoro(-1, w, ceiling=ww + 1)))
+                    and act.true_nonzero(V.twice_omega, 0, v))
+    modes = (-1, 0, 1)
+    l_v = {} if lost_raise_v else {i: V.virasoro(i, v) for i in modes}
+    diffs: dict = {i: [] for i in modes}
+    checked = dict.fromkeys(modes, 0)
+    skipped = dict.fromkeys(modes, 0)
+    for lw in V.basis_upto():
+        w = GradedVector.basis(lw)
+        ww = sum(lw)
+        lost_raise_w = (not vac and ww + 1 > V.level
+                        and act.true_nonzero(V.twice_omega, 0, w))
+        vn_w: dict = {}    # n -> v_n w
+        parts: dict = {}   # (j, m) -> (L(j)v)_m w
+        for i in modes:
+            # exactness conditions for each constituent; a lost raise
+            # skips every n
+            lost = lost_raise_v or (i == -1 and lost_raise_w)
+            l_w = None if lost else V.virasoro(i, w)
             for n in range(n_lo, n_hi + 1):
-                final = wv + ww - n - 1 - i_mode
+                final = wv + ww - n - 1 - i
                 if final < 0 or final > V.level:
                     continue
-                # exactness conditions for each constituent
-                if lost_raise_v:
-                    skipped += 1
+                if lost or (i == 1 and wv + ww - n - 1 > V.level
+                            and act.true_nonzero(v, n, w)):
+                    skipped[i] += 1
                     continue
-                if i_mode == -1 and not vac and lost_raise_w:
-                    skipped += 1
-                    continue
-                if i_mode == 1 and wv + ww - n - 1 > V.level \
-                        and act.true_nonzero(v, n, w):
-                    skipped += 1
-                    continue
-                checked += 1
-                vn_w = V.apply_mode(v, n, w)
-                lhs = V.virasoro(i_mode, vn_w) \
-                    - V.apply_mode(v, n, V.virasoro(i_mode, w))
-                if i_mode == -1:
-                    rhs = V.apply_mode(V.virasoro(-1, v), n, w)
-                elif i_mode == 0:
-                    rhs = V.apply_mode(V.virasoro(0, v), n, w) \
-                        + V.apply_mode(V.virasoro(-1, v), n + 1, w)
-                else:
-                    rhs = V.apply_mode(V.virasoro(1, v), n, w) \
-                        + V.apply_mode(V.virasoro(0, v), n + 1, w).scale(2) \
-                        + V.apply_mode(V.virasoro(-1, v), n + 2, w)
-                delta = lhs - rhs
-                for label in sorted(delta.coeff):
-                    diffs.append(((fmt_label(lw), n, label),
-                                  lhs.coeff.get(label, 0),
-                                  rhs.coeff.get(label, 0)))
-        params = f"v={fmt_vec(v)};win={win.hi('x')}"
-        if checked == 0:
+                checked[i] += 1
+                if n not in vn_w:
+                    vn_w[n] = V.apply_mode(v, n, w)
+                lhs = V.virasoro(i, vn_w[n]) - V.apply_mode(v, n, l_w)
+                rhs = GradedVector()
+                for j in range(i + 2):
+                    key = (i - j, n + j)
+                    if key not in parts:
+                        parts[key] = V.apply_mode(l_v[i - j], n + j, w)
+                    rhs = rhs + parts[key].scale(binom(i + 1, j))
+                _diff_labels(diffs[i], (fmt_label(lw), n), lhs.coeff,
+                             rhs.coeff)
+    params = f"v={fmt_vec(v)};win={win.hi('x')}"
+    out = []
+    for i in modes:
+        ident = f"bracket-L({i})"
+        if checked[i] == 0:
             out.append(VerificationReport.skipped(ident, params,
                                                   "no assertable modes"))
         else:
-            rep = VerificationReport.from_diffs(ident, params, diffs)
-            if skipped:
-                rep.note = f"{skipped} mode positions skipped"
+            rep = VerificationReport.from_diffs(ident, params, diffs[i])
+            if skipped[i]:
+                rep.note = f"{skipped[i]} mode positions skipped"
             out.append(rep)
     return out
 
 
 # -- conjugation identities -------------------------------------------------
+
+
+def _entry(chain: list, k: int) -> GradedVector:
+    """Entry k of an ``exp_chain``: zero for negative k or past its end."""
+    return chain[k] if 0 <= k < len(chain) else GradedVector()
 
 
 def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
@@ -364,6 +388,7 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
     wv = v.weight()
     out = []
     params = f"v={fmt_vec(v)};order={order}"
+    lv = {i: V.virasoro(i, v) for i in (-1, 0, 1)}
 
     # L(-1) e^{xL(0)} = e^{xL(0)} L(-1) e^{-x}
     if wv + 1 > V.level:
@@ -371,46 +396,42 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
                                               "raise exceeds level"))
     else:
         diffs = []
-        lm = V.virasoro(-1, v)
         for j in range(order + 1):
-            lhs = lm.scale(Fraction(wv) ** j / _fact(j))
+            lhs = lv[-1].scale(Fraction(wv) ** j / _fact(j))
             coef = sum(Fraction(wv + 1) ** p / (_fact(p) * _fact(j - p))
                        * (-1) ** ((j - p) % 2) for p in range(j + 1))
-            rhs = lm.scale(coef)
-            _collect(diffs, j, lhs, rhs)
+            _diff_labels(diffs, (j,), lhs.coeff, lv[-1].scale(coef).coeff)
         out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(-1)",
                                                  params, diffs))
 
     # L(1) e^{xL(0)} = e^{xL(0)} L(1) e^{x}
     diffs = []
-    lp = V.virasoro(1, v)
     for j in range(order + 1):
-        lhs = lp.scale(Fraction(wv) ** j / _fact(j))
+        lhs = lv[1].scale(Fraction(wv) ** j / _fact(j))
         coef = sum(Fraction(wv - 1) ** p / (_fact(p) * _fact(j - p))
                    for p in range(j + 1))
-        rhs = lp.scale(coef)
-        _collect(diffs, j, lhs, rhs)
+        _diff_labels(diffs, (j,), lhs.coeff, lv[1].scale(coef).coeff)
     out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(1)",
                                              params, diffs))
 
-    # L(-1) e^{xL(1)}: both bracket rearrangements
+    # L(-1) e^{xL(1)}: both bracket rearrangements, read off the chains of
+    # e^{xL(1)} on v and on L(i)v
     if wv + 1 > V.level:
         out.append(VerificationReport.skipped("conj-exp-L1-with-L(-1)", params,
                                               "raise exceeds level"))
     else:
         diffs = []
+        ev = exp_chain(V, 1, v, terms=order + 1)
+        el = {i: exp_chain(V, 1, x, terms=order + 1) for i, x in lv.items()}
         for j in range(order + 1):
-            e1 = V.virasoro(-1, V.exp_virasoro(1, v, j))
-            e2 = V.exp_virasoro(1, V.virasoro(-1, v), j)
-            e3 = V.exp_virasoro(1, V.virasoro(-1, v), j)
-            if j >= 1:
-                e2 = e2 - V.virasoro(0, V.exp_virasoro(1, v, j - 1)).scale(2)
-                e3 = e3 - V.exp_virasoro(1, V.virasoro(0, v), j - 1).scale(2)
-            if j >= 2:
-                e2 = e2 - V.virasoro(1, V.exp_virasoro(1, v, j - 2))
-                e3 = e3 + V.exp_virasoro(1, V.virasoro(1, v), j - 2)
-            _collect(diffs, (j, "mid"), e1, e2)
-            _collect(diffs, (j, "outer"), e1, e3)
+            e1 = V.virasoro(-1, _entry(ev, j))
+            e2 = _entry(el[-1], j) \
+                - V.virasoro(0, _entry(ev, j - 1)).scale(2) \
+                - V.virasoro(1, _entry(ev, j - 2))
+            e3 = _entry(el[-1], j) - _entry(el[0], j - 1).scale(2) \
+                + _entry(el[1], j - 2)
+            _diff_labels(diffs, ((j, "mid"),), e1.coeff, e2.coeff)
+            _diff_labels(diffs, ((j, "outer"),), e1.coeff, e3.coeff)
         out.append(VerificationReport.from_diffs("conj-exp-L1-with-L(-1)",
                                                  params, diffs))
     return out
@@ -423,32 +444,23 @@ def _fact(n: int) -> Fraction:
     return out
 
 
-def _collect(diffs: list, where, lhs: GradedVector, rhs: GradedVector) -> None:
-    delta = lhs - rhs
-    for label in sorted(delta.coeff):
-        diffs.append(((where, label), lhs.coeff.get(label, 0),
-                      rhs.coeff.get(label, 0)))
-
-
 def _scale_conjugation_report(V: HeisenbergVOA, v: GradedVector) -> VerificationReport:
     """x^{L(0)} Y(v, x0) x^{-L(0)} = Y(x^{L(0)} v, x x0), mode by mode.
 
     The left side reads the x-power off the actual weight shift of each
-    output; the right side predicts it from the grading. Checked on every
-    basis vector within the level.
+    output; the right side predicts it from the grading. A mixed-weight
+    output is a grading defect too: each of its weights is compared.
+    Checked on every basis vector within the level.
     """
     wv = v.weight()
     diffs = []
     for lw in V.basis_upto():
         w = GradedVector.basis(lw)
         for n in V.mode_range(v, w):
-            val = V.apply_mode(v, n, w)
-            if val.is_zero():
-                continue
-            lhs_exp = val.weight() - sum(lw)
             rhs_exp = wv - n - 1
-            if lhs_exp != rhs_exp:
-                diffs.append(((fmt_label(lw), n), lhs_exp, rhs_exp))
+            for wt in sorted(V.apply_mode(v, n, w).weights()):
+                if wt - sum(lw) != rhs_exp:
+                    diffs.append(((fmt_label(lw), n), wt - sum(lw), rhs_exp))
     return VerificationReport.from_diffs("conj-scale", f"v={fmt_vec(v)}",
                                          diffs)
 
@@ -465,6 +477,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
     params = f"v={fmt_vec(v)};order={order}"
     diffs = []
     any_checked = False
+    ev = exp_chain(V, 1, v, terms=wv + 1)
     for lw in V.basis_upto():
         w = GradedVector.basis(lw)
         ww = sum(lw)
@@ -473,30 +486,20 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
         if e_hi < e_lo:
             continue
         any_checked = True
+        # (x^j, x0^e) -> e^{xL(1)} v_n e^{-xL(1)} w, with e = -n-1
         lhs: dict = {}
-        for j in range(order + 1):
-            for qq in range(0, min(j, ww) + 1):
-                wq = V.exp_virasoro(1, w, qq)
-                if wq.is_zero():
+        for qq, wq in enumerate(exp_chain(V, 1, w, terms=min(order, ww) + 1)):
+            sign = (-1) ** (qq % 2)
+            for n in range(wv + ww - qq - 1 - V.level, wv + ww - qq):
+                e = -n - 1
+                if e < e_lo or e > e_hi:
                     continue
-                sign = (-1) ** (qq % 2)
-                pp = j - qq
-                for n in range(wv + ww - qq - 1 - V.level, wv + ww - qq):
-                    e = -n - 1
-                    if e < e_lo or e > e_hi:
-                        continue
-                    base = V.apply_mode(v, n, wq)
-                    if base.is_zero():
-                        continue
-                    val = V.exp_virasoro(1, base, pp).scale(sign)
-                    if val:
-                        key = (j, e)
-                        lhs[key] = lhs.get(key, GradedVector()) + val
+                for pp, val in enumerate(exp_chain(
+                        V, 1, V.apply_mode(v, n, wq), terms=order - qq + 1)):
+                    key = (qq + pp, e)
+                    lhs[key] = lhs.get(key, GradedVector()) + val.scale(sign)
         rhs: dict = {}
-        for i in range(0, wv + 1):
-            vi = V.exp_virasoro(1, v, i)
-            if vi.is_zero():
-                continue
+        for i, vi in enumerate(ev):
             wvi = wv - i
             for g in range(0, order + 1 - i):
                 bg = binom(i, g)
@@ -524,13 +527,9 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                             rhs[key] = rhs.get(key, GradedVector()) \
                                 + base.scale(co)
         for key in sorted(set(lhs) | set(rhs)):
-            l = lhs.get(key, GradedVector())
-            r = rhs.get(key, GradedVector())
-            if l != r:
-                delta = l - r
-                for label in sorted(delta.coeff):
-                    diffs.append(((fmt_label(lw),) + key + (label,),
-                                  l.coeff.get(label, 0), r.coeff.get(label, 0)))
+            _diff_labels(diffs, (fmt_label(lw),) + key,
+                         lhs.get(key, GradedVector()).coeff,
+                         rhs.get(key, GradedVector()).coeff)
     if not any_checked:
         return VerificationReport.skipped("conj-shear", params,
                                           "no exact x0 range")
@@ -551,21 +550,17 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
         if j_hi < 0:
             continue
         any_checked = True
+        # lhs[j]: x^e -> the x0^j coefficient of the conjugated series
+        lhs: list = [{} for _ in range(j_hi + 1)]
+        for qq, wq in enumerate(exp_chain(V, -1, w, terms=j_hi + 1)):
+            sign = (-1) ** (qq % 2)
+            for n in V.mode_range(v, wq):
+                for pp, val in enumerate(exp_chain(
+                        V, -1, V.apply_mode(v, n, wq), terms=j_hi - qq + 1)):
+                    row = lhs[qq + pp]
+                    row[-n - 1] = row.get(-n - 1, GradedVector()) \
+                        + val.scale(sign)
         for j in range(j_hi + 1):
-            lhs: dict = {}
-            for qq in range(0, j + 1):
-                wq = V.exp_virasoro(-1, w, qq)
-                if wq.is_zero():
-                    continue
-                sign = (-1) ** (qq % 2)
-                pp = j - qq
-                for n in V.mode_range(v, wq):
-                    base = V.apply_mode(v, n, wq)
-                    if base.is_zero():
-                        continue
-                    val = V.exp_virasoro(-1, base, pp).scale(sign)
-                    if val:
-                        lhs[-n - 1] = lhs.get(-n - 1, GradedVector()) + val
             rhs: dict = {}
             for n in V.mode_range(v, w, V.level + j):
                 base = V.apply_mode(v, n, w, V.level + j)
@@ -577,15 +572,10 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                     if val:
                         rhs[-n - 1 - j] = rhs.get(-n - 1 - j,
                                                   GradedVector()) + val
-            for e in sorted(set(lhs) | set(rhs)):
-                l = lhs.get(e, GradedVector())
-                r = rhs.get(e, GradedVector())
-                if l != r:
-                    delta = l - r
-                    for label in sorted(delta.coeff):
-                        diffs.append(((fmt_label(lw), j, e, label),
-                                      l.coeff.get(label, 0),
-                                      r.coeff.get(label, 0)))
+            for e in sorted(set(lhs[j]) | set(rhs)):
+                _diff_labels(diffs, (fmt_label(lw), j, e),
+                             lhs[j].get(e, GradedVector()).coeff,
+                             rhs.get(e, GradedVector()).coeff)
     if not any_checked:
         return VerificationReport.skipped("conj-translate", params,
                                           "level too small")
@@ -619,12 +609,15 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     params = _triple_params(u, v, w, f"win={win.hi('x0')}")
     act = VOAAction(V)
     diffs = []
-    # true-loss scan over the inner families u_. v and v_. u
+    # x0 exponent a -> the x2 exponents c at which the final weight is seen
+    rows = {}
     for a in range(win.lo("x0"), win.hi("x0") + 1):
-        observable = any(0 <= W + a + c <= V.level
-                         for c in range(win.lo("x2"), win.hi("x2") + 1))
-        if not observable:
-            continue
+        cs = [c for c in range(win.lo("x2"), win.hi("x2") + 1)
+              if 0 <= W + a + c <= V.level]
+        if cs:
+            rows[a] = cs
+    # true-loss scan over the inner families u_. v and v_. u
+    for a in rows:
         iw = wu + wv + a
         if iw > V.level:
             if act.true_nonzero(u, -a - 1, v):
@@ -635,20 +628,21 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                     return VerificationReport.skipped(
                         "iterate-skew-rewrite", params,
                         f"skew-inner weight {wu+wv+e} at x0^{e}")
-    for a in range(win.lo("x0"), win.hi("x0") + 1):
-        cs = [c for c in range(win.lo("x2"), win.hi("x2") + 1)
-              if 0 <= W + a + c <= V.level]
-        if not cs:
-            continue
-        # B_e = (-1)^e v_{-e-1} u, the skew-reversed iterate
-        b_parts = {}
-        for e in range(-(wu + wv), a + 1):
-            base = V.apply_mode(v, -e - 1, u)
-            if base:
-                b_parts[e] = base.scale((-1) ** (e % 2))
+    # B_e = (-1)^e v_{-e-1} u, the skew-reversed iterate, with the chain of
+    # e^{x0 L(-1)} B_e; the x0^a coefficient of the skew side sums entry
+    # a - e of each chain
+    a_hi = max(rows, default=-(wu + wv) - 1)
+    b_parts = {}
+    chains = {}
+    for e in range(-(wu + wv), a_hi + 1):
+        base = V.apply_mode(v, -e - 1, u)
+        if base:
+            b_parts[e] = base.scale((-1) ** (e % 2))
+            chains[e] = exp_chain(V, -1, b_parts[e], terms=a_hi - e + 1)
+    for a, cs in rows.items():
         a_vec = GradedVector()
-        for e, be in b_parts.items():
-            a_vec = a_vec + V.exp_virasoro(-1, be, a - e)
+        for e, chain in chains.items():
+            a_vec = a_vec + _entry(chain, a - e)
         inner = act.act(u, -a - 1, v)
         for c in cs:
             e1 = act.act(inner, -c - 1, w)
@@ -661,12 +655,8 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                 co = binom(c + k, k)
                 if co:
                     e3 = e3 + act.act(be, -c - k - 1, w).scale(co)
-            for tag, lhs, rhs in (("skew", e1, e2), ("shift", e1, e3)):
-                delta = lhs - rhs
-                for label in sorted(delta.coeff):
-                    diffs.append(((a, c, tag, label),
-                                  lhs.coeff.get(label, 0),
-                                  rhs.coeff.get(label, 0)))
+            _diff_labels(diffs, (a, c, "skew"), e1.coeff, e2.coeff)
+            _diff_labels(diffs, (a, c, "shift"), e1.coeff, e3.coeff)
     return VerificationReport.from_diffs("iterate-skew-rewrite", params, diffs)
 
 

@@ -14,17 +14,21 @@ A ContragredientModule is an ``axioms.VOAAction`` that overrides only
 ``act``, so the three-term engine, the intertwiner checker and the
 direct-sum map take it wherever they take the algebra acting on itself.
 It memoises two things, both on the instance: the lowered vectors
-[(k, L(1)^k v / k!)] of each homogeneous v, and for each (v, n, weight
-block) the matrix of A(v, n) into that block, filled from one image per
-basis vector of the source block. A memo never outlives its module, so
-a module built after a structure constant is corrupted sees the
-corruption; one built before keeps serving the values it has already
-computed.
+[(k, L(1)^k v / k!)] of each homogeneous v (the ``fock.exp_chain`` of
+e^{xL(1)} v), and for each (v, n, weight block) the matrix of A(v, n)
+into that block, filled from one image per basis vector of the source
+block. A memo never outlives its module, so a module built after a
+structure constant is corrupted sees the corruption; one built before
+keeps serving the values it has already computed.
 
 The invariant form on a self-dual module is built by fixing the pairing
 of the vacuum with itself and propagating through the oscillator adjoint
 relation; the full invariance constraints are then re-verified as an
 overdetermined cross-check.
+
+The direct-sum map's module-into-sum block is the skew formula
+``axioms.skew_coefficient`` on the module action; its module-module block
+pairs the L(1) chains of both arguments, built once per component pair.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from fractions import Fraction
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
 from .exact import exact_det, gauss_solve
-from .fock import GradedVector, HeisenbergVOA, partitions
+from .fock import GradedVector, HeisenbergVOA, exp_chain, partitions
 from .reports import VerificationReport, fmt_label
 from .series import FormalSeries, Support, Window
 
@@ -70,15 +74,8 @@ class ContragredientModule(axioms.VOAAction):
         vkey = tuple(sorted(v.coeff.items()))
         out = self._lowered.get(vkey)
         if out is None:
-            out = []
-            lv = v
-            for k in range(v.weight() + 1):
-                if k > 0:
-                    lv = self.V.virasoro(1, lv, self.V.level).divide(k)
-                if lv.is_zero():
-                    break
-                out.append((k, lv))
-            self._lowered[vkey] = out
+            out = self._lowered[vkey] = list(enumerate(
+                exp_chain(self.V, 1, v, terms=v.weight() + 1)))
         return out
 
     def conj_operator(self, v: GradedVector, n: int, m: GradedVector,
@@ -137,17 +134,11 @@ def conjugate_vector(V: HeisenbergVOA, v: GradedVector,
     """e^{xL(1)} (-x^-2)^{L(0)} v as a finite vector-valued Laurent series."""
     coeff: dict = {}
     for wtv in sorted(v.weights()):
-        part = v.component(wtv)
         sign = -1 if wtv % 2 else 1
-        lv = part
-        for k in range(wtv + 1):
-            if k > 0:
-                lv = V.virasoro(1, lv).divide(k)
-            if lv.is_zero():
-                break
+        for k, lv in enumerate(exp_chain(V, 1, v.component(wtv),
+                                         terms=wtv + 1)):
             e = k - 2 * wtv
-            val = lv.scale(sign)
-            coeff[(e,)] = coeff.get((e,), GradedVector()) + val
+            coeff[(e,)] = coeff.get((e,), GradedVector()) + lv.scale(sign)
     coeff = {e: c for e, c in coeff.items() if c}
     if coeff:
         lo = min(e for (e,) in coeff)
@@ -527,20 +518,7 @@ class DirectSumMap:
     def w_on_v(self, w1: GradedVector, n: int, v: GradedVector,
                ceiling: int | None = None) -> GradedVector:
         cap = self.level if ceiling is None else ceiling
-        out = GradedVector()
-        if w1.is_zero() or v.is_zero():
-            return out
-        j_max = max(sum(k) for k in w1.coeff) \
-            + max(sum(k) for k in v.coeff) - n - 1
-        for j in range(0, j_max + 1):
-            base = self.W.act(v, n + j, w1, cap)
-            if base.is_zero():
-                continue
-            term = base if (n + j) % 2 else -base
-            for i in range(1, j + 1):
-                term = self.W.virasoro(-1, term, cap).divide(i)
-            out = out + term
-        return out
+        return axioms.skew_coefficient(self.W, v, n, w1, cap)
 
     # block (1-60): V-component of Y(w1, x)w2 via the two forms
     def w_on_w(self, w1: GradedVector, n: int, w2: GradedVector,
@@ -555,7 +533,10 @@ class DirectSumMap:
                 if target < 0 or target > cap:
                     continue
                 labs = partitions(target)
-                rhs = [self._pairing_rhs(v_lab, p1, wt1, n, p2, wt2)
+                # the L(1) chains of both components, once per pair
+                c1 = exp_chain(self.W, 1, p1, self.W.level, wt1 + 1)
+                c2 = exp_chain(self.W, 1, p2, self.W.level, wt2 + 1)
+                rhs = [self._pairing_rhs(v_lab, c1, wt1, n, c2)
                        for v_lab in labs]
                 gram = self.form_V.blocks[target]
                 sol = gauss_solve([list(r) for r in gram], rhs)
@@ -565,24 +546,14 @@ class DirectSumMap:
                     {lab: c for lab, c in zip(labs, sol) if c})
         return out
 
-    def _pairing_rhs(self, v_lab: tuple, w1: GradedVector, wt1: int, n: int,
-                     w2: GradedVector, wt2: int) -> Fraction:
+    def _pairing_rhs(self, v_lab: tuple, chain1: list, wt1: int, n: int,
+                     chain2: list) -> Fraction:
         """(v, Y(w1, x)w2)_V coefficient of x^{-n-1}, evaluated through the
-        module form."""
+        module form from the L(1) chains of w1 (of weight wt1) and w2."""
         v = GradedVector.basis(v_lab)
         total = 0
-        lp = w1
-        for p in range(0, wt1 + 1):
-            if p > 0:
-                lp = self.W.virasoro(1, lp, self.W.level).divide(p)
-            if lp.is_zero():
-                break
-            lq = w2
-            for q in range(0, wt2 + 1):
-                if q > 0:
-                    lq = self.W.virasoro(1, lq, self.W.level).divide(q)
-                if lq.is_zero():
-                    break
+        for p, lp in enumerate(chain1):
+            for q, lq in enumerate(chain2):
                 t = 2 * wt1 - n - 2 - p + q
                 img = self.W.act(v, t, lp, self.W.level)
                 if img.is_zero():

@@ -40,8 +40,14 @@ Vector coefficients are exact: ``int`` first, since basis vectors carry
 the integer 1 and every structure constant is an integer, and ``Fraction``
 or ``QQi`` only once a genuine fraction or a Gaussian rational enters.
 The Virasoro modes act with the integer vector a(-1)^2|0> and halve, and
-an exponential divides by j at each step, both exactly (``divide``), so a
-coefficient that is integral stays an ``int``. They are never ``float``.
+an exponential divides by k at its k-th step, both exactly (``divide``),
+so a coefficient that is integral stays an ``int``. They are never
+``float``.
+
+``exp_chain`` is the one place that computes L(n)^k v / k!: the chain
+[v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v, ending before its first zero
+entry. Skew-symmetry, the contragredient conjugation and the sl(2)
+conjugation checks all read entries of such chains.
 """
 
 from __future__ import annotations
@@ -412,16 +418,6 @@ class HeisenbergVOA:
         mode of the integer vector a(-1)^2|0>."""
         return self.apply_mode(self.twice_omega, n + 1, v, ceiling).divide(2)
 
-    def exp_virasoro(self, n: int, v: GradedVector, power: int,
-                     ceiling: int | None = None) -> GradedVector:
-        """L(n)^power v / power! as an exact vector."""
-        out = v
-        for j in range(1, power + 1):
-            out = self.virasoro(n, out, ceiling).divide(j)
-            if out.is_zero():
-                break
-        return out
-
     # -- verification aids ---------------------------------------------------
 
     def corrupt(self, lu, n, lv, label, delta: int) -> None:
@@ -437,6 +433,22 @@ class HeisenbergVOA:
 
     def touched_mode_keys(self) -> list:
         return list(self._modes)
+
+
+def exp_chain(space, n: int, v: GradedVector, ceiling: int | None = None,
+              terms: int | None = None) -> list[GradedVector]:
+    """The chain [v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v: entry k is
+    L(n)^k v / k!, each step clipped at the ceiling. It ends before the
+    first zero entry, or after ``terms`` (at least 1) entries. ``space``
+    is anything with ``virasoro(n, v, ceiling)``: the algebra, or an
+    action on a module."""
+    out = [v] if v else []
+    while out and len(out) != terms:
+        v = space.virasoro(n, v, ceiling).divide(len(out))
+        if not v:
+            break
+        out.append(v)
+    return out
 
 
 def build_heisenberg(level: int) -> HeisenbergVOA:

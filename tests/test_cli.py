@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 
@@ -165,3 +166,31 @@ def test_all_reports_a_defective_algebra(monkeypatch, capsys):
     assert all(r[3] == "fail" for r in direct)
     assert ["contragredient", "invariant-form", "norm=1", "fail", "1"] \
         in records
+
+
+def test_conjugation_records_are_pinned(capsys):
+    # the conjugation checks are outside ``voacalc all``, whose records are
+    # pinned in test_criterion_9_determinism
+    code, out, _ = run_cli(["check", "conjugation", "--format", "structured"],
+                           capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 72
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3379494096395148b595af69c4e61b69325ec5838c958aa0b8b624ce88be33a7"
+
+
+def test_conj_scale_fails_on_a_mixed_weight_image(monkeypatch, capsys):
+    # (a(-1)^2|0>)_1 a(-2)|0> gains a weight-1 part: a grading defect, which
+    # conj-scale reports as a fail instead of raising
+    real = cli.build_heisenberg
+
+    def corrupted(level):
+        V = real(level)
+        V.corrupt((1, 1), 1, (2,), (1,), -2)
+        return V
+
+    monkeypatch.setattr(cli, "build_heisenberg", corrupted)
+    code, out, _ = run_cli(["check", "conjugation", "--level", "4",
+                            "--format", "structured"], capsys)
+    assert code == 1
+    assert "conjugation conj-scale v=[1,1] fail 1" in out.splitlines()

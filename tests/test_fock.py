@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voacalc.exact import binom
-from voacalc.fock import (GradedVector, build_heisenberg, partitions,
-                          partitions_upto)
+from voacalc.axioms import VOAAction
+from voacalc.fock import (GradedVector, build_heisenberg, exp_chain,
+                          partitions, partitions_upto)
 from voacalc.series import Window
 
 
@@ -144,6 +145,27 @@ def test_overflow_flag_matches_full_scan(u, v, n, cap):
     assert overflow == lost
     full = V.apply_mode(u, n, v, ceiling=20)
     assert out == full.clip(cap)[0]
+
+
+@given(_mixed_vectors, st.sampled_from((-1, 0, 1)), st.integers(3, 6),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_exp_chain_is_the_exponential(v, n, level, through_action):
+    # entry k is k successive virasoro calls divided by k!, on the algebra
+    # or through its action; L(0) never reaches zero, so ``terms`` caps it
+    V = build_heisenberg(level)
+    terms = 5 if n == 0 else None
+    chain = exp_chain(VOAAction(V) if through_action else V, n, v,
+                      terms=terms)
+    assert chain and all(chain)
+    x, fact = v, 1
+    for k, entry in enumerate(chain):
+        if k:
+            x = V.virasoro(n, x)
+            fact *= k
+        assert entry == x.scale(Fraction(1, fact)), k
+    # it ends exactly at the first zero
+    assert len(chain) == terms or not V.virasoro(n, x)
 
 
 def test_virasoro_bracket_extended(V6):
