@@ -501,6 +501,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
         rhs: dict = {}
         for i, vi in enumerate(ev):
             wvi = wv - i
+            images: dict = {}  # tprime -> vi_tprime w, once per (i, w)
             for g in range(0, order + 1 - i):
                 bg = binom(i, g)
                 if not bg:
@@ -519,7 +520,10 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                             bh = binom(tprime + 1, h)
                             if not bh:
                                 continue
-                            base = V.apply_mode(vi, tprime, w)
+                            base = images.get(tprime)
+                            if base is None:
+                                base = images[tprime] = V.apply_mode(
+                                    vi, tprime, w)
                             if base.is_zero():
                                 continue
                             co = bg * bm * bh * (-1) ** ((g + m + h) % 2)

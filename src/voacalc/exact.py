@@ -3,12 +3,19 @@ dense linear solving over an exact field.
 
 Everything in this package computes with exact numbers; no floats appear
 anywhere in the verification paths.
+
+A Gaussian rational ``QQi`` is three Python ints (a, b, d) standing for
+(a + b*i)/d, kept in the normal form d > 0, gcd(a, b, d) = 1. Each
+operation does its work on ints and reduces once, with a single
+three-argument gcd, where two ``Fraction`` components paid a gcd and an
+object per component operation. The normal form is unique, so equality
+compares the triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 
 def binom(n: int, k: int) -> int:
@@ -32,97 +39,198 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 
+_new = object.__new__
+
+
+def _qqi(a: int, b: int, d: int) -> "QQi":
+    """(a + b i)/d from ints already in normal form."""
+    q = _new(QQi)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> "QQi":
+    """(a + b i)/d from ints with d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _qqi(a, b, d)
+
+
+def _parts(x) -> tuple[int, int, int]:
+    """The normal-form triple of a QQi, int or Fraction operand."""
+    if isinstance(x, QQi):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    raise TypeError(f"cannot coerce {x!r} to an exact rational")
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> "QQi":
+    """(a + b i)/d + (c + e i)/f for normal-form triples."""
+    if d == f:
+        return _reduced(a + c, b + e, d)
+    return _reduced(a * f + c * d, b * f + e * d, d * f)
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> "QQi":
+    """((a + b i)/d) / ((c + e i)/f) for normal-form triples."""
+    if not b and not e:
+        if not c:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        if c < 0:
+            a, c = -a, -c
+        # a f / (d c), cross-reduced as Fraction does; no final gcd
+        g1 = gcd(a, c)
+        g2 = gcd(f, d)
+        return _qqi((a // g1) * (f // g2), 0, (d // g2) * (c // g1))
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("inverse of zero Gaussian rational")
+    return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
+
+
 class QQi:
-    """Gaussian rational a + b*i with exact Fraction components.
+    """Gaussian rational (a + b*i)/d held as three Python ints.
+
+    Normal form: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and two
+    equal values have equal triples. Each operation builds its result
+    from integer products and normalises with one gcd; an ``int``
+    operand and a product or quotient of two real values need none.
 
     Supports field arithmetic, integer powers (negative allowed), exact
     modulus-squared comparison, and hashing. Plain ints and Fractions
-    promote automatically in mixed expressions.
+    promote automatically in mixed expressions, compare equal to the
+    real QQi of the same value and hash like it; anything else (a float
+    above all) raises ``TypeError``. ``re`` and ``im`` are read-only
+    ``Fraction`` views.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        re, im = _frac(re), _frac(im)
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QQi is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def promote(x) -> "QQi":
         if isinstance(x, QQi):
             return x
-        return QQi(_frac(x))
+        return _qqi(*_parts(x))
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _qqi(self._a, -self._b, self._d)
 
     def inverse(self) -> "QQi":
-        n = self.norm2()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QQi(self.re / n, -self.im / n)
+        return _quotient(1, 0, 1, self._a, self._b, self._d)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        try:
-            o = QQi.promote(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, QQi):
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self._a, -self._b, self._d)
 
     def __add__(self, other):
-        o = QQi.promote(other)
-        return QQi(self.re + o.re, self.im + o.im)
+        if type(other) is int:
+            # adding a multiple of d keeps gcd(a, b, d) = 1
+            return _qqi(self._a + other * self._d, self._b, self._d)
+        return _sum(self._a, self._b, self._d, *_parts(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QQi.promote(other)
-        return QQi(self.re - o.re, self.im - o.im)
+        c, e, f = _parts(other)
+        return _sum(self._a, self._b, self._d, -c, -e, f)
 
     def __rsub__(self, other):
-        return QQi.promote(other) - self
+        return _sum(*_parts(other), -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = QQi.promote(other)
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is int:
+            # gcd(a, b, d) = 1, so only other and d can share a factor
+            g = gcd(other, d)
+            if g != 1:
+                other //= g
+                d //= g
+            return _qqi(a * other, b * other, d)
+        c, e, f = _parts(other)
+        if not b and not e:
+            g1 = gcd(a, f)
+            g2 = gcd(c, d)
+            return _qqi((a // g1) * (c // g2), 0, (d // g2) * (f // g1))
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * QQi.promote(other).inverse()
+        return _quotient(self._a, self._b, self._d, *_parts(other))
 
     def __rtruediv__(self, other):
-        return QQi.promote(other) * self.inverse()
+        return _quotient(*_parts(other), self._a, self._b, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("QQi powers must be integers")
-        base = self if n >= 0 else self.inverse()
-        out = QQi(1)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        q = self if n >= 0 else self.inverse()
+        a, b, d = q._a, q._b, q._d
+        n = abs(n)
+        dn = d ** n
+        if not b:
+            # coprime a and d give coprime powers
+            return _qqi(a ** n, 0, dn)
+        # (a + b i)^n by squaring, over the Gaussian integers
+        x, y = 1, 0
+        while n:
+            if n & 1:
+                x, y = x * a - y * b, x * b + y * a
+            n >>= 1
+            if n:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(x, y, dn)
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
+        if not self._b:
+            return str(self._a) if self._d == 1 else f"{self._a}/{self._d}"
         return f"({self.re},{self.im})"
 
     @staticmethod

@@ -29,6 +29,14 @@ because the function is pure and its arguments (a tuple of ``QQi``, a
 ``QQi`` shift, an int order) and its tuple result are exact and
 immutable; the operad checks repeat a handful of distinct translations
 hundreds of times.
+
+``check_operad_axioms`` hoists its loop-invariant sewings instead: the
+associativity loop sews the left factor (Q1 o_i1 Q2) once per
+(Q1, i1, Q2), before the loop over Q3, and each right-hand inner
+sewing (Q1 o_i Q3 or Q2 o_i Q3) once per index within a triple. Whole
+calls are not memoised by value, which would hold every sewn element of
+the sample at once. Every sewing still goes through the module's
+``sew``.
 """
 
 from __future__ import annotations
@@ -398,6 +406,18 @@ def _match_perm(target_labels, source_labels) -> tuple[int, ...]:
     return tuple(index[lab] for lab in target_labels)
 
 
+def _sewn(Q1: ModuliElement | None, i: int, Q2: ModuliElement | None):
+    """The sewn element, or None when either factor is None or the sewing
+    is unsupported or undefined; calls ``sew`` through the module, as the
+    tracer expects."""
+    if Q1 is None or Q2 is None:
+        return None
+    try:
+        return sew(Q1, i, Q2).element
+    except (UnsupportedSewing, SewingUndefined):
+        return None
+
+
 def check_operad_axioms(sample: list[ModuliElement],
                         seed: int = 7) -> list[VerificationReport]:
     """Associativity, equivariance, and identity instances over a sample.
@@ -432,14 +452,28 @@ def check_operad_axioms(sample: list[ModuliElement],
         note=f"{skips} skipped" if skips else "")
     reports.append(rep)
 
-    # associativity in the three index regimes
+    # associativity in the three index regimes, with the loop-invariant
+    # sewings hoisted (see the module docstring); None is a raised sewing
     diffs = []
     checked = {"low": 0, "nested": 0, "high": 0}
     skips = 0
     for Q1 in sample:
+        j = Q1.arity
         for Q2 in sample:
+            k = Q2.arity
+            # no left factor is needed when no i2 exists (j + k == 1)
+            left = {i1: _sewn(Q1, i1, Q2)
+                    for i1 in range(1, j + 1)} if j + k > 1 else {}
             for Q3 in sample:
-                j, k, l = Q1.arity, Q2.arity, Q3.arity
+                l = Q3.arity
+                inner = {}
+
+                def inner_sewn(Q, idx):
+                    key = (Q is Q2, idx)
+                    if key not in inner:
+                        inner[key] = _sewn(Q, idx, Q3)
+                    return inner[key]
+
                 for i1 in range(1, j + 1):
                     for i2 in range(1, j + k):
                         if i2 < i1:
@@ -448,19 +482,17 @@ def check_operad_axioms(sample: list[ModuliElement],
                             regime = "nested"
                         else:
                             regime = "high"
-                        try:
-                            lhs = sew(sew(Q1, i1, Q2).element, i2, Q3).element
+                        lhs = _sewn(left[i1], i2, Q3)
+                        rhs = None
+                        if lhs is not None:
                             if regime == "low":
-                                rhs = sew(sew(Q1, i2, Q3).element,
-                                          l + i1 - 1, Q2).element
+                                rhs = _sewn(inner_sewn(Q1, i2), l + i1 - 1, Q2)
                             elif regime == "nested":
-                                rhs = sew(Q1, i1,
-                                          sew(Q2, i2 - i1 + 1, Q3).element
-                                          ).element
+                                rhs = _sewn(Q1, i1,
+                                            inner_sewn(Q2, i2 - i1 + 1))
                             else:
-                                rhs = sew(sew(Q1, i2 - k + 1, Q3).element,
-                                          i1, Q2).element
-                        except (UnsupportedSewing, SewingUndefined):
+                                rhs = _sewn(inner_sewn(Q1, i2 - k + 1), i1, Q2)
+                        if rhs is None:
                             skips += 1
                             continue
                         checked[regime] += 1
@@ -662,11 +694,15 @@ def check_sewing_axiom(V: HeisenbergVOA, Q1: ModuliElement, i: int,
 
 def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
     """Parse the plain-text element format: ``arity n``, ``order M``,
-    ``z: ...``, ``coord 0: A...``, ``coord i: a0 ; A...``."""
+    ``z: ...``, ``coord 0: A...``, ``coord i: a0 ; A...``.
+
+    A malformed or zero-denominator number, a zero scale and more flow
+    coefficients than ``order`` raise ``FixtureError`` naming
+    ``name:line``."""
     arity = order = None
     z: list[QQi] = []
-    inf: list[QQi] = []
-    coords: dict[int, LocalCoordinate] = {}
+    inf = (0, [])
+    coords: dict[int, tuple] = {}
     det = Fraction(1)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -685,26 +721,37 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
                 head, _, rest = line.partition(":")
                 idx = int(head.split()[1])
                 if idx == 0:
-                    inf = [QQi.parse(tok) for tok in rest.split()]
+                    inf = (ln, [QQi.parse(tok) for tok in rest.split()])
                 else:
                     a0_s, _, tail = rest.partition(";")
                     a0 = QQi.parse(a0_s.strip())
+                    if not a0:
+                        raise ValueError("coordinate scale must be nonzero")
                     taylor = [QQi.parse(tok) for tok in tail.split()]
-                    coords[idx] = (a0, taylor)
+                    coords[idx] = (ln, a0, taylor)
             else:
                 raise FixtureError(f"{name}:{ln}: unrecognized line {line!r}")
+        except ZeroDivisionError:
+            raise FixtureError(f"{name}:{ln}: zero denominator in {line!r}")
         except (ValueError, IndexError) as e:
             raise FixtureError(f"{name}:{ln}: {e}")
     if arity is None or order is None:
         raise FixtureError(f"{name}: missing arity or order")
+
+    def padded(i, ln, taylor):
+        if len(taylor) > order:
+            raise FixtureError(f"{name}:{ln}: coord {i} has {len(taylor)} "
+                               f"flow coefficients, more than order {order}")
+        return _pad(taylor, order)
+
     coord_list = []
     for i in range(1, arity + 1):
         if i not in coords:
             raise FixtureError(f"{name}: missing coord {i}")
-        a0, taylor = coords[i]
-        coord_list.append(LocalCoordinate(a0, _pad(taylor, order)))
+        ln, a0, taylor = coords[i]
+        coord_list.append(LocalCoordinate(a0, padded(i, ln, taylor)))
     try:
-        return ModuliElement(arity, order, tuple(z), _pad(inf, order),
+        return ModuliElement(arity, order, tuple(z), padded(0, *inf),
                              tuple(coord_list), det)
     except ValueError as e:
         raise FixtureError(f"{name}: {e}")

@@ -77,6 +77,25 @@ def test_bad_fixture_exits_two(tmp_path, capsys):
     assert "bad.fus" in err
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("z: 1/0", "zero denominator"),
+    ("coord 1: 0 ; 0 0", "scale must be nonzero"),
+    ("coord 1: 1 ; 0 0 0 0 5", "more than order 2"),
+], ids=["zero-denominator", "zero-scale", "too-many-flow-coefficients"])
+def test_bad_moduli_fixture_exits_two_with_line(bad_line, message, tmp_path,
+                                                capsys):
+    lines = ["arity 2", "order 2", "z: 1", "coord 0: 0 0",
+             "coord 1: 1 ; 0 0", "coord 2: 1 ; 0 0"]
+    where = 3 if bad_line.startswith("z:") else 5
+    lines[where - 1] = bad_line
+    bad = tmp_path / "bad.mod"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["moduli", "nu", str(bad), "--level", "2",
+                              "--cutoffs", "2,4"], capsys)
+    assert code == 2 and out == ""
+    assert f"bad.mod:{where}:" in err and message in err
+
+
 def test_failing_fixture_exits_one(tmp_path, capsys):
     from importlib import resources
     src = (resources.files("voacalc") / "fixtures" / "bad_symmetry.fus")

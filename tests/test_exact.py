@@ -1,6 +1,15 @@
+import importlib.util
+import operator
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from voacalc.exact import QQi, exact_det, gauss_solve
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def test_exact_det_of_integer_matrix_is_fraction():
@@ -25,3 +34,193 @@ def test_gauss_solve_gaussian_rationals():
     # i x + y = 1, x + y = 2
     x, y = sol
     assert QQi(0, 1) * x + y == 1 and x + y == 2
+
+
+# -- QQi against the two-Fraction representation it replaced ----------------
+
+
+class OldQQi:
+    """The former QQi: a + b*i with two Fraction components."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def promote(x):
+        return x if isinstance(x, OldQQi) else OldQQi(x)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def conj(self):
+        return OldQQi(self.re, -self.im)
+
+    def inverse(self):
+        n = self.norm2()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return OldQQi(self.re / n, -self.im / n)
+
+    def __eq__(self, other):
+        o = OldQQi.promote(other)
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def __neg__(self):
+        return OldQQi(-self.re, -self.im)
+
+    def __add__(self, other):
+        o = OldQQi.promote(other)
+        return OldQQi(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = OldQQi.promote(other)
+        return OldQQi(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return OldQQi.promote(other) - self
+
+    def __mul__(self, other):
+        o = OldQQi.promote(other)
+        return OldQQi(self.re * o.re - self.im * o.im,
+                      self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * OldQQi.promote(other).inverse()
+
+    def __rtruediv__(self, other):
+        return OldQQi.promote(other) * self.inverse()
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        out = OldQQi(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __repr__(self):
+        if self.im == 0:
+            return str(self.re)
+        return f"({self.re},{self.im})"
+
+
+_ints = st.integers(-40, 40)
+_fracs = st.builds(Fraction, _ints, st.integers(1, 12))
+_qqis = st.tuples(_fracs, _fracs)  # (re, im) of a Gaussian rational
+# an operand: ("q", (re, im)), or a plain int or Fraction
+_operands = st.one_of(st.tuples(st.just("q"), _qqis),
+                      st.tuples(st.just("i"), _ints),
+                      st.tuples(st.just("f"), _fracs))
+
+
+def _new(operand):
+    kind, x = operand
+    return QQi(*x) if kind == "q" else x
+
+
+def _old(operand):
+    kind, x = operand
+    return OldQQi(*x) if kind == "q" else x
+
+
+def _check(new, old):
+    """new is a QQi in normal form with the oracle's value and repr."""
+    assert isinstance(new, QQi)
+    a, b, d = new._a, new._b, new._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (new.re, new.im) == (old.re, old.im)
+    assert repr(new) == repr(old)
+    assert QQi.parse(repr(new)) == new
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@given(_operands, _operands,
+       st.sampled_from([operator.add, operator.sub, operator.mul,
+                        operator.truediv]))
+@settings(max_examples=400, deadline=None)
+def test_qqi_arithmetic_matches_two_fraction_oracle(x, y, op):
+    if "q" not in (x[0], y[0]):
+        x = ("q", (x[1], 0))
+    new = _outcome(op, _new(x), _new(y))
+    old = _outcome(op, _old(x), _old(y))
+    if old is ZeroDivisionError:
+        assert new is ZeroDivisionError
+    else:
+        _check(new, old)
+
+
+@given(_qqis, st.integers(-6, 6))
+@settings(max_examples=200, deadline=None)
+def test_qqi_unary_operations_match_oracle(x, n):
+    new, old = QQi(*x), OldQQi(*x)
+    got = _outcome(pow, new, n)
+    want = _outcome(pow, old, n)
+    if want is ZeroDivisionError:
+        assert got is ZeroDivisionError
+    else:
+        _check(got, want)
+    if old.norm2():
+        _check(new.inverse(), old.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            new.inverse()
+    _check(new.conj(), old.conj())
+    _check(-new, -old)
+    assert isinstance(new.norm2(), Fraction) and new.norm2() == old.norm2()
+    assert bool(new) == bool(old.re or old.im)
+    _check(QQi.promote(new), old)
+
+
+@given(_qqis, _qqis, _fracs)
+@settings(max_examples=300, deadline=None)
+def test_qqi_equality_and_hash(x, y, f):
+    new, old = QQi(*x), OldQQi(*x)
+    assert (new == QQi(*y)) == (old == OldQQi(*y))
+    assert (new == f) == (old == f) == (f == new)
+    real = QQi(f)
+    assert real == f and f == real and hash(real) == hash(f)
+    if f.denominator == 1:
+        n = f.numerator
+        assert real == n and n == real and hash(real) == hash(n)
+    if new == QQi(*y):
+        assert hash(new) == hash(QQi(*y))
+    assert not new == 0.5 and new != 0.5
+    with pytest.raises(TypeError):
+        new + 0.5
+
+
+def test_qqi_repr_strings_are_unchanged():
+    assert repr(QQi(3)) == "3"
+    assert repr(QQi(Fraction(1, 2))) == "1/2"
+    assert repr(QQi(Fraction(1, 2), Fraction(1, 3))) == "(1/2,1/3)"
+    assert repr(QQi(Fraction(-4, 6), 2)) == "(-2/3,2)"
+
+
+def test_qqi_is_read_only():
+    q = QQi(1, 2)
+    with pytest.raises(AttributeError):
+        q.re = Fraction(3)
+    with pytest.raises(AttributeError):
+        q.other = 1
+
+
+def test_every_traced_operator_is_a_qqi_method():
+    # the benchmark's tracer wraps these names on the class
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.QQI_OPS:
+        assert callable(QQi.__dict__.get(name)), name
