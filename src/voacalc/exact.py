@@ -45,9 +45,9 @@ _new = object.__new__
 def _qqi(a: int, b: int, d: int) -> "QQi":
     """(a + b i)/d from ints already in normal form."""
     q = _new(QQi)
-    q._a = a
-    q._b = b
-    q._d = d
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
     return q
 
 
@@ -81,15 +81,6 @@ def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> "QQi":
 
 def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> "QQi":
     """((a + b i)/d) / ((c + e i)/f) for normal-form triples."""
-    if not b and not e:
-        if not c:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        if c < 0:
-            a, c = -a, -c
-        # a f / (d c), cross-reduced as Fraction does; no final gcd
-        g1 = gcd(a, c)
-        g2 = gcd(f, d)
-        return _qqi((a // g1) * (f // g2), 0, (d // g2) * (c // g1))
     n = c * c + e * e
     if not n:
         raise ZeroDivisionError("inverse of zero Gaussian rational")
@@ -102,7 +93,7 @@ class QQi:
     Normal form: d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and two
     equal values have equal triples. Each operation builds its result
     from integer products and normalises with one gcd; an ``int``
-    operand and a product or quotient of two real values need none.
+    addend needs none and an ``int`` factor only gcd(factor, d).
 
     Supports field arithmetic, integer powers (negative allowed), exact
     modulus-squared comparison, and hashing. Plain ints and Fractions
@@ -117,9 +108,15 @@ class QQi:
     def __init__(self, re=0, im=0):
         re, im = _frac(re), _frac(im)
         d = lcm(re.denominator, im.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = im.numerator * (d // im.denominator)
-        self._d = d
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QQi is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QQi is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -194,10 +191,6 @@ class QQi:
                 d //= g
             return _qqi(a * other, b * other, d)
         c, e, f = _parts(other)
-        if not b and not e:
-            g1 = gcd(a, f)
-            g2 = gcd(c, d)
-            return _qqi((a // g1) * (c // g2), 0, (d // g2) * (f // g1))
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -214,19 +207,10 @@ class QQi:
         q = self if n >= 0 else self.inverse()
         a, b, d = q._a, q._b, q._d
         n = abs(n)
-        dn = d ** n
-        if not b:
-            # coprime a and d give coprime powers
-            return _qqi(a ** n, 0, dn)
-        # (a + b i)^n by squaring, over the Gaussian integers
         x, y = 1, 0
-        while n:
-            if n & 1:
-                x, y = x * a - y * b, x * b + y * a
-            n >>= 1
-            if n:
-                a, b = a * a - b * b, 2 * a * b
-        return _reduced(x, y, dn)
+        for _ in range(n):
+            x, y = x * a - y * b, x * b + y * a
+        return _reduced(x, y, d ** n)
 
     def __repr__(self):
         if not self._b:
@@ -243,6 +227,10 @@ class QQi:
             re_s, _, im_s = token[1:-1].partition(",")
             return QQi(Fraction(re_s.strip()), Fraction(im_s.strip()))
         return QQi(Fraction(token))
+
+
+# the slots are written only in ``__init__`` and ``_qqi``, past ``__setattr__``
+_set_a, _set_b, _set_d = QQi._a.__set__, QQi._b.__set__, QQi._d.__set__
 
 
 def gauss_solve(rows: list[list[Fraction]], rhs: list) -> list | None:

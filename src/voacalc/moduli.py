@@ -418,6 +418,13 @@ def _sewn(Q1: ModuliElement | None, i: int, Q2: ModuliElement | None):
         return None
 
 
+def _sewn_memo(memo: dict, Q: ModuliElement, i: int, Q3: ModuliElement):
+    """``_sewn(Q, i, Q3)``, kept in ``memo`` under the index i."""
+    if i not in memo:
+        memo[i] = _sewn(Q, i, Q3)
+    return memo[i]
+
+
 def check_operad_axioms(sample: list[ModuliElement],
                         seed: int = 7) -> list[VerificationReport]:
     """Associativity, equivariance, and identity instances over a sample.
@@ -466,14 +473,8 @@ def check_operad_axioms(sample: list[ModuliElement],
                     for i1 in range(1, j + 1)} if j + k > 1 else {}
             for Q3 in sample:
                 l = Q3.arity
-                inner = {}
-
-                def inner_sewn(Q, idx):
-                    key = (Q is Q2, idx)
-                    if key not in inner:
-                        inner[key] = _sewn(Q, idx, Q3)
-                    return inner[key]
-
+                # Q1 o_i Q3 and Q2 o_i Q3, by index i
+                inner1, inner2 = {}, {}
                 for i1 in range(1, j + 1):
                     for i2 in range(1, j + k):
                         if i2 < i1:
@@ -486,12 +487,14 @@ def check_operad_axioms(sample: list[ModuliElement],
                         rhs = None
                         if lhs is not None:
                             if regime == "low":
-                                rhs = _sewn(inner_sewn(Q1, i2), l + i1 - 1, Q2)
+                                inner = _sewn_memo(inner1, Q1, i2, Q3)
+                                rhs = _sewn(inner, l + i1 - 1, Q2)
                             elif regime == "nested":
-                                rhs = _sewn(Q1, i1,
-                                            inner_sewn(Q2, i2 - i1 + 1))
+                                inner = _sewn_memo(inner2, Q2, i2 - i1 + 1, Q3)
+                                rhs = _sewn(Q1, i1, inner)
                             else:
-                                rhs = _sewn(inner_sewn(Q1, i2 - k + 1), i1, Q2)
+                                inner = _sewn_memo(inner1, Q1, i2 - k + 1, Q3)
+                                rhs = _sewn(inner, i1, Q2)
                         if rhs is None:
                             skips += 1
                             continue
@@ -725,8 +728,6 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
                 else:
                     a0_s, _, tail = rest.partition(";")
                     a0 = QQi.parse(a0_s.strip())
-                    if not a0:
-                        raise ValueError("coordinate scale must be nonzero")
                     taylor = [QQi.parse(tok) for tok in tail.split()]
                     coords[idx] = (ln, a0, taylor)
             else:
@@ -749,7 +750,10 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
         if i not in coords:
             raise FixtureError(f"{name}: missing coord {i}")
         ln, a0, taylor = coords[i]
-        coord_list.append(LocalCoordinate(a0, padded(i, ln, taylor)))
+        try:
+            coord_list.append(LocalCoordinate(a0, padded(i, ln, taylor)))
+        except ValueError as e:
+            raise FixtureError(f"{name}:{ln}: {e}")
     try:
         return ModuliElement(arity, order, tuple(z), padded(0, *inf),
                              tuple(coord_list), det)

@@ -214,6 +214,12 @@ def test_qqi_is_read_only():
         q.re = Fraction(3)
     with pytest.raises(AttributeError):
         q.other = 1
+    # the private slots too: a QQi is a dict key and a shared constant
+    with pytest.raises(AttributeError):
+        q._a = 3
+    with pytest.raises(AttributeError):
+        del q._d
+    assert q == QQi(1, 2) and hash(q) == hash(QQi(1, 2))
 
 
 def test_every_traced_operator_is_a_qqi_method():
