@@ -572,7 +572,7 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                     continue
                 co = binom(-n - 1, j)
                 if co:
-                    val, _ = base.scale(co).clip(V.level)
+                    val = base.scale(co).clip(V.level)
                     if val:
                         rhs[-n - 1 - j] = rhs.get(-n - 1 - j,
                                                   GradedVector()) + val

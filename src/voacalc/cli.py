@@ -5,9 +5,9 @@ Structured output is one whitespace-free record per check,
 
     suite identity params status diff-count
 
-sorted by (suite, identity, params) so that runs with different
-parallelism are byte-identical. Exit codes: 0 all pass, 1 at least one
-failure, 2 configuration or fixture error.
+sorted by (suite, identity, params). Suites run one after another;
+``--jobs N`` is accepted for every N >= 1 and changes nothing. Exit codes:
+0 all pass, 1 at least one failure, 2 configuration or fixture error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import argparse
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -36,11 +35,9 @@ class SuiteConfig:
     s3_window: int = 2
     order: int = 3
     cutoffs: tuple[int, ...] = (4, 8, 12)
-    moduli_order: int = 8
     seed: int = 94201
     count: int = 50
     jobs: int = 1
-    fmt: str = "text"
     fixtures: tuple[str, ...] = ()
 
     def validate(self) -> None:
@@ -52,6 +49,10 @@ class SuiteConfig:
             raise ConfigError("cutoff schedule must be strictly increasing")
         if self.jobs < 1:
             raise ConfigError("jobs must be positive")
+
+
+# flow-sequence order of the moduli suite's elements
+MODULI_ORDER = 8
 
 
 def _tag(reports, suite):
@@ -141,9 +142,7 @@ def voa_suite(cfg: SuiteConfig) -> list[VerificationReport]:
                     rhs = V.virasoro(m + n, vec, ceil).scale(Fraction(m - n))
                     if m + n == 0:
                         rhs = rhs + vec.scale(c * Fraction(m ** 3 - m, 12))
-                    l, _ = lhs.clip(cfg.level)
-                    r, _ = rhs.clip(cfg.level)
-                    if l != r:
+                    if lhs.clip(cfg.level) != rhs.clip(cfg.level):
                         diffs.append(((m, n, lab), "differs", ""))
     out.append(VerificationReport.from_diffs(
         "virasoro-bracket", "range=4;maxwt=4", diffs))
@@ -169,23 +168,29 @@ def _commutator_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
     return out
 
 
-def _conjugation_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
+def conjugation_suite(cfg: SuiteConfig) -> list[VerificationReport]:
+    V = build_heisenberg(cfg.level)
     out = []
     for lv in V.basis_upto(min(cfg.level, 4)):
         out.extend(axioms.check_conjugation(V, GradedVector.basis(lv),
                                             cfg.order))
-    return out
+    return _tag(out, "conjugation")
 
 
-# `check` targets that run one part of a suite: (suite tag, reports)
+def _part(suite, reports):
+    """One part of a suite, on a fresh algebra, tagged as the suite."""
+    return lambda cfg: _tag(reports(build_heisenberg(cfg.level), cfg), suite)
+
+
+# `check` targets outside SUITES, so `voacalc all` does not run them
 PARTS = {
-    "skew": ("voa-axioms", _skew_reports),
-    "commutators": ("voa-axioms", _commutator_reports),
-    "conjugation": ("conjugation", _conjugation_reports),
+    "skew": _part("voa-axioms", _skew_reports),
+    "commutators": _part("voa-axioms", _commutator_reports),
+    "conjugation": conjugation_suite,
 }
 
 
-def _jacobi_triples(level: int, max_total: int):
+def _jacobi_triples(max_total: int):
     for total in range(max_total + 1):
         for w1 in range(total + 1):
             for w2 in range(total - w1 + 1):
@@ -199,15 +204,11 @@ def _jacobi_triples(level: int, max_total: int):
 def jacobi_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     V = build_heisenberg(cfg.level)
     win = Window.symmetric(("x0", "x1", "x2"), cfg.window)
-    items = list(_jacobi_triples(cfg.level, cfg.level))
-
-    def run(t):
-        l1, l2, l3 = t
-        return axioms.check_jacobi(V, GradedVector.basis(l1),
-                                   GradedVector.basis(l2),
-                                   GradedVector.basis(l3), win)
-
-    return _tag(_parallel_map(run, items, cfg.jobs), "jacobi")
+    out = [axioms.check_jacobi(V, GradedVector.basis(l1),
+                               GradedVector.basis(l2),
+                               GradedVector.basis(l3), win)
+           for l1, l2, l3 in _jacobi_triples(cfg.level)]
+    return _tag(out, "jacobi")
 
 
 def s3_suite(cfg: SuiteConfig) -> list[VerificationReport]:
@@ -215,7 +216,7 @@ def s3_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     win = Window.symmetric(("x0", "x1", "x2"), cfg.s3_window)
     out = []
     kept = 0
-    for l1, l2, l3 in _jacobi_triples(cfg.level, cfg.level):
+    for l1, l2, l3 in _jacobi_triples(cfg.level):
         if kept >= cfg.count:
             break
         u = GradedVector.basis(l1)
@@ -371,7 +372,7 @@ def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
 
 def moduli_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    Mo = cfg.moduli_order
+    Mo = MODULI_ORDER
     rng = random.Random(cfg.seed)
     out = []
     ident = moduli.identity_element(Mo)
@@ -454,23 +455,13 @@ SUITES = {
 }
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_suites(names, cfg: SuiteConfig) -> RunReport:
+    """Run each named suite or `check` part in turn; records sorted."""
     cfg.validate()
     t0 = time.time()
     run = RunReport()
-
-    def one(name):
-        return SUITES[name](cfg)
-
-    for chunk in _parallel_map(one, list(names), cfg.jobs):
-        run.extend(chunk)
+    for name in names:
+        run.extend((SUITES[name] if name in SUITES else PARTS[name])(cfg))
     run.reports.sort(key=lambda r: (r.suite, r.identity, r.params))
     run.elapsed = time.time() - t0
     return run
@@ -517,7 +508,7 @@ def _config_from(args, fixtures=()) -> SuiteConfig:
     cfg = SuiteConfig(level=args.level, window=args.window,
                       s3_window=min(args.window, 2), order=args.order,
                       cutoffs=cutoffs, seed=args.seed, count=args.count,
-                      jobs=args.jobs, fmt=args.fmt,
+                      jobs=args.jobs,
                       fixtures=tuple(str(f) for f in fixtures))
     cfg.validate()
     return cfg
@@ -569,84 +560,55 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "check":
-        cfg = _config_from(args)
-        if args.suite in PARTS:
-            run = _part_run(cfg, *PARTS[args.suite])
-        else:
-            run = run_suites([args.suite], cfg)
-        emit(run, cfg.fmt)
-        return run.exit_code
-
-    if args.command == "contragredient":
-        cfg = _config_from(args)
-        if args.action == "build":
-            V = build_heisenberg(cfg.level)
-            M = axioms.VOAAction(V)
-            form = contra.build_invariant_form(M)
-            dets = form.block_determinants()
-            for w in sorted(dets):
-                print(f"weight {w}: dim {V.dim(w)} det {dets[w]}")
-            print(f"symmetric={form.symmetric}")
-            return 0
-        run = run_suites(["contragredient"], cfg)
-        emit(run, cfg.fmt)
-        return run.exit_code
-
-    if args.command == "fusion":
-        cfg = _config_from(args, fixtures=args.files)
-        run = run_suites(["fusion"], cfg)
-        emit(run, cfg.fmt)
-        return run.exit_code
-
-    if args.command == "moduli":
-        cfg = _config_from(args)
-        if args.action == "sew":
-            if len(args.files) != 2:
-                raise ConfigError("moduli sew needs exactly two element files")
-            Q1 = moduli.load_moduli_element(args.files[0])
-            Q2 = moduli.load_moduli_element(args.files[1])
+    cfg = _config_from(args, args.files if args.command == "fusion" else ())
+    # the three actions that run no suite; action names are unique
+    action = getattr(args, "action", None)
+    if action == "build":
+        V = build_heisenberg(cfg.level)
+        M = axioms.VOAAction(V)
+        form = contra.build_invariant_form(M)
+        dets = form.block_determinants()
+        for w in sorted(dets):
+            print(f"weight {w}: dim {V.dim(w)} det {dets[w]}")
+        print(f"symmetric={form.symmetric}")
+        return 0
+    if action == "sew":
+        if len(args.files) != 2:
+            raise ConfigError("moduli sew needs exactly two element files")
+        Q1 = moduli.load_moduli_element(args.files[0])
+        Q2 = moduli.load_moduli_element(args.files[1])
+        try:
+            res = moduli.sew(Q1, args.at, Q2)
+        except (moduli.UnsupportedSewing, moduli.SewingUndefined) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        sys.stdout.write(moduli.format_moduli_element(res.element))
+        return 0
+    if action == "nu":
+        if len(args.files) != 1:
+            raise ConfigError("moduli nu needs one element file")
+        Q = moduli.load_moduli_element(args.files[0])
+        V = build_heisenberg(cfg.level)
+        vecs = [V.omega] * Q.arity
+        vp = GradedVector.basis(())
+        for N in cfg.cutoffs:
             try:
-                res = moduli.sew(Q1, args.at, Q2)
-            except (moduli.UnsupportedSewing, moduli.SewingUndefined) as e:
+                res = moduli.nu_evaluate(V, Q, vecs, vp, N)
+            except moduli.DomainViolation as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 1
-            sys.stdout.write(moduli.format_moduli_element(res.element))
-            return 0
-        if args.action == "nu":
-            if len(args.files) != 1:
-                raise ConfigError("moduli nu needs one element file")
-            Q = moduli.load_moduli_element(args.files[0])
-            V = build_heisenberg(cfg.level)
-            vecs = [V.omega] * Q.arity
-            vp = GradedVector.basis(())
-            for N in cfg.cutoffs:
-                try:
-                    res = moduli.nu_evaluate(V, Q, vecs, vp, N)
-                except moduli.DomainViolation as e:
-                    print(f"error: {e}", file=sys.stderr)
-                    return 1
-                print(f"cutoff {N}: value {res.value} stable {res.stable}")
-            return 0
-        run = run_suites(["moduli"], cfg)
-        emit(run, cfg.fmt)
-        return run.exit_code
+            print(f"cutoff {N}: value {res.value} stable {res.stable}")
+        return 0
 
-    cfg = _config_from(args)
-    run = run_suites(list(SUITES), cfg)
-    emit(run, cfg.fmt)
+    # `check <suite>`, `all`, and `contragredient verify`, `fusion verify`,
+    # `moduli axioms`, whose commands are named after their suites
+    if args.command == "all":
+        names = list(SUITES)
+    else:
+        names = [getattr(args, "suite", args.command)]
+    run = run_suites(names, cfg)
+    emit(run, args.fmt)
     return run.exit_code
-
-
-def _part_run(cfg: SuiteConfig, suite: str, reports) -> RunReport:
-    """One part of a suite on a fresh algebra, tagged and sorted as
-    ``run_suites`` does."""
-    run = RunReport()
-    t0 = time.time()
-    run.extend(_tag(reports(build_heisenberg(cfg.level), cfg), suite))
-    run.reports.sort(key=lambda r: (r.suite, r.identity, r.params))
-    run.elapsed = time.time() - t0
-    return run
 
 
 if __name__ == "__main__":

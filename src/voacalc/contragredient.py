@@ -225,8 +225,8 @@ def check_dual_virasoro(M, n_range: int,
                 rhs = Mp.virasoro(m + n, wp, top).scale(m - n)
                 if m + n == 0:
                     rhs = rhs + wp.scale(c * Fraction(m ** 3 - m, 12))
-                l6, _ = lhs.clip(M.level)
-                r6, _ = rhs.clip(M.level)
+                l6 = lhs.clip(M.level)
+                r6 = rhs.clip(M.level)
                 delta = l6 - r6
                 for label in sorted(delta.coeff):
                     diffs.append((("bracket", m, n, fmt_label(mu), label),
@@ -461,35 +461,11 @@ class DSVector:
     v: GradedVector
     w: GradedVector
 
-    def __add__(self, other):
-        return DSVector(self.v + other.v, self.w + other.w)
-
     def __sub__(self, other):
         return DSVector(self.v - other.v, self.w - other.w)
 
-    def scale(self, c):
-        return DSVector(self.v.scale(c), self.w.scale(c))
-
-    def __eq__(self, other):
-        return self.v == other.v and self.w == other.w
-
     def is_zero(self):
         return self.v.is_zero() and self.w.is_zero()
-
-    @property
-    def coeff(self):
-        out = {("V",) + k: c for k, c in self.v.coeff.items()}
-        out.update({("W",) + k: c for k, c in self.w.coeff.items()})
-        return out
-
-    def weight(self):
-        ws = {sum(k) for k in self.v.coeff} | {sum(k) for k in self.w.coeff}
-        if len(ws) != 1:
-            raise ValueError("not homogeneous")
-        return ws.pop()
-
-    def weights(self):
-        return {sum(k) for k in self.v.coeff} | {sum(k) for k in self.w.coeff}
 
 
 class DirectSumMap:

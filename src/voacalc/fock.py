@@ -244,19 +244,14 @@ class GradedVector:
         return GradedVector({k: v for k, v in self.coeff.items()
                              if sum(k) == weight})
 
-    def clip(self, ceiling: int) -> tuple["GradedVector", bool]:
-        """Drop components above ``ceiling``; report whether any were."""
-        kept, dropped = {}, False
-        for k, v in self.coeff.items():
-            if sum(k) <= ceiling:
-                kept[k] = v
-            else:
-                dropped = True
-        if not dropped:
-            return self, False
+    def clip(self, ceiling: int) -> "GradedVector":
+        """Drop components above ``ceiling``."""
+        kept = {k: v for k, v in self.coeff.items() if sum(k) <= ceiling}
+        if len(kept) == len(self.coeff):
+            return self
         r = GradedVector.__new__(GradedVector)
         r.coeff = kept
-        return r, True
+        return r
 
     def __repr__(self):
         if not self.coeff:

@@ -297,7 +297,7 @@ class IntertwinerAction:
                     else:
                         acc.pop(l3, None)
         out = GradedVector(acc)
-        return out.clip(self.level)[0]
+        return out.clip(self.level)
 
     def true_nonzero(self, op, j, vec) -> bool:
         return self.data.m3.true_nonzero(op, j, vec)

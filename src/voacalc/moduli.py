@@ -618,7 +618,7 @@ def nu_state(V: HeisenbergVOA, Q: ModuliElement, vectors,
     if norms and not norms[-1] > 0:
         raise DomainViolation("punctures must avoid the origin")
     state = _scaled(vectors[-1], Q.coords[-1].scale)
-    state, _ = state.clip(cutoff)
+    state = state.clip(cutoff)
     for idx in range(Q.arity - 2, -1, -1):
         u = _scaled(vectors[idx], Q.coords[idx].scale)
         zz = Q.z[idx]
@@ -699,10 +699,13 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
     """Parse the plain-text element format: ``arity n``, ``order M``,
     ``z: ...``, ``coord 0: A...``, ``coord i: a0 ; A...``.
 
-    A malformed or zero-denominator number, a zero scale and more flow
-    coefficients than ``order`` raise ``FixtureError`` naming
-    ``name:line``."""
+    A malformed or zero-denominator number, a negative arity, a zero
+    scale, more flow coefficients than ``order`` and a bad position list
+    raise ``FixtureError`` naming ``name:line``; the position list is
+    blamed on its ``z:`` line, or on the ``arity`` line when there is
+    none."""
     arity = order = None
+    arity_ln = z_ln = 0
     z: list[QQi] = []
     inf = (0, [])
     coords: dict[int, tuple] = {}
@@ -713,11 +716,13 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
             continue
         try:
             if line.startswith("arity"):
-                arity = int(line.split()[1])
+                arity, arity_ln = int(line.split()[1]), ln
+                if arity < 0:
+                    raise ValueError("arity must be nonnegative")
             elif line.startswith("order"):
                 order = int(line.split()[1])
             elif line.startswith("z:"):
-                z = [QQi.parse(tok) for tok in line[2:].split()]
+                z, z_ln = [QQi.parse(tok) for tok in line[2:].split()], ln
             elif line.startswith("det:"):
                 det = Fraction(line[4:].strip())
             elif line.startswith("coord"):
@@ -758,7 +763,7 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
         return ModuliElement(arity, order, tuple(z), padded(0, *inf),
                              tuple(coord_list), det)
     except ValueError as e:
-        raise FixtureError(f"{name}: {e}")
+        raise FixtureError(f"{name}:{z_ln or arity_ln}: {e}")
 
 
 def load_moduli_element(path) -> ModuliElement:

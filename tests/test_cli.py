@@ -81,7 +81,10 @@ def test_bad_fixture_exits_two(tmp_path, capsys):
     ("z: 1/0", "zero denominator"),
     ("coord 1: 0 ; 0 0", "scale must be nonzero"),
     ("coord 1: 1 ; 0 0 0 0 5", "more than order 2"),
-], ids=["zero-denominator", "zero-scale", "too-many-flow-coefficients"])
+    ("z: 0", "positions must be nonzero"),
+    ("z: 1 2", "must have length arity-1"),
+], ids=["zero-denominator", "zero-scale", "too-many-flow-coefficients",
+        "zero-position", "too-many-positions"])
 def test_bad_moduli_fixture_exits_two_with_line(bad_line, message, tmp_path,
                                                 capsys):
     lines = ["arity 2", "order 2", "z: 1", "coord 0: 0 0",
@@ -94,6 +97,40 @@ def test_bad_moduli_fixture_exits_two_with_line(bad_line, message, tmp_path,
                               "--cutoffs", "2,4"], capsys)
     assert code == 2 and out == ""
     assert f"bad.mod:{where}:" in err and message in err
+
+
+@pytest.mark.parametrize("lines, where, message", [
+    (["arity 3", "order 2", "z: 1 1", "coord 0: 0 0", "coord 1: 1 ; 0 0",
+      "coord 2: 1 ; 0 0", "coord 3: 1 ; 0 0"], 3, "must be distinct"),
+    (["order 2", "arity 2", "coord 0: 0 0", "coord 1: 1 ; 0 0",
+      "coord 2: 1 ; 0 0"], 2, "must have length arity-1"),
+    (["arity -1", "order 2", "z: 1", "coord 0: 0 0"], 1,
+     "arity must be nonnegative"),
+], ids=["repeated-position", "no-position-line", "negative-arity"])
+def test_bad_arity_or_positions_name_their_line(lines, where, message,
+                                                tmp_path, capsys):
+    # the position list is checked after the per-line loop; without a z:
+    # line the arity line is named
+    bad = tmp_path / "bad.mod"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["moduli", "nu", str(bad), "--level", "2",
+                              "--cutoffs", "2,4"], capsys)
+    assert code == 2 and out == ""
+    assert f"bad.mod:{where}:" in err and message in err
+
+
+def test_import_leaves_out_the_executor():
+    # concurrent.futures pulls in logging: about 0.7 MiB on every run
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import voacalc.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_failing_fixture_exits_one(tmp_path, capsys):
