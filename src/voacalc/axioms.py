@@ -18,15 +18,16 @@ out of budget whenever an outer mode could map that content back into
 the observable range.
 
 In the three-term engine (``three_term_check``, and the rewrite
-``check_translate_skew``) each term depends on the window position only
-through its two mode indices, so each product, and each inner image, is
-computed once per check call and then looked up; the expansion
-coefficients are tabulated once per exponent. The memos are local to the
-call and are never kept on an action or an algebra: a structure constant
-corrupted between two calls, as negative controls do, is seen by the
-second, and contragredient and intertwiner actions, whose values are not
-the algebra's, share the engine safely. Coefficients stay integers until
-a genuine fraction enters.
+``check_translate_skew``) each product, and each inner image, is computed
+once per check call. At a window position (a, b, c) the two mode indices
+of every product of a term add up to the diagonal D = -(a+b+c+3), so a
+term keeps its products per diagonal and a position visits only the
+nonzero ones; the expansion coefficients are tabulated once per exponent.
+The memos are local to the call and are never kept on an action or an
+algebra: a structure constant corrupted between two calls, as negative
+controls do, is seen by the second, and contragredient and intertwiner
+actions, whose values are not the algebra's, share the engine safely.
+Coefficients stay integers until a genuine fraction enters.
 
 The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
 written once (``skew_coefficient``): the skew-symmetry check and the
@@ -37,8 +38,10 @@ per vector.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .exact import binom
 from .fock import GradedVector, HeisenbergVOA, exp_chain
@@ -103,29 +106,37 @@ class _Skip(Exception):
         self.note = note
 
 
-def _positions(win: Window):
+def _positions(win: Window, weight: int, level: int):
+    """The positions (a, b, c) of the window at which the final weight,
+    weight + a + b + c + 1, is observable: in 0..level."""
     for a in range(win.lo("x0"), win.hi("x0") + 1):
         for b in range(win.lo("x1"), win.hi("x1") + 1):
-            for c in range(win.lo("x2"), win.hi("x2") + 1):
+            s = weight + a + b + 1
+            for c in range(max(win.lo("x2"), -s),
+                           min(win.hi("x2"), level - s) + 1):
                 yield a, b, c
 
 
-def _expansion_rows(win: Window, k_prod: int, k_iter: int):
+def _expansion_rows(win: Window, k_prod: int, k_iter: int, sign: int):
     """The delta-function expansion coefficients, tabulated once per check
-    instead of per position: binom(-a-1, k) (-1)^k for each x0 exponent a
-    (the two products) and binom(b+k, k) (-1)^k for each x1 exponent b
-    (the iterate)."""
-    prod = {a: [binom(-a - 1, k) * (-1) ** k for k in range(k_prod)]
+    instead of per position: binom(-a-1, k) sign^k for each x0 exponent a
+    (the two products) and binom(b+k, k) sign^k for each x1 exponent b
+    (the iterate). As binom(n, k) = 0 exactly when 0 <= n < k, each row's
+    nonzero entries are a prefix, and a row ends before its first zero."""
+    prod = {a: list(takewhile(bool, (binom(-a - 1, k) * sign ** k
+                                     for k in range(k_prod))))
             for a in range(win.lo("x0"), win.hi("x0") + 1)}
-    iterate = {b: [binom(b + k, k) * (-1) ** k for k in range(k_iter)]
+    iterate = {b: list(takewhile(bool, (binom(b + k, k) * sign ** k
+                                        for k in range(k_iter))))
                for b in range(win.lo("x1"), win.hi("x1") + 1)}
     return prod, iterate
 
 
 class _Term:
     """The products of one term of a three-term identity within one check
-    call, memoised by their two mode indices (i, j): x_i (y_j z), or
-    (y_j z)_i x for an iterate, with the inner images y_j z memoised by j.
+    call: x_i (y_j z), or (y_j z)_i x for an iterate, with the inner images
+    y_j z memoised by j. They are kept per diagonal D = i + j: the j
+    computed so far, and the nonzero products by j.
 
     An inner image above the inner action's level is tested once for true
     loss, and only when the outer mode can see it: ``kron`` is the one
@@ -138,43 +149,51 @@ class _Term:
         self.kron = kron
         self.note = note
         self.yz_weight = y.weight() + z.weight()
-        self.memo: dict = {}
+        self.diags = defaultdict(lambda: (set(), {}))
         self.images: dict = {}
 
-    def compute(self, key: tuple, pos: tuple) -> dict:
-        i, j = key
+    def compute(self, i: int, j: int, pos: tuple) -> dict:
         iw = self.yz_weight - j - 1
         if iw > self.inner.level:
             if (self.kron is None or i == self.kron) \
                     and self.inner.true_nonzero(self.y, j, self.z):
                 raise _Skip(f"{self.note} weight {iw} at {pos}")
-            val = {}
-        else:
-            img = self.images.get(j)
-            if img is None:
-                img = self.images[j] = self.inner.act(self.y, j, self.z)
-            if not img:
-                val = {}
-            elif self.iterate:
-                val = self.outer.act(img, i, self.x).coeff
-            else:
-                val = self.outer.act(self.x, i, img).coeff
-        self.memo[key] = val
-        return val
+            return {}
+        img = self.images.get(j)
+        if img is None:
+            img = self.images[j] = self.inner.act(self.y, j, self.z)
+        if not img:
+            return {}
+        if self.iterate:
+            return self.outer.act(img, i, self.x).coeff
+        return self.outer.act(self.x, i, img).coeff
 
-
-def _add(acc: dict, term: _Term, pairs, pos: tuple) -> None:
-    """acc += co * product(key) over the (key, co) pairs of one position."""
-    memo = term.memo
-    for key, co in pairs:
-        val = memo.get(key)
-        if val is None:
-            val = term.compute(key, pos)
-        for label, x in val.items():
-            acc[label] = acc.get(label, 0) + co * x
+    def add(self, acc: dict, pos: tuple, diag: int, off: int, row: list,
+            n: int, sign: int) -> None:
+        """acc += sign * row[k] * product(diag - j, j), j = k - off, over
+        k < n. Missing products are computed first, in k order, for every
+        k < n; past the end of ``row`` the coefficient is zero."""
+        done, nonzero = self.diags[diag]
+        if not done.issuperset(range(-off, n - off)):
+            for j in range(-off, n - off):
+                if j not in done:
+                    val = self.compute(diag - j, j, pos)
+                    done.add(j)
+                    if val:
+                        nonzero[j] = val
+        if nonzero:
+            m = min(n, len(row))
+            for j, val in nonzero.items():
+                k = j + off
+                if 0 <= k < m:
+                    co = sign * row[k]
+                    for label, x in val.items():
+                        acc[label] = acc.get(label, 0) + co * x
 
 
 def _diff_labels(diffs: list, where: tuple, lhs: dict, rhs: dict) -> None:
+    if lhs == rhs:
+        return
     for label in sorted(set(lhs) | set(rhs)):
         lc, rc = lhs.get(label, 0), rhs.get(label, 0)
         if lc != rc:
@@ -210,8 +229,7 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
     diffs = []
     prod_co, iter_co = _expansion_rows(
         win, max(qw + tw + win.hi("x2"), pw + tw + win.hi("x1")) + 1,
-        pw + qw + win.hi("x0") + 1)
-    # each term depends on the position only through its two mode indices
+        pw + qw + win.hi("x0") + 1, -1)
     first = _Term(acts.out1, p, acts.in1, q, tgt, iterate=False,
                   kron=acts.out1.kron(p), note="product-inner")
     second = _Term(acts.out2, q, acts.in2, p, tgt, iterate=False,
@@ -219,25 +237,21 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
     third = _Term(acts.out3, tgt, acts.iterate, p, q, iterate=True,
                   kron=None, note="iterate-inner")
     try:
-        for pos in _positions(win):
+        for pos in _positions(win, pw + qw + tw, l_obs):
             a, b, c = pos
-            final = pw + qw + tw + a + b + c + 1
-            if final < 0 or final > l_obs:
-                continue
-            lhs: dict = {}
-            rhs: dict = {}
+            diag = -(a + b + c + 3)
+            lhs, rhs = {}, {}
             row = prod_co[a]
-            sign2 = 1 if a % 2 else -1
-            # first product: p outer at r, q inner at s
-            _add(lhs, first, (((-(a + b + k + 2), k - c - 1), row[k])
-                              for k in range(qw + tw + c + 1) if row[k]), pos)
-            # second product: q outer at s2, p inner at r2
-            _add(lhs, second, (((-(a + c + k + 2), k - b - 1), -sign2 * row[k])
-                               for k in range(pw + tw + b + 1) if row[k]), pos)
-            # iterate: p_m q at x0, result acting at x2
+            # first product: p outer, q inner at j = k - c - 1
+            first.add(lhs, pos, diag, c + 1, row,
+                      min(qw + tw + c + 1, len(row)), 1)
+            # second product: q outer, p inner at j = k - b - 1
+            second.add(lhs, pos, diag, b + 1, row,
+                       min(pw + tw + b + 1, len(row)), -1 if a % 2 else 1)
+            # iterate: p_j q at x0, result acting at x2, j = k - a - 1
             row = iter_co[b]
-            _add(rhs, third, (((-(b + c + k + 2), k - a - 1), row[k])
-                              for k in range(pw + qw + a + 1) if row[k]), pos)
+            third.add(rhs, pos, diag, a + 1, row,
+                      min(pw + qw + a + 1, len(row)), 1)
             _diff_labels(diffs, pos, lhs, rhs)
     except _Skip as sk:
         return VerificationReport.skipped(identity, params, sk.note)
@@ -673,57 +687,43 @@ def check_translate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
       - x0^-1 d((x2-x1)/-x0) Y(Y(u, x1)w, -x2) v
       = x2^-1 d((x1-x0)/x2) Y(w, -x2) Y(u, x0) v
 
-    As in ``three_term_check``, each product is memoised per call by its
-    two mode indices and the expansion coefficients per exponent.
+    As in ``three_term_check``, each term keeps its products per diagonal.
     """
     wu, wv, ww = u.weight(), v.weight(), w.weight()
-    W = wu + wv + ww
     params = _triple_params(u, v, w, f"win={win.hi('x0')}")
     act = VOAAction(V)
     diffs = []
     prod_co, iter_co = _expansion_rows(
-        win, max(ww + wv + win.hi("x2"), wu + ww + win.hi("x1")) + 1,
-        wu + wv + win.hi("x0") + 1)
+        win, wu + ww + win.hi("x1") + 1,
+        max(wu + wv + win.hi("x0"), ww + wv + win.hi("x2")) + 1, 1)
     term_a = _Term(act, u, act, w, v, iterate=False, kron=act.kron(u),
                    note="inner")
     term_b = _Term(act, v, act, u, w, iterate=True, kron=None,
                    note="iterate")
     term_c = _Term(act, w, act, u, v, iterate=False, kron=act.kron(w),
                    note="inner")
-
-    def pairs_a(a, b, c):
-        for k1 in range(ww + wv + c + 1):
-            c1 = prod_co[a][k1]
-            if not c1:
-                continue
-            for k2 in range(ww + wv + c - k1 + 1):
-                r = -(a + b + k1 + k2 + 2)
-                c2 = binom(-r - 1, k2) * (-1) ** k2
-                if c2:
-                    s = k1 + k2 - c - 1
-                    yield (r, s), c1 * c2 * (-1) ** ((s + 1) % 2)
-
     try:
-        for pos in _positions(win):
+        for pos in _positions(win, wu + wv + ww, V.level):
             a, b, c = pos
-            final = W + a + b + c + 1
-            if final < 0 or final > V.level:
-                continue
-            lhs: dict = {}
-            rhs: dict = {}
+            diag = -(a + b + c + 3)
+            lhs, rhs = {}, {}
+            sign = -1 if c % 2 else 1
+            # term a: delta * Y(u, x1-x2) Y(w, -x2) v, w inner at j = k-c-1.
+            # Its coefficient (-1)^c binom(b+k, k) is, by Vandermonde, a sum
+            # over k1 of binom(-a-1, k1) binom(a+b+k+1, k-k1); a product is
+            # computed where a summand is nonzero: below -a-b-1 if a, b < 0
+            n = ww + wv + c + 1
+            term_a.add(lhs, pos, diag, c + 1, iter_co[b],
+                       min(n, -a - b - 1) if a < 0 and b < 0 else n, sign)
+            # term b: delta * Y(Y(u,x1)w, -x2) v, with u_j w at j = k - b - 1
             row = prod_co[a]
-            sign = 1 if a % 2 else -1
-            # term a: delta * Y(u, x1-x2) Y(w, -x2) v
-            _add(lhs, term_a, pairs_a(a, b, c), pos)
-            # term b: delta * Y(Y(u,x1)w, -x2) v, with t = -(a+c+k+2)
-            _add(lhs, term_b, (((-(a + c + k + 2), k - b - 1),
-                                -sign * row[k] * (-1) ** ((a + c + k + 1) % 2))
-                               for k in range(wu + ww + b + 1) if row[k]), pos)
-            # term c: delta * Y(w, -x2) Y(u, x0) v, with s = -(b+c+k+2)
+            term_b.add(lhs, pos, diag, b + 1, row,
+                       min(wu + ww + b + 1, len(row)), -sign)
+            # term c: delta * Y(w, -x2) Y(u, x0) v, u inner at j = k - a - 1
             row = iter_co[b]
-            _add(rhs, term_c, (((-(b + c + k + 2), k - a - 1),
-                                row[k] * (-1) ** ((b + c + k + 1) % 2))
-                               for k in range(wu + wv + a + 1) if row[k]), pos)
+            term_c.add(rhs, pos, diag, a + 1, row,
+                       min(wu + wv + a + 1, len(row)),
+                       sign if b % 2 else -sign)
             _diff_labels(diffs, pos, lhs, rhs)
     except _Skip as sk:
         return VerificationReport.skipped("translate-skew-rewrite", params,

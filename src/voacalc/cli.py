@@ -49,6 +49,10 @@ class SuiteConfig:
             raise ConfigError("cutoff schedule must be strictly increasing")
         if self.jobs < 1:
             raise ConfigError("jobs must be positive")
+        if self.order < 0:
+            raise ConfigError("order must be nonnegative")
+        if self.count < 1:
+            raise ConfigError("count must be positive")
 
 
 # flow-sequence order of the moduli suite's elements

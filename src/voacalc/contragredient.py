@@ -443,6 +443,11 @@ def check_invariant_form(M, normalization: Fraction = Fraction(1),
         "invariant-form", f"norm={normalization}", diffs,
         note="block dets " + ",".join(str(dets[w]) for w in sorted(dets))))
     om = M.V.omega
+    if om.weight() > M.level:
+        out.append(VerificationReport.skipped(
+            "form-conformal-norm", f"level={M.level}",
+            f"omega has weight {om.weight()}, above level {M.level}"))
+        return out
     want = normalization * M.V.central_charge / 2
     got = form.pair(om, om)
     out.append(VerificationReport.from_diffs(

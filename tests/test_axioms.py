@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from voacalc import axioms
-from voacalc.fock import GradedVector, build_heisenberg, partitions_upto
-from voacalc.reports import Status
+from voacalc import axioms, contragredient as contra, fusion
+from voacalc.exact import binom
+from voacalc.fock import (GradedVector, build_heisenberg, partitions,
+                          partitions_upto)
+from voacalc.reports import Status, fmt_vec
 from voacalc.series import Window, delta_expansion
 
 
@@ -180,3 +183,234 @@ class TestS3:
         rep = axioms.check_translate_skew(V, u, v, w, WIN2)
         V.clear_corruptions()
         assert rep.failed
+
+
+# -- oracle for the three-term engine ---------------------------------------
+#
+# A naive evaluator: every product is recomputed from scratch at every
+# window position, the keys of each position taken term by term in
+# expansion order, under the engine's loss rule. Full reports (status,
+# note, ordered diffs) must agree with the engine's.
+
+
+class _NaiveSkip(Exception):
+    pass
+
+
+def _naive_product(outer, x, inner, y, z, iterate, kron, note, i, j, pos):
+    iw = y.weight() + z.weight() - j - 1
+    if iw > inner.level:
+        if (kron is None or i == kron) and inner.true_nonzero(y, j, z):
+            raise _NaiveSkip(f"{note} weight {iw} at {pos}")
+        return {}
+    img = inner.act(y, j, z)
+    if not img:
+        return {}
+    return (outer.act(img, i, x) if iterate else outer.act(x, i, img)).coeff
+
+
+def _naive_report(win, weight, level, terms):
+    """terms(a, b, c) yields (side, term, i, j, coefficient) in key order;
+    side 0 is the left-hand side."""
+    diffs = []
+    try:
+        for a in range(win.lo("x0"), win.hi("x0") + 1):
+            for b in range(win.lo("x1"), win.hi("x1") + 1):
+                for c in range(win.lo("x2"), win.hi("x2") + 1):
+                    if not 0 <= weight + a + b + c + 1 <= level:
+                        continue
+                    sides = ({}, {})
+                    for side, term, i, j, co in terms(a, b, c):
+                        acc = sides[side]
+                        for label, x in _naive_product(
+                                *term, i, j, (a, b, c)).items():
+                            acc[label] = acc.get(label, 0) + co * x
+                    lhs, rhs = sides
+                    for label in sorted(set(lhs) | set(rhs)):
+                        lc, rc = lhs.get(label, 0), rhs.get(label, 0)
+                        if lc != rc:
+                            diffs.append(((a, b, c, label), lc, rc))
+    except _NaiveSkip as sk:
+        return Status.SKIPPED, str(sk), []
+    return (Status.FAIL if diffs else Status.PASS), "", diffs
+
+
+def _naive_three_term(p, q, t, win, acts):
+    pw, qw, tw = p.weight(), q.weight(), t.weight()
+    first = (acts.out1, p, acts.in1, q, t, False, acts.out1.kron(p),
+             "product-inner")
+    second = (acts.out2, q, acts.in2, p, t, False, acts.out2.kron(q),
+              "product-inner")
+    third = (acts.out3, t, acts.iterate, p, q, True, None, "iterate-inner")
+
+    def terms(a, b, c):
+        for k in range(qw + tw + c + 1):
+            co = binom(-a - 1, k) * (-1) ** k
+            if co:
+                yield 0, first, -(a + b + k + 2), k - c - 1, co
+        for k in range(pw + tw + b + 1):
+            co = binom(-a - 1, k) * (-1) ** k
+            if co:
+                yield (0, second, -(a + c + k + 2), k - b - 1,
+                       co * (-1) ** (a % 2))
+        for k in range(pw + qw + a + 1):
+            co = binom(b + k, k) * (-1) ** k
+            if co:
+                yield 1, third, -(b + c + k + 2), k - a - 1, co
+
+    level = min(acts.out1.level, acts.out2.level, acts.out3.level)
+    return _naive_report(win, pw + qw + tw, level, terms)
+
+
+def _naive_translate_skew(V, u, v, w, win):
+    act = axioms.VOAAction(V)
+    wu, wv, ww = u.weight(), v.weight(), w.weight()
+    term_a = (act, u, act, w, v, False, act.kron(u), "inner")
+    term_b = (act, v, act, u, w, True, None, "iterate")
+    term_c = (act, w, act, u, v, False, act.kron(w), "inner")
+
+    def terms(a, b, c):
+        # the two expansions of term a as a double sum over (k1, k2)
+        for k1 in range(ww + wv + c + 1):
+            c1 = binom(-a - 1, k1) * (-1) ** k1
+            if not c1:
+                continue
+            for k2 in range(ww + wv + c - k1 + 1):
+                r = -(a + b + k1 + k2 + 2)
+                c2 = binom(-r - 1, k2) * (-1) ** k2
+                if c2:
+                    s = k1 + k2 - c - 1
+                    yield 0, term_a, r, s, c1 * c2 * (-1) ** ((s + 1) % 2)
+        sign = 1 if a % 2 else -1
+        for k in range(wu + ww + b + 1):
+            co = binom(-a - 1, k) * (-1) ** k
+            if co:
+                yield (0, term_b, -(a + c + k + 2), k - b - 1,
+                       -sign * co * (-1) ** ((a + c + k + 1) % 2))
+        for k in range(wu + wv + a + 1):
+            co = binom(b + k, k) * (-1) ** k
+            if co:
+                yield (1, term_c, -(b + c + k + 2), k - a - 1,
+                       co * (-1) ** ((b + c + k + 1) % 2))
+
+    return _naive_report(win, wu + wv + ww, V.level, terms)
+
+
+ORACLE_LEVEL = 4
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A homogeneous triple (weights up to the level, small integer
+    combinations of basis vectors), a window with independent bounds per
+    variable, and whether to corrupt one structure constant."""
+    vecs = []
+    for _ in range(3):
+        wt = draw(st.sampled_from((0, 1, 1, 2, 2, 3, ORACLE_LEVEL)))
+        labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
+                               max_size=2, unique=True))
+        vec = GradedVector()
+        for lab in labels:
+            vec = vec + B(lab).scale(draw(st.sampled_from((1, -2, 3))))
+        vecs.append(vec)
+    bounds = {}
+    for var in ("x0", "x1", "x2"):
+        lo = draw(st.integers(-3, 1))
+        bounds[var] = (lo, lo + draw(st.integers(0, 3)))
+    return vecs, Window.of(**bounds), draw(st.booleans()), draw(
+        st.integers(0, 1 << 20))
+
+
+def _corrupted_algebra(corrupt: bool, pick: int, warm):
+    """A fresh algebra; with ``corrupt``, one structure constant that
+    ``warm(V)`` reads is moved by +1."""
+    V = build_heisenberg(ORACLE_LEVEL)
+    if corrupt:
+        warm(V)
+        keys = sorted(k for k in V.touched_mode_keys() if V.mode_basis(*k))
+        if keys:
+            key = keys[pick % len(keys)]
+            labels = sorted(V.mode_basis(*key))
+            V.corrupt(*key, labels[pick % len(labels)], 1)
+    return V
+
+
+def _engine(rep):
+    return rep.status, rep.note, rep.diffs
+
+
+def _recorded(V, check):
+    """check() and the set of distinct apply_mode calls it made on V: the
+    products and images computed, and the loss tests."""
+    calls = set()
+    apply = V.apply_mode
+
+    def recording(op, n, vec, ceiling=None):
+        calls.add((fmt_vec(op), n, fmt_vec(vec), ceiling))
+        return apply(op, n, vec, ceiling)
+
+    V.apply_mode = recording
+    try:
+        return check(), calls
+    finally:
+        del V.apply_mode
+
+
+def _actions(V, slot, moved=None):
+    """The actions of one slot kind. For the intertwiner, ``moved`` =
+    (q, t, pick) adds 1 to one stored mode q_j t."""
+    M = axioms.VOAAction(V)
+    if slot == "algebra":
+        return axioms.JacobiActions.uniform(M)
+    if slot == "dual":
+        Mp = contra.ContragredientModule(M)
+        return axioms.JacobiActions(out1=Mp, in1=Mp, out2=Mp, in2=Mp,
+                                    iterate=M, out3=Mp)
+    I = fusion.intertwiner_from_algebra(V)
+    if moved is not None:
+        q, t, pick = moved
+        keys = sorted(k for k in I.modes if k[0] in q.coeff
+                      and k[2] in t.coeff)
+        if keys:
+            key = keys[pick % len(keys)]
+            lab = min(I.modes[key])
+            I.modes[key] = {**I.modes[key], lab: I.modes[key][lab] + 1}
+    y_act = fusion.IntertwinerAction(I)
+    return axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
+                                in2=I.m2, iterate=I.m1, out3=y_act)
+
+
+@pytest.mark.parametrize("slot", ["algebra", "dual", "intertwiner"])
+@settings(max_examples=40, deadline=None)
+@given(case=_oracle_cases())
+def test_three_term_engine_matches_naive_evaluator(slot, case):
+    (p, q, t), win, corrupt, pick = case
+    if slot == "intertwiner":
+        # the stored modes, not the algebra, carry the corruption
+        acts = _actions(build_heisenberg(ORACLE_LEVEL), slot,
+                        (q, t, pick) if corrupt else None)
+    else:
+        V = _corrupted_algebra(corrupt, pick, lambda V: _naive_three_term(
+            p, q, t, win, _actions(V, slot)))
+        acts = _actions(V, slot)
+    if slot != "algebra":
+        got = axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")
+        assert _engine(got) == _naive_three_term(p, q, t, win, acts)
+        return
+    # the engine computes each product once, and no other products
+    got, calls = _recorded(V, lambda: axioms.three_term_check(
+        p, q, t, win, acts, "jacobi", "-"))
+    assert (_engine(got), calls) == _recorded(
+        V, lambda: _naive_three_term(p, q, t, win, acts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_oracle_cases())
+def test_translate_skew_matches_naive_evaluator(case):
+    (u, v, w), win, corrupt, pick = case
+    V = _corrupted_algebra(corrupt, pick, lambda V: _naive_translate_skew(
+        V, u, v, w, win))
+    got, calls = _recorded(V, lambda: axioms.check_translate_skew(
+        V, u, v, w, win))
+    assert (_engine(got), calls) == _recorded(
+        V, lambda: _naive_translate_skew(V, u, v, w, win))

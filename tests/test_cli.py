@@ -48,6 +48,35 @@ def test_bad_config_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "conjugation", "--order", "-1"], "order must be nonnegative"),
+    (["check", "s3", "--count", "-3"], "count must be positive"),
+    (["check", "s3", "--count", "0"], "count must be positive"),
+])
+def test_bad_order_or_count_exits_two(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_low_levels_give_records(level, capsys):
+    # omega has weight 2, so below level 2 its norm is a skip, not a
+    # KeyError from the form's index
+    for command in (["all"], ["contragredient", "verify"]):
+        code, out, _ = run_cli(command + ["--level", str(level),
+                                          "--format", "structured"], capsys)
+        assert code == 0
+        records = [line.split(" ") for line in out.splitlines()]
+        assert records
+        assert ["contragredient", "form-conformal-norm", f"level={level}",
+                "skipped-budget", "0"] in records
+    _, out, _ = run_cli(["contragredient", "verify", "--level", str(level)],
+                        capsys)
+    assert f"(omega has weight 2, above level {level})" in out
+
+
 def test_options_before_files(tmp_path, capsys):
     from voacalc.moduli import format_moduli_element, two_puncture_element
     f1 = tmp_path / "p2.mod"
@@ -233,6 +262,22 @@ def test_conjugation_records_are_pinned(capsys):
     assert len(out.splitlines()) == 72
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "3379494096395148b595af69c4e61b69325ec5838c958aa0b8b624ce88be33a7"
+
+
+def test_jacobi_skip_notes_are_pinned(capsys):
+    # the structured records carry no notes; the text output names each
+    # skip's inner weight and window position, e.g. "(iterate-inner
+    # weight 8 at (1, -3, -3))". Pinned without the elapsed-time summary.
+    code, out, _ = run_cli(["check", "jacobi", "--level", "7",
+                            "--window", "3"], capsys)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert len(lines) == 845
+    assert lines[-1].startswith("passed=")
+    assert "[SKIP] jacobi jacobi u=[1,1,1,1,1,1,1];v=[];w=[];win=3  " \
+        "(iterate-inner weight 8 at (1, -3, -3))\n" in lines
+    assert hashlib.sha256("".join(lines[:-1]).encode()).hexdigest() == \
+        "86d10f3b45298a13f58073a442239043eced7f0afb40cb9336eab14bcce40942"
 
 
 def test_conj_scale_fails_on_a_mixed_weight_image(monkeypatch, capsys):
