@@ -273,22 +273,27 @@ def check_jacobi(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
 
 
 def skew_coefficient(action: VOAAction, v: GradedVector, n: int,
-                     u: GradedVector, ceiling: int | None = None
-                     ) -> GradedVector:
+                     u: GradedVector, ceiling: int | None = None,
+                     chain=None) -> GradedVector:
     """The x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u,
 
         sum_j (-1)^(n+j+1) L(-1)^j/j! v_(n+j) u,
 
     which skew-symmetry equates with u_n v. The modes and L(-1) are
-    ``action``'s, each clipped at the ceiling."""
+    ``action``'s, each clipped at the ceiling. ``chain(m, terms)`` gives
+    at least the first ``terms`` entries of the ``exp_chain`` of
+    e^{xL(-1)} v_m u; by default it is computed afresh for each j."""
     out = GradedVector()
     if not v or not u:
         return out
+    if chain is None:
+        def chain(m, terms):
+            return exp_chain(action, -1, action.act(v, m, u, ceiling),
+                             ceiling, terms)
     for j in range(max(v.weights()) + max(u.weights()) - n):
-        chain = exp_chain(action, -1, action.act(v, n + j, u, ceiling),
-                          ceiling, j + 1)
-        if len(chain) > j:
-            out = out + (chain[j] if (n + j) % 2 else -chain[j])
+        chain_j = chain(n + j, j + 1)
+        if len(chain_j) > j:
+            out = out + (chain_j[j] if (n + j) % 2 else -chain_j[j])
     return out
 
 

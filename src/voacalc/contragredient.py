@@ -13,13 +13,23 @@ weight block, these adjoints are exact at any truncation.
 A ContragredientModule is an ``axioms.VOAAction`` that overrides only
 ``act``, so the three-term engine, the intertwiner checker and the
 direct-sum map take it wherever they take the algebra acting on itself.
-It memoises two things, both on the instance: the lowered vectors
+``act`` reads whole block matrices: for each (v, n, weight) the matrix
+of A(v, n) from the dual block of that weight. For a basis vector v the
+block is the transpose of the sum over k of the base module's matrices of
+(L(1)^k v / k!)_{2 wt v - 2 - n - k}; on the algebra their entries are
+read by label from ``mode_basis``, and on a dual (the double dual) they
+are the rows of the base's own blocks. Any other v combines the blocks of
+its basis vectors, as A(v, n) is linear in v. ``conj_operator`` is the
+same adjoint applied to one vector through the base's ``act``: the
+definition the blocks are tested against.
+
+Everything is memoised on the instance: the lowered vectors
 [(k, L(1)^k v / k!)] of each homogeneous v (the ``fock.exp_chain`` of
-e^{xL(1)} v), and for each (v, n, weight block) the matrix of A(v, n)
-into that block, filled from one image per basis vector of the source
-block. A memo never outlives its module, so a module built after a
-structure constant is corrupted sees the corruption; one built before
-keeps serving the values it has already computed.
+e^{xL(1)} v) and the blocks. A memo never outlives its module, so a
+module built after a structure constant is corrupted sees the
+corruption; one built before keeps serving the values it has already
+computed. Entries are exact and integer-first: an integral ``Fraction``
+is stored as its ``int``.
 
 The invariant form on a self-dual module is built by fixing the pairing
 of the vacuum with itself and propagating through the oscillator adjoint
@@ -28,7 +38,9 @@ overdetermined cross-check.
 
 The direct-sum map's module-into-sum block is the skew formula
 ``axioms.skew_coefficient`` on the module action; its module-module block
-pairs the L(1) chains of both arguments, built once per component pair.
+pairs the L(1) chains of both arguments. The map keeps, on the instance,
+each L(-1) chain of an image v_m w1 that the skew formula reads (every
+mode n reads the same ones) and each vector's L(1) chain.
 """
 
 from __future__ import annotations
@@ -56,6 +68,17 @@ class AsymmetricForm(Exception):
     """Direct-sum construction requires a symmetric module form."""
 
 
+def _int_first(x):
+    """An integral ``Fraction`` as its ``int``; anything else unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _vec_key(v: GradedVector) -> tuple:
+    return tuple(sorted(v.coeff.items()))
+
+
 class ContragredientModule(axioms.VOAAction):
     """Dual action on the graded dual of a module, per the adjoint of the
     conjugated modes. Nesting the construction gives the double dual."""
@@ -71,7 +94,7 @@ class ContragredientModule(axioms.VOAAction):
         self._blocks: dict = {}
 
     def _lowerings(self, v: GradedVector) -> list:
-        vkey = tuple(sorted(v.coeff.items()))
+        vkey = _vec_key(v)
         out = self._lowered.get(vkey)
         if out is None:
             out = self._lowered[vkey] = list(enumerate(
@@ -88,23 +111,67 @@ class ContragredientModule(axioms.VOAAction):
             out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m, ceiling)
         return out.scale(sign)
 
+    def _base_rows(self, lu: tuple, t: int, weight: int) -> dict:
+        """The matrix {nu: {mu: coefficient}} of the base action of basis
+        vector lu's mode t on the block of this weight, row nu holding the
+        image of basis vector nu. On the algebra the rows are read by label
+        from ``mode_basis``, so a corruption applies; on a dual they are
+        the rows of the base's own memoised adjoint block."""
+        if isinstance(self.base, ContragredientModule):
+            # a corrupted constant can give the base's block a row of
+            # another weight; the source block has no such basis vector
+            block = self.base.adjoint_block(GradedVector.basis(lu), t, weight)
+            return {nu: block[nu] for nu in partitions(weight) if nu in block}
+        mode_basis = self.V.mode_basis
+        return {nu: mode_basis(lu, t, nu) for nu in partitions(weight)}
+
     def adjoint_block(self, v: GradedVector, n: int, weight: int) -> dict:
-        """The matrix {mu: {nu: coefficient}} of A(v, n) into the block of
-        this weight, for homogeneous v, memoised on the instance."""
-        vkey = tuple(sorted(v.coeff.items()))
-        key = (vkey, n, weight)
+        """The matrix {mu: {nu: coefficient}} of A(v, n) from the block of
+        this weight, for homogeneous v, memoised on the instance.
+
+        For a basis vector it is sign times the transpose of the sum over
+        k of the base matrices of (L(1)^k v / k!)_{2 wt v - 2 - n - k},
+        which map the block of the source weight, weight + wt v - n - 1,
+        into this one. A(v, n) is linear in v, so any other v combines
+        the blocks of its basis vectors."""
+        key = (_vec_key(v), n, weight)
         block = self._blocks.get(key)
-        if block is None:
-            # A(v, n) maps each basis vector nu of the source weight into
-            # the whole block of this weight, so one image per nu fills
-            # the matrix for every mu of the block
-            block = {}
-            for nu in partitions(weight + v.weight() - n - 1):
-                img = self.conj_operator(v, n, GradedVector.basis(nu),
-                                         ceiling=weight)
-                for lab, coef in img.coeff.items():
-                    block.setdefault(lab, {})[nu] = coef
-            self._blocks[key] = block
+        if block is not None:
+            return block
+        wtv = v.weight()
+        block = {}
+        if len(v.coeff) == 1 and 1 in v.coeff.values():
+            source = weight + wtv - n - 1
+            for k, lv in self._lowerings(v):
+                t = 2 * wtv - 2 - n - k
+                for lu, c in lv.coeff.items():
+                    # lu has weight wt v - k and lands in this block, unless
+                    # a corrupted L(1) gave the lowering another weight:
+                    # then, as the base's act at this ceiling, keep lu only
+                    # if it lands in 0..weight
+                    if not 0 <= sum(lu) + source - t - 1 <= weight:
+                        continue
+                    # row nu of the base matrix is column nu of the block
+                    for nu, row in self._base_rows(lu, t, source).items():
+                        for mu, x in row.items():
+                            col = block.setdefault(mu, {})
+                            col[nu] = col.get(nu, 0) + c * x
+            scale = -1 if wtv % 2 else 1
+        else:
+            for lu, c in v.coeff.items():
+                for mu, col in self.adjoint_block(GradedVector.basis(lu), n,
+                                                  weight).items():
+                    acc = block.setdefault(mu, {})
+                    for nu, x in col.items():
+                        acc[nu] = acc.get(nu, 0) + c * x
+            scale = 1
+        for mu, col in list(block.items()):
+            col = {nu: _int_first(scale * x) for nu, x in col.items() if x}
+            if col:
+                block[mu] = col
+            else:
+                del block[mu]
+        self._blocks[key] = block
         return block
 
     def act(self, v: GradedVector, n: int, wp: GradedVector,
@@ -112,8 +179,9 @@ class ContragredientModule(axioms.VOAAction):
         """Dual-module mode action on a dual vector."""
         cap = self.level if ceiling is None else ceiling
         out: dict = {}
-        for wtv in sorted(v.weights()):
-            vpart = v.component(wtv)
+        weights = v.weights()
+        for wtv in sorted(weights):
+            vpart = v if len(weights) == 1 else v.component(wtv)
             for mu, c in wp.coeff.items():
                 weight = sum(mu)
                 target = weight + wtv - n - 1
@@ -154,8 +222,10 @@ def check_defining_relation(M, Mp: ContragredientModule | None = None
     """The pairing relation defining the dual action, on every basis triple
     (v, dual basis, basis) with a nonzero weight match.
 
-    The left side reads off the built dual-action store; the right side
-    expands the conjugated operand and evaluates the original action.
+    The left side reads off the built dual-action store, one image per
+    (mu, |nu|); the right side expands the conjugated operand and evaluates
+    the original action, one block per (|nu|, |mu|), transposed to be
+    indexed like the left. Rows that agree are compared whole.
     """
     Mp = Mp or ContragredientModule(M)
     V = M.V
@@ -164,30 +234,37 @@ def check_defining_relation(M, Mp: ContragredientModule | None = None
         v = GradedVector.basis(lv)
         wtv = sum(lv)
         conj = conjugate_vector(V, v)
+        # (|nu|, |mu|) -> {mu: {nu: coefficient}}
         right: dict = {}
         diffs = []
         for mu in M.basis_upto():
             wmu = sum(mu)
-            left: dict = {}
-            for nu in M.basis_upto():
-                wnu = sum(nu)
+            dual = GradedVector.basis(mu)
+            for wnu in range(M.level + 1):
                 # the mode index that maps the weight of mu onto that of nu
                 n = wtv + wmu - wnu - 1
-                lhs_img = left.get(wnu)
-                if lhs_img is None:
-                    lhs_img = left[wnu] = Mp.act(v, n, GradedVector.basis(mu))
-                lhs = lhs_img.coeff.get(nu, 0)
-                rhs_img = right.get((nu, wmu))
-                if rhs_img is None:
-                    rhs_img = GradedVector()
-                    for (e,), comp in conj.coeff.items():
-                        rhs_img = rhs_img + M.act(
-                            comp, -n - 2 - e, GradedVector.basis(nu),
-                            ceiling=wmu)
-                    right[(nu, wmu)] = rhs_img
-                rhs = rhs_img.coeff.get(mu, 0)
-                if lhs != rhs:
-                    diffs.append(((fmt_label(mu), fmt_label(nu), n), lhs, rhs))
+                lhs = Mp.act(v, n, dual).coeff
+                block = right.get((wnu, wmu))
+                if block is None:
+                    block = right[(wnu, wmu)] = {}
+                    for nu in partitions(wnu):
+                        img: dict = {}
+                        for (e,), comp in conj.coeff.items():
+                            for lab, c in M.act(comp, -n - 2 - e,
+                                                GradedVector.basis(nu),
+                                                ceiling=wmu).coeff.items():
+                                img[lab] = img.get(lab, 0) + c
+                        for lab, c in img.items():
+                            if c:
+                                block.setdefault(lab, {})[nu] = c
+                rhs = block.get(mu, {})
+                if lhs == rhs:
+                    continue
+                for nu in partitions(wnu):
+                    lc, rc = lhs.get(nu, 0), rhs.get(nu, 0)
+                    if lc != rc:
+                        diffs.append(((fmt_label(mu), fmt_label(nu), n),
+                                      lc, rc))
         out.append(VerificationReport.from_diffs(
             "dual-defining-relation", f"v={fmt_label(lv)}", diffs))
     return out
@@ -203,12 +280,18 @@ def check_dual_virasoro(M, n_range: int,
     diffs = []
     basis = M.basis_upto()
     for n in range(-n_range, n_range + 1):
+        # L(-n) nu clipped at |mu| depends on mu only through |mu|
+        right: dict = {}
         for mu in basis:
             lhs = Mp.virasoro(n, GradedVector.basis(mu))
+            wmu = sum(mu)
             for nu in basis:
                 lc = lhs.coeff.get(nu, 0)
-                rc = M.act(V.omega, -n + 1, GradedVector.basis(nu),
-                           ceiling=sum(mu)).coeff.get(mu, 0)
+                img = right.get((nu, wmu))
+                if img is None:
+                    img = right[(nu, wmu)] = M.act(
+                        V.omega, -n + 1, GradedVector.basis(nu), ceiling=wmu)
+                rc = img.coeff.get(mu, 0)
                 if lc != rc:
                     diffs.append((("adjoint", n, fmt_label(mu), fmt_label(nu)),
                                   lc, rc))
@@ -288,13 +371,16 @@ def check_double_contragredient(M, Mp: ContragredientModule | None = None
         for mu in M.basis_upto():
             m = GradedVector.basis(mu)
             for n in range(wtv + sum(mu) - 1 - M.level, wtv + sum(mu)):
-                orig = M.act(v, n, m)
-                double = Mpp.act(v, n, m)
-                delta = orig - double
-                for label in sorted(delta.coeff):
-                    diffs.append(((fmt_label(lv), n, fmt_label(mu), label),
-                                  orig.coeff.get(label, 0),
-                                  double.coeff.get(label, 0)))
+                orig = M.act(v, n, m).coeff
+                # the row of the double dual's block, read whole
+                double = Mpp.adjoint_block(v, n, sum(mu)).get(mu, {})
+                if orig == double:
+                    continue
+                for label in sorted(orig.keys() | double.keys()):
+                    oc, dc = orig.get(label, 0), double.get(label, 0)
+                    if oc != dc:
+                        diffs.append(((fmt_label(lv), n, fmt_label(mu), label),
+                                      oc, dc))
     return VerificationReport.from_diffs("double-dual-identity", "all-basis",
                                          diffs)
 
@@ -319,6 +405,22 @@ class BilinearForm:
                 if wu == wv:
                     total += cu * cv * self.blocks[wu][iu][iv]
         return total
+
+    def pairings(self, u: GradedVector, weight: int,
+                 first: bool = True) -> list:
+        """The pairings of u with each basis vector b_j of this weight, in
+        the order of ``partitions(weight)``: (u, b_j), or (b_j, u) when not
+        ``first``. Components of u of other weights pair to zero."""
+        block = self.blocks[weight]
+        out = [0] * len(block)
+        for lab, c in u.coeff.items():
+            w, i = self.index[lab]
+            if w != weight:
+                continue
+            entries = block[i] if first else [r[i] for r in block]
+            for j, g in enumerate(entries):
+                out[j] += c * g
+        return out
 
     def block_determinants(self) -> dict[int, Fraction]:
         return {w: exact_det(b) for w, b in self.blocks.items()}
@@ -387,28 +489,30 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
             v = GradedVector.basis(lv)
             wtv = sum(lv)
             # the direct image depends on nu only through |nu|, the
-            # adjoint image on mu only through |mu|
+            # adjoint image on mu only through |mu|; each is paired with
+            # its whole block at once
             adjoint: dict = {}
             for mu in M.basis_upto():
                 w1 = GradedVector.basis(mu)
-                wmu = sum(mu)
+                wmu, imu = index[mu]
                 direct: dict = {}
                 for nu in M.basis_upto():
-                    w2 = GradedVector.basis(nu)
-                    wnu = sum(nu)
+                    wnu, inu = index[nu]
                     # single weight-matching mode index
                     n = wtv + wmu - wnu - 1
-                    img = direct.get(wnu)
-                    if img is None:
-                        img = direct[wnu] = M.act(v, n, w1)
-                    lhs = form.pair(img, w2)
-                    adj = adjoint.get((nu, wmu))
-                    if adj is None:
+                    row = direct.get(wnu)
+                    if row is None:
+                        row = direct[wnu] = form.pairings(M.act(v, n, w1),
+                                                          wnu)
+                    lhs = row[inu]
+                    col = adjoint.get((nu, wmu))
+                    if col is None:
                         block = Mp.adjoint_block(v, n, wmu)
-                        adj = adjoint[(nu, wmu)] = GradedVector(
-                            {lab: col[nu] for lab, col in block.items()
-                             if nu in col})
-                    rhs = form.pair(w1, adj)
+                        adj = GradedVector({lab: c[nu] for lab, c
+                                            in block.items() if nu in c})
+                        col = adjoint[(nu, wmu)] = form.pairings(
+                            adj, wmu, first=False)
+                    rhs = col[imu]
                     if lhs != rhs:
                         raise NotSelfDual(
                             f"invariance fails at v={lv}, w1={mu}, w2={nu}, n={n}: "
@@ -493,13 +597,39 @@ class DirectSumMap:
         self.form_V = form_V
         self.form_W = form_W
         self.level = min(V.level, W.level)
+        # (v, w1, cap, m) -> (the L(-1) chain of W.act(v, m, w1, cap), the
+        # number of terms it was asked for)
+        self._skew_chains: dict = {}
+        # homogeneous w -> the L(1) chain of w
+        self._l1_chains: dict = {}
 
     # cross block: modes of the map sending the module into the sum,
     # recovered from the module action by the skew formula
     def w_on_v(self, w1: GradedVector, n: int, v: GradedVector,
                ceiling: int | None = None) -> GradedVector:
         cap = self.level if ceiling is None else ceiling
-        return axioms.skew_coefficient(self.W, v, n, w1, cap)
+        key = (_vec_key(v), _vec_key(w1), cap)
+
+        # every n reads the chains of the same images v_m w1, so each is
+        # kept on the map. It is built again only when cut short by its
+        # number of terms: a corrupted L(-1) can lower the weight, and then
+        # a chain need never reach zero
+        def chain(m, terms):
+            got = self._skew_chains.get(key + (m,))
+            if got is None or len(got[0]) == got[1] < terms:
+                got = self._skew_chains[key + (m,)] = (exp_chain(
+                    self.W, -1, self.W.act(v, m, w1, cap), cap, terms), terms)
+            return got[0]
+
+        return axioms.skew_coefficient(self.W, v, n, w1, cap, chain)
+
+    def _l1_chain(self, w: GradedVector) -> list:
+        key = _vec_key(w)
+        out = self._l1_chains.get(key)
+        if out is None:
+            out = self._l1_chains[key] = exp_chain(
+                self.W, 1, w, self.W.level, w.weight() + 1)
+        return out
 
     # block (1-60): V-component of Y(w1, x)w2 via the two forms
     def w_on_w(self, w1: GradedVector, n: int, w2: GradedVector,
@@ -514,9 +644,7 @@ class DirectSumMap:
                 if target < 0 or target > cap:
                     continue
                 labs = partitions(target)
-                # the L(1) chains of both components, once per pair
-                c1 = exp_chain(self.W, 1, p1, self.W.level, wt1 + 1)
-                c2 = exp_chain(self.W, 1, p2, self.W.level, wt2 + 1)
+                c1, c2 = self._l1_chain(p1), self._l1_chain(p2)
                 rhs = [self._pairing_rhs(v_lab, c1, wt1, n, c2)
                        for v_lab in labs]
                 gram = self.form_V.blocks[target]

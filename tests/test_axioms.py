@@ -91,6 +91,54 @@ class TestJacobi:
         assert rep.passed
 
 
+def _rows_match_delta(expansion_rows) -> bool:
+    """Whether the engine's delta rows are the coefficients of the delta
+    series the delta suite verifies: for sign -1, binom(-a-1, k) (-1)^k of
+    x0^a x1^(-a-1-k) x2^k in x0^-1 d((x1-x2)/x0) and binom(b+k, k) (-1)^k
+    of x0^k x1^b x2^(-b-k-1) in x2^-1 d((x1-x0)/x2); for sign +1, the same
+    exponents of x1^-1 d((x2+x0)/x1) with x1 and x2 swapped."""
+    win = Window.symmetric(("x0", "x1", "x2"), 3)
+    big = Window.symmetric(("x0", "x1", "x2"), 12)
+    k_max = 8
+    patterns = {-1: ("(x1-x2)/x0", "(x1-x0)/x2"),
+                1: ("(x2+x0)/x1", "(x2+x0)/x1")}
+    for sign, (prod_pat, iter_pat) in patterns.items():
+        prod, iterate = expansion_rows(win, k_max, k_max, sign)
+        prod_d = delta_expansion(prod_pat, big).coeff
+        iter_d = delta_expansion(iter_pat, big).coeff
+        for a in range(-3, 4):
+            for k in range(k_max):
+                got = prod[a][k] if k < len(prod[a]) else 0
+                e = (a, -a - 1 - k, k) if sign < 0 else (k, a, -a - 1 - k)
+                if got != prod_d.get(e, 0):
+                    return False
+        for b in range(-3, 4):
+            for k in range(k_max):
+                got = iterate[b][k] if k < len(iterate[b]) else 0
+                e = (k, b, -b - k - 1) if sign < 0 else (k, -b - k - 1, b)
+                if got != iter_d.get(e, 0):
+                    return False
+    return True
+
+
+def test_expansion_rows_are_delta_coefficients(V, monkeypatch):
+    # the jacobi records use rows tabulated in axioms, not the delta series
+    # of the delta suite; the pin ties the two, and a mutation of the rows
+    # alone (here: the sign^k factor dropped) fails both the pin and a
+    # jacobi record
+    real = axioms._expansion_rows
+    assert _rows_match_delta(real)
+
+    def unsigned(win, k_prod, k_iter, sign):
+        return real(win, k_prod, k_iter, 1)
+
+    assert not _rows_match_delta(unsigned)
+    u, v, w = B((1,)), B((1,)), B((1,))
+    assert axioms.check_jacobi(V, u, v, w, WIN2).passed
+    monkeypatch.setattr(axioms, "_expansion_rows", unsigned)
+    assert axioms.check_jacobi(V, u, v, w, WIN2).failed
+
+
 class TestSkewSymmetry:
     def test_vacuum_pair(self, V):
         assert axioms.check_skew_symmetry(V, V.vacuum, V.vacuum, 4).passed

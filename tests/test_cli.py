@@ -264,6 +264,16 @@ def test_conjugation_records_are_pinned(capsys):
         "3379494096395148b595af69c4e61b69325ec5838c958aa0b8b624ce88be33a7"
 
 
+def test_contragredient_level_7_records_are_pinned(capsys):
+    # ``voacalc all`` runs at level 6; the dual-action blocks grow with the
+    # level, so level 7 is pinned too (CI pins level 8)
+    code, out, _ = run_cli(["contragredient", "verify", "--level", "7",
+                            "--format", "structured"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0e3af7926f90de90ee51e3b446de70da52fb50ce6b998ae6d789066ab4378266"
+
+
 def test_jacobi_skip_notes_are_pinned(capsys):
     # the structured records carry no notes; the text output names each
     # skip's inner weight and window position, e.g. "(iterate-inner

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import axioms, contragredient as contra
+from voacalc import axioms, cli, contragredient as contra
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
 from voacalc.reports import Status
@@ -63,6 +63,29 @@ def test_dual_virasoro_adjoint_and_bracket(setup4):
     assert rep.passed
 
 
+def test_dual_virasoro_right_side_sees_its_own_corruption():
+    # L(0) on a(-1) read at a label of weight 2: only the right side,
+    # omega_1 nu clipped at |mu| >= 2, reads it; the dual blocks store it
+    # at a weight no left side asks for
+    V = build_heisenberg(4)
+    M = axioms.VOAAction(V)
+    assert contra.check_dual_virasoro(M, 4).passed
+    V.corrupt((1, 1), 1, (1,), (2,), 1)
+    rep = contra.check_dual_virasoro(M, 4)
+    assert rep.failed
+    assert all(d[0][:2] == ("adjoint", 0) for d in rep.diffs)
+    assert {(d[0][2], d[0][3]) for d in rep.diffs} == {("[2]", "[1]")}
+
+
+def test_dual_virasoro_right_side_clips_at_each_weight():
+    # the same constant read at a label of weight 0: L(0) a(-1) has weight
+    # 1, above |mu| = 0, so the right side clips it away and the check
+    # still passes; a right side shared across |mu| would report it
+    V = build_heisenberg(4)
+    V.corrupt((1, 1), 1, (1,), (), 1)
+    assert contra.check_dual_virasoro(axioms.VOAAction(V), 4).passed
+
+
 def test_dual_identity_operator(setup4):
     V, M, Mp = setup4
     for mu in M.basis_upto():
@@ -103,6 +126,18 @@ def test_dual_jacobi_corrupted_adjoint_fails():
 def test_double_contragredient(setup4):
     V, M, Mp = setup4
     assert contra.check_double_contragredient(M, Mp).passed
+
+
+def test_double_dual_keeps_graded_rows():
+    # a constant corrupted at a label of the wrong weight: M's action
+    # shows the label, while the double dual reads only the basis vectors
+    # of each graded block, so the identity fails
+    V = build_heisenberg(4)
+    M = axioms.VOAAction(V)
+    V.corrupt((1, 1), 1, (1,), (2,), 1)
+    rep = contra.check_double_contragredient(M)
+    assert rep.failed
+    assert [d[0] for d in rep.diffs] == [("[1,1]", 1, "[1]", (2,))]
 
 
 def test_double_dual_conformal_modes(setup4):
@@ -197,10 +232,35 @@ class TestInvariantForm:
                     assert lhs == rhs, (lv, n, mu)
 
 
+class PerLabelDual(contra.ContragredientModule):
+    """The dual action by its definition: the coefficient at each dual
+    basis vector nu is read off one ``conj_operator`` image of nu, with no
+    block memo. Over a ``PerLabelDual`` base it gives the double dual."""
+
+    def act(self, v, n, wp, ceiling=None):
+        cap = self.level if ceiling is None else ceiling
+        out = GradedVector()
+        for wtv in sorted(v.weights()):
+            part = v.component(wtv)
+            for mu, c in wp.coeff.items():
+                target = sum(mu) + wtv - n - 1
+                if not 0 <= target <= cap:
+                    continue
+                out = out + GradedVector(
+                    {nu: c * self.conj_operator(
+                        part, n, B(nu), ceiling=sum(mu)).coeff.get(mu, 0)
+                     for nu in partitions(target)})
+        return out
+
+
 @pytest.fixture(scope="module")
 def warm_duals():
-    return {level: contra.ContragredientModule(
-        axioms.VOAAction(build_heisenberg(level))) for level in (4, 5)}
+    out = {}
+    for level in (4, 5):
+        Mp = contra.ContragredientModule(axioms.VOAAction(
+            build_heisenberg(level)))
+        out[level] = (Mp, contra.ContragredientModule(Mp))
+    return out
 
 
 @st.composite
@@ -213,28 +273,61 @@ def dual_action_args(draw):
     v = GradedVector({lab: Fraction(c) for lab, c in terms.items()})
     n = draw(st.integers(-level - 2, level + 1))
     mu = draw(st.sampled_from(labels))
-    return level, v, n, mu
+    double = draw(st.booleans())
+    # a corruption of the constant read by the k = 0 term of the block
+    # entry (mu, nu), for a label lv of v: lv_(2 wt v - 2 - n) nu at mu,
+    # or at a label of any weight, which a graded block has no row for
+    corruption = None
+    lv = draw(st.sampled_from(sorted(terms)))
+    source = sum(mu) + sum(lv) - n - 1
+    if 0 <= source <= level and lv != (1, 1) and draw(st.booleans()):
+        label = draw(st.one_of(st.just(mu), st.sampled_from(
+            partitions_upto(level + 1))))
+        corruption = (lv, 2 * sum(lv) - 2 - n,
+                      draw(st.sampled_from(partitions(source))), label,
+                      draw(st.sampled_from((-1, 1))))
+    return level, v, n, mu, double, corruption
 
 
 @given(dual_action_args())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_block_memo_matches_per_label_adjoint(warm_duals, args):
-    # reference: one adjoint image per (nu, mu), read off at mu, on a
-    # module whose block memo is never used
-    level, v, n, mu = args
-    Mp = warm_duals[level]
-    ref = contra.ContragredientModule(Mp.base)
-    want = GradedVector()
-    for wtv in sorted(v.weights()):
-        part = v.component(wtv)
-        target = sum(mu) + wtv - n - 1
-        if not 0 <= target <= level:
-            continue
-        want = want + GradedVector(
-            {nu: ref.conj_operator(part, n, B(nu),
-                                   ceiling=sum(mu)).coeff.get(mu, 0)
-             for nu in partitions(target)})
-    assert Mp.act(v, n, B(mu)) == want
+    # reference: one conj_operator image per nu, read off at mu, on modules
+    # with no block memo; the dual and the double dual, each warm and, with
+    # a corrupted structure constant, fresh on the corrupted algebra
+    level, v, n, mu, double, corruption = args
+    if corruption is None:
+        Mp, Mpp = warm_duals[level]
+        V = Mp.V
+    else:
+        V = build_heisenberg(level)
+        V.corrupt(*corruption)
+        Mp = contra.ContragredientModule(axioms.VOAAction(V))
+        Mpp = contra.ContragredientModule(Mp)
+    ref = PerLabelDual(axioms.VOAAction(V))
+    if double:
+        got = Mpp.act(v, n, B(mu))
+        assert got == PerLabelDual(ref).act(v, n, B(mu))
+        return
+    got = Mp.act(v, n, B(mu))
+    assert got == ref.act(v, n, B(mu))
+    if corruption is not None and corruption[3] == mu:
+        # the corrupted constant enters the block once, times a nonzero
+        # coefficient of v, so the block read at mu changes
+        clean = warm_duals[level][0].act(v, n, B(mu))
+        assert got != clean
+
+
+def test_block_clips_like_the_base_action_under_a_corrupted_lowering():
+    # L(1) a(-2) corrupted to keep a weight-2 part, and the mode of a(-2)
+    # that this part meets corrupted at a weight-1 label: the base's act
+    # at ceiling 1 clips that mode's image, and so must the block
+    V = build_heisenberg(4)
+    V.corrupt((1, 1), 2, (2,), (2,), 2)
+    V.corrupt((2,), 1, (2,), (1,), 1)
+    M = axioms.VOAAction(V)
+    got = contra.ContragredientModule(M).act(B((2,)), 0, B((1,)))
+    assert got == PerLabelDual(M).act(B((2,)), 0, B((1,)))
 
 
 def _untruncated(V, op: dict, n: int, vec: dict) -> dict:
@@ -332,6 +425,7 @@ def _integer_first(values, where):
 def test_integral_coefficients_stay_int():
     V = build_heisenberg(5)
     Mp = contra.ContragredientModule(axioms.VOAAction(V))
+    Mpp = contra.ContragredientModule(Mp)
     for lab in V.basis_upto():
         v, wv = B(lab), sum(lab)
         for n in range(-3, 6):
@@ -342,5 +436,28 @@ def test_integral_coefficients_stay_int():
         for weight in range(V.level + 1):
             for source in range(V.level + 1):
                 n = weight + wv - 1 - source
-                for col in Mp.adjoint_block(v, n, weight).values():
-                    _integer_first(col.values(), ("adjoint", lab, n, weight))
+                for dual in (Mp, Mpp):
+                    for col in dual.adjoint_block(v, n, weight).values():
+                        _integer_first(col.values(),
+                                       ("adjoint", dual is Mpp, lab, n, weight))
+
+
+def test_suite_blocks_hold_exact_integer_first_values(monkeypatch):
+    # the blocks read mode_basis directly, so the float spy on
+    # apply_mode_flagged in test_fock does not see their values
+    duals = []
+    real_init = contra.ContragredientModule.__init__
+
+    def init(self, base):
+        real_init(self, base)
+        duals.append(self)
+
+    monkeypatch.setattr(contra.ContragredientModule, "__init__", init)
+    reps = cli.contragredient_suite(cli.SuiteConfig(level=4))
+    assert not any(r.failed for r in reps)
+    assert any(isinstance(d.base, contra.ContragredientModule) for d in duals)
+    for d in duals:
+        assert d._blocks
+        for key, block in d._blocks.items():
+            for col in block.values():
+                _integer_first(col.values(), (type(d.base).__name__, key))

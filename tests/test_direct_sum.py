@@ -4,9 +4,11 @@ second copy of itself, with every formula recomputed by independent code."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voacalc import axioms, contragredient as contra
-from voacalc.fock import GradedVector, build_heisenberg, partitions_upto
+from voacalc.fock import (GradedVector, build_heisenberg, partitions,
+                          partitions_upto)
 
 
 def B(label):
@@ -73,6 +75,70 @@ def test_skew_block_formula(ds4):
                 got = ds.w_on_v(B(w1l), n, B(vl))
                 want = independent_skew_block(V, B(w1l), n, B(vl))
                 assert got == want, (w1l, n, vl)
+
+
+@st.composite
+def skew_args(draw):
+    labels = partitions_upto(4)
+
+    def vec():
+        return GradedVector(draw(st.dictionaries(
+            st.sampled_from(labels), st.integers(-2, 2).filter(bool),
+            min_size=1, max_size=2)))
+
+    w1, v = vec(), vec()
+    n = draw(st.integers(-6, 5))
+    ceiling = draw(st.sampled_from((None, 2, 3, 4, 6)))
+    return w1, n, v, ceiling
+
+
+@given(skew_args())
+@settings(max_examples=60, deadline=None)
+def test_skew_block_chains_match_skew_formula(ds4, args):
+    # the map keeps each L(-1) chain it reads across calls; the skew
+    # formula computes every chain afresh
+    V, M, form, ds = ds4
+    w1, n, v, ceiling = args
+    cap = ds.level if ceiling is None else ceiling
+    assert ds.w_on_v(w1, n, v, ceiling) == \
+        axioms.skew_coefficient(M, v, n, w1, cap)
+
+
+@given(st.sampled_from(partitions_upto(3)),
+       st.sampled_from(partitions_upto(3)), st.integers(-4, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_map_built_after_corruption_sees_it(lw1, lv, n, data):
+    # corrupt v_n w1, the j = 0 term of the skew formula, after a warm map
+    # has read it: a map built afterwards serves the corrupted value
+    target = sum(lv) + sum(lw1) - n - 1
+    if not 0 <= target <= 4 or lv == (1, 1):
+        return
+    V = build_heisenberg(4)
+    M = axioms.VOAAction(V)
+    form = contra.build_invariant_form(M)
+    warm = contra.DirectSumMap(V, M, form, form)
+    w1, v = B(lw1), B(lv)
+    clean = warm.w_on_v(w1, n, v)
+    V.corrupt(lv, n, lw1, data.draw(st.sampled_from(partitions(target))), 1)
+    fresh = contra.DirectSumMap(V, M, form, form).w_on_v(w1, n, v)
+    assert fresh == axioms.skew_coefficient(M, v, n, w1, 4)
+    assert fresh != clean
+    assert warm.w_on_v(w1, n, v) == clean
+
+
+def test_skew_block_with_weight_lowering_translation():
+    # a corrupted L(-1) that sends a(-3) to a(-1): the L(-1) chain of
+    # a(-1)|0> = a(-1)_(-1)|0> then never reaches zero, and the map builds
+    # each chain only as far as it is read
+    V = build_heisenberg(4)
+    M = axioms.VOAAction(V)
+    form = contra.build_invariant_form(M)
+    V.corrupt((1, 1), 0, (3,), (1,), -1)
+    ds = contra.DirectSumMap(V, M, form, form)
+    for w1l in ((), (1,)):
+        for n in range(-5, 3):
+            assert ds.w_on_v(B(w1l), n, B((1,))) == \
+                axioms.skew_coefficient(M, B((1,)), n, B(w1l), 4)
 
 
 def test_module_block_orthogonal_to_module(ds4):
