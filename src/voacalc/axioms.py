@@ -17,17 +17,17 @@ value has nonzero content above the working level marks the instance as
 out of budget whenever an outer mode could map that content back into
 the observable range.
 
-In the three-term engine (``three_term_check``, and the rewrite
-``check_translate_skew``) each product, and each inner image, is computed
-once per check call. At a window position (a, b, c) the two mode indices
-of every product of a term add up to the diagonal D = -(a+b+c+3), so a
-term keeps its products per diagonal and a position visits only the
-nonzero ones; the expansion coefficients are tabulated once per exponent.
-The memos are local to the call and are never kept on an action or an
-algebra: a structure constant corrupted between two calls, as negative
-controls do, is seen by the second, and contragredient and intertwiner
-actions, whose values are not the algebra's, share the engine safely.
-Coefficients stay integers until a genuine fraction enters.
+The three-term engine (``three_term_check`` and ``check_translate_skew``)
+runs on evaluation plans. A plan is built from integers only (term
+layout, weights, window, observable level, expansion rows): the products
+in the order a position loop first demands them, and per product the
+positions and coefficients it feeds. A check computes each product once,
+in plan order, and scatters only the nonzero ones. Values (products,
+inner images) are memoised per call only, never on an action or an
+algebra. A plan holds no value, so the last few are kept across calls: a
+constant corrupted between two calls, as negative controls do, is seen
+by the second, and dual and intertwiner actions reuse the algebra's plan
+safely. Coefficients stay integers until a genuine fraction enters.
 
 The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
 written once (``skew_coefficient``): the skew-symmetry check and the
@@ -38,10 +38,12 @@ per vector.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import takewhile
+from math import factorial
 
 from .exact import binom
 from .fock import GradedVector, HeisenbergVOA, exp_chain
@@ -102,54 +104,35 @@ class JacobiActions:
 
 
 class _Skip(Exception):
-    def __init__(self, note):
-        self.note = note
+    """An inner image lost above the level; ``args[0]`` is the note."""
 
 
-def _positions(win: Window, weight: int, level: int):
-    """The positions (a, b, c) of the window at which the final weight,
-    weight + a + b + c + 1, is observable: in 0..level."""
-    for a in range(win.lo("x0"), win.hi("x0") + 1):
-        for b in range(win.lo("x1"), win.hi("x1") + 1):
-            s = weight + a + b + 1
-            for c in range(max(win.lo("x2"), -s),
-                           min(win.hi("x2"), level - s) + 1):
-                yield a, b, c
-
-
+@lru_cache(maxsize=4)
 def _expansion_rows(win: Window, k_prod: int, k_iter: int, sign: int):
-    """The delta-function expansion coefficients, tabulated once per check
-    instead of per position: binom(-a-1, k) sign^k for each x0 exponent a
-    (the two products) and binom(b+k, k) sign^k for each x1 exponent b
-    (the iterate). As binom(n, k) = 0 exactly when 0 <= n < k, each row's
-    nonzero entries are a prefix, and a row ends before its first zero."""
-    prod = {a: list(takewhile(bool, (binom(-a - 1, k) * sign ** k
-                                     for k in range(k_prod))))
+    """The delta-function expansion coefficients: binom(-a-1, k) sign^k for
+    each x0 exponent a (the two products) and binom(b+k, k) sign^k for each
+    x1 exponent b (the iterate). As binom(n, k) = 0 exactly when 0 <= n < k,
+    the nonzero entries are a prefix, and a row ends before its first 0."""
+    prod = {a: tuple(takewhile(bool, (binom(-a - 1, k) * sign ** k
+                                      for k in range(k_prod))))
             for a in range(win.lo("x0"), win.hi("x0") + 1)}
-    iterate = {b: list(takewhile(bool, (binom(b + k, k) * sign ** k
-                                        for k in range(k_iter))))
+    iterate = {b: tuple(takewhile(bool, (binom(b + k, k) * sign ** k
+                                         for k in range(k_iter))))
                for b in range(win.lo("x1"), win.hi("x1") + 1)}
     return prod, iterate
 
 
 class _Term:
-    """The products of one term of a three-term identity within one check
-    call: x_i (y_j z), or (y_j z)_i x for an iterate, with the inner images
-    y_j z memoised by j. They are kept per diagonal D = i + j: the j
-    computed so far, and the nonzero products by j.
-
-    An inner image above the inner action's level is tested once for true
-    loss, and only when the outer mode can see it: ``kron`` is the one
-    outer index at which x acts, when x is a vacuum multiple.
-    """
+    """The products x_i (y_j z), or (y_j z)_i x for an iterate, of one term
+    within one check call, the inner images y_j z memoised by j. An image
+    above the inner action's level is tested for true loss only when the
+    outer mode can see it: ``kron`` is the one outer index at which x acts,
+    when x is a vacuum multiple."""
 
     def __init__(self, outer, x, inner, y, z, iterate: bool, kron, note: str):
         self.outer, self.x, self.inner, self.y, self.z = outer, x, inner, y, z
-        self.iterate = iterate
-        self.kron = kron
-        self.note = note
+        self.iterate, self.kron, self.note = iterate, kron, note
         self.yz_weight = y.weight() + z.weight()
-        self.diags = defaultdict(lambda: (set(), {}))
         self.images: dict = {}
 
     def compute(self, i: int, j: int, pos: tuple) -> dict:
@@ -164,31 +147,103 @@ class _Term:
             img = self.images[j] = self.inner.act(self.y, j, self.z)
         if not img:
             return {}
-        if self.iterate:
-            return self.outer.act(img, i, self.x).coeff
-        return self.outer.act(self.x, i, img).coeff
+        return (self.outer.act(img, i, self.x) if self.iterate
+                else self.outer.act(self.x, i, img)).coeff
 
-    def add(self, acc: dict, pos: tuple, diag: int, off: int, row: list,
-            n: int, sign: int) -> None:
-        """acc += sign * row[k] * product(diag - j, j), j = k - off, over
-        k < n. Missing products are computed first, in k order, for every
-        k < n; past the end of ``row`` the coefficient is zero."""
-        done, nonzero = self.diags[diag]
-        if not done.issuperset(range(-off, n - off)):
-            for j in range(-off, n - off):
-                if j not in done:
-                    val = self.compute(diag - j, j, pos)
-                    done.add(j)
-                    if val:
-                        nonzero[j] = val
-        if nonzero:
-            m = min(n, len(row))
-            for j, val in nonzero.items():
-                k = j + off
-                if 0 <= k < m:
-                    co = sign * row[k]
+
+def _jacobi_layout(pos, weights, prod, iterate):
+    """The terms of ``three_term_check`` at a position (p outer, q outer,
+    iterate), as (term, side, offset, row, n, sign): the products at
+    j = k - offset for k < n, fed with sign * row[k] into side 0 or 1."""
+    (a, b, c), (pw, qw, tw) = pos, weights
+    row, it = prod[a], iterate[b]
+    return ((0, 0, c + 1, row, min(qw + tw + c + 1, len(row)), 1),
+            (1, 0, b + 1, row, min(pw + tw + b + 1, len(row)),
+             -1 if a % 2 else 1),
+            (2, 1, a + 1, it, min(pw + qw + a + 1, len(it)), 1))
+
+
+def _translate_skew_layout(pos, weights, prod, iterate):
+    """The terms of ``check_translate_skew``, as above. Term a's coefficient
+    (-1)^c binom(b+k, k) is, by Vandermonde, a sum over k1 of binom(-a-1,
+    k1) binom(a+b+k+1, k-k1); its products are computed where a summand is
+    nonzero, below -a-b-1 if a, b < 0, which may pass the row's end."""
+    (a, b, c), (wu, wv, ww) = pos, weights
+    row, it, sign = prod[a], iterate[b], -1 if c % 2 else 1
+    n = ww + wv + c + 1
+    return ((0, 0, c + 1, it, min(n, -a - b - 1) if a < 0 and b < 0 else n,
+             sign),
+            (1, 0, b + 1, row, min(wu + ww + b + 1, len(row)), -sign),
+            (2, 1, a + 1, it, min(wu + wv + a + 1, len(it)),
+             sign if b % 2 else -sign))
+
+
+def _plan(layout, weights: tuple, win: Window, level: int, rows: tuple):
+    """The evaluation plan of one check signature: the positions (a, b, c)
+    at which the final weight W + a + b + c + 1 is in 0..level; the
+    products (term, side, i, j, p) in the order the position loop first
+    demands them, p the first position that does; and per product the flat
+    pairs (position, nonzero coefficient) it feeds on its side."""
+    prod, iterate, W = dict(rows[0]), dict(rows[1]), sum(weights)
+    positions = [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
+                 for b in range(win.lo("x1"), win.hi("x1") + 1)
+                 for c in range(max(win.lo("x2"), -(W + a + b + 1)),
+                                min(win.hi("x2"), level - W - a - b - 1) + 1)]
+    products, feeds, index = [], [], {}
+    for p, pos in enumerate(positions):
+        diag = -(sum(pos) + 3)
+        for term, side, off, row, n, sign in layout(pos, weights, prod,
+                                                    iterate):
+            known = index.setdefault((term, diag), {})   # j -> product
+            for k in range(n):
+                at = known.get(k - off)
+                if at is None:
+                    at = known[k - off] = len(products)
+                    products.append((term, side, diag - k + off, k - off, p))
+                    feeds.append([])
+                if k < len(row):
+                    feeds[at] += (p, sign * row[k])
+    return positions, products, feeds
+
+
+# kept per layout: the S3 suite alternates two jacobi plans and a rewrite
+_PLANS = {_jacobi_layout: lru_cache(maxsize=2)(_plan),
+          _translate_skew_layout: lru_cache(maxsize=1)(_plan)}
+
+
+def _evaluate(layout, weights: tuple, win: Window, level: int, rows,
+              terms: tuple, identity: str, params: str) -> VerificationReport:
+    """Compute the plan's products in order, scatter the nonzero ones, and
+    diff each position, in order, once no later product can feed it."""
+    positions, products, feeds = _PLANS[layout](
+        layout, weights, win, level, tuple([tuple(r.items()) for r in rows]))
+    compute = [t.compute for t in terms]
+    diffs: list = []
+    lhs, rhs = sides = ({}, {})   # position -> {label: coefficient}
+    touched: list = []    # heap of the positions in either
+    try:
+        for (term, side, i, j, first), feed in zip(products, feeds):
+            while touched and touched[0] < first:
+                p = heappop(touched)
+                _diff_labels(diffs, positions[p], lhs.pop(p, {}),
+                             rhs.pop(p, {}))
+            val = compute[term](i, j, positions[first])
+            if val:
+                live, other = sides[side], sides[1 - side]
+                it = iter(feed)
+                for p, co in zip(it, it):
+                    acc = live.get(p)
+                    if acc is None:
+                        if p not in other:
+                            heappush(touched, p)
+                        acc = live[p] = {}
                     for label, x in val.items():
                         acc[label] = acc.get(label, 0) + co * x
+    except _Skip as sk:
+        return VerificationReport.skipped(identity, params, sk.args[0])
+    for p in sorted(touched):
+        _diff_labels(diffs, positions[p], lhs.pop(p, {}), rhs.pop(p, {}))
+    return VerificationReport.from_diffs(identity, params, diffs)
 
 
 def _diff_labels(diffs: list, where: tuple, lhs: dict, rhs: dict) -> None:
@@ -224,38 +279,19 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
                 return rep
             merged.extend(rep.diffs)
         return VerificationReport.from_diffs(identity, params, merged)
-    pw, qw, tw = p.weight(), q.weight(), tgt.weight()
-    l_obs = min(acts.out1.level, acts.out2.level, acts.out3.level)
-    diffs = []
-    prod_co, iter_co = _expansion_rows(
+    weights = pw, qw, tw = p.weight(), q.weight(), tgt.weight()
+    rows = _expansion_rows(
         win, max(qw + tw + win.hi("x2"), pw + tw + win.hi("x1")) + 1,
         pw + qw + win.hi("x0") + 1, -1)
-    first = _Term(acts.out1, p, acts.in1, q, tgt, iterate=False,
-                  kron=acts.out1.kron(p), note="product-inner")
-    second = _Term(acts.out2, q, acts.in2, p, tgt, iterate=False,
-                   kron=acts.out2.kron(q), note="product-inner")
-    third = _Term(acts.out3, tgt, acts.iterate, p, q, iterate=True,
-                  kron=None, note="iterate-inner")
-    try:
-        for pos in _positions(win, pw + qw + tw, l_obs):
-            a, b, c = pos
-            diag = -(a + b + c + 3)
-            lhs, rhs = {}, {}
-            row = prod_co[a]
-            # first product: p outer, q inner at j = k - c - 1
-            first.add(lhs, pos, diag, c + 1, row,
-                      min(qw + tw + c + 1, len(row)), 1)
-            # second product: q outer, p inner at j = k - b - 1
-            second.add(lhs, pos, diag, b + 1, row,
-                       min(pw + tw + b + 1, len(row)), -1 if a % 2 else 1)
-            # iterate: p_j q at x0, result acting at x2, j = k - a - 1
-            row = iter_co[b]
-            third.add(rhs, pos, diag, a + 1, row,
-                      min(pw + qw + a + 1, len(row)), 1)
-            _diff_labels(diffs, pos, lhs, rhs)
-    except _Skip as sk:
-        return VerificationReport.skipped(identity, params, sk.note)
-    return VerificationReport.from_diffs(identity, params, diffs)
+    terms = (_Term(acts.out1, p, acts.in1, q, tgt, False, acts.out1.kron(p),
+                   "product-inner"),
+             _Term(acts.out2, q, acts.in2, p, tgt, False, acts.out2.kron(q),
+                   "product-inner"),
+             _Term(acts.out3, tgt, acts.iterate, p, q, True, None,
+                   "iterate-inner"))
+    level = min(acts.out1.level, acts.out2.level, acts.out3.level)
+    return _evaluate(_jacobi_layout, weights, win, level, rows, terms,
+                     identity, params)
 
 
 def _triple_params(u, v, w, extra: str = "") -> str:
@@ -416,8 +452,9 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
     else:
         diffs = []
         for j in range(order + 1):
-            lhs = lv[-1].scale(Fraction(wv) ** j / _fact(j))
-            coef = sum(Fraction(wv + 1) ** p / (_fact(p) * _fact(j - p))
+            lhs = lv[-1].scale(Fraction(wv) ** j / factorial(j))
+            coef = sum(Fraction(wv + 1) ** p
+                       / (factorial(p) * factorial(j - p))
                        * (-1) ** ((j - p) % 2) for p in range(j + 1))
             _diff_labels(diffs, (j,), lhs.coeff, lv[-1].scale(coef).coeff)
         out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(-1)",
@@ -426,9 +463,9 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
     # L(1) e^{xL(0)} = e^{xL(0)} L(1) e^{x}
     diffs = []
     for j in range(order + 1):
-        lhs = lv[1].scale(Fraction(wv) ** j / _fact(j))
-        coef = sum(Fraction(wv - 1) ** p / (_fact(p) * _fact(j - p))
-                   for p in range(j + 1))
+        lhs = lv[1].scale(Fraction(wv) ** j / factorial(j))
+        coef = sum(Fraction(wv - 1) ** p
+                   / (factorial(p) * factorial(j - p)) for p in range(j + 1))
         _diff_labels(diffs, (j,), lhs.coeff, lv[1].scale(coef).coeff)
     out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(1)",
                                              params, diffs))
@@ -453,13 +490,6 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
             _diff_labels(diffs, ((j, "outer"),), e1.coeff, e3.coeff)
         out.append(VerificationReport.from_diffs("conj-exp-L1-with-L(-1)",
                                                  params, diffs))
-    return out
-
-
-def _fact(n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 
@@ -692,49 +722,19 @@ def check_translate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
       - x0^-1 d((x2-x1)/-x0) Y(Y(u, x1)w, -x2) v
       = x2^-1 d((x1-x0)/x2) Y(w, -x2) Y(u, x0) v
 
-    As in ``three_term_check``, each term keeps its products per diagonal.
+    It runs on the engine of ``three_term_check``.
     """
-    wu, wv, ww = u.weight(), v.weight(), w.weight()
-    params = _triple_params(u, v, w, f"win={win.hi('x0')}")
+    weights = wu, wv, ww = u.weight(), v.weight(), w.weight()
     act = VOAAction(V)
-    diffs = []
-    prod_co, iter_co = _expansion_rows(
+    rows = _expansion_rows(
         win, wu + ww + win.hi("x1") + 1,
         max(wu + wv + win.hi("x0"), ww + wv + win.hi("x2")) + 1, 1)
-    term_a = _Term(act, u, act, w, v, iterate=False, kron=act.kron(u),
-                   note="inner")
-    term_b = _Term(act, v, act, u, w, iterate=True, kron=None,
-                   note="iterate")
-    term_c = _Term(act, w, act, u, v, iterate=False, kron=act.kron(w),
-                   note="inner")
-    try:
-        for pos in _positions(win, wu + wv + ww, V.level):
-            a, b, c = pos
-            diag = -(a + b + c + 3)
-            lhs, rhs = {}, {}
-            sign = -1 if c % 2 else 1
-            # term a: delta * Y(u, x1-x2) Y(w, -x2) v, w inner at j = k-c-1.
-            # Its coefficient (-1)^c binom(b+k, k) is, by Vandermonde, a sum
-            # over k1 of binom(-a-1, k1) binom(a+b+k+1, k-k1); a product is
-            # computed where a summand is nonzero: below -a-b-1 if a, b < 0
-            n = ww + wv + c + 1
-            term_a.add(lhs, pos, diag, c + 1, iter_co[b],
-                       min(n, -a - b - 1) if a < 0 and b < 0 else n, sign)
-            # term b: delta * Y(Y(u,x1)w, -x2) v, with u_j w at j = k - b - 1
-            row = prod_co[a]
-            term_b.add(lhs, pos, diag, b + 1, row,
-                       min(wu + ww + b + 1, len(row)), -sign)
-            # term c: delta * Y(w, -x2) Y(u, x0) v, u inner at j = k - a - 1
-            row = iter_co[b]
-            term_c.add(rhs, pos, diag, a + 1, row,
-                       min(wu + wv + a + 1, len(row)),
-                       sign if b % 2 else -sign)
-            _diff_labels(diffs, pos, lhs, rhs)
-    except _Skip as sk:
-        return VerificationReport.skipped("translate-skew-rewrite", params,
-                                          sk.note)
-    return VerificationReport.from_diffs("translate-skew-rewrite", params,
-                                         diffs)
+    terms = (_Term(act, u, act, w, v, False, act.kron(u), "inner"),
+             _Term(act, v, act, u, w, True, None, "iterate"),
+             _Term(act, w, act, u, v, False, act.kron(w), "inner"))
+    return _evaluate(_translate_skew_layout, weights, win, V.level, rows,
+                     terms, "translate-skew-rewrite",
+                     _triple_params(u, v, w, f"win={win.hi('x0')}"))
 
 
 S3_PERMS = {

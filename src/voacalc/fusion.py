@@ -229,15 +229,29 @@ def check_commutativity(A: VerlindeAlgebra) -> VerificationReport:
 
 
 def check_associativity(A: VerlindeAlgebra) -> VerificationReport:
-    """Brute force over all quadruples (i, j, l, m) of
-    sum_k N_ij^k N_kl^m = sum_k N_jl^k N_ik^m."""
+    """sum_k N_ij^k N_kl^m = sum_k N_jl^k N_ik^m for every quadruple
+    (i, j, l, m), both sides summed over the nonzero N_ij^k of each pair
+    (i, j) only."""
     T = A.tensor
+    nonzero: dict = {}
+    for (i, j, k), n in T._entry_map.items():
+        if n:
+            nonzero.setdefault((i, j), []).append((k, n))
+
+    def compose(first, second) -> dict:
+        out: dict = {}
+        for k, a in nonzero.get(first, ()):
+            for m, b in nonzero.get(second(k), ()):
+                out[m] = out.get(m, 0) + a * b
+        return out
+
     diffs = []
-    for i, j, l, m in product(T.labels, repeat=4):
-        lhs = sum(T.n(i, j, k) * T.n(k, l, m) for k in T.labels)
-        rhs = sum(T.n(j, l, k) * T.n(i, k, m) for k in T.labels)
-        if lhs != rhs:
-            diffs.append(((i, j, l, m), lhs, rhs))
+    for i, j, l in product(T.labels, repeat=3):
+        lhs = compose((i, j), lambda k: (k, l))
+        rhs = compose((j, l), lambda k: (i, k))
+        for m in T.labels:
+            if lhs.get(m, 0) != rhs.get(m, 0):
+                diffs.append(((i, j, l, m), lhs.get(m, 0), rhs.get(m, 0)))
     return VerificationReport.from_diffs(
         "verlinde-associativity", f"labels={len(T.labels)}", diffs)
 

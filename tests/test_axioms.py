@@ -85,10 +85,57 @@ class TestJacobi:
             V.clear_corruptions()
         assert run(V).passed and run(V, acts).passed
 
+    def test_reused_plan_sees_a_corruption_between_calls(self):
+        # two consecutive checks of one weight signature share one cached
+        # plan; the second, after a constant is corrupted, must fail. A
+        # plan that also kept product values would pass it
+        u, v, w = B((2,)), B((1,)), B((1,))
+        caught = None
+        for key in sorted(_touched(u, v, w)):
+            fresh = build_heisenberg(6)
+            lab = min(fresh.mode_basis(*key))
+            fresh.corrupt(*key, lab, 1)
+            if axioms.check_jacobi(fresh, u, v, w, WIN2).failed:
+                caught = key + (lab,)
+                break
+        assert caught is not None
+        V = build_heisenberg(6)
+        assert axioms.check_jacobi(V, u, v, w, WIN2).passed
+        V.corrupt(*caught, 1)
+        try:
+            rep, hits, built = _plan_hits(
+                lambda: axioms.check_jacobi(V, u, v, w, WIN2))
+        finally:
+            V.clear_corruptions()
+        assert rep.failed and rep.diffs
+        assert (hits, built) == (1, 0)
+
     def test_linearity_in_each_slot(self, V):
         u = B((1,)).scale(Fraction(1, 2)) + B((2,))
         rep = axioms.check_jacobi(V, u, B((1,)), V.vacuum, WIN2)
         assert rep.passed
+
+
+def _touched(u, v, w):
+    """The nonzero structure-constant keys a level-6 jacobi check of
+    (u, v, w) on WIN2 reads."""
+    V = build_heisenberg(6)
+    axioms.check_jacobi(V, u, v, w, WIN2)
+    return [k for k in V.touched_mode_keys() if V.mode_basis(*k)]
+
+
+def test_failing_records_hold_exact_coefficients():
+    # the plans' signs (-1)^a, (-1)^c for negative exponents must stay
+    # ints: a float would compare equal and pass unnoticed
+    u, v, w = B((2,)), B((1,)), B((1,))
+    for check in (axioms.check_jacobi, axioms.check_translate_skew):
+        V = build_heisenberg(6)
+        for key in _touched(u, v, w):
+            V.corrupt(*key, min(V.mode_basis(*key)), 1)
+        rep = check(V, u, v, w, WIN3)
+        assert rep.failed
+        assert {type(x) for _, *vals in rep.diffs for x in vals} <= \
+            {int, Fraction}
 
 
 def _rows_match_delta(expansion_rows) -> bool:
@@ -352,21 +399,31 @@ def _oracle_cases(draw):
     """A homogeneous triple (weights up to the level, small integer
     combinations of basis vectors), a window with independent bounds per
     variable, and whether to corrupt one structure constant."""
-    vecs = []
-    for _ in range(3):
-        wt = draw(st.sampled_from((0, 1, 1, 2, 2, 3, ORACLE_LEVEL)))
-        labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
-                               max_size=2, unique=True))
-        vec = GradedVector()
-        for lab in labels:
-            vec = vec + B(lab).scale(draw(st.sampled_from((1, -2, 3))))
-        vecs.append(vec)
+    vecs = [_oracle_vector(draw, draw(st.sampled_from(ORACLE_WEIGHTS)))
+            for _ in range(3)]
+    return vecs, _oracle_window(draw), draw(st.booleans()), draw(
+        st.integers(0, 1 << 20))
+
+
+ORACLE_WEIGHTS = (0, 1, 1, 2, 2, 3, ORACLE_LEVEL)
+
+
+def _oracle_vector(draw, wt):
+    """A small integer combination of basis vectors of weight wt."""
+    labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
+                           max_size=2, unique=True))
+    vec = GradedVector()
+    for lab in labels:
+        vec = vec + B(lab).scale(draw(st.sampled_from((1, -2, 3))))
+    return vec
+
+
+def _oracle_window(draw):
     bounds = {}
     for var in ("x0", "x1", "x2"):
         lo = draw(st.integers(-3, 1))
         bounds[var] = (lo, lo + draw(st.integers(0, 3)))
-    return vecs, Window.of(**bounds), draw(st.booleans()), draw(
-        st.integers(0, 1 << 20))
+    return Window.of(**bounds)
 
 
 def _corrupted_algebra(corrupt: bool, pick: int, warm):
@@ -462,3 +519,98 @@ def test_translate_skew_matches_naive_evaluator(case):
         V, u, v, w, win))
     assert (_engine(got), calls) == _recorded(
         V, lambda: _naive_translate_skew(V, u, v, w, win))
+
+
+# -- plans kept across calls --------------------------------------------------
+#
+# A plan depends on the signature (layout, weights, window, observable
+# level, expansion rows) only, so consecutive checks of one signature share
+# it, whatever their vectors, actions or structure constants.
+
+
+def _plan_hits(check):
+    """check() and the numbers of cached plans it reused and built."""
+    caches = axioms._PLANS.values()
+    before = [c.cache_info() for c in caches]
+    out = check()
+    after = [c.cache_info() for c in caches]
+    return (out, sum(a.hits - b.hits for a, b in zip(after, before)),
+            sum(a.misses - b.misses for a, b in zip(after, before)))
+
+
+@pytest.mark.parametrize("slot", ["dual", "intertwiner"])
+def test_plan_warmed_by_the_algebra_serves_other_actions(slot):
+    p, q, t = B((1,)), B((1,)), B((1,))
+    V = build_heisenberg(ORACLE_LEVEL)
+    assert axioms.three_term_check(p, q, t, WIN2, _actions(V, "algebra"),
+                                   "jacobi", "-").passed
+    # a moved stored mode makes the intertwiner's values differ from the
+    # algebra's as well
+    acts = _actions(V, slot, (q, t, 0) if slot == "intertwiner" else None)
+    got, hits, built = _plan_hits(lambda: axioms.three_term_check(
+        p, q, t, WIN2, acts, "jacobi", "-"))
+    assert (hits, built) == (1, 0)
+    assert _engine(got) == _naive_three_term(p, q, t, WIN2, acts)
+    assert got.failed == (slot == "intertwiner")
+
+
+RUN_KINDS = ("algebra", "dual", "intertwiner", "translate-skew")
+
+
+@st.composite
+def _oracle_runs(draw):
+    """2-4 cases of one weight signature and window, their kinds taken in
+    turn from RUN_KINDS; each case has its own vectors and corruption."""
+    weights = [draw(st.sampled_from(ORACLE_WEIGHTS)) for _ in range(3)]
+    win = _oracle_window(draw)
+    start = draw(st.integers(0, len(RUN_KINDS) - 1))
+    cases = []
+    for n in range(draw(st.integers(2, 4))):
+        kind = RUN_KINDS[(start + n) % len(RUN_KINDS)]
+        cases.append((kind, [_oracle_vector(draw, wt) for wt in weights],
+                      draw(st.booleans()), draw(st.integers(0, 1 << 20))))
+    return win, cases
+
+
+def _run_case(kind, vecs, win, corrupt, pick):
+    """The engine's and the naive evaluator's report of one case, each with
+    the set of distinct apply_mode calls it made, and whether the engine
+    built a plan."""
+    p, q, t = vecs
+    if kind == "translate-skew":
+        V = _corrupted_algebra(corrupt, pick, lambda V: _naive_translate_skew(
+            V, p, q, t, win))
+        (got, hits, built), calls = _recorded(V, lambda: _plan_hits(
+            lambda: axioms.check_translate_skew(V, p, q, t, win)))
+        return (_engine(got), calls), _recorded(
+            V, lambda: _naive_translate_skew(V, p, q, t, win)), built
+    if kind == "intertwiner":
+        V = build_heisenberg(ORACLE_LEVEL)
+        moved = (q, t, pick) if corrupt else None
+    else:
+        V = _corrupted_algebra(corrupt, pick, lambda V: _naive_three_term(
+            p, q, t, win, _actions(V, kind)))
+        moved = None
+    # fresh actions for each evaluator, built before recording, so that a
+    # dual's memo warmed by one does not hide the other's calls
+    acts, naive_acts = _actions(V, kind, moved), _actions(V, kind, moved)
+    (got, hits, built), calls = _recorded(V, lambda: _plan_hits(
+        lambda: axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")))
+    return (_engine(got), calls), _recorded(
+        V, lambda: _naive_three_term(p, q, t, win, naive_acts)), built
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_oracle_runs())
+def test_runs_of_one_signature_match_naive_evaluator(run):
+    win, cases = run
+    for cache in axioms._PLANS.values():
+        cache.cache_clear()
+    layouts = set()
+    for kind, vecs, corrupt, pick in cases:
+        got, want, built = _run_case(kind, vecs, win, corrupt, pick)
+        assert got == want, kind
+        # the three slot kinds share the three-term plan
+        layout = kind == "translate-skew"
+        assert built == (layout not in layouts)
+        layouts.add(layout)

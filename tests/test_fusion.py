@@ -185,6 +185,42 @@ def test_symmetric_construction_passes_s3_and_commutes(T):
     assert fusion.check_commutativity(A).passed
 
 
+def _brute_force_associativity(T):
+    """The defining formula over all quadruples and all k."""
+    diffs = []
+    for i, j, l, m in itertools.product(T.labels, repeat=4):
+        lhs = sum(T.n(i, j, k) * T.n(k, l, m) for k in T.labels)
+        rhs = sum(T.n(j, l, k) * T.n(i, k, m) for k in T.labels)
+        if lhs != rhs:
+            diffs.append(((i, j, l, m), lhs, rhs))
+    return diffs
+
+
+@st.composite
+def small_tensors(draw):
+    """Arbitrary small tensors, mostly non-associative: each triple is
+    unlisted, listed with N = 0, or listed with N = 1 or 2."""
+    labels = ("V", "a", "b", "c")[:draw(st.integers(1, 4))]
+    entries = []
+    for triple in itertools.product(labels, repeat=3):
+        n = draw(st.sampled_from((None, None, 0, 1, 2)))
+        if n is not None:
+            entries.append((triple, n))
+    return fusion.FusionTensor(labels, (), tuple(entries))
+
+
+@given(small_tensors())
+@settings(max_examples=80, deadline=None)
+def test_associativity_matches_the_brute_force_formula(T):
+    # the check sums over the nonzero N_ij^k only; its diffs, their order
+    # and their values must be the formula's
+    rep = fusion.check_associativity(fusion.VerlindeAlgebra(T))
+    want = _brute_force_associativity(T)
+    assert rep.diffs == want
+    assert all(type(x) is int for _, *vals in rep.diffs for x in vals)
+    assert rep.failed == bool(want)
+
+
 @pytest.fixture(scope="module")
 def V():
     return build_heisenberg(3)
