@@ -3,13 +3,11 @@ identities on a truncated free boson, with fusion-algebra and genus-zero
 sewing checks."""
 
 from .fock import GradedVector, HeisenbergVOA, build_heisenberg
-from .series import (ExpansionDirection, FormalSeries, Support, Window,
-                     binomial_expand, check_delta_identity, delta_expansion,
-                     residue, series_multiply)
+from .series import (FormalSeries, Support, Window, check_delta_identity,
+                     delta_expansion, series_multiply)
 
 __all__ = [
     "GradedVector", "HeisenbergVOA", "build_heisenberg",
-    "ExpansionDirection", "FormalSeries", "Support", "Window",
-    "binomial_expand", "check_delta_identity", "delta_expansion",
-    "residue", "series_multiply",
+    "FormalSeries", "Support", "Window",
+    "check_delta_identity", "delta_expansion", "series_multiply",
 ]

@@ -47,7 +47,8 @@ from math import factorial
 
 from .exact import binom
 from .fock import GradedVector, HeisenbergVOA, exp_chain
-from .reports import Status, VerificationReport, fmt_label, fmt_vec
+from .reports import (Status, VerificationReport, diff_labels, fmt_label,
+                      fmt_vec)
 from .series import Window
 
 
@@ -58,7 +59,6 @@ class VOAAction:
     def __init__(self, V: HeisenbergVOA):
         self.V = V
         self.level = V.level
-        self.grading_shift = Fraction(0)
 
     def act(self, op: GradedVector, n: int, vec: GradedVector,
             ceiling: int | None = None) -> GradedVector:
@@ -225,8 +225,8 @@ def _evaluate(layout, weights: tuple, win: Window, level: int, rows,
         for (term, side, i, j, first), feed in zip(products, feeds):
             while touched and touched[0] < first:
                 p = heappop(touched)
-                _diff_labels(diffs, positions[p], lhs.pop(p, {}),
-                             rhs.pop(p, {}))
+                diff_labels(diffs, positions[p], lhs.pop(p, {}),
+                            rhs.pop(p, {}))
             val = compute[term](i, j, positions[first])
             if val:
                 live, other = sides[side], sides[1 - side]
@@ -242,17 +242,8 @@ def _evaluate(layout, weights: tuple, win: Window, level: int, rows,
     except _Skip as sk:
         return VerificationReport.skipped(identity, params, sk.args[0])
     for p in sorted(touched):
-        _diff_labels(diffs, positions[p], lhs.pop(p, {}), rhs.pop(p, {}))
+        diff_labels(diffs, positions[p], lhs.pop(p, {}), rhs.pop(p, {}))
     return VerificationReport.from_diffs(identity, params, diffs)
-
-
-def _diff_labels(diffs: list, where: tuple, lhs: dict, rhs: dict) -> None:
-    if lhs == rhs:
-        return
-    for label in sorted(set(lhs) | set(rhs)):
-        lc, rc = lhs.get(label, 0), rhs.get(label, 0)
-        if lc != rc:
-            diffs.append((where + (label,), lc, rc))
 
 
 def three_term_check(p: GradedVector, q: GradedVector, tgt,
@@ -346,8 +337,8 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     act = VOAAction(V)
     diffs = []
     for k in range(lo, hi + 1):
-        _diff_labels(diffs, (k,), V.apply_mode(u, -k - 1, v).coeff,
-                     skew_coefficient(act, v, -k - 1, u).coeff)
+        diff_labels(diffs, (k,), V.apply_mode(u, -k - 1, v).coeff,
+                    skew_coefficient(act, v, -k - 1, u).coeff)
     return VerificationReport.from_diffs("skew-symmetry", params, diffs)
 
 
@@ -412,8 +403,8 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
                     if key not in parts:
                         parts[key] = V.apply_mode(l_v[i - j], n + j, w)
                     rhs = rhs + parts[key].scale(binom(i + 1, j))
-                _diff_labels(diffs[i], (fmt_label(lw), n), lhs.coeff,
-                             rhs.coeff)
+                diff_labels(diffs[i], (fmt_label(lw), n), lhs.coeff,
+                            rhs.coeff)
     params = f"v={fmt_vec(v)};win={win.hi('x')}"
     out = []
     for i in modes:
@@ -456,7 +447,7 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
             coef = sum(Fraction(wv + 1) ** p
                        / (factorial(p) * factorial(j - p))
                        * (-1) ** ((j - p) % 2) for p in range(j + 1))
-            _diff_labels(diffs, (j,), lhs.coeff, lv[-1].scale(coef).coeff)
+            diff_labels(diffs, (j,), lhs.coeff, lv[-1].scale(coef).coeff)
         out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(-1)",
                                                  params, diffs))
 
@@ -466,7 +457,7 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
         lhs = lv[1].scale(Fraction(wv) ** j / factorial(j))
         coef = sum(Fraction(wv - 1) ** p
                    / (factorial(p) * factorial(j - p)) for p in range(j + 1))
-        _diff_labels(diffs, (j,), lhs.coeff, lv[1].scale(coef).coeff)
+        diff_labels(diffs, (j,), lhs.coeff, lv[1].scale(coef).coeff)
     out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(1)",
                                              params, diffs))
 
@@ -486,8 +477,8 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
                 - V.virasoro(1, _entry(ev, j - 2))
             e3 = _entry(el[-1], j) - _entry(el[0], j - 1).scale(2) \
                 + _entry(el[1], j - 2)
-            _diff_labels(diffs, ((j, "mid"),), e1.coeff, e2.coeff)
-            _diff_labels(diffs, ((j, "outer"),), e1.coeff, e3.coeff)
+            diff_labels(diffs, ((j, "mid"),), e1.coeff, e2.coeff)
+            diff_labels(diffs, ((j, "outer"),), e1.coeff, e3.coeff)
         out.append(VerificationReport.from_diffs("conj-exp-L1-with-L(-1)",
                                                  params, diffs))
     return out
@@ -580,9 +571,9 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                             rhs[key] = rhs.get(key, GradedVector()) \
                                 + base.scale(co)
         for key in sorted(set(lhs) | set(rhs)):
-            _diff_labels(diffs, (fmt_label(lw),) + key,
-                         lhs.get(key, GradedVector()).coeff,
-                         rhs.get(key, GradedVector()).coeff)
+            diff_labels(diffs, (fmt_label(lw),) + key,
+                        lhs.get(key, GradedVector()).coeff,
+                        rhs.get(key, GradedVector()).coeff)
     if not any_checked:
         return VerificationReport.skipped("conj-shear", params,
                                           "no exact x0 range")
@@ -626,9 +617,9 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                         rhs[-n - 1 - j] = rhs.get(-n - 1 - j,
                                                   GradedVector()) + val
             for e in sorted(set(lhs[j]) | set(rhs)):
-                _diff_labels(diffs, (fmt_label(lw), j, e),
-                             lhs[j].get(e, GradedVector()).coeff,
-                             rhs.get(e, GradedVector()).coeff)
+                diff_labels(diffs, (fmt_label(lw), j, e),
+                            lhs[j].get(e, GradedVector()).coeff,
+                            rhs.get(e, GradedVector()).coeff)
     if not any_checked:
         return VerificationReport.skipped("conj-translate", params,
                                           "level too small")
@@ -708,8 +699,8 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                 co = binom(c + k, k)
                 if co:
                     e3 = e3 + act.act(be, -c - k - 1, w).scale(co)
-            _diff_labels(diffs, (a, c, "skew"), e1.coeff, e2.coeff)
-            _diff_labels(diffs, (a, c, "shift"), e1.coeff, e3.coeff)
+            diff_labels(diffs, (a, c, "skew"), e1.coeff, e2.coeff)
+            diff_labels(diffs, (a, c, "shift"), e1.coeff, e3.coeff)
     return VerificationReport.from_diffs("iterate-skew-rewrite", params, diffs)
 
 

@@ -52,16 +52,12 @@ from fractions import Fraction
 from . import axioms
 from .exact import exact_det, gauss_solve
 from .fock import GradedVector, HeisenbergVOA, exp_chain, partitions
-from .reports import VerificationReport, fmt_label
-from .series import FormalSeries, Support, Window
+from .reports import VerificationReport, diff_labels, fmt_label
+from .series import FormalSeries, Window
 
 
 class NotSelfDual(Exception):
     """The invariance constraints are inconsistent or degenerate."""
-
-
-class GradingViolation(Exception):
-    """Direct-sum construction requires an integer-graded module."""
 
 
 class AsymmetricForm(Exception):
@@ -87,7 +83,6 @@ class ContragredientModule(axioms.VOAAction):
         self.base = base
         self.V = base.V
         self.level = base.level
-        self.grading_shift = base.grading_shift
         # homogeneous v -> [(k, L(1)^k v / k!)] while nonzero
         self._lowered: dict = {}
         # (v, n, block weight) -> {mu: {nu: coefficient}}
@@ -197,8 +192,7 @@ class ContragredientModule(axioms.VOAAction):
         return GradedVector(out)
 
 
-def conjugate_vector(V: HeisenbergVOA, v: GradedVector,
-                     var: str = "x") -> FormalSeries:
+def conjugate_vector(V: HeisenbergVOA, v: GradedVector) -> FormalSeries:
     """e^{xL(1)} (-x^-2)^{L(0)} v as a finite vector-valued Laurent series."""
     coeff: dict = {}
     for wtv in sorted(v.weights()):
@@ -207,14 +201,7 @@ def conjugate_vector(V: HeisenbergVOA, v: GradedVector,
                                          terms=wtv + 1)):
             e = k - 2 * wtv
             coeff[(e,)] = coeff.get((e,), GradedVector()) + lv.scale(sign)
-    coeff = {e: c for e, c in coeff.items() if c}
-    if coeff:
-        lo = min(e for (e,) in coeff)
-        hi = max(e for (e,) in coeff)
-    else:
-        lo = hi = 0
-    return FormalSeries((var,), coeff, Window.of(**{var: (lo, hi)}),
-                        Support.FINITE)
+    return FormalSeries.laurent_polynomial(coeff)
 
 
 def check_defining_relation(M, Mp: ContragredientModule | None = None
@@ -308,12 +295,8 @@ def check_dual_virasoro(M, n_range: int,
                 rhs = Mp.virasoro(m + n, wp, top).scale(m - n)
                 if m + n == 0:
                     rhs = rhs + wp.scale(c * Fraction(m ** 3 - m, 12))
-                l6 = lhs.clip(M.level)
-                r6 = rhs.clip(M.level)
-                delta = l6 - r6
-                for label in sorted(delta.coeff):
-                    diffs.append((("bracket", m, n, fmt_label(mu), label),
-                                  l6.coeff.get(label, 0), r6.coeff.get(label, 0)))
+                diff_labels(diffs, ("bracket", m, n, fmt_label(mu)),
+                            lhs.clip(M.level).coeff, rhs.clip(M.level).coeff)
     return VerificationReport.from_diffs("dual-virasoro",
                                          f"range={n_range}", diffs)
 
@@ -331,13 +314,9 @@ def check_dual_derivative(M, order: int,
         for mu in M.basis_upto():
             wp = GradedVector.basis(mu)
             for n in range(-(order + 1), order + 1):
-                lhs = Mp.act(v, n, wp).scale(-n - 1)
-                rhs = Mp.act(dv, n + 1, wp)
-                delta = lhs - rhs
-                for label in sorted(delta.coeff):
-                    diffs.append(((fmt_label(lv), fmt_label(mu), n, label),
-                                  lhs.coeff.get(label, 0),
-                                  rhs.coeff.get(label, 0)))
+                diff_labels(diffs, (fmt_label(lv), fmt_label(mu), n),
+                            Mp.act(v, n, wp).scale(-n - 1).coeff,
+                            Mp.act(dv, n + 1, wp).coeff)
     return VerificationReport.from_diffs("dual-derivative",
                                          f"order={order}", diffs)
 
@@ -371,16 +350,10 @@ def check_double_contragredient(M, Mp: ContragredientModule | None = None
         for mu in M.basis_upto():
             m = GradedVector.basis(mu)
             for n in range(wtv + sum(mu) - 1 - M.level, wtv + sum(mu)):
-                orig = M.act(v, n, m).coeff
                 # the row of the double dual's block, read whole
-                double = Mpp.adjoint_block(v, n, sum(mu)).get(mu, {})
-                if orig == double:
-                    continue
-                for label in sorted(orig.keys() | double.keys()):
-                    oc, dc = orig.get(label, 0), double.get(label, 0)
-                    if oc != dc:
-                        diffs.append(((fmt_label(lv), n, fmt_label(mu), label),
-                                      oc, dc))
+                diff_labels(diffs, (fmt_label(lv), n, fmt_label(mu)),
+                            M.act(v, n, m).coeff,
+                            Mpp.adjoint_block(v, n, sum(mu)).get(mu, {}))
     return VerificationReport.from_diffs("double-dual-identity", "all-basis",
                                          diffs)
 
@@ -430,7 +403,6 @@ class BilinearForm:
 
 
 def build_invariant_form(M, normalization: Fraction = Fraction(1),
-                         verify: bool = True,
                          Mp: ContragredientModule | None = None
                          ) -> BilinearForm:
     """Invariant form with (vacuum, vacuum) equal to ``normalization``.
@@ -483,60 +455,57 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
     if not form.nondegenerate():
         raise NotSelfDual("degenerate weight block at this truncation")
 
-    if verify:
-        Mp = Mp or ContragredientModule(M)
-        for lv in M.V.basis_upto():
-            v = GradedVector.basis(lv)
-            wtv = sum(lv)
-            # the direct image depends on nu only through |nu|, the
-            # adjoint image on mu only through |mu|; each is paired with
-            # its whole block at once
-            adjoint: dict = {}
-            for mu in M.basis_upto():
-                w1 = GradedVector.basis(mu)
-                wmu, imu = index[mu]
-                direct: dict = {}
-                for nu in M.basis_upto():
-                    wnu, inu = index[nu]
-                    # single weight-matching mode index
-                    n = wtv + wmu - wnu - 1
-                    row = direct.get(wnu)
-                    if row is None:
-                        row = direct[wnu] = form.pairings(M.act(v, n, w1),
-                                                          wnu)
-                    lhs = row[inu]
-                    col = adjoint.get((nu, wmu))
-                    if col is None:
-                        block = Mp.adjoint_block(v, n, wmu)
-                        adj = GradedVector({lab: c[nu] for lab, c
-                                            in block.items() if nu in c})
-                        col = adjoint[(nu, wmu)] = form.pairings(
-                            adj, wmu, first=False)
-                    rhs = col[imu]
-                    if lhs != rhs:
-                        raise NotSelfDual(
-                            f"invariance fails at v={lv}, w1={mu}, w2={nu}, n={n}: "
-                            f"{lhs} != {rhs}")
+    Mp = Mp or ContragredientModule(M)
+    for lv in M.V.basis_upto():
+        v = GradedVector.basis(lv)
+        wtv = sum(lv)
+        # the direct image depends on nu only through |nu|, the
+        # adjoint image on mu only through |mu|; each is paired with
+        # its whole block at once
+        adjoint: dict = {}
+        for mu in M.basis_upto():
+            w1 = GradedVector.basis(mu)
+            wmu, imu = index[mu]
+            direct: dict = {}
+            for nu in M.basis_upto():
+                wnu, inu = index[nu]
+                # single weight-matching mode index
+                n = wtv + wmu - wnu - 1
+                row = direct.get(wnu)
+                if row is None:
+                    row = direct[wnu] = form.pairings(M.act(v, n, w1),
+                                                      wnu)
+                lhs = row[inu]
+                col = adjoint.get((nu, wmu))
+                if col is None:
+                    block = Mp.adjoint_block(v, n, wmu)
+                    adj = GradedVector({lab: c[nu] for lab, c
+                                        in block.items() if nu in c})
+                    col = adjoint[(nu, wmu)] = form.pairings(
+                        adj, wmu, first=False)
+                rhs = col[imu]
+                if lhs != rhs:
+                    raise NotSelfDual(
+                        f"invariance fails at v={lv}, w1={mu}, w2={nu}, n={n}: "
+                        f"{lhs} != {rhs}")
     return form
 
 
-def check_invariant_form(M, normalization: Fraction = Fraction(1),
-                         Mp: ContragredientModule | None = None
+def check_invariant_form(M, Mp: ContragredientModule | None = None
                          ) -> list[VerificationReport]:
-    """Existence plus the structural properties of the invariant form, and
-    the norm of the conformal vector, c/2 times the normalization."""
+    """Existence plus the structural properties of the invariant form with
+    (vacuum, vacuum) = 1, and the norm of the conformal vector, c/2."""
     out = []
     try:
-        form = build_invariant_form(M, normalization, Mp=Mp)
+        form = build_invariant_form(M, Mp=Mp)
     except NotSelfDual as e:
         out.append(VerificationReport.from_diffs(
-            "invariant-form", f"norm={normalization}", [("build", str(e), "")]))
+            "invariant-form", "norm=1", [("build", str(e), "")]))
         return out
     diffs = []
-    if form.pair(GradedVector.basis(()), GradedVector.basis(())) != normalization:
-        diffs.append(("vacuum-normalization",
-                      form.pair(GradedVector.basis(()), GradedVector.basis(())),
-                      normalization))
+    vacuum = form.pair(GradedVector.basis(()), GradedVector.basis(()))
+    if vacuum != 1:
+        diffs.append(("vacuum-normalization", vacuum, 1))
     if not form.symmetric:
         diffs.append(("symmetry", "asymmetric", "symmetric"))
     dets = form.block_determinants()
@@ -544,7 +513,7 @@ def check_invariant_form(M, normalization: Fraction = Fraction(1),
         if d == 0:
             diffs.append((f"block-det-{w}", d, "nonzero"))
     out.append(VerificationReport.from_diffs(
-        "invariant-form", f"norm={normalization}", diffs,
+        "invariant-form", "norm=1", diffs,
         note="block dets " + ",".join(str(dets[w]) for w in sorted(dets))))
     om = M.V.omega
     if om.weight() > M.level:
@@ -552,7 +521,7 @@ def check_invariant_form(M, normalization: Fraction = Fraction(1),
             "form-conformal-norm", f"level={M.level}",
             f"omega has weight {om.weight()}, above level {M.level}"))
         return out
-    want = normalization * M.V.central_charge / 2
+    want = M.V.central_charge / 2
     got = form.pair(om, om)
     out.append(VerificationReport.from_diffs(
         "form-conformal-norm", f"level={M.level}",
@@ -588,8 +557,6 @@ class DirectSumMap:
 
     def __init__(self, V: HeisenbergVOA, W: axioms.VOAAction,
                  form_V: BilinearForm, form_W: BilinearForm):
-        if W.grading_shift != 0:
-            raise GradingViolation("module grading is not integral")
         if not form_W.symmetric:
             raise AsymmetricForm("module form must be symmetric")
         self.V = V

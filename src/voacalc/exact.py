@@ -136,9 +136,6 @@ class QQi:
         a, b, d = self._a, self._b, self._d
         return Fraction(a * a + b * b, d * d)
 
-    def conj(self) -> "QQi":
-        return _qqi(self._a, -self._b, self._d)
-
     def inverse(self) -> "QQi":
         return _quotient(1, 0, 1, self._a, self._b, self._d)
 

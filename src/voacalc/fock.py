@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
-from .series import FormalSeries, Support, Window
+from .series import FormalSeries, Window
 
 
 @lru_cache(maxsize=None)
@@ -389,23 +389,11 @@ class HeisenbergVOA:
         return range(min(wu) + min(wv) - 1 - cap, max(wu) + max(wv))
 
     def vertex_series(self, u: GradedVector, v: GradedVector,
-                      window: Window, var: str = "x") -> FormalSeries:
-        """Y(u, x) v as a vector-valued series on the window."""
-        coeff = {}
-        lo_n, hi_n = None, None
-        for n in self.mode_range(u, v):
-            val = self.apply_mode(u, n, v)
-            if val:
-                coeff[(-n - 1,)] = val
-                lo_n = n if lo_n is None else min(lo_n, n)
-                hi_n = n if hi_n is None else max(hi_n, n)
-        if lo_n is None:
-            full = FormalSeries((var,), {}, Window.of(**{var: (0, 0)}),
-                                Support.FINITE)
-        else:
-            full_win = Window.of(**{var: (-hi_n - 1, -lo_n - 1)})
-            full = FormalSeries((var,), coeff, full_win, Support.FINITE)
-        return full.restrict(window)
+                      window: Window) -> FormalSeries:
+        """Y(u, x) v as a vector-valued series in x on the window."""
+        coeff = {(-n - 1,): self.apply_mode(u, n, v)
+                 for n in self.mode_range(u, v)}
+        return FormalSeries.laurent_polynomial(coeff).restrict(window)
 
     def virasoro(self, n: int, v: GradedVector,
                  ceiling: int | None = None) -> GradedVector:

@@ -21,7 +21,7 @@ from itertools import permutations, product
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
 from .fock import GradedVector
-from .reports import FixtureError, VerificationReport, fmt_vec
+from .reports import FixtureError, VerificationReport, diff_labels, fmt_vec
 from .series import Window
 
 
@@ -124,10 +124,12 @@ def parse_fusion_tensor(text: str, name: str = "<fusion>") -> FusionTensor:
 
 def load_fusion_tensor(path) -> FusionTensor:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_fusion_tensor(fh.read(), str(path))
     except OSError as e:
         raise FixtureError(f"{path}: {e}")
+    except UnicodeDecodeError:
+        raise FixtureError(f"{path}: not UTF-8 text")
 
 
 def check_s3_symmetry(T: FusionTensor) -> VerificationReport:
@@ -361,19 +363,17 @@ def shaped_jacobi_window(pw: int, qw: int, tw: int, level: int,
                      x2=(-width, c_hi))
 
 
-def check_intertwiner(I: IntertwinerData, win: Window,
-                      max_weight: int | None = None,
-                      fail_fast: bool = False) -> list[VerificationReport]:
+def check_intertwiner(I: IntertwinerData,
+                      win: Window) -> list[VerificationReport]:
     """Lower truncation, derivative property, and the three-term identity
     for stored intertwiner data.
 
-    The identity runs over all basis triples up to ``max_weight``, each on
-    a window shaped so every intermediate stays below the level; this
-    leaves no skipped instances, and every stored mode entry is pinned by
-    some examined coefficient.
+    The identity runs over all basis triples up to the level, each on a
+    window shaped so every intermediate stays below the level; this leaves
+    no skipped instances, and every stored mode entry is pinned by some
+    examined coefficient.
     """
     V = I.V
-    cap = I.level if max_weight is None else max_weight
     width = max(win.hi(v) for v in win.variables) + I.level + 1
     reports = []
 
@@ -384,8 +384,6 @@ def check_intertwiner(I: IntertwinerData, win: Window,
             diffs.append(((l1, j, l2), "nonzero", "zero"))
     reports.append(VerificationReport.from_diffs(
         "intertwiner-truncation", f"shift={I.shift}", diffs))
-    if fail_fast and diffs:
-        return reports
 
     # derivative: modes of the shifted operator against the raised vector
     diffs = []
@@ -398,28 +396,21 @@ def check_intertwiner(I: IntertwinerData, win: Window,
             w2 = GradedVector.basis(l2)
             for j in range(-(2 * I.level + 2), sum(l1) + sum(l2) + 1):
                 lhs = y_act.act(w1, j, w2).scale(-(Fraction(j) + h + 1))
-                rhs = y_act.act(dw1, j + 1, w2)
-                delta = lhs - rhs
-                for label in sorted(delta.coeff):
-                    diffs.append(((l1, l2, j, label),
-                                  lhs.coeff.get(label, 0),
-                                  rhs.coeff.get(label, 0)))
+                diff_labels(diffs, (l1, l2, j), lhs.coeff,
+                            y_act.act(dw1, j + 1, w2).coeff)
     reports.append(VerificationReport.from_diffs(
         "intertwiner-derivative", f"shift={I.shift}", diffs))
-    if fail_fast and diffs:
-        return reports
 
     # three-term identity on shaped windows
     acts = axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
                                 in2=I.m2, iterate=I.m1, out3=y_act)
     fail_rep = None
     checked = 0
-    done = False
-    for lv in V.basis_upto(min(cap, 2)):
+    for lv in V.basis_upto(min(I.level, 2)):
         v = GradedVector.basis(lv)
-        for l1 in I.m1.basis_upto(cap):
+        for l1 in I.m1.basis_upto(I.level):
             w1 = GradedVector.basis(l1)
-            for l2 in I.m2.basis_upto(cap):
+            for l2 in I.m2.basis_upto(I.level):
                 w2 = GradedVector.basis(l2)
                 shaped = shaped_jacobi_window(sum(lv), sum(l1), sum(l2),
                                               I.level, width)
@@ -430,21 +421,14 @@ def check_intertwiner(I: IntertwinerData, win: Window,
                     f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
                 if rep.failed and fail_rep is None:
                     fail_rep = rep
-                    if fail_fast:
-                        done = True
-                        break
                 checked += 1
-            if done:
-                break
-        if done:
-            break
     if fail_rep is not None:
         reports.append(fail_rep)
     elif checked == 0:
         reports.append(VerificationReport.skipped(
-            "intertwiner-jacobi", f"wt<=({cap})", "no in-budget window"))
+            "intertwiner-jacobi", f"wt<=({I.level})", "no in-budget window"))
     else:
         reports.append(VerificationReport.from_diffs(
-            "intertwiner-jacobi", f"wt<=({cap})", [],
+            "intertwiner-jacobi", f"wt<=({I.level})", [],
             note=f"{checked} instances"))
     return reports

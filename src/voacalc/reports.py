@@ -91,6 +91,17 @@ class RunReport:
         return 0 if self.failed == 0 else 1
 
 
+def diff_labels(diffs: list, where: tuple, lhs: dict, rhs: dict) -> None:
+    """Append (where + (label,), lhs, rhs) to ``diffs`` for each label,
+    in sorted order, at which two coefficient maps differ."""
+    if lhs == rhs:
+        return
+    for label in sorted(set(lhs) | set(rhs)):
+        lc, rc = lhs.get(label, 0), rhs.get(label, 0)
+        if lc != rc:
+            diffs.append((where + (label,), lc, rc))
+
+
 def fmt_label(label) -> str:
     return "[" + ",".join(str(p) for p in label) + "]"
 

@@ -107,19 +107,6 @@ class Window:
         return True
 
 
-@dataclass(frozen=True)
-class ExpansionDirection:
-    """Which variable of a two-variable binomial is expanded in
-    nonnegative powers (the subordinate one)."""
-
-    dominant: str
-    subordinate: str
-
-    def __post_init__(self):
-        if self.dominant == self.subordinate:
-            raise ValueError("dominant and subordinate variables must differ")
-
-
 class FormalSeries:
     """Sparse Laurent series over named variables, restricted to a window.
 
@@ -155,11 +142,12 @@ class FormalSeries:
         return FormalSeries(variables, {}, window, Support.FINITE)
 
     @staticmethod
-    def constant(variables, value, window: Window) -> "FormalSeries":
-        z = tuple(0 for _ in variables)
-        if not window.contains(tuple(variables), z):
-            raise WindowViolation("window does not contain the zero exponent")
-        return FormalSeries(variables, {z: value}, window, Support.FINITE)
+    def laurent_polynomial(coeff: dict) -> "FormalSeries":
+        """The finite series in x with coefficients {(e,): c}, on the
+        window its nonzero terms span (x^0 alone when there are none)."""
+        exps = [e for (e,), c in coeff.items() if c] or [0]
+        window = Window.of(x=(min(exps), max(exps)))
+        return FormalSeries(("x",), coeff, window, Support.FINITE)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -263,25 +251,6 @@ class FormalSeries:
             self.window,
             self.support,
         )
-
-    def extend(self, variables) -> "FormalSeries":
-        """Embed into a larger variable set; new variables get exponent 0
-        and finite support concentrated there."""
-        variables = tuple(variables)
-        old = set(self.variables)
-        idx = {v: i for i, v in enumerate(self.variables)}
-        coeff = {}
-        for e, c in self.coeff.items():
-            coeff[tuple(e[idx[v]] if v in old else 0 for v in variables)] = c
-        bounds = []
-        for v in variables:
-            if v in old:
-                bounds.append((v, self.window.lo(v), self.window.hi(v)))
-            else:
-                bounds.append((v, 0, 0))
-        support = {v: (self.support[v] if v in old else Support.FINITE)
-                   for v in variables}
-        return FormalSeries(variables, coeff, Window(tuple(bounds)), support)
 
     def restrict(self, window: Window) -> "FormalSeries":
         """Restrict to a window, degrading support claims in any direction
@@ -398,60 +367,10 @@ def series_multiply(a: FormalSeries, b: FormalSeries, window: Window) -> FormalS
     return FormalSeries(variables, coeff, window, support)
 
 
-def binomial_expand(x_i: str, x_j: str, n: int, direction: ExpansionDirection,
-                    window: Window) -> FormalSeries:
-    """Expansion of (x_i - x_j)^n in nonnegative powers of the subordinate
-    variable, restricted to ``window``.
-
-    For n >= 0 the result is a polynomial; for n < 0 the subordinate
-    variable carries a lower-truncated infinite tail and the dominant one
-    an upper-truncated tail.
-    """
-    if direction.subordinate not in (x_i, x_j):
-        raise ValueError("subordinate variable must be one of the pair")
-    variables = (x_i, x_j)
-    sub_is_j = direction.subordinate == x_j
-
-    if n >= 0:
-        coeff = {}
-        for k in range(n + 1):
-            if sub_is_j:
-                c = binom(n, k) * (-1) ** k
-                e = (n - k, k)
-            else:
-                c = binom(n, k) * (-1) ** (n - k)
-                e = (k, n - k)
-            if c:
-                coeff[e] = Fraction(c)
-        full_win = Window.of(**{x_i: (0, n), x_j: (0, n)})
-        full = FormalSeries(variables, coeff, full_win, Support.FINITE)
-        return full.restrict(window)
-
-    dom, sub = (x_i, x_j) if sub_is_j else (x_j, x_i)
-    lo_d, hi_d = window.lo(dom), window.hi(dom)
-    lo_s, hi_s = window.lo(sub), window.hi(sub)
-    coeff = {}
-    k_lo = max(0, lo_s, n - hi_d)
-    k_hi = min(hi_s, n - lo_d)
-    for k in range(k_lo, k_hi + 1):
-        if sub_is_j:
-            c = binom(n, k) * (-1) ** k
-            e = (n - k, k)
-        else:
-            c = binom(n, k) * (-1) ** ((n - k) % 2)
-            e = (k, n - k)
-        if c:
-            coeff[e] = Fraction(c)
-    support = {
-        sub: Support.LOWER if lo_s <= 0 else Support.DOUBLY,
-        dom: Support.UPPER if hi_d >= n else Support.DOUBLY,
-    }
-    return FormalSeries(variables, coeff, window, support)
-
-
 # The four delta substitution patterns used by the three-variable identities.
-# Each expands prefactor^-1 * d^n * (s_a x_a + s_b x_b)^n over n, with the
-# second-listed variable subordinate (nonnegative powers).
+# Each entry (x_p, (x_a, s_a), (x_b, s_b), d) expands
+# x_p^-1 d^n (s_a x_a + s_b x_b)^n / x_p^n over n, with x_b subordinate
+# (nonnegative powers).
 DELTA_PATTERNS = {
     "(x2+x0)/x1": ("x1", ("x2", 1), ("x0", 1), 1),
     "(x1-x0)/x2": ("x2", ("x1", 1), ("x0", -1), 1),
@@ -462,20 +381,12 @@ DELTA_PATTERNS = {
 DELTA_VARIABLES = ("x0", "x1", "x2")
 
 
-def delta_expansion(pattern: str, window: Window,
-                    prefactor: str | None = None) -> FormalSeries:
+def delta_expansion(pattern: str, window: Window) -> FormalSeries:
     """Three-variable delta-substitution series for one of the standard
-    patterns, restricted to a finite window over (x0, x1, x2).
-
-    Each pattern fixes its inverse prefactor; passing one explicitly just
-    asserts the expected choice.
-    """
+    patterns, restricted to a finite window over (x0, x1, x2)."""
     if pattern not in DELTA_PATTERNS:
         raise KeyError(f"unknown delta pattern {pattern!r}")
     pref, (va, sa), (vb, sb), dsign = DELTA_PATTERNS[pattern]
-    if prefactor is not None and prefactor != pref:
-        raise ValueError(f"pattern {pattern!r} carries prefactor {pref}, "
-                         f"not {prefactor}")
     variables = DELTA_VARIABLES
     axis = {v: i for i, v in enumerate(variables)}
     coeff = {}
@@ -550,32 +461,15 @@ def check_delta_identity(kind: str, f: FormalSeries | None,
 
 
 def random_laurent_polynomial(rng, max_degree: int = 6,
-                              max_terms: int = 6, var: str = "x") -> FormalSeries:
-    """Seeded random Laurent polynomial with small exact coefficients."""
+                              max_terms: int = 6) -> FormalSeries:
+    """Seeded random Laurent polynomial in x with small exact
+    coefficients."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = rng.randint(-max_degree, max_degree)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         if c:
             terms[(e,)] = terms.get((e,), Fraction(0)) + c
-    terms = {e: c for e, c in terms.items() if c}
-    if not terms:
+    if not any(terms.values()):
         terms = {(0,): Fraction(1)}
-    lo = min(e for (e,) in terms)
-    hi = max(e for (e,) in terms)
-    return FormalSeries((var,), terms, Window.of(**{var: (lo, hi)}),
-                        Support.FINITE)
-
-
-def residue(s: FormalSeries, var: str) -> FormalSeries:
-    """Coefficient of var^-1, as a series in the remaining variables."""
-    i = s._axis(var)
-    rest = tuple(v for v in s.variables if v != var)
-    coeff = {}
-    for e, c in s.coeff.items():
-        if e[i] == -1:
-            key = tuple(ev for j, ev in enumerate(e) if j != i)
-            coeff[key] = coeff.get(key, 0) + c
-    bounds = tuple((v, s.window.lo(v), s.window.hi(v)) for v in rest)
-    support = {v: s.support[v] for v in rest}
-    return FormalSeries(rest, coeff, Window(bounds), support)
+    return FormalSeries.laurent_polynomial(terms)

@@ -60,6 +60,56 @@ def test_bad_order_or_count_exits_two(argv, message, capsys):
     assert f"error: {message}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["moduli", "axioms", "--cutoffs", ","],
+    ["all", "--level", "1", "--cutoffs", ","],
+    ["moduli", "nu", "p2.mod", "--cutoffs", ","],
+    ["moduli", "nu", "p2.mod", "--cutoffs=-3,2"],
+], ids=["axioms-empty", "all-empty", "nu-empty", "nu-negative"])
+def test_bad_cutoffs_exit_two(argv, tmp_path, capsys):
+    # with no schedule ``moduli nu`` printed nothing and exited 0, and a
+    # negative cutoff printed a value
+    from voacalc.moduli import format_moduli_element, two_puncture_element
+    p2 = tmp_path / "p2.mod"
+    p2.write_text(format_moduli_element(two_puncture_element(2, 8)))
+    argv = [str(p2) if a == "p2.mod" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: cutoff schedule must be a nonempty list of nonnegative " \
+        "integers" in err
+
+
+@pytest.mark.parametrize("orders, at, message", [
+    ((8, 8), 0, "--at 0 is not a puncture of {a}, which has arity 2"),
+    ((8, 8), 3, "--at 3 is not a puncture of {a}, which has arity 2"),
+    ((8, 4), 1, "{a} has order 8 and {b} order 4; truncation orders "
+                "must agree"),
+], ids=["at-zero", "at-past-arity", "orders-differ"])
+def test_bad_sewing_input_exits_two(orders, at, message, tmp_path, capsys):
+    from voacalc.moduli import format_moduli_element, two_puncture_element
+    files = []
+    for name, order in zip(("a.mod", "b.mod"), orders):
+        path = tmp_path / name
+        path.write_text(format_moduli_element(two_puncture_element(2, order)))
+        files.append(str(path))
+    code, out, err = run_cli(["moduli", "sew", *files, "--at", str(at)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert message.format(a=files[0], b=files[1]) in err
+
+
+@pytest.mark.parametrize("command", [["fusion", "verify"], ["moduli", "nu"]])
+def test_non_utf8_fixture_exits_two(command, tmp_path, capsys):
+    bad = tmp_path / "bad.fix"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli([*command, str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {bad}: not UTF-8 text" in err
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_low_levels_give_records(level, capsys):
     # omega has weight 2, so below level 2 its norm is a skip, not a

@@ -209,15 +209,6 @@ def test_vacuum_and_conformal_come_from_algebra(ds4):
     assert got.w == B((2, 1)).scale(3) and got.v.is_zero()
 
 
-def test_grading_violation():
-    V = build_heisenberg(3)
-    M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(M)
-    M.grading_shift = Fraction(1, 2)
-    with pytest.raises(contra.GradingViolation):
-        contra.DirectSumMap(V, M, form, form)
-
-
 def test_asymmetric_form_rejected():
     V = build_heisenberg(3)
     M = axioms.VOAAction(V)

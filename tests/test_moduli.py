@@ -208,6 +208,38 @@ def test_operad_axiom_reports():
     assert "low=" in note and "nested=" in note and "high=" in note
 
 
+def test_operad_skip_notes_are_pinned(monkeypatch):
+    # a non-linear coordinate at puncture 1 of the first element and a
+    # nonzero infinity flow on the second make some sewings unsupported;
+    # each report counts them in its note, and every sewing, the skipped
+    # ones included, goes through ``sew``
+    sample = [
+        ModuliElement(2, M, (QQi(3),), pad(),
+                      (LocalCoordinate(QQi(1), pad((1,))),
+                       LocalCoordinate(QQi(2), pad()))),
+        ModuliElement(2, M, (QQi(-2),), pad((Fraction(1, 2),)),
+                      (LocalCoordinate(QQi(1), pad()),) * 2),
+        two_puncture_element(5, M),
+        identity_element(M),
+    ]
+    calls = []
+    real = moduli.sew
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "sew", counted)
+    got = [(r.identity, r.status.value, r.note, len(r.diffs))
+           for r in check_operad_axioms(sample)]
+    assert got == [
+        ("operad-identity", "pass", "2 skipped", 0),
+        ("operad-associativity", "pass",
+         "low=4,nested=31,high=4,skipped=253", 0),
+        ("operad-equivariance", "pass", "checked=17,skipped=27", 0)]
+    assert len(calls) == 282
+
+
 @pytest.fixture(scope="module")
 def V():
     return build_heisenberg(6)

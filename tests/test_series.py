@@ -3,13 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc.series import (ExpansionDirection, FormalSeries, IllDefinedProduct,
-                            Support, Window, WindowViolation, binomial_expand,
-                            check_delta_identity, delta_expansion, delta_series,
-                            random_laurent_polynomial, residue, series_multiply)
-
-D12 = ExpansionDirection("x1", "x2")
-D21 = ExpansionDirection("x2", "x1")
+from voacalc.series import (FormalSeries, IllDefinedProduct, Support, Window,
+                            WindowViolation, check_delta_identity,
+                            delta_expansion, delta_series,
+                            random_laurent_polynomial, series_multiply)
 
 
 def poly(terms, lo, hi, var="x"):
@@ -47,63 +44,17 @@ def test_product_window_violation():
         series_multiply(f, d, Window.of(x=(-2, 2)))
 
 
-def test_binomial_positive_power():
-    w = Window.of(x1=(-4, 4), x2=(-4, 4))
-    got = binomial_expand("x1", "x2", 2, D12, w)
-    assert got.coeff == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
-
-
-def test_binomial_geometric_series():
-    w = Window.of(x1=(-4, 4), x2=(-4, 4))
-    got = binomial_expand("x1", "x2", -1, D12, w)
-    assert got.coeff == {(-1, 0): 1, (-2, 1): 1, (-3, 2): 1, (-4, 3): 1}
-    assert got.support["x2"] is Support.LOWER
-    assert got.support["x1"] is Support.UPPER
-
-
-def _long_division_oracle(n_terms):
-    """Divide 1 by (-x2 + x1) treating x1 as the small variable: the
-    quotient coefficients of an independent long division."""
-    # state: dict (e1, e2) -> coeff of the remainder, starting from 1
-    quotient = {}
-    remainder = {(0, 0): Fraction(1)}
-    for _ in range(n_terms):
-        # leading term of remainder in x1-degree order, divide by -x2
-        (e1, e2), c = min(remainder.items())
-        q = (e1, e2 - 1)
-        qc = c / Fraction(-1)
-        quotient[q] = qc
-        # subtract qc * (-x2 + x1)
-        for de, dc in (((0, 1), Fraction(-1)), ((1, 0), Fraction(1))):
-            key = (q[0] + de[0], q[1] + de[1])
-            remainder[key] = remainder.get(key, Fraction(0)) - qc * dc
-            if not remainder[key]:
-                del remainder[key]
-    return quotient
-
-
-def test_binomial_reverse_direction_long_division():
-    # (x1 - x2)^-1 with x1 subordinate: -x2^-1 - x2^-2 x1 - ...
-    w = Window.of(x1=(-4, 4), x2=(-4, 4))
-    got = binomial_expand("x1", "x2", -1, D21, w)
-    oracle = _long_division_oracle(5)
-    for (e1, e2), c in oracle.items():
-        if -4 <= e1 <= 4 and -4 <= e2 <= 4:
-            assert got.coeff.get((e1, e2), 0) == c, (e1, e2)
-    assert got.coeff[(0, -1)] == -1
-    assert got.coeff[(1, -2)] == -1
-    assert got.coeff[(2, -3)] == -1
-
-
-@given(st.integers(min_value=-5, max_value=5))
-@settings(max_examples=20, deadline=None)
-def test_binomial_inverse_property(n):
-    big = Window.of(x1=(-10, 10), x2=(-10, 10))
-    w = Window.of(x1=(-4, 4), x2=(-4, 4))
-    a = binomial_expand("x1", "x2", n, D12, big)
-    b = binomial_expand("x1", "x2", -n, D12, big)
-    got = series_multiply(a, b, w)
-    assert got.coeff == {(0, 0): 1}
+def test_lower_truncated_product():
+    # the geometric series sum_k x^k, known on 0..10 and unbounded above,
+    # times 1 - x is 1; the product may not ask past the known region
+    g = FormalSeries(("x",), {(e,): 1 for e in range(11)},
+                     Window.of(x=(0, 10)), Support.LOWER)
+    f = poly({0: 1, 1: -1}, 0, 1)
+    got = series_multiply(g, f, Window.of(x=(-4, 10)))
+    assert got.coeff == {(0,): 1}
+    assert got.support["x"] is Support.LOWER
+    with pytest.raises(WindowViolation):
+        series_multiply(g, f, Window.of(x=(-4, 11)))
 
 
 def test_delta_expansion_single_coefficients():
@@ -147,19 +98,6 @@ def test_three_term_negative_control():
     assert lhs.diff(rhs)
 
 
-def test_residue():
-    w = Window.of(x=(-3, 3))
-    s = poly({-1: 1}, -3, 3)
-    assert residue(s, "x").coeff == {(): 1}
-    s = poly({2: 1, 0: 5}, -3, 3)
-    assert residue(s, "x").is_zero()
-    w3 = Window.symmetric(("x0", "x1", "x2"), 3)
-    d = delta_expansion("(x1-x2)/x0", w3)
-    r = residue(d, "x0")
-    # the n = 0 term: constant 1 in the remaining variables
-    assert r.coefficient((0, 0)) == 1
-
-
 @given(st.integers(min_value=0, max_value=2 ** 30))
 @settings(max_examples=25, deadline=None)
 def test_fundamental_identity_random(seed):
@@ -186,13 +124,12 @@ def test_multiply_commutative_associative(seed):
     assert left == right
 
 
-def test_extend_and_support_bookkeeping():
-    f = poly({1: 2}, -2, 2)
-    g = f.extend(("x", "y"))
-    assert g.coeff == {(1, 0): 2}
-    assert g.support["y"] is Support.FINITE
+def test_restrict_support_bookkeeping():
+    # (x1 - x2)^3, a polynomial
+    b = FormalSeries(("x1", "x2"), {(3, 0): 1, (2, 1): -3, (1, 2): 3,
+                                    (0, 3): -1},
+                     Window.of(x1=(0, 3), x2=(0, 3)), Support.FINITE)
     # restriction that clips degrades the claim
     w = Window.of(x1=(-2, 2), x2=(-2, 2))
-    b = binomial_expand("x1", "x2", 3, D12, Window.of(x1=(0, 3), x2=(0, 3)))
     clipped = b.restrict(w)
     assert clipped.support["x1"] is not Support.FINITE
