@@ -14,6 +14,7 @@ compares the triples.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -40,6 +41,7 @@ def _frac(x) -> Fraction:
 
 
 _new = object.__new__
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _qqi(a: int, b: int, d: int) -> "QQi":
@@ -154,11 +156,14 @@ class QQi:
         return NotImplemented
 
     def __hash__(self):
-        if self._b:
-            return hash((self._a, self._b, self._d))
-        if self._d == 1:
-            return hash(self._a)
-        return hash(Fraction(self._a, self._d))
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        if d == 1:
+            return hash(a)
+        # hash(Fraction(a, d)), from the ints as Fraction computes it
+        h = abs(a) * pow(d, -1, _HASH_P) % _HASH_P if d % _HASH_P else _HASH_INF
+        return hash(h if a >= 0 else -h)
 
     def __neg__(self):
         return _qqi(-self._a, -self._b, self._d)

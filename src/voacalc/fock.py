@@ -27,9 +27,11 @@ a(n-k+1). What is memoised where:
 
 * ``HeisenbergVOA._modes`` holds exactly the keys asked for through
   ``mode_basis``; ``touched_mode_keys`` lists them.
-* The subkeys of one computation live in a dict local to it, which reads
-  ``_modes`` for keys already there and is dropped on return. Storing
-  them on the instance would grow it by keys nobody asked for.
+* The subkeys of a computation live in a scratch dict, which reads
+  ``_modes`` for keys already there and is dropped afterwards: one per
+  ``apply_mode_flagged`` call, shared by its pairs (whose keys share
+  tails), else one per ``mode_basis`` call. Storing them on the instance
+  would grow it by keys nobody asked for.
 * The overflow probe of ``apply_mode_flagged`` (a pair above the ceiling,
   tested only for being nonzero) is not stored: it never yields a vector,
   and the sewing checks probe thousands of high-weight keys once each.
@@ -299,17 +301,20 @@ class HeisenbergVOA:
     # -- exact mode coefficients -------------------------------------------
 
     def mode_basis(self, lu: tuple[int, ...], n: int,
-                   lv: tuple[int, ...], *, store: bool = True) -> dict:
+                   lv: tuple[int, ...], *, store: bool = True,
+                   scratch: dict | None = None) -> dict:
         """Exact action of the n-th mode of basis state lu on basis state lv,
         as a map partition -> integer coefficient (untruncated).
 
         The result is memoised unless ``store`` is false, which the
-        overflow probe uses for keys it only tests for zero.
+        overflow probe uses for keys it only tests for zero. ``scratch``
+        holds the subkeys, shared with the caller's other pairs.
         """
         key = (lu, n, lv)
         out = self._modes.get(key)
         if out is None:
-            out = self._compute_mode(lu, n, lv)
+            out = self._compute_mode(lu, n, lv,
+                                     {} if scratch is None else scratch)
             if store:
                 self._modes[key] = out
         if self._corruptions:
@@ -324,18 +329,18 @@ class HeisenbergVOA:
                         out.pop(label, None)
         return out
 
-    def _compute_mode(self, lu, n, lv) -> dict:
+    def _compute_mode(self, lu, n, lv, local: dict) -> dict:
         target = sum(lu) + sum(lv) - n - 1
         if target < 0:
             return {}
         if not lu:
             return {lv: 1} if n == -1 else {}
-        # subkeys go into a memo local to this computation, which reads
-        # the instance memo for keys already asked for. _wick is a module
-        # function, not a closure: a recursive closure is a reference cycle,
-        # which would keep the local memo alive until the cycle collector
-        # runs (it raised the sewing check's peak memory by about 1%)
-        return _wick(lu, n, lv, target, {}, self._modes)
+        # subkeys go into ``local``, which reads the instance memo for keys
+        # already asked for. _wick is a module function, not a closure: a
+        # recursive closure is a reference cycle, which would keep the
+        # local memo alive until the cycle collector runs (it raised the
+        # sewing check's peak memory by about 1%)
+        return _wick(lu, n, lv, target, local, self._modes)
 
     # -- public operations --------------------------------------------------
 
@@ -347,6 +352,7 @@ class HeisenbergVOA:
         cap = self.level if ceiling is None else ceiling
         acc: dict = {}
         overflow = False
+        scratch: dict = {}  # Wick subkeys, shared by this call's pairs
         for lu, cu in u.coeff.items():
             for lv, cv in v.coeff.items():
                 target = sum(lu) + sum(lv) - n - 1
@@ -356,12 +362,13 @@ class HeisenbergVOA:
                     # a nonzero true value here would be lost entirely;
                     # once one is found the flag is settled. The probe only
                     # tests for zero, so its value is not memoised
-                    if not overflow and self.mode_basis(lu, n, lv,
-                                                        store=False):
+                    if not overflow and self.mode_basis(
+                            lu, n, lv, store=False, scratch=scratch):
                         overflow = True
                     continue
                 c = cu * cv
-                for label, m in self.mode_basis(lu, n, lv).items():
+                for label, m in self.mode_basis(lu, n, lv,
+                                                scratch=scratch).items():
                     s = acc.get(label, 0) + c * m
                     if s:
                         acc[label] = s

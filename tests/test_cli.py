@@ -245,6 +245,36 @@ def test_moduli_nu_prints_schedule(tmp_path, capsys):
     assert out.count("cutoff") == 2
 
 
+def test_moduli_nu_is_stable_only_over_three_truncations(tmp_path, capsys):
+    # below cutoff 2 there are not three distinct truncations to compare
+    from voacalc.moduli import format_moduli_element, two_puncture_element
+    f1 = tmp_path / "p2.mod"
+    f1.write_text(format_moduli_element(two_puncture_element(2, 8)))
+    code, out, _ = run_cli(["moduli", "nu", str(f1), "--cutoffs",
+                            "0,1,2,3,4,8", "--level", "8"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "cutoff 0: value 0 stable False", "cutoff 1: value 0 stable False",
+        "cutoff 2: value 1/32 stable False",
+        "cutoff 3: value 1/32 stable False",
+        "cutoff 4: value 1/32 stable True", "cutoff 8: value 1/32 stable True"]
+
+
+@pytest.mark.parametrize("cutoffs, digest", [
+    ([], "027657381637e0754b0f2f1698bd033bbb86a2da2e0a4969f5b88fe204b1c623"),
+    (["--cutoffs", "6,12,18"],
+     "81c54da3387055dcf439b67b8a8b362a8775e1515b675424a0387f99f1dd0090")])
+def test_moduli_records_with_notes_are_pinned(cutoffs, digest, capsys):
+    # the operad counts (low, nested, high, skipped) and the shrinking
+    # sewing magnitudes live only in the text notes. Pinned without the
+    # elapsed-time summary; CI pins the same two outputs
+    code, out, _ = run_cli(["moduli", "axioms"] + cutoffs, capsys)
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert lines[-1].startswith("passed=")
+    assert hashlib.sha256("".join(lines[:-1]).encode()).hexdigest() == digest
+
+
 def test_contragredient_build_prints_blocks(capsys):
     code, out, _ = run_cli(["contragredient", "build", "--level", "3"],
                            capsys)

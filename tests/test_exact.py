@@ -1,5 +1,6 @@
 import importlib.util
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -195,6 +196,16 @@ def test_qqi_equality_and_hash(x, y, f):
     assert not new == 0.5 and new != 0.5
     with pytest.raises(TypeError):
         new + 0.5
+
+
+@pytest.mark.parametrize("num", [1, -1, 7, -(2 ** 70)])
+@pytest.mark.parametrize("den", [3, sys.hash_info.modulus,
+                                 5 * sys.hash_info.modulus, 2 ** 64 + 1])
+def test_qqi_hash_is_fraction_hash_at_any_denominator(num, den):
+    # QQi inverts the denominator modulo the hash modulus itself; a
+    # multiple of the modulus has no inverse and hashes as infinity
+    f = Fraction(num, den)
+    assert hash(QQi(f)) == hash(f)
 
 
 def test_qqi_repr_strings_are_unchanged():

@@ -330,6 +330,61 @@ def test_only_public_keys_are_memoised():
     assert set(V.touched_mode_keys()) == asked | {key}
 
 
+# -- one Wick scratch per apply_mode call -------------------------------------
+
+_labels_upto_10 = st.sampled_from(partitions_upto(10))
+_vectors_upto_10 = st.dictionaries(_labels_upto_10,
+                                   st.integers(-3, 3).filter(bool),
+                                   min_size=1, max_size=3).map(GradedVector)
+
+
+def _pair_sum(V, u, n, v, cap):
+    """u_n v clipped at cap, from one ``mode_basis`` call per pair, each
+    with a scratch of its own."""
+    acc = GradedVector()
+    for lu, cu in u.coeff.items():
+        for lv, cv in v.coeff.items():
+            if 0 <= sum(lu) + sum(lv) - n - 1 <= cap:
+                acc = acc + GradedVector(V.mode_basis(lu, n, lv)).scale(cu * cv)
+    return acc
+
+
+@given(_vectors_upto_10, _vectors_upto_10, st.integers(5, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_shared_scratch_matches_separate_pairs(u, v, cap, data):
+    # level 4 and ceilings above it; every target stays at most 16
+    top = max(map(sum, u.coeff)) + max(map(sum, v.coeff))
+    n = data.draw(st.integers(top - 17, top), label="n")
+    V = build_heisenberg(4)
+    assert V.apply_mode(u, n, v, ceiling=cap) == \
+        _pair_sum(build_heisenberg(4), u, n, v, cap)
+    assert set(V.touched_mode_keys()) == {
+        (lu, n, lv) for lu in u.coeff for lv in v.coeff
+        if 0 <= sum(lu) + sum(lv) - n - 1 <= cap}
+
+
+@given(st.sampled_from([l for l in partitions_upto(10) if len(l) >= 3]),
+       _labels_upto_10, st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_corruption_does_not_leak_through_the_scratch(lu, lv, tail_first,
+                                                      data):
+    # peeling the creator a(-k), k = lu[0], from (lu, n, lv) reads the
+    # subkey (lu[1:], n, lv) when the target is at least k; that subkey is
+    # also a pair of the same call, and it is corrupted
+    k, tail = lu[0], lu[1:]
+    top = sum(lu) + sum(lv) - 1
+    n = data.draw(st.integers(top - 16, top - k), label="n")
+    order = (tail, lu) if tail_first else (lu, tail)
+    u = GradedVector(dict(zip(order, (2, 3))))
+    v = GradedVector.basis(lv)
+    label = data.draw(st.sampled_from(partitions(top - n - k)), label="label")
+    V = build_heisenberg(4)
+    V.corrupt(tail, n, lv, label, 1)
+    want = _pair_sum(build_heisenberg(4), u, n, v, 16) + \
+        GradedVector({label: u.coeff[tail]})
+    assert V.apply_mode(u, n, v, ceiling=16) == want
+
+
 # -- no float reaches a verification path ------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -212,7 +213,8 @@ def test_operad_skip_notes_are_pinned(monkeypatch):
     # a non-linear coordinate at puncture 1 of the first element and a
     # nonzero infinity flow on the second make some sewings unsupported;
     # each report counts them in its note, and every sewing, the skipped
-    # ones included, goes through ``sew``
+    # ones included, goes through ``sew``, once per distinct pair of
+    # factors
     sample = [
         ModuliElement(2, M, (QQi(3),), pad(),
                       (LocalCoordinate(QQi(1), pad((1,))),
@@ -237,7 +239,97 @@ def test_operad_skip_notes_are_pinned(monkeypatch):
         ("operad-associativity", "pass",
          "low=4,nested=31,high=4,skipped=253", 0),
         ("operad-equivariance", "pass", "checked=17,skipped=27", 0)]
-    assert len(calls) == 282
+    assert len(calls) == 204
+    # ``calls`` keeps every factor alive, so no id is reused
+    keys = [(id(Q1), i, id(Q2)) for Q1, i, Q2 in calls]
+    assert len(set(keys)) == len(keys)
+
+
+def _reference_associativity(sample):
+    """The associativity instances of ``check_operad_axioms``, each sewn
+    on its own, with no table and no shared verdict: (diffs, note)."""
+    sewn = moduli._sewn
+    diffs, checked, skips = [], {"low": 0, "nested": 0, "high": 0}, 0
+    for Q1 in sample:
+        for Q2 in sample:
+            k = Q2.arity
+            for Q3 in sample:
+                for i1 in range(1, Q1.arity + 1):
+                    for i2 in range(1, Q1.arity + k):
+                        lhs = sewn(sewn(Q1, i1, Q2), i2, Q3)
+                        if i2 < i1:
+                            regime = "low"
+                            rhs = sewn(sewn(Q1, i2, Q3), Q3.arity + i1 - 1, Q2)
+                        elif i2 < i1 + k:
+                            regime = "nested"
+                            rhs = sewn(Q1, i1, sewn(Q2, i2 - i1 + 1, Q3))
+                        else:
+                            regime = "high"
+                            rhs = sewn(sewn(Q1, i2 - k + 1, Q3), i1, Q2)
+                        if lhs is None or rhs is None:
+                            skips += 1
+                        else:
+                            checked[regime] += 1
+                            if lhs != rhs:
+                                diffs.append(((regime, i1, i2), "differs", ""))
+    note = ",".join(f"{k}={v}" for k, v in checked.items())
+    return diffs, note + (f",skipped={skips}" if skips else "")
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_associativity_matches_sewing_each_instance(seed, monkeypatch):
+    # a sew that doubles the extension slot of about one result in five,
+    # as a function of its arguments, so that both sides of some instances
+    # differ; the table and the mirrored verdicts must give the same
+    # diffs, in the same order, and the same counts as sewing each instance
+    rng = random.Random(seed)
+    sample = [random_supported_element(rng, M) for _ in range(4)]
+    sample += [cap_element(M), identity_element(M),
+               ModuliElement(2, M, (QQi(-2),), pad((Fraction(1, 2),)),
+                             (LocalCoordinate(QQi(1), pad()),) * 2)]
+    real = moduli.sew
+
+    def skewed(Q1, i, Q2):
+        res = real(Q1, i, Q2)
+        if hash((Q1, i, Q2)) % 5 == 0:
+            res = moduli.SewingResult(dataclasses.replace(
+                res.element, det_slot=2 * res.element.det_slot))
+        return res
+
+    monkeypatch.setattr(moduli, "sew", skewed)
+    diffs, note = _reference_associativity(sample)
+    assert diffs and "skipped=" in note
+    got = {r.identity: r for r in check_operad_axioms(sample)}
+    assert (got["operad-associativity"].diffs,
+            got["operad-associativity"].note) == (diffs, note)
+
+
+def test_a_wrong_inner_sewing_fails_associativity(monkeypatch):
+    # P o_1 T comes back with its puncture moved. It is sewn once, and
+    # every comparison that reads it, as a left factor or as an inner
+    # sewing of any regime, sees the wrong element
+    P = two_puncture_element(5, M)
+    T = scaling_element(3, M)
+    sample = [P, scaling_element(2, M), T]
+    assert all(r.passed for r in check_operad_axioms(sample))
+    wrong = []
+    real = moduli.sew
+
+    def moved(Q1, i, Q2):
+        res = real(Q1, i, Q2)
+        if Q1 is P and i == 1 and Q2 is T:
+            wrong.append(i)
+            z = (res.element.z[0] + QQi(Fraction(1, 10)),)
+            res = moduli.SewingResult(dataclasses.replace(res.element, z=z))
+        return res
+
+    monkeypatch.setattr(moduli, "sew", moved)
+    reps = {r.identity: r for r in check_operad_axioms(sample)}
+    assoc = reps["operad-associativity"]
+    assert not assoc.passed
+    assert wrong == [1]
+    assert {regime for (regime, _, _), _, _ in assoc.diffs} == \
+        {"low", "nested", "high"}
 
 
 @pytest.fixture(scope="module")
