@@ -21,13 +21,17 @@ The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
 layout, weights, window, observable level, expansion rows): the products
 in the order a position loop first demands them, and per product the
-positions and coefficients it feeds. A check computes each product once,
-in plan order, and scatters only the nonzero ones. Values (products,
-inner images) are memoised per call only, never on an action or an
-algebra. A plan holds no value, so the last few are kept across calls: a
-constant corrupted between two calls, as negative controls do, is seen
-by the second, and dual and intertwiner actions reuse the algebra's plan
-safely. Coefficients stay integers until a genuine fraction enters.
+positions and coefficients it feeds. A check decides exactness first: it
+scans the products in plan order and skips at the first lost inner image,
+before it computes any product; ``true_nonzero`` is asked once per term
+and inner index. Otherwise it computes each product once, in plan order,
+scatters only the nonzero ones and diffs the positions in order. Values
+(products, inner images, loss answers) are memoised per call only, never
+on an action or an algebra. A plan holds no value, so the last few are
+kept across calls: a constant corrupted between two calls, as negative
+controls do, is seen by the second, and dual and intertwiner actions
+reuse the algebra's plan safely. Coefficients stay integers until a
+genuine fraction enters.
 
 The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
 written once (``skew_coefficient``): the skew-symmetry check and the
@@ -41,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import takewhile
 from math import factorial
 
@@ -103,10 +106,6 @@ class JacobiActions:
         return JacobiActions(action, action, action, action, action, action)
 
 
-class _Skip(Exception):
-    """An inner image lost above the level; ``args[0]`` is the note."""
-
-
 @lru_cache(maxsize=4)
 def _expansion_rows(win: Window, k_prod: int, k_iter: int, sign: int):
     """The delta-function expansion coefficients: binom(-a-1, k) sign^k for
@@ -124,23 +123,29 @@ def _expansion_rows(win: Window, k_prod: int, k_iter: int, sign: int):
 
 class _Term:
     """The products x_i (y_j z), or (y_j z)_i x for an iterate, of one term
-    within one check call, the inner images y_j z memoised by j. An image
-    above the inner action's level is tested for true loss only when the
-    outer mode can see it: ``kron`` is the one outer index at which x acts,
-    when x is a vacuum multiple."""
+    within one check call, the inner images y_j z and their loss tests
+    memoised by j. An image above the inner action's level is lost when its
+    true value is nonzero and the outer mode can see it: ``kron`` is the one
+    outer index at which x acts, when x is a vacuum multiple."""
 
     def __init__(self, outer, x, inner, y, z, iterate: bool, kron, note: str):
         self.outer, self.x, self.inner, self.y, self.z = outer, x, inner, y, z
         self.iterate, self.kron, self.note = iterate, kron, note
         self.yz_weight = y.weight() + z.weight()
         self.images: dict = {}
+        self.lossy: dict = {}
 
-    def compute(self, i: int, j: int, pos: tuple) -> dict:
-        iw = self.yz_weight - j - 1
-        if iw > self.inner.level:
-            if (self.kron is None or i == self.kron) \
-                    and self.inner.true_nonzero(self.y, j, self.z):
-                raise _Skip(f"{self.note} weight {iw} at {pos}")
+    def lost(self, i: int, j: int) -> bool:
+        if self.yz_weight - j - 1 <= self.inner.level \
+                or self.kron not in (None, i):
+            return False
+        got = self.lossy.get(j)
+        if got is None:
+            got = self.lossy[j] = self.inner.true_nonzero(self.y, j, self.z)
+        return got
+
+    def compute(self, i: int, j: int) -> dict:
+        if self.yz_weight - j - 1 > self.inner.level:
             return {}
         img = self.images.get(j)
         if img is None:
@@ -213,36 +218,33 @@ _PLANS = {_jacobi_layout: lru_cache(maxsize=2)(_plan),
 
 def _evaluate(layout, weights: tuple, win: Window, level: int, rows,
               terms: tuple, identity: str, params: str) -> VerificationReport:
-    """Compute the plan's products in order, scatter the nonzero ones, and
-    diff each position, in order, once no later product can feed it."""
+    """Decide exactness, then evaluate. The loss scan walks the plan's
+    products in order and skips at the first lost inner image; otherwise
+    each product is computed once, in plan order, its nonzero values are
+    scattered, and the positions either side reached are diffed in order."""
     positions, products, feeds = _PLANS[layout](
         layout, weights, win, level, tuple([tuple(r.items()) for r in rows]))
-    compute = [t.compute for t in terms]
-    diffs: list = []
+    for term, _, i, j, first in products:
+        t = terms[term]
+        if t.lost(i, j):
+            iw, pos = t.yz_weight - j - 1, positions[first]
+            return VerificationReport.skipped(
+                identity, params, f"{t.note} weight {iw} at {pos}")
     lhs, rhs = sides = ({}, {})   # position -> {label: coefficient}
-    touched: list = []    # heap of the positions in either
-    try:
-        for (term, side, i, j, first), feed in zip(products, feeds):
-            while touched and touched[0] < first:
-                p = heappop(touched)
-                diff_labels(diffs, positions[p], lhs.pop(p, {}),
-                            rhs.pop(p, {}))
-            val = compute[term](i, j, positions[first])
-            if val:
-                live, other = sides[side], sides[1 - side]
-                it = iter(feed)
-                for p, co in zip(it, it):
-                    acc = live.get(p)
-                    if acc is None:
-                        if p not in other:
-                            heappush(touched, p)
-                        acc = live[p] = {}
-                    for label, x in val.items():
-                        acc[label] = acc.get(label, 0) + co * x
-    except _Skip as sk:
-        return VerificationReport.skipped(identity, params, sk.args[0])
-    for p in sorted(touched):
-        diff_labels(diffs, positions[p], lhs.pop(p, {}), rhs.pop(p, {}))
+    for (term, side, i, j, _), feed in zip(products, feeds):
+        val = terms[term].compute(i, j)
+        if val:
+            live = sides[side]
+            it = iter(feed)
+            for p, co in zip(it, it):
+                acc = live.get(p)
+                if acc is None:
+                    acc = live[p] = {}
+                for label, x in val.items():
+                    acc[label] = acc.get(label, 0) + co * x
+    diffs: list = []
+    for p in sorted(lhs.keys() | rhs.keys()):
+        diff_labels(diffs, positions[p], lhs.get(p, {}), rhs.get(p, {}))
     return VerificationReport.from_diffs(identity, params, diffs)
 
 
@@ -436,30 +438,25 @@ def _sl2_flow_reports(V: HeisenbergVOA, v: GradedVector,
     params = f"v={fmt_vec(v)};order={order}"
     lv = {i: V.virasoro(i, v) for i in (-1, 0, 1)}
 
-    # L(-1) e^{xL(0)} = e^{xL(0)} L(-1) e^{-x}
-    if wv + 1 > V.level:
-        out.append(VerificationReport.skipped("conj-exp-L0-with-L(-1)", params,
-                                              "raise exceeds level"))
-    else:
+    # L(n) e^{xL(0)} = e^{xL(0)} L(n) e^{nx} for n = -1, 1, with L(0) read
+    # through the algebra off the chains of e^{xL(0)} on v and on L(n)v
+    e0 = exp_chain(V, 0, v, terms=order + 1)
+    for n in (-1, 1):
+        ident = f"conj-exp-L0-with-L({n})"
+        if n == -1 and wv + 1 > V.level:
+            out.append(VerificationReport.skipped(ident, params,
+                                                  "raise exceeds level"))
+            continue
+        en = exp_chain(V, 0, lv[n], terms=order + 1)
         diffs = []
         for j in range(order + 1):
-            lhs = lv[-1].scale(Fraction(wv) ** j / factorial(j))
-            coef = sum(Fraction(wv + 1) ** p
-                       / (factorial(p) * factorial(j - p))
-                       * (-1) ** ((j - p) % 2) for p in range(j + 1))
-            diff_labels(diffs, (j,), lhs.coeff, lv[-1].scale(coef).coeff)
-        out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(-1)",
-                                                 params, diffs))
-
-    # L(1) e^{xL(0)} = e^{xL(0)} L(1) e^{x}
-    diffs = []
-    for j in range(order + 1):
-        lhs = lv[1].scale(Fraction(wv) ** j / factorial(j))
-        coef = sum(Fraction(wv - 1) ** p
-                   / (factorial(p) * factorial(j - p)) for p in range(j + 1))
-        diff_labels(diffs, (j,), lhs.coeff, lv[1].scale(coef).coeff)
-    out.append(VerificationReport.from_diffs("conj-exp-L0-with-L(1)",
-                                             params, diffs))
+            rhs = GradedVector()
+            for p in range(j + 1):
+                rhs = rhs + _entry(en, p).scale(
+                    Fraction(n ** (j - p), factorial(j - p)))
+            diff_labels(diffs, (j,), V.virasoro(n, _entry(e0, j)).coeff,
+                        rhs.coeff)
+        out.append(VerificationReport.from_diffs(ident, params, diffs))
 
     # L(-1) e^{xL(1)}: both bracket rearrangements, read off the chains of
     # e^{xL(1)} on v and on L(i)v

@@ -230,6 +230,20 @@ class TestConjugation:
             for rep in axioms.check_conjugation(V, B(lab), 3):
                 assert not rep.failed, (lab, rep.identity, rep.diffs[:2])
 
+    def test_l0_conjugations_read_l0(self):
+        # negative control: a corrupted constant of 2 omega makes L(0) read
+        # 4 on [2,1]; both e^{xL(0)} identities read L(0) through the
+        # algebra, so both must fail
+        V = build_heisenberg(5)
+        v = B((2, 1))
+        names = ("conj-exp-L0-with-L(-1)", "conj-exp-L0-with-L(1)")
+        reps = {r.identity: r for r in axioms.check_conjugation(V, v, 3)}
+        assert all(reps[n].passed for n in names)
+        V.corrupt((1, 1), 1, (2, 1), (2, 1), 2)
+        assert V.virasoro(0, v) == v.scale(4)
+        reps = {r.identity: r for r in axioms.check_conjugation(V, v, 3)}
+        assert all(reps[n].failed for n in names)
+
 
 class TestS3:
     def test_vacuum_rewrites_match_delta_tables(self, V):
@@ -284,19 +298,15 @@ class TestS3:
 #
 # A naive evaluator: every product is recomputed from scratch at every
 # window position, the keys of each position taken term by term in
-# expansion order, under the engine's loss rule. Full reports (status,
-# note, ordered diffs) must agree with the engine's.
+# expansion order. Under the engine's contract, exactness is decided before
+# any product is computed: a scan over the same keys skips at the first
+# inner image above the level that the outer mode can see and that is truly
+# nonzero. Full reports (status, note, ordered diffs) must agree with the
+# engine's.
 
 
-class _NaiveSkip(Exception):
-    pass
-
-
-def _naive_product(outer, x, inner, y, z, iterate, kron, note, i, j, pos):
-    iw = y.weight() + z.weight() - j - 1
-    if iw > inner.level:
-        if (kron is None or i == kron) and inner.true_nonzero(y, j, z):
-            raise _NaiveSkip(f"{note} weight {iw} at {pos}")
+def _naive_product(outer, x, inner, y, z, iterate, kron, note, i, j):
+    if y.weight() + z.weight() - j - 1 > inner.level:
         return {}
     img = inner.act(y, j, z)
     if not img:
@@ -307,26 +317,29 @@ def _naive_product(outer, x, inner, y, z, iterate, kron, note, i, j, pos):
 def _naive_report(win, weight, level, terms):
     """terms(a, b, c) yields (side, term, i, j, coefficient) in key order;
     side 0 is the left-hand side."""
+    keys = [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
+            for b in range(win.lo("x1"), win.hi("x1") + 1)
+            for c in range(win.lo("x2"), win.hi("x2") + 1)
+            if 0 <= weight + a + b + c + 1 <= level]
+    for pos in keys:
+        for _, term, i, j, _ in terms(*pos):
+            _, _, inner, y, z, _, kron, note = term
+            iw = y.weight() + z.weight() - j - 1
+            if iw > inner.level and (kron is None or i == kron) \
+                    and inner.true_nonzero(y, j, z):
+                return Status.SKIPPED, f"{note} weight {iw} at {pos}", []
     diffs = []
-    try:
-        for a in range(win.lo("x0"), win.hi("x0") + 1):
-            for b in range(win.lo("x1"), win.hi("x1") + 1):
-                for c in range(win.lo("x2"), win.hi("x2") + 1):
-                    if not 0 <= weight + a + b + c + 1 <= level:
-                        continue
-                    sides = ({}, {})
-                    for side, term, i, j, co in terms(a, b, c):
-                        acc = sides[side]
-                        for label, x in _naive_product(
-                                *term, i, j, (a, b, c)).items():
-                            acc[label] = acc.get(label, 0) + co * x
-                    lhs, rhs = sides
-                    for label in sorted(set(lhs) | set(rhs)):
-                        lc, rc = lhs.get(label, 0), rhs.get(label, 0)
-                        if lc != rc:
-                            diffs.append(((a, b, c, label), lc, rc))
-    except _NaiveSkip as sk:
-        return Status.SKIPPED, str(sk), []
+    for pos in keys:
+        sides = ({}, {})
+        for side, term, i, j, co in terms(*pos):
+            acc = sides[side]
+            for label, x in _naive_product(*term, i, j).items():
+                acc[label] = acc.get(label, 0) + co * x
+        lhs, rhs = sides
+        for label in sorted(set(lhs) | set(rhs)):
+            lc, rc = lhs.get(label, 0), rhs.get(label, 0)
+            if lc != rc:
+                diffs.append((pos + (label,), lc, rc))
     return (Status.FAIL if diffs else Status.PASS), "", diffs
 
 
@@ -519,6 +532,34 @@ def test_translate_skew_matches_naive_evaluator(case):
         V, u, v, w, win))
     assert (_engine(got), calls) == _recorded(
         V, lambda: _naive_translate_skew(V, u, v, w, win))
+
+
+def test_a_skipped_check_computes_no_product():
+    # exactness is decided before any product is computed: this check is
+    # skipped at its first lost inner image, so its only apply_mode calls
+    # are loss tests, each with an explicit ceiling
+    V = build_heisenberg(4)
+    rep, calls = _recorded(V, lambda: axioms.check_jacobi(
+        V, B((1,)), B((1,)), B((2,)), WIN2))
+    assert rep.status is Status.SKIPPED
+    assert rep.note == "product-inner weight 5 at (-2, -2, 2)"
+    assert calls and all(ceiling is not None for *_, ceiling in calls)
+
+
+def test_each_inner_image_is_loss_tested_once(monkeypatch):
+    # the outer mode index does not change whether y_j z is lost, so one
+    # check asks true_nonzero once per term and inner index j
+    asked = []
+    real = axioms.VOAAction.true_nonzero
+
+    def recording(self, op, n, vec):
+        asked.append((fmt_vec(op), n, fmt_vec(vec)))
+        return real(self, op, n, vec)
+
+    monkeypatch.setattr(axioms.VOAAction, "true_nonzero", recording)
+    V = build_heisenberg(4)
+    assert axioms.check_jacobi(V, V.vacuum, B((3,)), V.vacuum, WIN2).passed
+    assert asked and len(asked) == len(set(asked))
 
 
 # -- plans kept across calls --------------------------------------------------

@@ -333,6 +333,24 @@ def test_all_reports_a_defective_algebra(monkeypatch, capsys):
         in records
 
 
+def test_direct_sum_cross_blocks_reproduce_the_product(monkeypatch):
+    # negative control: a(0) a(-2)|0> corrupted to read a(-1)|0> survives
+    # the invariant form, but the blocks recovered through the forms and
+    # the skew formula no longer reproduce the corrupted product
+    real = cli.build_heisenberg
+
+    def corrupted(level):
+        V = real(level)
+        V.corrupt((1,), 0, (2,), (1,), 1)
+        return V
+
+    assert all(r.passed for r in cli._direct_sum_reports(4))
+    monkeypatch.setattr(cli, "build_heisenberg", corrupted)
+    reps = {r.identity: r for r in cli._direct_sum_reports(4)}
+    assert reps["direct-sum-module-orthogonality"].failed
+    assert reps["direct-sum-block-structure"].failed
+
+
 def test_conjugation_records_are_pinned(capsys):
     # the conjugation checks are outside ``voacalc all``, whose records are
     # pinned in test_criterion_9_determinism
