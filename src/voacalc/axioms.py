@@ -378,6 +378,7 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
     for lw in V.basis_upto():
         w = GradedVector.basis(lw)
         ww = sum(lw)
+        lw_name = fmt_label(lw)
         lost_raise_w = (not vac and ww + 1 > V.level
                         and act.true_nonzero(V.twice_omega, 0, w))
         vn_w: dict = {}    # n -> v_n w
@@ -405,7 +406,7 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
                     if key not in parts:
                         parts[key] = V.apply_mode(l_v[i - j], n + j, w)
                     rhs = rhs + parts[key].scale(binom(i + 1, j))
-                diff_labels(diffs[i], (fmt_label(lw), n), lhs.coeff,
+                diff_labels(diffs[i], (lw_name, n), lhs.coeff,
                             rhs.coeff)
     params = f"v={fmt_vec(v)};win={win.hi('x')}"
     out = []
@@ -567,8 +568,9 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                             key = (j, e)
                             rhs[key] = rhs.get(key, GradedVector()) \
                                 + base.scale(co)
+        lw_name = fmt_label(lw)
         for key in sorted(set(lhs) | set(rhs)):
-            diff_labels(diffs, (fmt_label(lw),) + key,
+            diff_labels(diffs, (lw_name,) + key,
                         lhs.get(key, GradedVector()).coeff,
                         rhs.get(key, GradedVector()).coeff)
     if not any_checked:
@@ -591,6 +593,7 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
         if j_hi < 0:
             continue
         any_checked = True
+        lw_name = fmt_label(lw)
         # lhs[j]: x^e -> the x0^j coefficient of the conjugated series
         lhs: list = [{} for _ in range(j_hi + 1)]
         for qq, wq in enumerate(exp_chain(V, -1, w, terms=j_hi + 1)):
@@ -614,7 +617,7 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                         rhs[-n - 1 - j] = rhs.get(-n - 1 - j,
                                                   GradedVector()) + val
             for e in sorted(set(lhs[j]) | set(rhs)):
-                diff_labels(diffs, (fmt_label(lw), j, e),
+                diff_labels(diffs, (lw_name, j, e),
                             lhs[j].get(e, GradedVector()).coeff,
                             rhs.get(e, GradedVector()).coeff)
     if not any_checked:

@@ -339,11 +339,12 @@ def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     for path in paths:
         T = fusion.load_fusion_tensor(path)
         name = str(path).rsplit("/", 1)[-1]
-        for rep in (fusion.check_s3_symmetry(T), fusion.check_positivity(T)):
+        symmetry = fusion.check_s3_symmetry(T)
+        for rep in (symmetry, fusion.check_positivity(T)):
             rep.params += f";file={name}"
             out.append(rep)
         try:
-            A = fusion.build_verlinde(T)
+            A = fusion.build_verlinde(T, symmetry)
         except fusion.SymmetryViolation as e:
             out.append(VerificationReport(
                 "verlinde-build", f"file={name}", Status.FAIL,

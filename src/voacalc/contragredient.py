@@ -266,6 +266,7 @@ def check_dual_virasoro(M, n_range: int,
     V = M.V
     diffs = []
     basis = M.basis_upto()
+    names = {mu: fmt_label(mu) for mu in basis}
     for n in range(-n_range, n_range + 1):
         # L(-n) nu clipped at |mu| depends on mu only through |mu|
         right: dict = {}
@@ -280,7 +281,7 @@ def check_dual_virasoro(M, n_range: int,
                         V.omega, -n + 1, GradedVector.basis(nu), ceiling=wmu)
                 rc = img.coeff.get(mu, 0)
                 if lc != rc:
-                    diffs.append((("adjoint", n, fmt_label(mu), fmt_label(nu)),
+                    diffs.append((("adjoint", n, names[mu], names[nu]),
                                   lc, rc))
     c = V.central_charge
     for m in range(-2, 3):
@@ -295,7 +296,7 @@ def check_dual_virasoro(M, n_range: int,
                 rhs = Mp.virasoro(m + n, wp, top).scale(m - n)
                 if m + n == 0:
                     rhs = rhs + wp.scale(c * Fraction(m ** 3 - m, 12))
-                diff_labels(diffs, ("bracket", m, n, fmt_label(mu)),
+                diff_labels(diffs, ("bracket", m, n, names[mu]),
                             lhs.clip(M.level).coeff, rhs.clip(M.level).coeff)
     return VerificationReport.from_diffs("dual-virasoro",
                                          f"range={n_range}", diffs)
@@ -311,10 +312,12 @@ def check_dual_derivative(M, order: int,
     for lv in V.basis_upto(V.level - 1):
         v = GradedVector.basis(lv)
         dv = V.virasoro(-1, v)
+        lv_name = fmt_label(lv)
         for mu in M.basis_upto():
             wp = GradedVector.basis(mu)
+            mu_name = fmt_label(mu)
             for n in range(-(order + 1), order + 1):
-                diff_labels(diffs, (fmt_label(lv), fmt_label(mu), n),
+                diff_labels(diffs, (lv_name, mu_name, n),
                             Mp.act(v, n, wp).scale(-n - 1).coeff,
                             Mp.act(dv, n + 1, wp).coeff)
     return VerificationReport.from_diffs("dual-derivative",
@@ -347,11 +350,13 @@ def check_double_contragredient(M, Mp: ContragredientModule | None = None
     for lv in V.basis_upto():
         v = GradedVector.basis(lv)
         wtv = sum(lv)
+        lv_name = fmt_label(lv)
         for mu in M.basis_upto():
             m = GradedVector.basis(mu)
+            mu_name = fmt_label(mu)
             for n in range(wtv + sum(mu) - 1 - M.level, wtv + sum(mu)):
                 # the row of the double dual's block, read whole
-                diff_labels(diffs, (fmt_label(lv), n, fmt_label(mu)),
+                diff_labels(diffs, (lv_name, n, mu_name),
                             M.act(v, n, m).coeff,
                             Mpp.adjoint_block(v, n, sum(mu)).get(mu, {}))
     return VerificationReport.from_diffs("double-dual-identity", "all-basis",

@@ -33,8 +33,11 @@ a(n-k+1). What is memoised where:
   tails), else one per ``mode_basis`` call. Storing them on the instance
   would grow it by keys nobody asked for.
 * The overflow probe of ``apply_mode_flagged`` (a pair above the ceiling,
-  tested only for being nonzero) is not stored: it never yields a vector,
-  and the sewing checks probe thousands of high-weight keys once each.
+  tested only for being nonzero) never enters ``_modes``: it never yields
+  a vector, and the sewing checks probe thousands of high-weight keys
+  once each. Only its answer is kept, as a boolean per key in
+  ``_probes`` on the instance; a key with a corruption is always asked
+  again, so adding or clearing one still changes the flag.
 * A corruption (``corrupt``) is applied where ``mode_basis`` returns, so
   it changes its own key only; the recursion reads clean values.
 
@@ -280,6 +283,7 @@ class HeisenbergVOA:
         # a(-1)^2|0> = 2 omega, the integer vector the Virasoro modes use
         self.twice_omega = GradedVector.basis((1, 1))
         self._modes: dict = {}
+        self._probes: dict = {}   # overflow probe key -> true value nonzero
         self._corruptions: dict = {}
 
     # -- basis bookkeeping ------------------------------------------------
@@ -361,10 +365,10 @@ class HeisenbergVOA:
                 if target > cap:
                     # a nonzero true value here would be lost entirely;
                     # once one is found the flag is settled. The probe only
-                    # tests for zero, so its value is not memoised
-                    if not overflow and self.mode_basis(
-                            lu, n, lv, store=False, scratch=scratch):
-                        overflow = True
+                    # tests for zero, so only that answer is kept, and a
+                    # corrupted key is asked again
+                    if not overflow:
+                        overflow = self._probe(lu, n, lv, scratch)
                     continue
                 c = cu * cv
                 for label, m in self.mode_basis(lu, n, lv,
@@ -377,6 +381,18 @@ class HeisenbergVOA:
         r = GradedVector.__new__(GradedVector)
         r.coeff = acc
         return r, overflow
+
+    def _probe(self, lu, n, lv, scratch: dict) -> bool:
+        """Whether mode_basis(lu, n, lv) is nonzero, without storing it."""
+        key = (lu, n, lv)
+        if key in self._corruptions:
+            return bool(self.mode_basis(lu, n, lv, store=False,
+                                        scratch=scratch))
+        got = self._probes.get(key)
+        if got is None:
+            got = self._probes[key] = bool(self.mode_basis(
+                lu, n, lv, store=False, scratch=scratch))
+        return got
 
     def apply_mode(self, u: GradedVector, n: int, v: GradedVector,
                    ceiling: int | None = None) -> GradedVector:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
@@ -214,10 +214,12 @@ class VerlindeAlgebra:
         return out
 
 
-def build_verlinde(T: FusionTensor) -> VerlindeAlgebra:
-    rep = check_s3_symmetry(T)
-    if not rep.passed:
-        raise SymmetryViolation(f"{len(rep.diffs)} symmetry violations")
+def build_verlinde(T: FusionTensor,
+                   symmetry: VerificationReport) -> VerlindeAlgebra:
+    """The Verlinde algebra of T, refused unless ``symmetry``, T's
+    ``check_s3_symmetry`` report, passed."""
+    if not symmetry.passed:
+        raise SymmetryViolation(f"{len(symmetry.diffs)} symmetry violations")
     return VerlindeAlgebra(T)
 
 
@@ -371,7 +373,10 @@ def check_intertwiner(I: IntertwinerData,
     The identity runs over all basis triples up to the level, each on a
     window shaped so every intermediate stays below the level; this leaves
     no skipped instances, and every stored mode entry is pinned by some
-    examined coefficient.
+    examined coefficient. The triples (v, w1, w2) are listed in basis
+    order and visited stably sorted by their weight signature, so each
+    evaluation plan of the three-term engine is built once per call; a
+    failure reports the first failing triple in basis order.
     """
     V = I.V
     width = max(win.hi(v) for v in win.variables) + I.level + 1
@@ -401,27 +406,29 @@ def check_intertwiner(I: IntertwinerData,
     reports.append(VerificationReport.from_diffs(
         "intertwiner-derivative", f"shift={I.shift}", diffs))
 
-    # three-term identity on shaped windows
+    # three-term identity on shaped windows, visited by weight signature
     acts = axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
                                 in2=I.m2, iterate=I.m1, out3=y_act)
-    fail_rep = None
+    triples = list(product(V.basis_upto(min(I.level, 2)),
+                           I.m1.basis_upto(I.level),
+                           I.m2.basis_upto(I.level)))
+    sigs = [(sum(lv), sum(l1), sum(l2)) for lv, l1, l2 in triples]
+    fail_at, fail_rep = len(triples), None
     checked = 0
-    for lv in V.basis_upto(min(I.level, 2)):
-        v = GradedVector.basis(lv)
-        for l1 in I.m1.basis_upto(I.level):
-            w1 = GradedVector.basis(l1)
-            for l2 in I.m2.basis_upto(I.level):
-                w2 = GradedVector.basis(l2)
-                shaped = shaped_jacobi_window(sum(lv), sum(l1), sum(l2),
-                                              I.level, width)
-                if shaped is None:
-                    continue
-                rep = axioms.three_term_check(
-                    v, w1, w2, shaped, acts, "intertwiner-jacobi",
-                    f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
-                if rep.failed and fail_rep is None:
-                    fail_rep = rep
-                checked += 1
+    for sig, group in groupby(sorted(range(len(triples)),
+                                     key=sigs.__getitem__),
+                              key=sigs.__getitem__):
+        shaped = shaped_jacobi_window(*sig, I.level, width)
+        if shaped is None:
+            continue
+        for at in group:
+            v, w1, w2 = map(GradedVector.basis, triples[at])
+            rep = axioms.three_term_check(
+                v, w1, w2, shaped, acts, "intertwiner-jacobi",
+                f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
+            if rep.failed and at < fail_at:
+                fail_at, fail_rep = at, rep
+            checked += 1
     if fail_rep is not None:
         reports.append(fail_rep)
     elif checked == 0:

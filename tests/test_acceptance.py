@@ -227,8 +227,9 @@ def test_criterion_7_fusion_suite():
     base = resources.files("voacalc") / "fixtures"
     for name in ("one_label.fus", "ising.fus"):
         T = fusion.load_fusion_tensor(base / name)
-        assert fusion.check_s3_symmetry(T).passed
-        A = fusion.build_verlinde(T)
+        symmetry = fusion.check_s3_symmetry(T)
+        assert symmetry.passed
+        A = fusion.build_verlinde(T, symmetry)
         assert fusion.check_commutativity(A).passed
         assert fusion.check_associativity(A).passed
         assert A.has_unit

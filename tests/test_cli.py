@@ -221,6 +221,17 @@ def test_failing_fixture_exits_one(tmp_path, capsys):
     assert any(" fail " in line for line in out.splitlines())
 
 
+def test_verlinde_build_counts_the_symmetry_report():
+    from importlib import resources
+    src = resources.files("voacalc") / "fixtures" / "bad_symmetry.fus"
+    reps = {r.identity: r
+            for r in cli.fusion_suite(cli.SuiteConfig(fixtures=(str(src),)))}
+    n = len(reps["fusion-s3-symmetry"].diffs)
+    assert n and reps["verlinde-build"].failed
+    assert reps["verlinde-build"].diffs == [
+        (("symmetry",), f"{n} symmetry violations", "")]
+
+
 def test_moduli_sew_roundtrip(tmp_path, capsys):
     from voacalc.moduli import (format_moduli_element, parse_moduli_element,
                                 scaling_element, two_puncture_element)

@@ -147,6 +147,51 @@ def test_overflow_flag_matches_full_scan(u, v, n, cap):
     assert out == full.clip(cap)
 
 
+def test_kept_probe_answer_yields_to_a_corruption():
+    # (a(-2)|0>)_n = -n a(n-1) vanishes at n = 0, so this pair lies above
+    # the ceiling with a true value of zero
+    V = build_heisenberg(4)
+    u, v = GradedVector.basis((2,)), GradedVector.basis((4,))
+    key = ((2,), 0, (4,))
+    assert build_heisenberg(4).mode_basis(*key) == {}
+    assert V.apply_mode_flagged(u, 0, v) == (GradedVector(), False)
+    assert V._probes == {key: False} and key not in V._modes
+    V.corrupt(*key, (5,), 1)
+    assert V.apply_mode_flagged(u, 0, v) == (GradedVector(), True)
+    V.clear_corruptions()
+    assert V.apply_mode_flagged(u, 0, v) == (GradedVector(), False)
+
+
+_flag_calls = st.lists(
+    st.tuples(_mixed_vectors, st.integers(-6, 6), _mixed_vectors,
+              st.integers(0, 8)), min_size=2, max_size=6)
+
+
+@given(_flag_calls, st.data())
+@settings(max_examples=40, deadline=None)
+def test_repeated_flags_match_fresh_algebras(calls, data):
+    # one algebra answers the calls twice over, with corruptions of their
+    # keys added and cleared in between; a fresh algebra with the same
+    # corruptions answers each call once
+    V = build_heisenberg(4)
+    corruptions = []
+    for u, n, v, cap in calls + calls:
+        if data.draw(st.booleans()):
+            lu, lv = data.draw(st.sampled_from(list(u.coeff))), \
+                data.draw(st.sampled_from(list(v.coeff)))
+            label = data.draw(_labels_upto_4)
+            corruptions.append((lu, n, lv, label, 1))
+            V.corrupt(*corruptions[-1])
+        elif data.draw(st.booleans()):
+            corruptions.clear()
+            V.clear_corruptions()
+        fresh = build_heisenberg(4)
+        for c in corruptions:
+            fresh.corrupt(*c)
+        assert V.apply_mode_flagged(u, n, v, ceiling=cap) == \
+            fresh.apply_mode_flagged(u, n, v, ceiling=cap)
+
+
 @given(_mixed_vectors, st.sampled_from((-1, 0, 1)), st.integers(3, 6),
        st.booleans())
 @settings(max_examples=60, deadline=None)

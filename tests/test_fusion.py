@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from importlib import resources
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from voacalc import axioms, contragredient as contra, fusion
 from voacalc.fock import GradedVector, build_heisenberg
-from voacalc.reports import FixtureError
+from voacalc.reports import FixtureError, fmt_vec
 from voacalc.series import Window
 
 FIXTURES = resources.files("voacalc") / "fixtures"
@@ -15,6 +16,10 @@ FIXTURES = resources.files("voacalc") / "fixtures"
 
 def load(name):
     return fusion.load_fusion_tensor(FIXTURES / name)
+
+
+def verlinde(T):
+    return fusion.build_verlinde(T, fusion.check_s3_symmetry(T))
 
 
 class TestParsing:
@@ -90,12 +95,12 @@ class TestSymmetry:
 
 class TestVerlinde:
     def test_one_label_algebra(self):
-        A = fusion.build_verlinde(load("one_label.fus"))
+        A = verlinde(load("one_label.fus"))
         assert A.has_unit
         assert A.product("V", "V") == {"V": 1}
 
     def test_ising_products(self):
-        A = fusion.build_verlinde(load("ising.fus"))
+        A = verlinde(load("ising.fus"))
         assert A.has_unit
         assert A.product("sigma", "sigma") == {"V": 1, "eps": 1}
         assert A.product("eps", "eps") == {"V": 1}
@@ -105,7 +110,7 @@ class TestVerlinde:
 
     def test_fixture_units(self):
         for name in ("one_label.fus", "ising.fus", "bad_assoc.fus"):
-            rep = fusion.check_unit(fusion.build_verlinde(load(name)))
+            rep = fusion.check_unit(verlinde(load(name)))
             assert rep.passed and rep.note == "two-sided unit"
 
     def test_non_unit_algebra_label_fails(self):
@@ -119,7 +124,7 @@ class TestVerlinde:
         for p in permutations(("V", "a", "b")):
             entries[p] = 1
         T = fusion.FusionTensor(("V", "a", "b"), (), tuple(entries.items()))
-        A = fusion.build_verlinde(T)
+        A = verlinde(T)
         assert not A.has_unit
         rep = fusion.check_unit(A)
         assert rep.failed and rep.note == "no exact unit"
@@ -128,7 +133,7 @@ class TestVerlinde:
 
     def test_symmetry_violation_blocks_build(self):
         with pytest.raises(fusion.SymmetryViolation):
-            fusion.build_verlinde(load("bad_symmetry.fus"))
+            verlinde(load("bad_symmetry.fus"))
 
     def test_positivity_validation(self):
         assert fusion.check_positivity(load("ising.fus")).passed
@@ -136,7 +141,7 @@ class TestVerlinde:
         assert fusion.check_positivity(T).failed
 
     def test_perturbed_tensor_fails_associativity(self):
-        A = fusion.build_verlinde(load("bad_assoc.fus"))
+        A = verlinde(load("bad_assoc.fus"))
         rep = fusion.check_associativity(A)
         assert rep.failed and rep.diffs
 
@@ -266,3 +271,60 @@ class TestIntertwiners:
         I.modes[key][(3,)] = I.modes[key].get((3,), 0) + 1
         reps = {r.identity: r for r in fusion.check_intertwiner(I, win)}
         assert reps["intertwiner-derivative"].failed
+
+    def test_first_failure_in_triple_order_is_reported(self):
+        # the triples run v, then w1, then w2 over the basis; they are
+        # visited by weight signature. Key A first fails at
+        # (a(-1), a(-2), a(-3)), signature (1, 2, 3); key B first fails at
+        # (a(-1), a(-1)^2, vacuum), signature (1, 2, 0), which is visited
+        # first but comes later in triple order. No two stored modes at
+        # level 3 order their first failures that way: a corrupted key
+        # first fails at the w1 that is its first slot less its first
+        # part, so w1 = a(-2) needs a weight-4 key
+        V4 = build_heisenberg(4)
+        I = fusion.intertwiner_from_algebra(V4)
+        win = Window.symmetric(("x0", "x1", "x2"), 2)
+        for key, label in ((((2, 2), 2, (3,)), (4,)),
+                           (((1, 1, 1), -2, ()), (2, 1, 1))):
+            I.modes[key] = dict(I.modes[key])
+            I.modes[key][label] += 1
+        jac = fusion.check_intertwiner(I, win)[-1]
+        assert jac.identity == "intertwiner-jacobi" and jac.failed
+        assert jac.params == "v=[1];w1=[2];w2=[3]"
+
+        # the ungrouped loop's first failure, and the premise: B's triple
+        # fails, with a smaller signature
+        y_act = fusion.IntertwinerAction(I)
+        acts = axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
+                                    in2=I.m2, iterate=I.m1, out3=y_act)
+        width = 2 + I.level + 1
+
+        def run(lv, l1, l2):
+            v, w1, w2 = map(GradedVector.basis, (lv, l1, l2))
+            shaped = fusion.shaped_jacobi_window(
+                sum(lv), sum(l1), sum(l2), I.level, width)
+            return axioms.three_term_check(
+                v, w1, w2, shaped, acts, "intertwiner-jacobi",
+                f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
+
+        first = next(rep for rep in itertools.starmap(run, itertools.product(
+            V4.basis_upto(2), V4.basis_upto(4), V4.basis_upto(4)))
+            if rep.failed)
+        assert (first.params, first.diffs) == (jac.params, jac.diffs)
+        assert run((1,), (1, 1), ()).failed
+
+    def test_each_signature_builds_one_plan(self, V, monkeypatch):
+        built = []
+        real = axioms._PLANS[axioms._jacobi_layout]
+
+        def counting(*args):
+            built.append(args[1:])
+            return axioms._plan(*args)
+        monkeypatch.setitem(
+            axioms._PLANS, axioms._jacobi_layout,
+            functools.lru_cache(real.cache_parameters()["maxsize"])(counting))
+        I = fusion.intertwiner_from_algebra(V)
+        win = Window.symmetric(("x0", "x1", "x2"), 2)
+        assert all(r.passed for r in fusion.check_intertwiner(I, win))
+        # 3 * 4 * 4 weight signatures (v up to weight 2, w1 and w2 up to 3)
+        assert len(built) == len(set(built)) <= 48
