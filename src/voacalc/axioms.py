@@ -21,13 +21,15 @@ The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
 layout, weights, window, observable level, expansion rows): the products
 in the order a position loop first demands them, and per product the
-positions and coefficients it feeds. A check decides exactness first: it
-scans the products in plan order and skips at the first lost inner image,
-before it computes any product; ``true_nonzero`` is asked once per term
-and inner index. Otherwise it computes each product once, in plan order,
-scatters only the nonzero ones and diffs the positions in order. Values
-(products, inner images, loss answers) are memoised per call only, never
-on an action or an algebra. A plan holds no value, so the last few are
+positions and coefficients it feeds. The expansion rows come from
+``series.delta_rows``, the one delta kernel, which the ``delta-two-term``
+and ``delta-three-term`` records check through ``series.delta_expansion``.
+A check decides exactness first: it scans the products in plan order and
+skips at the first lost inner image, before it computes any product;
+``true_nonzero`` is asked once per term and inner index. Otherwise it
+computes each product once, in plan order, scatters only the nonzero ones
+and diffs the positions in order. Values (products, inner images, loss
+answers) are memoised per call only, never on an action or an algebra. A plan holds no value, so the last few are
 kept across calls: a constant corrupted between two calls, as negative
 controls do, is seen by the second, and dual and intertwiner actions
 reuse the algebra's plan safely. Coefficients stay integers until a
@@ -45,14 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
 from math import factorial
 
 from .exact import binom
 from .fock import GradedVector, HeisenbergVOA, exp_chain
 from .reports import (Status, VerificationReport, diff_labels, fmt_label,
                       fmt_vec)
-from .series import Window
+from .series import Window, delta_rows
 
 
 class VOAAction:
@@ -108,17 +109,12 @@ class JacobiActions:
 
 @lru_cache(maxsize=4)
 def _expansion_rows(win: Window, k_prod: int, k_iter: int, sign: int):
-    """The delta-function expansion coefficients: binom(-a-1, k) sign^k for
-    each x0 exponent a (the two products) and binom(b+k, k) sign^k for each
-    x1 exponent b (the iterate). As binom(n, k) = 0 exactly when 0 <= n < k,
-    the nonzero entries are a prefix, and a row ends before its first 0."""
-    prod = {a: tuple(takewhile(bool, (binom(-a - 1, k) * sign ** k
-                                      for k in range(k_prod))))
-            for a in range(win.lo("x0"), win.hi("x0") + 1)}
-    iterate = {b: tuple(takewhile(bool, (binom(b + k, k) * sign ** k
-                                         for k in range(k_iter))))
-               for b in range(win.lo("x1"), win.hi("x1") + 1)}
-    return prod, iterate
+    """The delta rows of one check: those of the two products over the x0
+    exponents a at ``sign``, binom(-a-1, k) sign^k, and those of the
+    iterate over the x1 exponents b at -sign, binom(-b-1, k) (-sign)^k =
+    binom(b+k, k) sign^k."""
+    return (delta_rows(win.lo("x0"), win.hi("x0"), k_prod, sign),
+            delta_rows(win.lo("x1"), win.hi("x1"), k_iter, -sign))
 
 
 class _Term:
@@ -222,8 +218,8 @@ def _evaluate(layout, weights: tuple, win: Window, level: int, rows,
     products in order and skips at the first lost inner image; otherwise
     each product is computed once, in plan order, its nonzero values are
     scattered, and the positions either side reached are diffed in order."""
-    positions, products, feeds = _PLANS[layout](
-        layout, weights, win, level, tuple([tuple(r.items()) for r in rows]))
+    positions, products, feeds = _PLANS[layout](layout, weights, win, level,
+                                                rows)
     for term, _, i, j, first in products:
         t = terms[term]
         if t.lost(i, j):

@@ -415,8 +415,9 @@ class HeisenbergVOA:
                       window: Window) -> FormalSeries:
         """Y(u, x) v as a vector-valued series in x on the window."""
         coeff = {(-n - 1,): self.apply_mode(u, n, v)
-                 for n in self.mode_range(u, v)}
-        return FormalSeries.laurent_polynomial(coeff).restrict(window)
+                 for n in self.mode_range(u, v)
+                 if window.lo("x") <= -n - 1 <= window.hi("x")}
+        return FormalSeries(("x",), coeff, window)
 
     def virasoro(self, n: int, v: GradedVector,
                  ceiling: int | None = None) -> GradedVector:

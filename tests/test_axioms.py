@@ -1,4 +1,10 @@
+import itertools
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +14,7 @@ from voacalc.exact import binom
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
 from voacalc.reports import Status, fmt_vec
-from voacalc.series import Window, delta_expansion
+from voacalc.series import Window, check_delta_identity, delta_expansion
 
 
 @pytest.fixture(scope="module")
@@ -138,52 +144,83 @@ def test_failing_records_hold_exact_coefficients():
             {int, Fraction}
 
 
-def _rows_match_delta(expansion_rows) -> bool:
-    """Whether the engine's delta rows are the coefficients of the delta
-    series the delta suite verifies: for sign -1, binom(-a-1, k) (-1)^k of
-    x0^a x1^(-a-1-k) x2^k in x0^-1 d((x1-x2)/x0) and binom(b+k, k) (-1)^k
-    of x0^k x1^b x2^(-b-k-1) in x2^-1 d((x1-x0)/x2); for sign +1, the same
-    exponents of x1^-1 d((x2+x0)/x1) with x1 and x2 swapped."""
-    win = Window.symmetric(("x0", "x1", "x2"), 3)
-    big = Window.symmetric(("x0", "x1", "x2"), 12)
-    k_max = 8
-    patterns = {-1: ("(x1-x2)/x0", "(x1-x0)/x2"),
-                1: ("(x2+x0)/x1", "(x2+x0)/x1")}
-    for sign, (prod_pat, iter_pat) in patterns.items():
-        prod, iterate = expansion_rows(win, k_max, k_max, sign)
-        prod_d = delta_expansion(prod_pat, big).coeff
-        iter_d = delta_expansion(iter_pat, big).coeff
-        for a in range(-3, 4):
-            for k in range(k_max):
-                got = prod[a][k] if k < len(prod[a]) else 0
-                e = (a, -a - 1 - k, k) if sign < 0 else (k, a, -a - 1 - k)
-                if got != prod_d.get(e, 0):
-                    return False
-        for b in range(-3, 4):
-            for k in range(k_max):
-                got = iterate[b][k] if k < len(iterate[b]) else 0
-                e = (k, b, -b - k - 1) if sign < 0 else (k, -b - k - 1, b)
-                if got != iter_d.get(e, 0):
-                    return False
-    return True
+def _own_row(top, sign, length):
+    """binom(top(k), k) sign^k for k < length by the falling product, not
+    exact.binom, ending before the first 0."""
+    row = []
+    for k in range(length):
+        c = Fraction(sign) ** k
+        for i in range(k):
+            c = c * (top(k) - i) / (i + 1)
+        if not c:
+            break
+        row.append(c)
+    return row
 
 
 def test_expansion_rows_are_delta_coefficients(V, monkeypatch):
-    # the jacobi records use rows tabulated in axioms, not the delta series
-    # of the delta suite; the pin ties the two, and a mutation of the rows
-    # alone (here: the sign^k factor dropped) fails both the pin and a
-    # jacobi record
+    # the engine's rows against the test's own binomial loop, for both
+    # signs and on asymmetric windows: binom(-a-1, k) sign^k for each x0
+    # exponent a, binom(b+k, k) sign^k for each x1 exponent b, as ints
+    windows = (Window.of(x0=(-4, 2), x1=(-1, 5), x2=(0, 3)),
+               Window.of(x0=(1, 4), x1=(-6, -2), x2=(-2, 2)))
+    for win, sign, (k_prod, k_iter) in itertools.product(
+            windows, (-1, 1), ((7, 5), (3, 9))):
+        prod, iterate = axioms._expansion_rows(win, k_prod, k_iter, sign)
+        assert [a for a, _ in prod] == list(range(win.lo("x0"),
+                                                  win.hi("x0") + 1))
+        assert [b for b, _ in iterate] == list(range(win.lo("x1"),
+                                                     win.hi("x1") + 1))
+        for a, row in prod:
+            assert list(row) == _own_row(lambda k: -a - 1, sign, k_prod)
+            assert all(type(c) is int for c in row)
+        for b, row in iterate:
+            assert list(row) == _own_row(lambda k: b + k, sign, k_iter)
+            assert all(type(c) is int for c in row)
+    # a mutation of the rows alone (here: the sign^k factor dropped) fails
+    # a jacobi record
     real = axioms._expansion_rows
-    assert _rows_match_delta(real)
 
     def unsigned(win, k_prod, k_iter, sign):
         return real(win, k_prod, k_iter, 1)
 
-    assert not _rows_match_delta(unsigned)
     u, v, w = B((1,)), B((1,)), B((1,))
     assert axioms.check_jacobi(V, u, v, w, WIN2).passed
     monkeypatch.setattr(axioms, "_expansion_rows", unsigned)
     assert axioms.check_jacobi(V, u, v, w, WIN2).failed
+
+
+UNSIGNED_ROWS_SCRIPT = """
+from voacalc import axioms
+from voacalc.fock import GradedVector, build_heisenberg
+from voacalc.series import Window, check_delta_identity
+win4, win2 = (Window.symmetric(("x0", "x1", "x2"), n) for n in (4, 2))
+a = GradedVector.basis((1,))
+print(len(check_delta_identity("two-term", None, win4).diffs),
+      len(check_delta_identity("three-term", None, win4).diffs),
+      axioms.check_jacobi(build_heisenberg(6), a, a, a, win2).status.value)
+"""
+
+
+def test_unsigned_delta_rows_fail_delta_and_jacobi(tmp_path):
+    # negative control: drop sign^k where series.delta_rows defines it, in a
+    # copy of the package; the one patch fails both delta records, which
+    # therefore check the rows the jacobi verdicts read, and a jacobi record
+    pkg = tmp_path / "voacalc"
+    shutil.copytree(Path(axioms.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    text = (pkg / "series.py").read_text()
+    assert text.count(" * sign ** k") == 1
+    (pkg / "series.py").write_text(text.replace(" * sign ** k", ""))
+    proc = subprocess.run([sys.executable, "-c", UNSIGNED_ROWS_SCRIPT],
+                          cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["8", "18", "fail"]
+    win = Window.symmetric(("x0", "x1", "x2"), 4)
+    assert check_delta_identity("two-term", None, win).passed
+    assert check_delta_identity("three-term", None, win).passed
 
 
 class TestSkewSymmetry:

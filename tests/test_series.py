@@ -1,25 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc.series import (FormalSeries, IllDefinedProduct, Support, Window,
-                            WindowViolation, check_delta_identity,
-                            delta_expansion, delta_series,
-                            random_laurent_polynomial, series_multiply)
+from voacalc import series
+from voacalc.series import (FormalSeries, Window, check_delta_identity,
+                            delta_expansion, random_laurent_polynomial)
 
 
 def poly(terms, lo, hi, var="x"):
     return FormalSeries((var,), {(e,): Fraction(c) for e, c in terms.items()},
-                        Window.of(**{var: (lo, hi)}), Support.FINITE)
-
-
-def test_polynomial_product():
-    w = Window.of(x=(-2, 2))
-    a = poly({0: 1, 1: 1}, -2, 2)
-    b = poly({0: 1, 1: -1}, -2, 2)
-    got = series_multiply(a, b, w)
-    assert got.coeff == {(0,): 1, (2,): -1}
+                        Window.of(**{var: (lo, hi)}))
 
 
 def test_fundamental_delta_multiplication():
@@ -27,34 +19,6 @@ def test_fundamental_delta_multiplication():
     f = poly({2: 3, -1: -1}, -1, 2)
     rep = check_delta_identity("fundamental", f, Window.of(x=(-6, 6)))
     assert rep.passed
-
-
-def test_delta_times_delta_rejected():
-    w = Window.of(x=(-3, 3))
-    d = delta_series("x", w)
-    with pytest.raises(IllDefinedProduct):
-        series_multiply(d, d, w)
-
-
-def test_product_window_violation():
-    # the delta window is too small to cover what the target needs
-    f = poly({3: 1}, 0, 3)
-    d = delta_series("x", Window.of(x=(-2, 2)))
-    with pytest.raises(WindowViolation):
-        series_multiply(f, d, Window.of(x=(-2, 2)))
-
-
-def test_lower_truncated_product():
-    # the geometric series sum_k x^k, known on 0..10 and unbounded above,
-    # times 1 - x is 1; the product may not ask past the known region
-    g = FormalSeries(("x",), {(e,): 1 for e in range(11)},
-                     Window.of(x=(0, 10)), Support.LOWER)
-    f = poly({0: 1, 1: -1}, 0, 1)
-    got = series_multiply(g, f, Window.of(x=(-4, 10)))
-    assert got.coeff == {(0,): 1}
-    assert got.support["x"] is Support.LOWER
-    with pytest.raises(WindowViolation):
-        series_multiply(g, f, Window.of(x=(-4, 11)))
 
 
 def test_delta_expansion_single_coefficients():
@@ -65,23 +29,50 @@ def test_delta_expansion_single_coefficients():
     assert d.coefficient((-2, 0, 1)) == -1
 
 
+def _binom(n, k):
+    # the generalized binomial by its falling product, not exact.binom
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (n - i) / (i + 1)
+    return out
+
+
+# x_p^-1 delta((x_a + s x_b)/(d x_p)) = sum_n d^n (x_a + s x_b)^n x_p^(-n-1)
+# as (x_p, x_a, x_b, s, d), read off each pattern's name
+RAW_PATTERNS = {
+    "(x2+x0)/x1": ("x1", "x2", "x0", 1, 1),
+    "(x1-x0)/x2": ("x2", "x1", "x0", -1, 1),
+    "(x1-x2)/x0": ("x0", "x1", "x2", -1, 1),
+    "(x2-x1)/-x0": ("x0", "x2", "x1", -1, -1),
+}
+
+
+RAW_WINDOWS = (
+    dict(x0=(-3, 3), x1=(-3, 3), x2=(-3, 3)),
+    dict(x0=(-4, 2), x1=(-1, 5), x2=(0, 3)),
+    dict(x0=(1, 4), x1=(-5, -2), x2=(-2, 2)),
+    dict(x0=(-2, 5), x1=(2, 6), x2=(-6, -1)),
+)
+
+
 def test_delta_expansion_matches_raw_loops():
-    # independent expansion of both sides of the two-term identity
-    from voacalc.exact import binom
-    w = Window.symmetric(("x0", "x1", "x2"), 3)
-    lhs = {}
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            n = -b - 1
-            k = a
-            c = n - k
-            if not (-3 <= c <= 3) or k < 0:
-                continue
-            v = binom(n, k)
-            if v:
-                lhs[(a, b, c)] = Fraction(v)
-    got = delta_expansion("(x2+x0)/x1", w)
-    assert got.coeff == lhs
+    # an independent expansion of all four patterns: every exponent triple
+    # of the window, with the coefficient d^n binom(n, k) s^k of
+    # x_p^(-n-1) x_a^(n-k) x_b^k
+    for (pattern, (pref, top, sub, s, d)), bounds in itertools.product(
+            RAW_PATTERNS.items(), RAW_WINDOWS):
+        want = {}
+        for e in itertools.product(*(range(lo, hi + 1)
+                                     for lo, hi in bounds.values())):
+            x = dict(zip(bounds, e))
+            n, k = -x[pref] - 1, x[sub]
+            if k >= 0 and x[top] == n - k:
+                c = _binom(n, k) * Fraction(s) ** k * Fraction(d) ** n
+                if c:
+                    want[tuple(x[v] for v in ("x0", "x1", "x2"))] = c
+        got = delta_expansion(pattern, Window.of(**bounds)).coeff
+        assert got == want, (pattern, bounds)
+        assert all(type(c) is Fraction for c in got.values())
 
 
 def test_two_and_three_term_identities():
@@ -108,28 +99,20 @@ def test_fundamental_identity_random(seed):
     assert rep.passed
 
 
-@given(st.integers(min_value=0, max_value=2 ** 30))
-@settings(max_examples=20, deadline=None)
-def test_multiply_commutative_associative(seed):
-    import random
-    rng = random.Random(seed)
-    w = Window.of(x=(-12, 12))
-    target = Window.of(x=(-4, 4))
-    ps = [random_laurent_polynomial(rng, max_degree=3, max_terms=3)
-          for _ in range(3)]
-    a, b, c = ps
-    assert series_multiply(a, b, target) == series_multiply(b, a, target)
-    left = series_multiply(series_multiply(a, b, w), c, target)
-    right = series_multiply(a, series_multiply(b, c, w), target)
-    assert left == right
+def test_short_delta_window_fails_fundamental(monkeypatch):
+    # negative control: an all-ones factor one short at its top drops the
+    # lowest term of f from the top coefficient of the product
+    win = Window.of(x=(-6, 6))
+    f = poly({2: 3, -1: -1}, -1, 2)
+    real = series.delta_series
 
+    def short(var, w):
+        if w == win:
+            return real(var, w)
+        return real(var, Window.of(**{var: (w.lo(var), w.hi(var) - 1)}))
 
-def test_restrict_support_bookkeeping():
-    # (x1 - x2)^3, a polynomial
-    b = FormalSeries(("x1", "x2"), {(3, 0): 1, (2, 1): -3, (1, 2): 3,
-                                    (0, 3): -1},
-                     Window.of(x1=(0, 3), x2=(0, 3)), Support.FINITE)
-    # restriction that clips degrades the claim
-    w = Window.of(x1=(-2, 2), x2=(-2, 2))
-    clipped = b.restrict(w)
-    assert clipped.support["x1"] is not Support.FINITE
+    assert check_delta_identity("fundamental", f, win).passed
+    monkeypatch.setattr(series, "delta_series", short)
+    rep = check_delta_identity("fundamental", f, win)
+    assert rep.failed
+    assert rep.diffs == [((6,), 3, 2)]
