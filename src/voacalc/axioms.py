@@ -9,13 +9,13 @@ check is only allowed to return pass/fail when truncation provably loses
 nothing at any examined coefficient; otherwise it reports skipped.
 
 Every space is driven through one action protocol, ``VOAAction``:
-``level``, ``act``, ``true_nonzero`` and ``kron``. The algebra acting on
-itself is a ``VOAAction``, a contragredient module is a subclass, and
-``fusion.IntertwinerAction`` wraps stored intertwiner modes. The loss
-test ``true_nonzero`` is exact: an inner mode application whose true
-value has nonzero content above the working level marks the instance as
-out of budget whenever an outer mode could map that content back into
-the observable range.
+``level``, ``row`` (one basis label's mode on another), ``act`` (clipped
+at ``level`` unless given a ceiling), ``true_nonzero`` and ``kron``. The
+algebra's ``act`` is ``apply_mode``; the dual and the stored intertwiners
+supply rows and share ``fock.RowAction.act``. The loss test
+``true_nonzero`` is exact: an inner image with true content above the
+working level marks the instance out of budget whenever an outer mode
+could map that content back into the observable range.
 
 The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
@@ -29,17 +29,16 @@ skips at the first lost inner image, before it computes any product;
 ``true_nonzero`` is asked once per term and inner index. Otherwise it
 computes each product once, in plan order, scatters only the nonzero ones
 and diffs the positions in order. Values (products, inner images, loss
-answers) are memoised per call only, never on an action or an algebra. A plan holds no value, so the last few are
-kept across calls: a constant corrupted between two calls, as negative
-controls do, is seen by the second, and dual and intertwiner actions
-reuse the algebra's plan safely. Coefficients stay integers until a
-genuine fraction enters.
+answers) are memoised per call only. A plan holds no value, so the last
+few are kept across calls: a constant corrupted between two calls, as
+negative controls do, is seen by the second, and dual and intertwiner
+actions reuse the algebra's plan safely. Coefficients stay integers
+until a genuine fraction enters.
 
 The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
-written once (``skew_coefficient``): the skew-symmetry check and the
-direct-sum cross block both call it. It, the sl(2) conjugation checks and
-the iterate rewrite read L(+-1)^k w / k! off ``fock.exp_chain``, one chain
-per vector.
+written once (``skew_coefficient``) for the skew-symmetry check and the
+direct-sum cross block. It, the sl(2) conjugation checks and the iterate
+rewrite read L(+-1)^k w / k! off ``fock.exp_chain``, one chain per vector.
 """
 
 from __future__ import annotations
@@ -57,16 +56,19 @@ from .series import Window, delta_rows
 
 
 class VOAAction:
-    """The algebra acting on itself by its modes, clipped at ``level``;
-    ``ContragredientModule`` overrides ``act`` for the graded dual."""
+    """The algebra acting on itself by its modes, clipped at ``level``."""
 
     def __init__(self, V: HeisenbergVOA):
         self.V = V
         self.level = V.level
 
+    def row(self, lu: tuple, n: int, lv: tuple) -> dict:
+        return self.V.mode_basis(lu, n, lv)
+
     def act(self, op: GradedVector, n: int, vec: GradedVector,
             ceiling: int | None = None) -> GradedVector:
-        return self.V.apply_mode(op, n, vec, ceiling)
+        cap = self.level if ceiling is None else ceiling
+        return self.V.apply_mode(op, n, vec, cap)
 
     def true_nonzero(self, op: GradedVector, n: int, vec: GradedVector) -> bool:
         """Whether op_n vec is nonzero before any clipping: the action with
@@ -88,12 +90,9 @@ class VOAAction:
 
 @dataclass
 class JacobiActions:
-    """The six mode actions entering a three-term identity instance.
-
-    For a plain algebra or module instance all six coincide; intertwining
-    operators and contragredient actions substitute their own maps at the
-    appropriate slots.
-    """
+    """The six mode actions entering a three-term identity instance; on
+    the algebra all six coincide, while dual and intertwiner actions fill
+    their own slots."""
 
     out1: VOAAction   # x1-operator applied outermost in the first product
     in1: VOAAction    # x2-operator applied innermost in the first product

@@ -7,12 +7,14 @@ Structured output is one whitespace-free record per check,
 
 sorted by (suite, identity, params). Suites run one after another;
 ``--jobs N`` is accepted for every N >= 1 and changes nothing. Exit codes:
-0 all pass, 1 at least one failure, 2 configuration or fixture error.
+0 all pass, 1 at least one failure, 2 configuration or fixture error,
+141 a reader that closed the output pipe early (no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -241,14 +243,13 @@ def s3_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
 def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     V = build_heisenberg(cfg.level)
-    M = axioms.VOAAction(V)
-    Mp = contra.ContragredientModule(M)
+    Mp = contra.ContragredientModule(axioms.VOAAction(V))
     out = []
-    out.extend(contra.check_defining_relation(M, Mp))
-    out.append(contra.check_dual_virasoro(M, cfg.level, Mp))
-    out.append(contra.check_dual_derivative(M, cfg.level, Mp))
-    out.append(contra.check_double_contragredient(M, Mp))
-    out.extend(contra.check_invariant_form(M, Mp=Mp))
+    out.extend(contra.check_defining_relation(Mp))
+    out.append(contra.check_dual_virasoro(Mp, cfg.level))
+    out.append(contra.check_dual_derivative(Mp, cfg.level))
+    out.append(contra.check_double_contragredient(Mp))
+    out.extend(contra.check_invariant_form(Mp))
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = GradedVector.basis((1,))
     om = V.omega
@@ -256,7 +257,7 @@ def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
                        (a, a, GradedVector.basis((1,))),
                        (a, om, GradedVector.basis(())),
                        (om, om, GradedVector.basis(()))):
-        out.append(contra.check_contragredient_jacobi(M, v1, v2, wp, win, Mp))
+        out.append(contra.check_contragredient_jacobi(Mp, v1, v2, wp, win))
     out.extend(_direct_sum_reports(min(cfg.level, 4)))
     return _tag(out, "contragredient")
 
@@ -270,7 +271,7 @@ def _direct_sum_reports(level: int) -> list[VerificationReport]:
     V = build_heisenberg(level)
     M = axioms.VOAAction(V)
     try:
-        form = contra.build_invariant_form(M)
+        form = contra.build_invariant_form(contra.ContragredientModule(M))
         ds = contra.DirectSumMap(V, M, form, form)
     except (contra.NotSelfDual, contra.AsymmetricForm) as e:
         # no map to check: every direct-sum identity fails with the reason
@@ -543,10 +544,21 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
         args.files = args.files + rest
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        # flushed here, so that a closed pipe is met below, not at exit
+        sys.stdout.flush()
+        return code
     except (ConfigError, FixtureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: no traceback, and
+        # what is still buffered goes to devnull when the interpreter
+        # flushes stdout at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _dispatch(args) -> int:
@@ -555,8 +567,8 @@ def _dispatch(args) -> int:
     action = getattr(args, "action", None)
     if action == "build":
         V = build_heisenberg(cfg.level)
-        M = axioms.VOAAction(V)
-        form = contra.build_invariant_form(M)
+        form = contra.build_invariant_form(
+            contra.ContragredientModule(axioms.VOAAction(V)))
         dets = form.block_determinants()
         for w in sorted(dets):
             print(f"weight {w}: dim {V.dim(w)} det {dets[w]}")

@@ -10,26 +10,24 @@ so that pairing a dual vector against A(v, n) reproduces the defining
 relation of the dual action. Because every pairing projects onto a single
 weight block, these adjoints are exact at any truncation.
 
-A ContragredientModule is an ``axioms.VOAAction`` that overrides only
-``act``, so the three-term engine, the intertwiner checker and the
-direct-sum map take it wherever they take the algebra acting on itself.
-``act`` reads whole block matrices: for each (v, n, weight) the matrix
-of A(v, n) from the dual block of that weight. For a basis vector v the
-block is the transpose of the sum over k of the base module's matrices of
-(L(1)^k v / k!)_{2 wt v - 2 - n - k}; on the algebra their entries are
-read by label from ``mode_basis``, and on a dual (the double dual) they
-are the rows of the base's own blocks. Any other v combines the blocks of
-its basis vectors, as A(v, n) is linear in v. ``conj_operator`` is the
+A ContragredientModule is an ``axioms.VOAAction`` that supplies only
+``row``, so the three-term engine, the intertwiner checker and the
+direct-sum map take it wherever they take the algebra acting on itself;
+its ``act`` is the shared ``fock.RowAction.act``. A row is read from a
+block matrix: for each basis label v, mode n and weight, the matrix of
+A(v, n) from the dual block of that weight, the transpose of the sum
+over k of the base's matrices of (L(1)^k v / k!)_{2 wt v - 2 - n - k},
+whose rows are the base's own ``row``: ``mode_basis`` on the algebra,
+the base's blocks on a dual (the double dual). ``conj_operator`` is the
 same adjoint applied to one vector through the base's ``act``: the
 definition the blocks are tested against.
 
-Everything is memoised on the instance: the lowered vectors
-[(k, L(1)^k v / k!)] of each homogeneous v (the ``fock.exp_chain`` of
-e^{xL(1)} v) and the blocks. A memo never outlives its module, so a
-module built after a structure constant is corrupted sees the
-corruption; one built before keeps serving the values it has already
-computed. Entries are exact and integer-first: an integral ``Fraction``
-is stored as its ``int``.
+Everything is memoised on the instance, by basis label: the lowered
+vectors [(k, L(1)^k v / k!)] (the ``fock.exp_chain`` of e^{xL(1)} v) and
+the blocks. A memo never outlives its module, so a module built after a
+structure constant is corrupted sees the corruption; one built before
+keeps serving the values it has already computed. Entries are exact and
+integer-first: an integral ``Fraction`` is stored as its ``int``.
 
 The invariant form on a self-dual module is built by fixing the pairing
 of the vacuum with itself and propagating through the oscillator adjoint
@@ -51,9 +49,10 @@ from fractions import Fraction
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
 from .exact import exact_det, gauss_solve
-from .fock import GradedVector, HeisenbergVOA, exp_chain, partitions
+from .fock import (GradedVector, HeisenbergVOA, RowAction, exp_chain,
+                   partitions)
 from .reports import VerificationReport, diff_labels, fmt_label
-from .series import FormalSeries, Window
+from .series import Window
 
 
 class NotSelfDual(Exception):
@@ -75,7 +74,7 @@ def _vec_key(v: GradedVector) -> tuple:
     return tuple(sorted(v.coeff.items()))
 
 
-class ContragredientModule(axioms.VOAAction):
+class ContragredientModule(RowAction, axioms.VOAAction):
     """Dual action on the graded dual of a module, per the adjoint of the
     conjugated modes. Nesting the construction gives the double dual."""
 
@@ -83,85 +82,62 @@ class ContragredientModule(axioms.VOAAction):
         self.base = base
         self.V = base.V
         self.level = base.level
-        # homogeneous v -> [(k, L(1)^k v / k!)] while nonzero
+        # basis label lu -> [(k, L(1)^k lu / k!)] while nonzero
         self._lowered: dict = {}
-        # (v, n, block weight) -> {mu: {nu: coefficient}}
+        # (lu, n, block weight) -> {mu: {nu: coefficient}}
         self._blocks: dict = {}
 
-    def _lowerings(self, v: GradedVector) -> list:
-        vkey = _vec_key(v)
-        out = self._lowered.get(vkey)
+    def _lowerings(self, lu: tuple) -> list:
+        out = self._lowered.get(lu)
         if out is None:
-            out = self._lowered[vkey] = list(enumerate(
-                exp_chain(self.V, 1, v, terms=v.weight() + 1)))
+            out = self._lowered[lu] = list(enumerate(exp_chain(
+                self.V, 1, GradedVector.basis(lu), terms=sum(lu) + 1)))
         return out
 
     def conj_operator(self, v: GradedVector, n: int, m: GradedVector,
                       ceiling: int | None = None) -> GradedVector:
-        """A(v, n) applied to a vector of the base module."""
-        wtv = v.weight()
-        sign = -1 if wtv % 2 else 1
+        """A(v, n) applied to a vector of the base module through the
+        base's ``act``: the definition the blocks are tested against."""
         out = GradedVector()
-        for k, lv in self._lowerings(v):
-            out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m, ceiling)
-        return out.scale(sign)
+        for lu, c in v.coeff.items():
+            wtv = sum(lu)
+            for k, lv in self._lowerings(lu):
+                out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m,
+                                          ceiling).scale(-c if wtv % 2 else c)
+        return out
 
-    def _base_rows(self, lu: tuple, t: int, weight: int) -> dict:
-        """The matrix {nu: {mu: coefficient}} of the base action of basis
-        vector lu's mode t on the block of this weight, row nu holding the
-        image of basis vector nu. On the algebra the rows are read by label
-        from ``mode_basis``, so a corruption applies; on a dual they are
-        the rows of the base's own memoised adjoint block."""
-        if isinstance(self.base, ContragredientModule):
-            # a corrupted constant can give the base's block a row of
-            # another weight; the source block has no such basis vector
-            block = self.base.adjoint_block(GradedVector.basis(lu), t, weight)
-            return {nu: block[nu] for nu in partitions(weight) if nu in block}
-        mode_basis = self.V.mode_basis
-        return {nu: mode_basis(lu, t, nu) for nu in partitions(weight)}
+    def adjoint_block(self, lu: tuple, n: int, weight: int) -> dict:
+        """The matrix {mu: {nu: coefficient}} of A(lu, n) from the block of
+        this weight, for the basis vector lu, memoised on the instance.
 
-    def adjoint_block(self, v: GradedVector, n: int, weight: int) -> dict:
-        """The matrix {mu: {nu: coefficient}} of A(v, n) from the block of
-        this weight, for homogeneous v, memoised on the instance.
-
-        For a basis vector it is sign times the transpose of the sum over
-        k of the base matrices of (L(1)^k v / k!)_{2 wt v - 2 - n - k},
-        which map the block of the source weight, weight + wt v - n - 1,
-        into this one. A(v, n) is linear in v, so any other v combines
-        the blocks of its basis vectors."""
-        key = (_vec_key(v), n, weight)
+        It is sign times the transpose of the sum over k of the base
+        matrices of (L(1)^k lu / k!)_{2 wt lu - 2 - n - k}, which map the
+        block of the source weight, weight + wt lu - n - 1, into this one;
+        row nu of a base matrix is the base's ``row``."""
+        key = (lu, n, weight)
         block = self._blocks.get(key)
         if block is not None:
             return block
-        wtv = v.weight()
+        wtv = sum(lu)
+        source = weight + wtv - n - 1
         block = {}
-        if len(v.coeff) == 1 and 1 in v.coeff.values():
-            source = weight + wtv - n - 1
-            for k, lv in self._lowerings(v):
-                t = 2 * wtv - 2 - n - k
-                for lu, c in lv.coeff.items():
-                    # lu has weight wt v - k and lands in this block, unless
-                    # a corrupted L(1) gave the lowering another weight:
-                    # then, as the base's act at this ceiling, keep lu only
-                    # if it lands in 0..weight
-                    if not 0 <= sum(lu) + source - t - 1 <= weight:
-                        continue
-                    # row nu of the base matrix is column nu of the block
-                    for nu, row in self._base_rows(lu, t, source).items():
-                        for mu, x in row.items():
-                            col = block.setdefault(mu, {})
-                            col[nu] = col.get(nu, 0) + c * x
-            scale = -1 if wtv % 2 else 1
-        else:
-            for lu, c in v.coeff.items():
-                for mu, col in self.adjoint_block(GradedVector.basis(lu), n,
-                                                  weight).items():
-                    acc = block.setdefault(mu, {})
-                    for nu, x in col.items():
-                        acc[nu] = acc.get(nu, 0) + c * x
-            scale = 1
+        for k, lv in self._lowerings(lu):
+            t = 2 * wtv - 2 - n - k
+            for lw, c in lv.coeff.items():
+                # lw has weight wt lu - k and lands in this block, unless a
+                # corrupted L(1) gave the lowering another weight: then, as
+                # the base's act at this ceiling, keep lw only if it lands
+                # in 0..weight
+                if not 0 <= sum(lw) + source - t - 1 <= weight:
+                    continue
+                # row nu of the base matrix is column nu of the block
+                for nu in partitions(source):
+                    for mu, x in self.base.row(lw, t, nu).items():
+                        col = block.setdefault(mu, {})
+                        col[nu] = col.get(nu, 0) + c * x
+        sign = -1 if wtv % 2 else 1
         for mu, col in list(block.items()):
-            col = {nu: _int_first(scale * x) for nu, x in col.items() if x}
+            col = {nu: _int_first(sign * x) for nu, x in col.items() if x}
             if col:
                 block[mu] = col
             else:
@@ -169,58 +145,25 @@ class ContragredientModule(axioms.VOAAction):
         self._blocks[key] = block
         return block
 
-    def act(self, v: GradedVector, n: int, wp: GradedVector,
-            ceiling: int | None = None) -> GradedVector:
-        """Dual-module mode action on a dual vector."""
-        cap = self.level if ceiling is None else ceiling
-        out: dict = {}
-        weights = v.weights()
-        for wtv in sorted(weights):
-            vpart = v if len(weights) == 1 else v.component(wtv)
-            for mu, c in wp.coeff.items():
-                weight = sum(mu)
-                target = weight + wtv - n - 1
-                if target < 0 or target > cap:
-                    continue
-                block = self.adjoint_block(vpart, n, weight)
-                for lab, x in block.get(mu, {}).items():
-                    s = out.get(lab, 0) + c * x
-                    if s:
-                        out[lab] = s
-                    else:
-                        out.pop(lab, None)
-        return GradedVector(out)
+    def row(self, lu: tuple, n: int, lv: tuple) -> dict:
+        return self.adjoint_block(lu, n, sum(lv)).get(lv, {})
 
 
-def conjugate_vector(V: HeisenbergVOA, v: GradedVector) -> FormalSeries:
-    """e^{xL(1)} (-x^-2)^{L(0)} v as a finite vector-valued Laurent series."""
-    coeff: dict = {}
-    for wtv in sorted(v.weights()):
-        sign = -1 if wtv % 2 else 1
-        for k, lv in enumerate(exp_chain(V, 1, v.component(wtv),
-                                         terms=wtv + 1)):
-            e = k - 2 * wtv
-            coeff[(e,)] = coeff.get((e,), GradedVector()) + lv.scale(sign)
-    return FormalSeries.laurent_polynomial(coeff)
-
-
-def check_defining_relation(M, Mp: ContragredientModule | None = None
+def check_defining_relation(Mp: ContragredientModule
                             ) -> list[VerificationReport]:
     """The pairing relation defining the dual action, on every basis triple
     (v, dual basis, basis) with a nonzero weight match.
 
-    The left side reads off the built dual-action store, one image per
-    (mu, |nu|); the right side expands the conjugated operand and evaluates
-    the original action, one block per (|nu|, |mu|), transposed to be
-    indexed like the left. Rows that agree are compared whole.
+    The left side reads off the dual action, one image per (mu, |nu|); the
+    right side is ``conj_operator``, the conjugated operand acting on the
+    base module, one block per (|nu|, |mu|), transposed to be indexed like
+    the left. Rows that agree are compared whole.
     """
-    Mp = Mp or ContragredientModule(M)
-    V = M.V
+    M = Mp.base
     out = []
-    for lv in V.basis_upto():
+    for lv in Mp.V.basis_upto():
         v = GradedVector.basis(lv)
         wtv = sum(lv)
-        conj = conjugate_vector(V, v)
         # (|nu|, |mu|) -> {mu: {nu: coefficient}}
         right: dict = {}
         diffs = []
@@ -235,15 +178,10 @@ def check_defining_relation(M, Mp: ContragredientModule | None = None
                 if block is None:
                     block = right[(wnu, wmu)] = {}
                     for nu in partitions(wnu):
-                        img: dict = {}
-                        for (e,), comp in conj.coeff.items():
-                            for lab, c in M.act(comp, -n - 2 - e,
-                                                GradedVector.basis(nu),
-                                                ceiling=wmu).coeff.items():
-                                img[lab] = img.get(lab, 0) + c
-                        for lab, c in img.items():
-                            if c:
-                                block.setdefault(lab, {})[nu] = c
+                        for lab, c in Mp.conj_operator(
+                                v, n, GradedVector.basis(nu),
+                                ceiling=wmu).coeff.items():
+                            block.setdefault(lab, {})[nu] = c
                 rhs = block.get(mu, {})
                 if lhs == rhs:
                     continue
@@ -257,13 +195,11 @@ def check_defining_relation(M, Mp: ContragredientModule | None = None
     return out
 
 
-def check_dual_virasoro(M, n_range: int,
-                        Mp: ContragredientModule | None = None
-                        ) -> VerificationReport:
+def check_dual_virasoro(Mp: ContragredientModule,
+                        n_range: int) -> VerificationReport:
     """<L'(n) w', w> = <w', L(-n) w> for |n| <= n_range, plus the Virasoro
     bracket for the dual modes at the same central charge."""
-    Mp = Mp or ContragredientModule(M)
-    V = M.V
+    M, V = Mp.base, Mp.V
     diffs = []
     basis = M.basis_upto()
     names = {mu: fmt_label(mu) for mu in basis}
@@ -302,18 +238,16 @@ def check_dual_virasoro(M, n_range: int,
                                          f"range={n_range}", diffs)
 
 
-def check_dual_derivative(M, order: int,
-                          Mp: ContragredientModule | None = None
-                          ) -> VerificationReport:
+def check_dual_derivative(Mp: ContragredientModule,
+                          order: int) -> VerificationReport:
     """d/dx Y'(v, x) = Y'(L(-1)v, x) on the dual store, modewise."""
-    Mp = Mp or ContragredientModule(M)
-    V = M.V
+    V = Mp.V
     diffs = []
     for lv in V.basis_upto(V.level - 1):
         v = GradedVector.basis(lv)
         dv = V.virasoro(-1, v)
         lv_name = fmt_label(lv)
-        for mu in M.basis_upto():
+        for mu in Mp.base.basis_upto():
             wp = GradedVector.basis(mu)
             mu_name = fmt_label(mu)
             for n in range(-(order + 1), order + 1):
@@ -324,30 +258,27 @@ def check_dual_derivative(M, order: int,
                                          f"order={order}", diffs)
 
 
-def check_contragredient_jacobi(M, v1: GradedVector, v2: GradedVector,
-                                wp: GradedVector, win: Window,
-                                Mp: ContragredientModule | None = None
-                                ) -> VerificationReport:
+def check_contragredient_jacobi(Mp: ContragredientModule, v1: GradedVector,
+                                v2: GradedVector, wp: GradedVector,
+                                win: Window) -> VerificationReport:
     """Three-term identity for the dual action, with the iterate taken in
     the algebra and everything else acting on dual vectors."""
-    Mp = Mp or ContragredientModule(M)
     acts = axioms.JacobiActions(out1=Mp, in1=Mp, out2=Mp, in2=Mp,
-                                iterate=axioms.VOAAction(M.V), out3=Mp)
+                                iterate=axioms.VOAAction(Mp.V), out3=Mp)
     params = axioms._triple_params(v1, v2, wp,
                                    f"win={win.hi('x0')};space=dual")
     return axioms.three_term_check(v1, v2, wp, win, acts,
                                    "dual-jacobi", params)
 
 
-def check_double_contragredient(M, Mp: ContragredientModule | None = None
+def check_double_contragredient(Mp: ContragredientModule
                                 ) -> VerificationReport:
     """Mode matrices of the double dual against the original module under
     the canonical identification of the double graded dual."""
-    Mp = Mp or ContragredientModule(M)
+    M = Mp.base
     Mpp = ContragredientModule(Mp)
-    V = M.V
     diffs = []
-    for lv in V.basis_upto():
+    for lv in Mp.V.basis_upto():
         v = GradedVector.basis(lv)
         wtv = sum(lv)
         lv_name = fmt_label(lv)
@@ -357,8 +288,7 @@ def check_double_contragredient(M, Mp: ContragredientModule | None = None
             for n in range(wtv + sum(mu) - 1 - M.level, wtv + sum(mu)):
                 # the row of the double dual's block, read whole
                 diff_labels(diffs, (lv_name, n, mu_name),
-                            M.act(v, n, m).coeff,
-                            Mpp.adjoint_block(v, n, sum(mu)).get(mu, {}))
+                            M.act(v, n, m).coeff, Mpp.row(lv, n, mu))
     return VerificationReport.from_diffs("double-dual-identity", "all-basis",
                                          diffs)
 
@@ -407,10 +337,11 @@ class BilinearForm:
         return all(d != 0 for d in self.block_determinants().values())
 
 
-def build_invariant_form(M, normalization: Fraction = Fraction(1),
-                         Mp: ContragredientModule | None = None
+def build_invariant_form(Mp: ContragredientModule,
+                         normalization: Fraction = Fraction(1)
                          ) -> BilinearForm:
-    """Invariant form with (vacuum, vacuum) equal to ``normalization``.
+    """Invariant form on ``Mp.base`` with (vacuum, vacuum) equal to
+    ``normalization``.
 
     Propagates through the oscillator adjoint a(n)* = -a(-n), which is the
     invariance constraint specialized to the current generator, then
@@ -419,6 +350,7 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
     cross-check reads the adjoint images from ``Mp``'s block memo, so a
     module shared with other checks serves the images it already holds.
     """
+    M = Mp.base
     level = M.level
     index: dict[tuple, tuple[int, int]] = {}
     for w in range(level + 1):
@@ -460,7 +392,6 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
     if not form.nondegenerate():
         raise NotSelfDual("degenerate weight block at this truncation")
 
-    Mp = Mp or ContragredientModule(M)
     for lv in M.V.basis_upto():
         v = GradedVector.basis(lv)
         wtv = sum(lv)
@@ -483,7 +414,7 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
                 lhs = row[inu]
                 col = adjoint.get((nu, wmu))
                 if col is None:
-                    block = Mp.adjoint_block(v, n, wmu)
+                    block = Mp.adjoint_block(lv, n, wmu)
                     adj = GradedVector({lab: c[nu] for lab, c
                                         in block.items() if nu in c})
                     col = adjoint[(nu, wmu)] = form.pairings(
@@ -496,13 +427,13 @@ def build_invariant_form(M, normalization: Fraction = Fraction(1),
     return form
 
 
-def check_invariant_form(M, Mp: ContragredientModule | None = None
+def check_invariant_form(Mp: ContragredientModule
                          ) -> list[VerificationReport]:
     """Existence plus the structural properties of the invariant form with
     (vacuum, vacuum) = 1, and the norm of the conformal vector, c/2."""
     out = []
     try:
-        form = build_invariant_form(M, Mp=Mp)
+        form = build_invariant_form(Mp)
     except NotSelfDual as e:
         out.append(VerificationReport.from_diffs(
             "invariant-form", "norm=1", [("build", str(e), "")]))
@@ -520,16 +451,16 @@ def check_invariant_form(M, Mp: ContragredientModule | None = None
     out.append(VerificationReport.from_diffs(
         "invariant-form", "norm=1", diffs,
         note="block dets " + ",".join(str(dets[w]) for w in sorted(dets))))
-    om = M.V.omega
-    if om.weight() > M.level:
+    om = Mp.V.omega
+    if om.weight() > Mp.level:
         out.append(VerificationReport.skipped(
-            "form-conformal-norm", f"level={M.level}",
-            f"omega has weight {om.weight()}, above level {M.level}"))
+            "form-conformal-norm", f"level={Mp.level}",
+            f"omega has weight {om.weight()}, above level {Mp.level}"))
         return out
-    want = M.V.central_charge / 2
+    want = Mp.V.central_charge / 2
     got = form.pair(om, om)
     out.append(VerificationReport.from_diffs(
-        "form-conformal-norm", f"level={M.level}",
+        "form-conformal-norm", f"level={Mp.level}",
         [] if got == want else [(("omega",), got, want)], note=f"value={got}"))
     return out
 

@@ -49,6 +49,11 @@ an exponential divides by k at its k-th step, both exactly (``divide``),
 so a coefficient that is integral stays an ``int``. They are never
 ``float``.
 
+``RowAction.act`` is the one bilinear mode loop of the spaces whose modes
+are given on basis labels, ``row(lu, n, lv)``: the contragredient module
+and the stored intertwiner modes. It keeps a pair when its image weight
+lies in 0..ceiling, as ``apply_mode`` does.
+
 ``exp_chain`` is the one place that computes L(n)^k v / k!: the chain
 [v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v, ending before its first zero
 entry. Skew-symmetry, the contragredient conjugation and the sl(2)
@@ -263,6 +268,34 @@ class GradedVector:
             return "0"
         parts = [f"{v}*{list(k)}" for k, v in sorted(self.coeff.items())]
         return " + ".join(parts)
+
+
+class RowAction:
+    """The mode action of a space given by its basis rows: ``row(lu, n,
+    lv)`` is (lu)_n lv as {label: coefficient}, and ``act`` extends it
+    bilinearly. Like ``HeisenbergVOA.apply_mode``, it keeps the pairs whose
+    image weight lies in 0..ceiling, by default the space's ``level``."""
+
+    def act(self, op: GradedVector, n: int, vec: GradedVector,
+            ceiling: int | None = None) -> GradedVector:
+        cap = self.level if ceiling is None else ceiling
+        row = self.row
+        acc: dict = {}
+        for lu, cu in op.coeff.items():
+            base = sum(lu) - n - 1
+            for lv, cv in vec.coeff.items():
+                if not 0 <= base + sum(lv) <= cap:
+                    continue
+                c = cu * cv
+                for label, m in row(lu, n, lv).items():
+                    s = acc.get(label, 0) + c * m
+                    if s:
+                        acc[label] = s
+                    else:
+                        acc.pop(label, None)
+        r = GradedVector.__new__(GradedVector)
+        r.coeff = acc
+        return r
 
 
 class HeisenbergVOA:

@@ -5,10 +5,11 @@ Fusion tensors arrive as fixture files rather than being computed from
 module categories; the machinery here verifies their permutation
 symmetry, builds the algebra they span, and brute-forces commutativity,
 unit behavior, and associativity. Intertwiner data is checked against
-lower truncation, the three-term identity, and the derivative property;
-the three-term engine takes the modules themselves (``axioms.VOAAction``
-or a contragredient module) and ``IntertwinerAction`` for the stored
-modes.
+lower truncation, the three-term identity, and the derivative property.
+The stored modes are an action like any other: ``IntertwinerAction``
+supplies their rows to the protocol of ``axioms.VOAAction``, so the
+three-term engine takes it beside the modules themselves (the algebra or
+a contragredient module).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import groupby, permutations, product
 
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
-from .fock import GradedVector
+from .fock import GradedVector, RowAction
 from .reports import FixtureError, VerificationReport, diff_labels, fmt_vec
 from .series import Window
 
@@ -292,30 +293,19 @@ class IntertwinerData:
         return min(self.m1.level, self.m2.level, self.m3.level)
 
 
-class IntertwinerAction:
-    """The stored mode maps behind the action protocol of the three-term
-    engine (``axioms.VOAAction``); true loss is the output module's."""
+class IntertwinerAction(RowAction, axioms.VOAAction):
+    """The stored mode maps as an ``axioms.VOAAction``: a row is the stored
+    entry, and ``act`` is the shared ``fock.RowAction.act``, clipped at the
+    output module's level. True loss is the output module's, and no stored
+    operator acts as a delta."""
 
     def __init__(self, data: IntertwinerData):
         self.data = data
+        self.V = data.V
         self.level = data.m3.level
 
-    def act(self, op: GradedVector, j: int, vec: GradedVector) -> GradedVector:
-        acc: dict = {}
-        for l1, c1 in op.coeff.items():
-            for l2, c2 in vec.coeff.items():
-                entry = self.data.modes.get((l1, j, l2))
-                if not entry:
-                    continue
-                c = c1 * c2
-                for l3, m in entry.items():
-                    s = acc.get(l3, 0) + c * m
-                    if s:
-                        acc[l3] = s
-                    else:
-                        acc.pop(l3, None)
-        out = GradedVector(acc)
-        return out.clip(self.level)
+    def row(self, l1: tuple, j: int, l2: tuple) -> dict:
+        return self.data.modes.get((l1, j, l2), {})
 
     def true_nonzero(self, op, j, vec) -> bool:
         return self.data.m3.true_nonzero(op, j, vec)

@@ -1,0 +1,102 @@
+"""The one action protocol: every action the checks drive supplies
+``row(lu, n, lv)``, and its ``act`` on basis vectors is that row clipped
+at the action's level, or at a ceiling when one is given."""
+
+import pytest
+
+from voacalc import axioms, contragredient as contra, fusion
+from voacalc.fock import GradedVector, build_heisenberg
+from voacalc.series import Window
+
+LEVEL = 3
+
+
+def B(label):
+    return GradedVector.basis(label)
+
+
+def _actions():
+    V = build_heisenberg(LEVEL)
+    M = axioms.VOAAction(V)
+    Mp = contra.ContragredientModule(M)
+    return {
+        "algebra": M,
+        "dual": Mp,
+        "double-dual": contra.ContragredientModule(Mp),
+        "intertwiner-algebra": fusion.IntertwinerAction(
+            fusion.intertwiner_from_algebra(V)),
+        "intertwiner-dual": fusion.IntertwinerAction(
+            fusion.intertwiner_from_module(V, Mp)),
+    }
+
+
+def _samples(level):
+    """Every basis pair up to the level, at each mode index whose image
+    weight lies in -1..level + 1."""
+    labels = build_heisenberg(level).basis_upto()
+    for lu in labels:
+        for lv in labels:
+            top = sum(lu) + sum(lv) - 1
+            for n in range(top - level - 1, top + 2):
+                yield lu, n, lv
+
+
+def _clipped(row: dict, cap: int) -> dict:
+    return {lab: c for lab, c in row.items() if sum(lab) <= cap}
+
+
+@pytest.fixture(scope="module", params=list(_actions()))
+def action(request):
+    return _actions()[request.param]
+
+
+def test_act_on_basis_vectors_is_the_clipped_row(action):
+    nonzero = 0
+    for lu, n, lv in _samples(LEVEL):
+        row = action.row(lu, n, lv)
+        nonzero += bool(row)
+        assert action.act(B(lu), n, B(lv)).coeff == _clipped(row, LEVEL), \
+            (lu, n, lv)
+        for cap in (LEVEL - 1, LEVEL + 2):
+            assert action.act(B(lu), n, B(lv), cap).coeff == \
+                _clipped(row, cap), (lu, n, lv, cap)
+    assert nonzero > 50
+
+
+def test_act_is_bilinear_in_the_rows(action):
+    u = GradedVector({(1,): 2, (2,): -1, (1, 1): 3})
+    w = GradedVector({(): 1, (1,): -2, (2, 1): 1})
+    for n in range(-4, 4):
+        want: dict = {}
+        for lu, cu in u.coeff.items():
+            for lw, cw in w.coeff.items():
+                for lab, x in _clipped(action.row(lu, n, lw), LEVEL).items():
+                    want[lab] = want.get(lab, 0) + cu * cw * x
+        assert action.act(u, n, w) == GradedVector(want), n
+
+
+def test_lowered_level_clips_at_that_level():
+    # each action clips at its own level, not at its algebra's: lowering
+    # the level cuts the images of the top weight, and nothing else
+    for name, action in _actions().items():
+        cut = 0
+        action.level = LEVEL - 1
+        for lu, n, lv in _samples(LEVEL):
+            row = action.row(lu, n, lv)
+            got = action.act(B(lu), n, B(lv)).coeff
+            assert got == _clipped(row, LEVEL - 1), (name, lu, n, lv)
+            cut += got != _clipped(row, LEVEL)
+        assert cut, name
+
+
+def test_corrupted_intertwiner_entry_changes_act_and_fails():
+    V = build_heisenberg(LEVEL)
+    I = fusion.intertwiner_from_algebra(V)
+    act = fusion.IntertwinerAction(I)
+    key = ((1,), 1, (1, 1))
+    clean = act.act(B(key[0]), key[1], B(key[2]))
+    lab = min(I.modes[key])
+    I.modes[key] = {**I.modes[key], lab: I.modes[key][lab] + 1}
+    assert act.act(B(key[0]), key[1], B(key[2])) != clean
+    win = Window.symmetric(("x0", "x1", "x2"), 2)
+    assert any(r.failed for r in fusion.check_intertwiner(I, win))

@@ -1,6 +1,10 @@
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,46 @@ def test_import_leaves_out_the_executor():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone: every write raises BrokenPipeError.
+    Its file descriptor is a scratch file's, which the handler redirects."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_output_stream_exits_141_quietly(tmp_path, capsys,
+                                                monkeypatch):
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = cli.main(["check", "delta"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_gets_no_traceback():
+    # as `voacalc check jacobi --level 8 | head -2` does, but with the
+    # reader gone before the first write; the output is smaller than the
+    # buffer, so without the flush in main the error would come at exit
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "voacalc", "check",
+                             "delta"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_failing_fixture_exits_one(tmp_path, capsys):

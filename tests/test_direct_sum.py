@@ -19,7 +19,7 @@ def B(label):
 def ds4():
     V = build_heisenberg(4)
     M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(M)
+    form = contra.build_invariant_form(contra.ContragredientModule(M))
     return V, M, form, contra.DirectSumMap(V, M, form, form)
 
 
@@ -115,7 +115,7 @@ def test_map_built_after_corruption_sees_it(lw1, lv, n, data):
         return
     V = build_heisenberg(4)
     M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(M)
+    form = contra.build_invariant_form(contra.ContragredientModule(M))
     warm = contra.DirectSumMap(V, M, form, form)
     w1, v = B(lw1), B(lv)
     clean = warm.w_on_v(w1, n, v)
@@ -132,7 +132,7 @@ def test_skew_block_with_weight_lowering_translation():
     # each chain only as far as it is read
     V = build_heisenberg(4)
     M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(M)
+    form = contra.build_invariant_form(contra.ContragredientModule(M))
     V.corrupt((1, 1), 0, (3,), (1,), -1)
     ds = contra.DirectSumMap(V, M, form, form)
     for w1l in ((), (1,)):
@@ -212,7 +212,7 @@ def test_vacuum_and_conformal_come_from_algebra(ds4):
 def test_asymmetric_form_rejected():
     V = build_heisenberg(3)
     M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(M)
+    form = contra.build_invariant_form(contra.ContragredientModule(M))
     bad = contra.BilinearForm({w: [row[:] for row in b]
                                for w, b in form.blocks.items()},
                               form.index, symmetric=True)

@@ -21,8 +21,6 @@ ALLOWED = {
         "negative controls undo their corruption",
     "fock.HeisenbergVOA.touched_mode_keys":
         "tests and perfbench pick the constants to corrupt",
-    "contragredient.ContragredientModule.conj_operator":
-        "the tests' reference for the adjoint blocks; the tracer wraps it",
     "fusion.VerlindeAlgebra.multiply": "tests multiply module classes",
     "moduli.compose_perms": "tests compose permutations of punctures",
     "moduli.ModuliElement.standard_coordinates":
