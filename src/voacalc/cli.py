@@ -358,15 +358,14 @@ def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
     V = build_heisenberg(3)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
-    I1 = fusion.intertwiner_from_algebra(V)
-    for rep in fusion.check_intertwiner(I1, win):
-        rep.params += ";type=self"
-        out.append(rep)
     Mp = contra.ContragredientModule(axioms.VOAAction(V))
-    I2 = fusion.intertwiner_from_module(V, Mp)
-    for rep in fusion.check_intertwiner(I2, win):
-        rep.params += ";type=dual-module"
-        out.append(rep)
+    intertwiners = {"self": fusion.intertwiner_from_algebra(V),
+                    "dual-module": fusion.intertwiner_from_module(V, Mp)}
+    for tag, reps in zip(intertwiners, fusion.check_intertwiner(
+            list(intertwiners.values()), win)):
+        for rep in reps:
+            rep.params += f";type={tag}"
+            out.append(rep)
     return _tag(out, "fusion")
 
 

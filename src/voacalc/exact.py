@@ -134,9 +134,13 @@ class QQi:
             return x
         return _qqi(*_parts(x))
 
-    def norm2(self) -> Fraction:
+    def norm2_pair(self) -> tuple[int, int]:
+        """The modulus squared as the integer pair (a^2 + b^2, d^2)."""
         a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
+        return a * a + b * b, d * d
+
+    def norm2(self) -> Fraction:
+        return Fraction(*self.norm2_pair())
 
     def inverse(self) -> "QQi":
         return _quotient(1, 0, 1, self._a, self._b, self._d)

@@ -5,7 +5,9 @@ Fusion tensors arrive as fixture files rather than being computed from
 module categories; the machinery here verifies their permutation
 symmetry, builds the algebra they span, and brute-forces commutativity,
 unit behavior, and associativity. Intertwiner data is checked against
-lower truncation, the three-term identity, and the derivative property.
+lower truncation, the three-term identity, and the derivative property;
+``check_intertwiner`` takes several intertwiners at once and visits
+their three-term triples by weight signature, so they share plans.
 The stored modes are an action like any other: ``IntertwinerAction``
 supplies their rows to the protocol of ``axioms.VOAAction``, so the
 three-term engine takes it beside the modules themselves (the algebra or
@@ -17,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, permutations, product
+from itertools import permutations, product
+from math import inf
+from typing import Sequence
 
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
@@ -72,11 +76,6 @@ class FusionTensor:
     def n(self, i: str, j: str, k: str) -> int:
         """N^k_{ij}, defaulting to zero for unlisted triples."""
         return self._entry_map.get((i, j, k), 0)
-
-    def lowered(self, i: str, j: str, k: str) -> int:
-        """The fully lowered tensor N_{ijk} pairs the third slot through
-        the involution."""
-        return self.n(i, j, self.dual_of(k))
 
 
 def parse_fusion_tensor(text: str, name: str = "<fusion>") -> FusionTensor:
@@ -134,25 +133,32 @@ def load_fusion_tensor(path) -> FusionTensor:
 
 
 def check_s3_symmetry(T: FusionTensor) -> VerificationReport:
-    """Invariance of the lowered tensor under all six slot permutations.
+    """Invariance of the lowered tensor N_{ijk} = N^{k'}_{ij}, k' the dual
+    of k, under all six slot permutations; both it and the upper-index
+    tensor are read from tables indexed by label position.
 
     Also notes whether the naive upper-index reading would have judged
     symmetry differently, since the two only agree through the involution.
     """
-    diffs = []
-    for i, j, k in product(T.labels, repeat=3):
-        base = T.lowered(i, j, k)
-        for perm in permutations((i, j, k)):
-            other = T.lowered(*perm)
-            if other != base:
-                diffs.append(((i, j, k, "perm", perm), base, other))
-    naive_sym = all(
-        T.n(*perm) == T.n(i, j, k)
-        for i, j, k in product(T.labels, repeat=3)
-        for perm in permutations((i, j, k)))
-    lowered_sym = not diffs
+    labels, L = T.labels, len(T.labels)
+    n = T._entry_map.get
+    cells = list(product(labels, repeat=3))
+    upper = [n(cell, 0) for cell in cells]
+    lowered = [n((i, j, T.dual_of(k)), 0) for i, j, k in cells]
+
+    def asymmetries(table):
+        for t in product(range(L), repeat=3):
+            base = table[(t[0] * L + t[1]) * L + t[2]]
+            for p in permutations(t):
+                other = table[(p[0] * L + p[1]) * L + p[2]]
+                if other != base:
+                    yield ((*(labels[x] for x in t), "perm",
+                            tuple(labels[x] for x in p)), base, other)
+
+    diffs = list(asymmetries(lowered))
+    naive_sym = next(asymmetries(upper), None) is None
     note = ""
-    if naive_sym != lowered_sym:
+    if naive_sym != (not diffs):
         note = "upper-index and involution readings disagree"
     return VerificationReport.from_diffs("fusion-s3-symmetry",
                                          f"labels={len(T.labels)}", diffs, note)
@@ -355,77 +361,81 @@ def shaped_jacobi_window(pw: int, qw: int, tw: int, level: int,
                      x2=(-width, c_hi))
 
 
-def check_intertwiner(I: IntertwinerData,
-                      win: Window) -> list[VerificationReport]:
+def check_intertwiner(Is: Sequence[IntertwinerData],
+                      win: Window) -> list[list[VerificationReport]]:
     """Lower truncation, derivative property, and the three-term identity
-    for stored intertwiner data.
+    for stored intertwiner data: one report list per intertwiner, in order.
 
     The identity runs over all basis triples up to the level, each on a
     window shaped so every intermediate stays below the level; this leaves
     no skipped instances, and every stored mode entry is pinned by some
-    examined coefficient. The triples (v, w1, w2) are listed in basis
-    order and visited stably sorted by their weight signature, so each
-    evaluation plan of the three-term engine is built once per call; a
-    failure reports the first failing triple in basis order.
+    examined coefficient. The triples (v, w1, w2) of every intertwiner
+    are visited grouped by plan key (weight signature, shaped window,
+    level), then by intertwiner, then in basis order, so each evaluation
+    plan of the three-term engine is built once per call. A failure
+    reports the intertwiner's first failing triple in basis order.
     """
-    V = I.V
-    width = max(win.hi(v) for v in win.variables) + I.level + 1
-    reports = []
-
-    # lower truncation: modes vanish once the offset exceeds the weight sum
-    diffs = []
-    for (l1, j, l2), entry in I.modes.items():
-        if j >= sum(l1) + sum(l2) and any(entry.values()):
-            diffs.append(((l1, j, l2), "nonzero", "zero"))
-    reports.append(VerificationReport.from_diffs(
-        "intertwiner-truncation", f"shift={I.shift}", diffs))
-
-    # derivative: modes of the shifted operator against the raised vector
-    diffs = []
-    h = I.shift
-    y_act = IntertwinerAction(I)
-    for l1 in I.m1.basis_upto(I.m1.level - 1):
-        w1 = GradedVector.basis(l1)
-        dw1 = I.m1.virasoro(-1, w1)
-        for l2 in I.m2.basis_upto():
-            w2 = GradedVector.basis(l2)
-            for j in range(-(2 * I.level + 2), sum(l1) + sum(l2) + 1):
-                lhs = y_act.act(w1, j, w2).scale(-(Fraction(j) + h + 1))
-                diff_labels(diffs, (l1, l2, j), lhs.coeff,
-                            y_act.act(dw1, j + 1, w2).coeff)
-    reports.append(VerificationReport.from_diffs(
-        "intertwiner-derivative", f"shift={I.shift}", diffs))
-
-    # three-term identity on shaped windows, visited by weight signature
-    acts = axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
-                                in2=I.m2, iterate=I.m1, out3=y_act)
-    triples = list(product(V.basis_upto(min(I.level, 2)),
-                           I.m1.basis_upto(I.level),
-                           I.m2.basis_upto(I.level)))
-    sigs = [(sum(lv), sum(l1), sum(l2)) for lv, l1, l2 in triples]
-    fail_at, fail_rep = len(triples), None
-    checked = 0
-    for sig, group in groupby(sorted(range(len(triples)),
-                                     key=sigs.__getitem__),
-                              key=sigs.__getitem__):
-        shaped = shaped_jacobi_window(*sig, I.level, width)
-        if shaped is None:
-            continue
-        for at in group:
-            v, w1, w2 = map(GradedVector.basis, triples[at])
-            rep = axioms.three_term_check(
-                v, w1, w2, shaped, acts, "intertwiner-jacobi",
-                f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
-            if rep.failed and at < fail_at:
-                fail_at, fail_rep = at, rep
-            checked += 1
-    if fail_rep is not None:
-        reports.append(fail_rep)
-    elif checked == 0:
-        reports.append(VerificationReport.skipped(
-            "intertwiner-jacobi", f"wt<=({I.level})", "no in-budget window"))
-    else:
+    out, acts = [], []
+    groups: dict = {}   # plan key -> [(intertwiner, triple index, triple)]
+    for x, I in enumerate(Is):
+        reports = []
+        # lower truncation: modes vanish once the offset exceeds the weight sum
+        diffs = []
+        for (l1, j, l2), entry in I.modes.items():
+            if j >= sum(l1) + sum(l2) and any(entry.values()):
+                diffs.append(((l1, j, l2), "nonzero", "zero"))
         reports.append(VerificationReport.from_diffs(
-            "intertwiner-jacobi", f"wt<=({I.level})", [],
-            note=f"{checked} instances"))
-    return reports
+            "intertwiner-truncation", f"shift={I.shift}", diffs))
+
+        # derivative: modes of the shifted operator against the raised vector
+        diffs = []
+        h = I.shift
+        y_act = IntertwinerAction(I)
+        for l1 in I.m1.basis_upto(I.m1.level - 1):
+            w1 = GradedVector.basis(l1)
+            dw1 = I.m1.virasoro(-1, w1)
+            for l2 in I.m2.basis_upto():
+                w2 = GradedVector.basis(l2)
+                for j in range(-(2 * I.level + 2), sum(l1) + sum(l2) + 1):
+                    lhs = y_act.act(w1, j, w2).scale(-(Fraction(j) + h + 1))
+                    diff_labels(diffs, (l1, l2, j), lhs.coeff,
+                                y_act.act(dw1, j + 1, w2).coeff)
+        reports.append(VerificationReport.from_diffs(
+            "intertwiner-derivative", f"shift={I.shift}", diffs))
+        out.append(reports)
+
+        # the three-term triples, grouped by plan key
+        acts.append(axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
+                                         in2=I.m2, iterate=I.m1, out3=y_act))
+        width = max(win.hi(v) for v in win.variables) + I.level + 1
+        for at, triple in enumerate(product(I.V.basis_upto(min(I.level, 2)),
+                                            I.m1.basis_upto(I.level),
+                                            I.m2.basis_upto(I.level))):
+            sig = tuple(map(sum, triple))
+            shaped = shaped_jacobi_window(*sig, I.level, width)
+            if shaped is not None:
+                groups.setdefault((sig, shaped, I.m3.level), []).append(
+                    (x, at, triple))
+
+    # three-term identity on shaped windows, one plan key at a time
+    fails = [(inf, None)] * len(Is)
+    checked = [0] * len(Is)
+    for (_, shaped, _), group in groups.items():
+        for x, at, triple in group:
+            v, w1, w2 = map(GradedVector.basis, triple)
+            rep = axioms.three_term_check(
+                v, w1, w2, shaped, acts[x], "intertwiner-jacobi",
+                f"v={fmt_vec(v)};w1={fmt_vec(w1)};w2={fmt_vec(w2)}")
+            if rep.failed and at < fails[x][0]:
+                fails[x] = at, rep
+            checked[x] += 1
+    for I, reports, (_, rep), n in zip(Is, out, fails, checked):
+        params = f"wt<=({I.level})"
+        if rep is None and n == 0:
+            rep = VerificationReport.skipped("intertwiner-jacobi", params,
+                                             "no in-budget window")
+        elif rep is None:
+            rep = VerificationReport.from_diffs(
+                "intertwiner-jacobi", params, [], note=f"{n} instances")
+        reports.append(rep)
+    return out

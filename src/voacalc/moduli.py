@@ -325,13 +325,15 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
     p_i = pos1[i - 1]
     a_i = coord_i.scale
     # radius condition: the second factor's punctures, scaled into the
-    # first sphere, must stay strictly inside the free disc around p_i
-    q_norms = [q.norm2() for q in Q2.positions]
-    max_q = max(q_norms, default=Fraction(0))
-    dists = [(pos1[j] - p_i).norm2() for j in range(Q1.arity) if j != i - 1]
-    if dists:
-        if max_q * 1 >= a_i.norm2() * min(dists):
-            raise SewingUndefined("no admissible sewing radius")
+    # first sphere, must stay strictly inside the free disc around p_i:
+    # |q|^2 < |a_i|^2 |p_j - p_i|^2, as integer cross-products
+    an, ad = a_i.norm2_pair()
+    qs = [q.norm2_pair() for q in Q2.positions]
+    for j in range(Q1.arity):
+        if j != i - 1:
+            dn, dd = (pos1[j] - p_i).norm2_pair()
+            if any(qn * ad * dd >= an * dn * qd for qn, qd in qs):
+                raise SewingUndefined("no admissible sewing radius")
     transplanted_pos = tuple(p_i + q / a_i for q in Q2.positions)
     new_pos = pos1[:i - 1] + transplanted_pos + pos1[i:]
     if len(set(new_pos)) != len(new_pos):

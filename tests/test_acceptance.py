@@ -241,14 +241,14 @@ def test_criterion_7_fusion_suite():
              ("module", fusion.intertwiner_from_module(V, Mp))]
     mutations = 0
     for tag, I in cases:
-        for rep in fusion.check_intertwiner(I, win):
+        for rep in fusion.check_intertwiner([I], win)[0]:
             assert rep.passed, (tag, rep.identity)
         for key in sorted(I.modes):
             for lab in sorted(I.modes[key]):
                 saved = I.modes[key]
                 I.modes[key] = dict(saved)
                 I.modes[key][lab] += 1
-                reps = fusion.check_intertwiner(I, win)
+                reps = fusion.check_intertwiner([I], win)[0]
                 I.modes[key] = saved
                 assert any(r.failed for r in reps), (tag, key, lab)
                 mutations += 1

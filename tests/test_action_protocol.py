@@ -99,4 +99,4 @@ def test_corrupted_intertwiner_entry_changes_act_and_fails():
     I.modes[key] = {**I.modes[key], lab: I.modes[key][lab] + 1}
     assert act.act(B(key[0]), key[1], B(key[2])) != clean
     win = Window.symmetric(("x0", "x1", "x2"), 2)
-    assert any(r.failed for r in fusion.check_intertwiner(I, win))
+    assert any(r.failed for r in fusion.check_intertwiner([I], win)[0])

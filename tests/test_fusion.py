@@ -6,9 +6,9 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import axioms, contragredient as contra, fusion
+from voacalc import axioms, cli, contragredient as contra, fusion
 from voacalc.fock import GradedVector, build_heisenberg
-from voacalc.reports import FixtureError, fmt_vec
+from voacalc.reports import FixtureError, VerificationReport, fmt_vec
 from voacalc.series import Window
 
 FIXTURES = resources.files("voacalc") / "fixtures"
@@ -91,6 +91,107 @@ class TestSymmetry:
                                 ((("a", "b", "V"), 1),))
         # N(a, b, V') = N(a, b, V) = 1 but N(b, a, V) = 0
         assert fusion.check_s3_symmetry(T).failed
+
+
+def _s3_reference(T):
+    """The triple loop ``check_s3_symmetry`` ran before it read tables:
+    each lowered entry through ``n`` and ``dual_of``, six times per
+    triple."""
+    def lowered(i, j, k):
+        return T.n(i, j, T.dual_of(k))
+
+    triples = list(itertools.product(T.labels, repeat=3))
+    diffs = []
+    for i, j, k in triples:
+        base = lowered(i, j, k)
+        for perm in itertools.permutations((i, j, k)):
+            other = lowered(*perm)
+            if other != base:
+                diffs.append(((i, j, k, "perm", perm), base, other))
+    naive_sym = all(T.n(*perm) == T.n(i, j, k) for i, j, k in triples
+                    for perm in itertools.permutations((i, j, k)))
+    note = ""
+    if naive_sym != (not diffs):
+        note = "upper-index and involution readings disagree"
+    return VerificationReport.from_diffs("fusion-s3-symmetry",
+                                         f"labels={len(T.labels)}", diffs, note)
+
+
+def _su2_tensor(k, raised=None):
+    """SU(2)_k from the truncated Clebsch-Gordan rule: N_ij^l = 1 when
+    |i-j| <= l <= min(i+j, 2k-i-j) and i+j+l is even, for twice-spins
+    0..k, every label self-dual. ``raised`` adds 1 on the S3 orbit of that
+    triple of twice-spins."""
+    rules = {(i, j, l): 1 for i in range(k + 1) for j in range(k + 1)
+             for l in range(abs(i - j), min(i + j, 2 * k - i - j) + 1, 2)}
+    if raised is not None:
+        for t in set(itertools.permutations(raised)):
+            rules[t] = rules.get(t, 0) + 1
+    labels = tuple(f"j{i}" for i in range(k + 1))
+    return fusion.FusionTensor(labels, (), tuple(
+        ((labels[i], labels[j], labels[l]), n)
+        for (i, j, l), n in sorted(rules.items())))
+
+
+def _s3_cases():
+    for path in sorted(FIXTURES.iterdir(), key=lambda p: p.name):
+        if path.name.endswith(".fus"):
+            yield path.name, fusion.load_fusion_tensor(path)
+    for k in range(1, 10):
+        yield f"su2_k{k}", _su2_tensor(k)
+        yield f"su2_k{k}_orbit", _su2_tensor(k, raised=(1, k, k - 1))
+    # Z3 fusion, dual 1 <-> 2: N_ij^k = 1 when i + j = k mod 3. The lowered
+    # tensor (i + j + k = 0 mod 3) is symmetric, the upper one is not
+    z3 = fusion.FusionTensor(
+        ("0", "1", "2"), (("1", "2"), ("2", "1")),
+        tuple(((str(i), str(j), str((i + j) % 3)), 1)
+              for i in range(3) for j in range(3)))
+    yield "z3", z3
+    # a label listed twice is read at both positions
+    yield "repeated_label", fusion.FusionTensor(
+        ("V", "a", "V"), (), ((("V", "V", "V"), 1), (("V", "a", "V"), 2)))
+
+
+S3_CASES = dict(_s3_cases())
+
+
+@pytest.mark.parametrize("name", sorted(S3_CASES))
+def test_s3_symmetry_matches_the_triple_loop(name):
+    T = S3_CASES[name]
+    # identity, params, status, diffs in order, and note
+    assert fusion.check_s3_symmetry(T) == _s3_reference(T)
+
+
+def test_s3_cases_cover_diffs_and_the_note():
+    reps = [fusion.check_s3_symmetry(T) for T in S3_CASES.values()]
+    assert any(r.failed for r in reps) and any(r.passed for r in reps)
+    assert fusion.check_s3_symmetry(S3_CASES["z3"]).note \
+        == "upper-index and involution readings disagree"
+    # the raised orbit is a tensor of its own, still symmetric
+    assert S3_CASES["su2_k5_orbit"] != S3_CASES["su2_k5"]
+    assert fusion.check_s3_symmetry(S3_CASES["su2_k5_orbit"]).passed
+
+
+@st.composite
+def dual_tensors(draw):
+    """Small tensors under a drawn involution, mostly asymmetric: each
+    triple is unlisted, listed with N = 0, or listed with N = 1 or 2."""
+    labels = ("V", "a", "b", "c")[:draw(st.integers(1, 4))]
+    dual = []
+    if len(labels) >= 3 and draw(st.booleans()):
+        dual = [("a", "b"), ("b", "a")]
+    entries = []
+    for triple in itertools.product(labels, repeat=3):
+        n = draw(st.sampled_from((None, None, None, 0, 1, 2)))
+        if n is not None:
+            entries.append((triple, n))
+    return fusion.FusionTensor(labels, tuple(dual), tuple(entries))
+
+
+@given(dual_tensors())
+@settings(max_examples=80, deadline=None)
+def test_s3_symmetry_matches_the_triple_loop_on_drawn_tensors(T):
+    assert fusion.check_s3_symmetry(T) == _s3_reference(T)
 
 
 class TestVerlinde:
@@ -236,14 +337,14 @@ class TestIntertwiners:
     def test_algebra_self_type(self, V):
         I = fusion.intertwiner_from_algebra(V)
         win = Window.symmetric(("x0", "x1", "x2"), 2)
-        for rep in fusion.check_intertwiner(I, win):
+        for rep in fusion.check_intertwiner([I], win)[0]:
             assert rep.passed, (rep.identity, rep.diffs[:2])
 
     def test_module_type_on_dual(self, V):
         Mp = contra.ContragredientModule(axioms.VOAAction(V))
         I = fusion.intertwiner_from_module(V, Mp)
         win = Window.symmetric(("x0", "x1", "x2"), 2)
-        for rep in fusion.check_intertwiner(I, win):
+        for rep in fusion.check_intertwiner([I], win)[0]:
             assert rep.passed, (rep.identity, rep.diffs[:2])
 
     def test_mode_perturbation_rejected(self, V):
@@ -254,13 +355,13 @@ class TestIntertwiners:
         lab = next(iter(I.modes[key]))
         I.modes[key] = dict(I.modes[key])
         I.modes[key][lab] += 1
-        assert any(r.failed for r in fusion.check_intertwiner(I, win))
+        assert any(r.failed for r in fusion.check_intertwiner([I], win)[0])
 
     def test_truncation_violation_detected(self, V):
         I = fusion.intertwiner_from_algebra(V)
         win = Window.symmetric(("x0", "x1", "x2"), 1)
         I.modes[((1,), 5, (1,))] = {(1,): 1}
-        reps = {r.identity: r for r in fusion.check_intertwiner(I, win)}
+        reps = {r.identity: r for r in fusion.check_intertwiner([I], win)[0]}
         assert reps["intertwiner-truncation"].failed
 
     def test_derivative_violation_detected(self, V):
@@ -269,7 +370,7 @@ class TestIntertwiners:
         key = ((2,), -1, ())
         I.modes[key] = dict(I.modes.get(key, {}))
         I.modes[key][(3,)] = I.modes[key].get((3,), 0) + 1
-        reps = {r.identity: r for r in fusion.check_intertwiner(I, win)}
+        reps = {r.identity: r for r in fusion.check_intertwiner([I], win)[0]}
         assert reps["intertwiner-derivative"].failed
 
     def test_first_failure_in_triple_order_is_reported(self):
@@ -288,7 +389,8 @@ class TestIntertwiners:
                            (((1, 1, 1), -2, ()), (2, 1, 1))):
             I.modes[key] = dict(I.modes[key])
             I.modes[key][label] += 1
-        jac = fusion.check_intertwiner(I, win)[-1]
+        alone = fusion.check_intertwiner([I], win)[0]
+        jac = alone[-1]
         assert jac.identity == "intertwiner-jacobi" and jac.failed
         assert jac.params == "v=[1];w1=[2];w2=[3]"
 
@@ -313,7 +415,23 @@ class TestIntertwiners:
         assert (first.params, first.diffs) == (jac.params, jac.diffs)
         assert run((1,), (1, 1), ()).failed
 
-    def test_each_signature_builds_one_plan(self, V, monkeypatch):
+        # checked after a clean intertwiner in one call, the corrupted one
+        # gets the reports it gets alone, and the clean one passes on every
+        # triple that has a shaped window
+        clean, corrupted = fusion.check_intertwiner(
+            [fusion.intertwiner_from_algebra(V4), I], win)
+        assert corrupted == alone
+        n = sum(fusion.shaped_jacobi_window(sum(lv), sum(l1), sum(l2),
+                                            I.level, width) is not None
+                for lv, l1, l2 in itertools.product(
+                    V4.basis_upto(2), V4.basis_upto(4), V4.basis_upto(4)))
+        assert [r.passed for r in clean] == [True] * 3
+        assert clean[-1].note == f"{n} instances"
+
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        """The argument list of every jacobi plan build, the plan cache
+        wrapped at its own size."""
         built = []
         real = axioms._PLANS[axioms._jacobi_layout]
 
@@ -323,8 +441,20 @@ class TestIntertwiners:
         monkeypatch.setitem(
             axioms._PLANS, axioms._jacobi_layout,
             functools.lru_cache(real.cache_parameters()["maxsize"])(counting))
+        return built
+
+    def test_each_signature_builds_one_plan(self, V, plan_builds):
+        built = plan_builds
         I = fusion.intertwiner_from_algebra(V)
         win = Window.symmetric(("x0", "x1", "x2"), 2)
-        assert all(r.passed for r in fusion.check_intertwiner(I, win))
+        assert all(r.passed for r in fusion.check_intertwiner([I], win)[0])
         # 3 * 4 * 4 weight signatures (v up to weight 2, w1 and w2 up to 3)
         assert len(built) == len(set(built)) <= 48
+
+    def test_one_fusion_suite_pass_builds_each_plan_once(self, plan_builds):
+        # the self-type and dual-module intertwiners share the 48 level-3
+        # signatures; checked in one call, neither evicts the other's plans
+        reports = cli.run_suites(["fusion"], cli.SuiteConfig()).reports
+        assert not any(r.failed for r in reports)
+        assert sum(r.identity == "intertwiner-jacobi" for r in reports) == 2
+        assert len(plan_builds) == len(set(plan_builds)) <= 48

@@ -99,6 +99,32 @@ class TestSewing:
         with pytest.raises(SewingUndefined):
             sew(tight, 1, big)
 
+    @staticmethod
+    def _radius_case(shrink):
+        # puncture 1 at z with scale a, the other at 0, so the free disc
+        # has |a|^2 |z|^2 = |w|^2 for w = a z; the second factor's puncture
+        # sits at w * shrink, all three non-integral Gaussian rationals
+        z, a = QQi(Fraction(1, 2), Fraction(1, 3)), QQi(Fraction(3, 2),
+                                                        Fraction(1, 2))
+        Q1 = ModuliElement(2, M, (z,), pad(), (LocalCoordinate(a, pad()),
+                                               LocalCoordinate(QQi(1), pad())))
+        Q2 = ModuliElement(2, M, (a * z * shrink,), pad(),
+                           (LocalCoordinate(QQi(Fraction(2, 3), 1), pad()),
+                            LocalCoordinate(QQi(Fraction(-5, 4)), pad())))
+        return Q1, Q2
+
+    def test_radius_condition_with_equality_raises(self):
+        Q1, Q2 = self._radius_case(1)
+        assert Q2.z[0] == QQi(Fraction(7, 12), Fraction(3, 4))
+        with pytest.raises(SewingUndefined, match="radius"):
+            sew(Q1, 1, Q2)
+
+    def test_radius_condition_just_inside_sews(self):
+        Q1, Q2 = self._radius_case(Fraction(9999, 10000))
+        got = sew(Q1, 1, Q2).element
+        assert got.arity == 3
+        assert got.z[0] == Q1.z[0] + Q2.z[0] / Q1.coords[0].scale
+
     def test_scale_transforms_flow_data(self):
         # a non-linear coordinate at an unsewn puncture is pulled through
         # the transition, scaling its flow coefficients
