@@ -19,9 +19,11 @@ could map that content back into the observable range.
 
 The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
-layout, weights, window, observable level, expansion rows): the products
-in the order a position loop first demands them, and per product the
-positions and coefficients it feeds. The expansion rows come from
+layout, total weight, window, observable level, expansion rows): the
+products in the order a position loop first demands them, and per product
+the positions and coefficients it feeds. A check drops the products whose
+inner image y_j z has negative weight, so triples of one total weight
+share a plan whatever their weight signature. The expansion rows come from
 ``series.delta_rows``, the one delta kernel, which the ``delta-two-term``
 and ``delta-three-term`` records check through ``series.delta_expansion``.
 A check decides exactness first: it scans the products in plan order and
@@ -151,40 +153,41 @@ class _Term:
                 else self.outer.act(self.x, i, img)).coeff
 
 
-def _jacobi_layout(pos, weights, prod, iterate):
+def _jacobi_layout(pos, W, prod, iterate):
     """The terms of ``three_term_check`` at a position (p outer, q outer,
     iterate), as (term, side, offset, row, n, sign): the products at
-    j = k - offset for k < n, fed with sign * row[k] into side 0 or 1."""
-    (a, b, c), (pw, qw, tw) = pos, weights
-    row, it = prod[a], iterate[b]
-    return ((0, 0, c + 1, row, min(qw + tw + c + 1, len(row)), 1),
-            (1, 0, b + 1, row, min(pw + tw + b + 1, len(row)),
+    j = k - offset for k < n, fed with sign * row[k] into side 0 or 1.
+    Every term is bounded by the total weight W; past wt y + wt z the inner
+    image y_j z has negative weight, and the check drops those products."""
+    (a, b, c), row, it = pos, prod[pos[0]], iterate[pos[1]]
+    return ((0, 0, c + 1, row, min(W + c + 1, len(row)), 1),
+            (1, 0, b + 1, row, min(W + b + 1, len(row)),
              -1 if a % 2 else 1),
-            (2, 1, a + 1, it, min(pw + qw + a + 1, len(it)), 1))
+            (2, 1, a + 1, it, min(W + a + 1, len(it)), 1))
 
 
-def _translate_skew_layout(pos, weights, prod, iterate):
+def _translate_skew_layout(pos, W, prod, iterate):
     """The terms of ``check_translate_skew``, as above. Term a's coefficient
     (-1)^c binom(b+k, k) is, by Vandermonde, a sum over k1 of binom(-a-1,
     k1) binom(a+b+k+1, k-k1); its products are computed where a summand is
     nonzero, below -a-b-1 if a, b < 0, which may pass the row's end."""
-    (a, b, c), (wu, wv, ww) = pos, weights
-    row, it, sign = prod[a], iterate[b], -1 if c % 2 else 1
-    n = ww + wv + c + 1
+    (a, b, c), row, it = pos, prod[pos[0]], iterate[pos[1]]
+    sign, n = -1 if c % 2 else 1, W + c + 1
     return ((0, 0, c + 1, it, min(n, -a - b - 1) if a < 0 and b < 0 else n,
              sign),
-            (1, 0, b + 1, row, min(wu + ww + b + 1, len(row)), -sign),
-            (2, 1, a + 1, it, min(wu + wv + a + 1, len(it)),
+            (1, 0, b + 1, row, min(W + b + 1, len(row)), -sign),
+            (2, 1, a + 1, it, min(W + a + 1, len(it)),
              sign if b % 2 else -sign))
 
 
-def _plan(layout, weights: tuple, win: Window, level: int, rows: tuple):
-    """The evaluation plan of one check signature: the positions (a, b, c)
-    at which the final weight W + a + b + c + 1 is in 0..level; the
-    products (term, side, i, j, p) in the order the position loop first
+def _plan(layout, W: int, win: Window, level: int, rows: tuple):
+    """The evaluation plan of the checks of total weight W: the positions
+    (a, b, c) at which the final weight W + a + b + c + 1 is in 0..level;
+    the products (term, side, i, j, p) in the order the position loop first
     demands them, p the first position that does; and per product the flat
-    pairs (position, nonzero coefficient) it feeds on its side."""
-    prod, iterate, W = dict(rows[0]), dict(rows[1]), sum(weights)
+    pairs (position, nonzero coefficient) it feeds on its side. Read at
+    j < wt y + wt z only, it is the plan of one weight signature."""
+    prod, iterate = dict(rows[0]), dict(rows[1])
     positions = [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
                  for b in range(win.lo("x1"), win.hi("x1") + 1)
                  for c in range(max(win.lo("x2"), -(W + a + b + 1)),
@@ -192,8 +195,7 @@ def _plan(layout, weights: tuple, win: Window, level: int, rows: tuple):
     products, feeds, index = [], [], {}
     for p, pos in enumerate(positions):
         diag = -(sum(pos) + 3)
-        for term, side, off, row, n, sign in layout(pos, weights, prod,
-                                                    iterate):
+        for term, side, off, row, n, sign in layout(pos, W, prod, iterate):
             known = index.setdefault((term, diag), {})   # j -> product
             for k in range(n):
                 at = known.get(k - off)
@@ -206,27 +208,30 @@ def _plan(layout, weights: tuple, win: Window, level: int, rows: tuple):
     return positions, products, feeds
 
 
-# kept per layout: the S3 suite alternates two jacobi plans and a rewrite
+# kept per layout and W: the S3 suite alternates two jacobi plans and a rewrite
 _PLANS = {_jacobi_layout: lru_cache(maxsize=2)(_plan),
           _translate_skew_layout: lru_cache(maxsize=1)(_plan)}
 
 
-def _evaluate(layout, weights: tuple, win: Window, level: int, rows,
+def _evaluate(layout, W: int, win: Window, level: int, rows,
               terms: tuple, identity: str, params: str) -> VerificationReport:
-    """Decide exactness, then evaluate. The loss scan walks the plan's
-    products in order and skips at the first lost inner image; otherwise
-    each product is computed once, in plan order, its nonzero values are
-    scattered, and the positions either side reached are diffed in order."""
-    positions, products, feeds = _PLANS[layout](layout, weights, win, level,
-                                                rows)
+    """Decide exactness, then evaluate, on the plan's products whose inner
+    image y_j z has nonnegative weight. The loss scan walks them in order
+    and skips at the first lost inner image; otherwise each is computed
+    once, in plan order, its nonzero values are scattered, and the
+    positions either side reached are diffed in order."""
+    positions, products, feeds = _PLANS[layout](layout, W, win, level, rows)
+    yz = [t.yz_weight for t in terms]
     for term, _, i, j, first in products:
         t = terms[term]
-        if t.lost(i, j):
+        if j < yz[term] and t.lost(i, j):
             iw, pos = t.yz_weight - j - 1, positions[first]
             return VerificationReport.skipped(
                 identity, params, f"{t.note} weight {iw} at {pos}")
     lhs, rhs = sides = ({}, {})   # position -> {label: coefficient}
     for (term, side, i, j, _), feed in zip(products, feeds):
+        if j >= yz[term]:
+            continue
         val = terms[term].compute(i, j)
         if val:
             live = sides[side]
@@ -267,10 +272,9 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
                 return rep
             merged.extend(rep.diffs)
         return VerificationReport.from_diffs(identity, params, merged)
-    weights = pw, qw, tw = p.weight(), q.weight(), tgt.weight()
-    rows = _expansion_rows(
-        win, max(qw + tw + win.hi("x2"), pw + tw + win.hi("x1")) + 1,
-        pw + qw + win.hi("x0") + 1, -1)
+    W = p.weight() + q.weight() + tgt.weight()
+    rows = _expansion_rows(win, W + max(win.hi("x1"), win.hi("x2")) + 1,
+                           W + win.hi("x0") + 1, -1)
     terms = (_Term(acts.out1, p, acts.in1, q, tgt, False, acts.out1.kron(p),
                    "product-inner"),
              _Term(acts.out2, q, acts.in2, p, tgt, False, acts.out2.kron(q),
@@ -278,8 +282,8 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
              _Term(acts.out3, tgt, acts.iterate, p, q, True, None,
                    "iterate-inner"))
     level = min(acts.out1.level, acts.out2.level, acts.out3.level)
-    return _evaluate(_jacobi_layout, weights, win, level, rows, terms,
-                     identity, params)
+    return _evaluate(_jacobi_layout, W, win, level, rows, terms, identity,
+                     params)
 
 
 def _triple_params(u, v, w, extra: str = "") -> str:
@@ -710,16 +714,15 @@ def check_translate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
 
     It runs on the engine of ``three_term_check``.
     """
-    weights = wu, wv, ww = u.weight(), v.weight(), w.weight()
+    W = u.weight() + v.weight() + w.weight()
     act = VOAAction(V)
-    rows = _expansion_rows(
-        win, wu + ww + win.hi("x1") + 1,
-        max(wu + wv + win.hi("x0"), ww + wv + win.hi("x2")) + 1, 1)
+    rows = _expansion_rows(win, W + win.hi("x1") + 1,
+                           W + max(win.hi("x0"), win.hi("x2")) + 1, 1)
     terms = (_Term(act, u, act, w, v, False, act.kron(u), "inner"),
              _Term(act, v, act, u, w, True, None, "iterate"),
              _Term(act, w, act, u, v, False, act.kron(w), "inner"))
-    return _evaluate(_translate_skew_layout, weights, win, V.level, rows,
-                     terms, "translate-skew-rewrite",
+    return _evaluate(_translate_skew_layout, W, win, V.level, rows, terms,
+                     "translate-skew-rewrite",
                      _triple_params(u, v, w, f"win={win.hi('x0')}"))
 
 

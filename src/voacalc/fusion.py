@@ -93,6 +93,9 @@ def parse_fusion_tensor(text: str, name: str = "<fusion>") -> FusionTensor:
             labels = tuple(line[len("labels:"):].split())
             if not labels:
                 raise FixtureError(f"{name}:{ln}: empty label list")
+            twice = [x for x in labels if labels.count(x) > 1]
+            if twice:
+                raise FixtureError(f"{name}:{ln}: label {twice[0]!r} listed twice")
             continue
         if line.startswith("dual:"):
             for tok in line[len("dual:"):].split():
@@ -370,13 +373,14 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
     window shaped so every intermediate stays below the level; this leaves
     no skipped instances, and every stored mode entry is pinned by some
     examined coefficient. The triples (v, w1, w2) of every intertwiner
-    are visited grouped by plan key (weight signature, shaped window,
-    level), then by intertwiner, then in basis order, so each evaluation
-    plan of the three-term engine is built once per call. A failure
-    reports the intertwiner's first failing triple in basis order.
+    are visited grouped by weight signature, shaped window and level (a
+    refinement of the engine's plan key: total weight, window, level),
+    then by intertwiner, then in basis order, so each evaluation plan of
+    the three-term engine is built once per call. A failure reports the
+    intertwiner's first failing triple in basis order.
     """
     out, acts = [], []
-    groups: dict = {}   # plan key -> [(intertwiner, triple index, triple)]
+    groups: dict = {}   # signature key -> [(intertwiner, index, triple)]
     for x, I in enumerate(Is):
         reports = []
         # lower truncation: modes vanish once the offset exceeds the weight sum
@@ -404,7 +408,7 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
             "intertwiner-derivative", f"shift={I.shift}", diffs))
         out.append(reports)
 
-        # the three-term triples, grouped by plan key
+        # the three-term triples, grouped by signature key
         acts.append(axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
                                          in2=I.m2, iterate=I.m1, out3=y_act))
         width = max(win.hi(v) for v in win.variables) + I.level + 1
@@ -417,7 +421,7 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
                 groups.setdefault((sig, shaped, I.m3.level), []).append(
                     (x, at, triple))
 
-    # three-term identity on shaped windows, one plan key at a time
+    # three-term identity on shaped windows, one signature key at a time
     fails = [(inf, None)] * len(Is)
     checked = [0] * len(Is)
     for (_, shaped, _), group in groups.items():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import shutil
@@ -601,9 +602,10 @@ def test_each_inner_image_is_loss_tested_once(monkeypatch):
 
 # -- plans kept across calls --------------------------------------------------
 #
-# A plan depends on the signature (layout, weights, window, observable
-# level, expansion rows) only, so consecutive checks of one signature share
-# it, whatever their vectors, actions or structure constants.
+# A plan depends on its key (layout, total weight, window, observable
+# level, expansion rows) only, so consecutive checks of one weight
+# signature share it, whatever their vectors, actions or structure
+# constants.
 
 
 def _plan_hits(check):
@@ -692,3 +694,122 @@ def test_runs_of_one_signature_match_naive_evaluator(run):
         layout = kind == "translate-skew"
         assert built == (layout not in layouts)
         layouts.add(layout)
+
+
+# -- plans by total weight ----------------------------------------------------
+#
+# A plan is built from the total weight W of the triple. A check reads its
+# products with j < wt y + wt z for their term, since past that the inner
+# image y_j z has negative weight. The reference below builds the plan of
+# one weight signature, with each term cut at wt y + wt z and the rows at
+# the signature's own lengths.
+
+
+def _signature_jacobi_layout(pos, weights, prod, iterate):
+    (a, b, c), (pw, qw, tw) = pos, weights
+    row, it = prod[a], iterate[b]
+    return ((0, 0, c + 1, row, min(qw + tw + c + 1, len(row)), 1),
+            (1, 0, b + 1, row, min(pw + tw + b + 1, len(row)),
+             -1 if a % 2 else 1),
+            (2, 1, a + 1, it, min(pw + qw + a + 1, len(it)), 1))
+
+
+def _signature_translate_skew_layout(pos, weights, prod, iterate):
+    (a, b, c), (wu, wv, ww) = pos, weights
+    row, it, sign = prod[a], iterate[b], -1 if c % 2 else 1
+    n = ww + wv + c + 1
+    return ((0, 0, c + 1, it, min(n, -a - b - 1) if a < 0 and b < 0 else n,
+             sign),
+            (1, 0, b + 1, row, min(wu + ww + b + 1, len(row)), -sign),
+            (2, 1, a + 1, it, min(wu + wv + a + 1, len(it)),
+             sign if b % 2 else -sign))
+
+
+def _signature_plan(layout, weights, win, level, rows):
+    prod, iterate, W = dict(rows[0]), dict(rows[1]), sum(weights)
+    positions = [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
+                 for b in range(win.lo("x1"), win.hi("x1") + 1)
+                 for c in range(max(win.lo("x2"), -(W + a + b + 1)),
+                                min(win.hi("x2"), level - W - a - b - 1) + 1)]
+    products, feeds, index = [], [], {}
+    for p, pos in enumerate(positions):
+        diag = -(sum(pos) + 3)
+        for term, side, off, row, n, sign in layout(pos, weights, prod,
+                                                    iterate):
+            known = index.setdefault((term, diag), {})
+            for k in range(n):
+                at = known.get(k - off)
+                if at is None:
+                    at = known[k - off] = len(products)
+                    products.append((term, side, diag - k + off, k - off, p))
+                    feeds.append([])
+                if k < len(row):
+                    feeds[at] += (p, sign * row[k])
+    return positions, products, feeds
+
+
+def _layout_cases(weights, win):
+    """Per layout: the signature reference, its rows, the engine's rows
+    for the total weight, and the yz weights of the three terms."""
+    pw, qw, tw = weights
+    W, hi = sum(weights), win.hi
+    yield (axioms._jacobi_layout, _signature_jacobi_layout,
+           axioms._expansion_rows(
+               win, max(qw + tw + hi("x2"), pw + tw + hi("x1")) + 1,
+               pw + qw + hi("x0") + 1, -1),
+           axioms._expansion_rows(win, W + max(hi("x1"), hi("x2")) + 1,
+                                  W + hi("x0") + 1, -1),
+           (qw + tw, pw + tw, pw + qw))
+    wu, wv, ww = weights
+    yield (axioms._translate_skew_layout, _signature_translate_skew_layout,
+           axioms._expansion_rows(
+               win, wu + ww + hi("x1") + 1,
+               max(wu + wv + hi("x0"), ww + wv + hi("x2")) + 1, 1),
+           axioms._expansion_rows(win, W + hi("x1") + 1,
+                                  W + max(hi("x0"), hi("x2")) + 1, 1),
+           (ww + wv, wu + ww, wu + wv))
+
+
+def test_total_weight_plan_read_by_a_signature_is_its_plan():
+    shaped = fusion.shaped_jacobi_window(1, 2, 0, 5, 3)
+    assert shaped.hi("x0") != shaped.hi("x1")
+    windows = (WIN2, WIN3, shaped)
+    weight_triples = [t for t in itertools.product(range(9), repeat=3)
+                      if sum(t) <= 8]
+    plan, compared = functools.lru_cache(None)(axioms._plan), 0
+    for win, level, weights in itertools.product(windows, range(4, 9),
+                                                 weight_triples):
+        for layout, reference, sig_rows, rows, yz in _layout_cases(weights,
+                                                                   win):
+            want = _signature_plan(reference, weights, win, level, sig_rows)
+            positions, products, feeds = plan(layout, sum(weights), win,
+                                              level, rows)
+            read = [(prod, feed) for prod, feed in zip(products, feeds)
+                    if prod[3] < yz[prod[0]]]
+            assert positions == want[0], (layout, weights, win, level)
+            assert read == list(zip(want[1], want[2])), \
+                (layout, weights, win, level)
+            compared += bool(read)
+    assert compared > 1000
+
+
+def test_jacobi_l7_builds_one_plan_per_total_weight(monkeypatch):
+    # every plan key (layout, W, window, level) is built once; keyed by the
+    # weight signature, the same pass made 189 builds of 172 signatures
+    from voacalc import cli
+    builds, keys = [], set()
+    for layout, real in list(axioms._PLANS.items()):
+        def counting(*args):
+            builds.append(args)
+            return axioms._plan(*args)
+        cached = functools.lru_cache(real.cache_parameters()["maxsize"])(
+            counting)
+
+        def calling(*args, cached=cached):
+            keys.add(args[:4])
+            return cached(*args)
+        monkeypatch.setitem(axioms._PLANS, layout, calling)
+    reports = cli.run_suites(["jacobi", "s3"], cli.SuiteConfig(
+        level=7, window=3, s3_window=2)).reports
+    assert not any(r.failed for r in reports)
+    assert len(builds) == len(set(builds)) <= len(keys)

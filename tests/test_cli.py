@@ -160,6 +160,15 @@ def test_bad_fixture_exits_two(tmp_path, capsys):
     assert "bad.fus" in err
 
 
+def test_repeated_label_exits_two(tmp_path, capsys):
+    bad = tmp_path / "twice.fus"
+    bad.write_text("labels: V a V\nV V V 1\nV a a 1\na V a 1\n")
+    code, out, err = run_cli(["fusion", "verify", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {bad}:1: label 'V' listed twice" in err
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("z: 1/0", "zero denominator"),
     ("coord 1: 0 ; 0 0", "scale must be nonzero"),

@@ -57,6 +57,15 @@ class TestParsing:
             fusion.parse_fusion_tensor("labels: V\nV V V 1\nV V V 0\n",
                                        "dup.fus")
 
+    def test_repeated_label_rejected(self):
+        # read as a tensor, the repeated label would give symmetry
+        # violations instead of an error
+        with pytest.raises(FixtureError,
+                           match=r"^dup\.fus:2: label 'V' listed twice$"):
+            fusion.parse_fusion_tensor(
+                "# V twice\nlabels: V a V\nV V V 1\nV a a 1\na V a 1\n",
+                "dup.fus")
+
 
 @pytest.mark.parametrize("name", ["one_label.fus", "ising.fus",
                                   "bad_assoc.fus", "bad_symmetry.fus"])
