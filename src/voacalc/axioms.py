@@ -20,22 +20,25 @@ could map that content back into the observable range.
 The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
 layout, total weight, window, observable level, expansion rows): the
-products in the order a position loop first demands them, and per product
-the positions and coefficients it feeds. A check drops the products whose
-inner image y_j z has negative weight, so triples of one total weight
-share a plan whatever their weight signature. The expansion rows come from
-``series.delta_rows``, the one delta kernel, which the ``delta-two-term``
-and ``delta-three-term`` records check through ``series.delta_expansion``.
-A check decides exactness first: it scans the products in plan order and
-skips at the first lost inner image, before it computes any product;
-``true_nonzero`` is asked once per term and inner index. Otherwise it
-computes each product once, in plan order, scatters only the nonzero ones
-and diffs the positions in order. Values (products, inner images, loss
-answers) are memoised per call only. A plan holds no value, so the last
-few are kept across calls: a constant corrupted between two calls, as
-negative controls do, is seen by the second, and dual and intertwiner
-actions reuse the algebra's plan safely. Coefficients stay integers
-until a genuine fraction enters.
+products in the order a position loop first demands them, grouped by
+inner image (term, j), and per product the positions and coefficients it
+feeds. A check drops the groups whose inner image y_j z has negative
+weight, so triples of one total weight share a plan whatever their weight
+signature. The expansion rows come from ``series.delta_rows``, the one
+delta kernel, which the ``delta-two-term`` and ``delta-three-term``
+records check through ``series.delta_expansion``. A check decides
+exactness first: each image above the inner level is loss-tested once,
+at the first product in plan order whose outer mode can see it, the
+images in the order of those products, and the check skips at the first
+lost one before it computes any product. Otherwise it walks the groups:
+it computes each inner image once, skips all products of a zero image,
+scatters the nonzero products of the others and diffs the positions in
+order. Nothing is memoised; each image and product is computed once by
+construction. A plan holds no value, so the last few are kept across
+calls: a constant corrupted between two calls, as negative controls do,
+is seen by the second, and dual and intertwiner actions reuse the
+algebra's plan safely. Coefficients stay integers until a genuine
+fraction enters.
 
 The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
 written once (``skew_coefficient``) for the skew-symmetry check and the
@@ -120,35 +123,27 @@ def _expansion_rows(win: Window, k_prod: int, k_iter: int, sign: int):
 
 class _Term:
     """The products x_i (y_j z), or (y_j z)_i x for an iterate, of one term
-    within one check call, the inner images y_j z and their loss tests
-    memoised by j. An image above the inner action's level is lost when its
-    true value is nonzero and the outer mode can see it: ``kron`` is the one
-    outer index at which x acts, when x is a vacuum multiple."""
+    within one check call. An inner image y_j z above the inner action's
+    level is lost when its true value is nonzero and the outer mode can
+    see it: ``kron`` is the one outer index at which x acts, when x is a
+    vacuum multiple."""
 
     def __init__(self, outer, x, inner, y, z, iterate: bool, kron, note: str):
         self.outer, self.x, self.inner, self.y, self.z = outer, x, inner, y, z
         self.iterate, self.kron, self.note = iterate, kron, note
         self.yz_weight = y.weight() + z.weight()
-        self.images: dict = {}
-        self.lossy: dict = {}
 
-    def lost(self, i: int, j: int) -> bool:
-        if self.yz_weight - j - 1 <= self.inner.level \
-                or self.kron not in (None, i):
-            return False
-        got = self.lossy.get(j)
-        if got is None:
-            got = self.lossy[j] = self.inner.true_nonzero(self.y, j, self.z)
-        return got
+    def lost(self, j: int) -> bool:
+        return self.inner.true_nonzero(self.y, j, self.z)
 
-    def compute(self, i: int, j: int) -> dict:
-        if self.yz_weight - j - 1 > self.inner.level:
-            return {}
-        img = self.images.get(j)
-        if img is None:
-            img = self.images[j] = self.inner.act(self.y, j, self.z)
-        if not img:
-            return {}
+    def image(self, j: int):
+        """y_j z, or None where its weight is negative or above the inner
+        action's level."""
+        if 0 <= self.yz_weight - j - 1 <= self.inner.level:
+            return self.inner.act(self.y, j, self.z)
+        return None
+
+    def compute(self, i: int, img: GradedVector) -> dict:
         return (self.outer.act(img, i, self.x) if self.iterate
                 else self.outer.act(self.x, i, img)).coeff
 
@@ -182,30 +177,33 @@ def _translate_skew_layout(pos, W, prod, iterate):
 
 def _plan(layout, W: int, win: Window, level: int, rows: tuple):
     """The evaluation plan of the checks of total weight W: the positions
-    (a, b, c) at which the final weight W + a + b + c + 1 is in 0..level;
-    the products (term, side, i, j, p) in the order the position loop first
-    demands them, p the first position that does; and per product the flat
-    pairs (position, nonzero coefficient) it feeds on its side. Read at
-    j < wt y + wt z only, it is the plan of one weight signature."""
+    (a, b, c) at which the final weight W + a + b + c + 1 is in 0..level,
+    and the products grouped by inner image (term, j), the groups in the
+    order the position loop first demands them. A group lists its products
+    as (n, i, side, p, feed): n the product's index in that order, p the
+    first position that demands it, and feed the flat pairs (position,
+    nonzero coefficient) it feeds on its side. Read at j < wt y + wt z
+    only, it is the plan of one weight signature."""
     prod, iterate = dict(rows[0]), dict(rows[1])
     positions = [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
                  for b in range(win.lo("x1"), win.hi("x1") + 1)
                  for c in range(max(win.lo("x2"), -(W + a + b + 1)),
                                 min(win.hi("x2"), level - W - a - b - 1) + 1)]
-    products, feeds, index = [], [], {}
+    groups, index, made = {}, {}, 0
     for p, pos in enumerate(positions):
         diag = -(sum(pos) + 3)
         for term, side, off, row, n, sign in layout(pos, W, prod, iterate):
-            known = index.setdefault((term, diag), {})   # j -> product
+            known = index.setdefault((term, diag), {})   # j -> feed
             for k in range(n):
-                at = known.get(k - off)
-                if at is None:
-                    at = known[k - off] = len(products)
-                    products.append((term, side, diag - k + off, k - off, p))
-                    feeds.append([])
+                feed = known.get(k - off)
+                if feed is None:
+                    feed = known[k - off] = []
+                    groups.setdefault((term, k - off), []).append(
+                        (made, diag - k + off, side, p, feed))
+                    made += 1
                 if k < len(row):
-                    feeds[at] += (p, sign * row[k])
-    return positions, products, feeds
+                    feed += (p, sign * row[k])
+    return positions, groups
 
 
 # kept per layout and W: the S3 suite alternates two jacobi plans and a rewrite
@@ -215,33 +213,44 @@ _PLANS = {_jacobi_layout: lru_cache(maxsize=2)(_plan),
 
 def _evaluate(layout, W: int, win: Window, level: int, rows,
               terms: tuple, identity: str, params: str) -> VerificationReport:
-    """Decide exactness, then evaluate, on the plan's products whose inner
-    image y_j z has nonnegative weight. The loss scan walks them in order
-    and skips at the first lost inner image; otherwise each is computed
-    once, in plan order, its nonzero values are scattered, and the
-    positions either side reached are diffed in order."""
-    positions, products, feeds = _PLANS[layout](layout, W, win, level, rows)
-    yz = [t.yz_weight for t in terms]
-    for term, _, i, j, first in products:
+    """Decide exactness, then evaluate, one inner image y_j z at a time.
+    Each image above the inner level is loss-tested at the first product,
+    in plan order, that can see it, and the first lost one skips the
+    check. Otherwise each image of nonnegative weight is computed once, a
+    zero one skipping all of its products; the products of the others are
+    computed and scattered, and the positions either side reached are
+    diffed in order."""
+    positions, groups = _PLANS[layout](layout, W, win, level, rows)
+    seen = []   # (n, term, j, p) of each image's first product that sees it
+    for (term, j), entries in groups.items():
         t = terms[term]
-        if j < yz[term] and t.lost(i, j):
-            iw, pos = t.yz_weight - j - 1, positions[first]
+        if j < t.yz_weight - t.inner.level - 1:
+            first = next((e for e in entries if t.kron in (None, e[1])), None)
+            if first:
+                seen.append((first[0], term, j, first[3]))
+    for _, term, j, p in sorted(seen):
+        t = terms[term]
+        if t.lost(j):
             return VerificationReport.skipped(
-                identity, params, f"{t.note} weight {iw} at {pos}")
+                identity, params,
+                f"{t.note} weight {t.yz_weight - j - 1} at {positions[p]}")
     lhs, rhs = sides = ({}, {})   # position -> {label: coefficient}
-    for (term, side, i, j, _), feed in zip(products, feeds):
-        if j >= yz[term]:
+    for (term, j), entries in groups.items():
+        t = terms[term]
+        img = t.image(j)
+        if not img:
             continue
-        val = terms[term].compute(i, j)
-        if val:
-            live = sides[side]
-            it = iter(feed)
-            for p, co in zip(it, it):
-                acc = live.get(p)
-                if acc is None:
-                    acc = live[p] = {}
-                for label, x in val.items():
-                    acc[label] = acc.get(label, 0) + co * x
+        for _, i, side, _, feed in entries:
+            val = t.compute(i, img)
+            if val:
+                live = sides[side]
+                it = iter(feed)
+                for p, co in zip(it, it):
+                    acc = live.get(p)
+                    if acc is None:
+                        acc = live[p] = {}
+                    for label, x in val.items():
+                        acc[label] = acc.get(label, 0) + co * x
     diffs: list = []
     for p in sorted(lhs.keys() | rhs.keys()):
         diff_labels(diffs, positions[p], lhs.get(p, {}), rhs.get(p, {}))

@@ -496,13 +496,13 @@ def _engine(rep):
 
 
 def _recorded(V, check):
-    """check() and the set of distinct apply_mode calls it made on V: the
-    products and images computed, and the loss tests."""
-    calls = set()
+    """check() and the apply_mode calls it made on V, in order and with
+    repeats: the products and images computed, and the loss tests."""
+    calls = []
     apply = V.apply_mode
 
     def recording(op, n, vec, ceiling=None):
-        calls.add((fmt_vec(op), n, fmt_vec(vec), ceiling))
+        calls.append((fmt_vec(op), n, fmt_vec(vec), ceiling))
         return apply(op, n, vec, ceiling)
 
     V.apply_mode = recording
@@ -510,6 +510,12 @@ def _recorded(V, check):
         return check(), calls
     finally:
         del V.apply_mode
+
+
+def _distinct(V, check):
+    """check() and the set of distinct apply_mode calls it made on V."""
+    out, calls = _recorded(V, check)
+    return out, set(calls)
 
 
 def _actions(V, slot, moved=None):
@@ -554,9 +560,9 @@ def test_three_term_engine_matches_naive_evaluator(slot, case):
         assert _engine(got) == _naive_three_term(p, q, t, win, acts)
         return
     # the engine computes each product once, and no other products
-    got, calls = _recorded(V, lambda: axioms.three_term_check(
+    got, calls = _distinct(V, lambda: axioms.three_term_check(
         p, q, t, win, acts, "jacobi", "-"))
-    assert (_engine(got), calls) == _recorded(
+    assert (_engine(got), calls) == _distinct(
         V, lambda: _naive_three_term(p, q, t, win, acts))
 
 
@@ -566,9 +572,9 @@ def test_translate_skew_matches_naive_evaluator(case):
     (u, v, w), win, corrupt, pick = case
     V = _corrupted_algebra(corrupt, pick, lambda V: _naive_translate_skew(
         V, u, v, w, win))
-    got, calls = _recorded(V, lambda: axioms.check_translate_skew(
+    got, calls = _distinct(V, lambda: axioms.check_translate_skew(
         V, u, v, w, win))
-    assert (_engine(got), calls) == _recorded(
+    assert (_engine(got), calls) == _distinct(
         V, lambda: _naive_translate_skew(V, u, v, w, win))
 
 
@@ -598,6 +604,55 @@ def test_each_inner_image_is_loss_tested_once(monkeypatch):
     V = build_heisenberg(4)
     assert axioms.check_jacobi(V, V.vacuum, B((3,)), V.vacuum, WIN2).passed
     assert asked and len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("slot", ["algebra", "dual", "intertwiner"])
+def test_one_check_never_repeats_an_apply_mode_call(slot):
+    # each inner image y_j z and each product is computed once per check:
+    # the calls are kept as a list, so a repeat shows. The triples are
+    # pairwise distinct and of positive weight, so no two terms share an
+    # image or a product
+    nonvacuum = [B(lab) for wt in (1, 2, 3) for lab in partitions(wt)]
+    for p, q, t in itertools.permutations(nonvacuum, 3):
+        V = build_heisenberg(ORACLE_LEVEL)
+        acts = _actions(V, slot)
+        got, calls = _recorded(V, lambda: axioms.three_term_check(
+            p, q, t, WIN2, acts, "jacobi", "-"))
+        assert got.status is not Status.FAIL, (p, q, t)
+        assert calls and len(calls) == len(set(calls)), (p, q, t)
+
+
+def test_skip_note_names_the_first_product_the_vacuum_sees(monkeypatch):
+    # p is a vacuum multiple, so it acts at outer index -1 only (kron = -1);
+    # with the inner actions clipped below the outer ones, an image q_j t
+    # above the inner level can reach the observed range. In the group of
+    # the lost image the first product in plan order has i != -1, so the
+    # loss test is ordered, and the note placed, by a later product
+    outer, inner = (axioms.VOAAction(build_heisenberg(L)) for L in (2, 1))
+    acts = axioms.JacobiActions(out1=outer, in1=inner, out2=outer,
+                                in2=inner, iterate=inner, out3=outer)
+    p, q, t = B(()).scale(2), B((1, 1)), B((3,))
+    assert outer.kron(p) == -1
+    rows = axioms._expansion_rows(WIN2, 8, 8, -1)
+    positions, groups = axioms._plan(axioms._jacobi_layout, 5, WIN2, 2, rows)
+    first, *_ = groups[(0, 2)]   # q_2 t, of weight 2 above the inner level 1
+    assert first[1] != -1 and positions[first[3]] != (-2, 0, -2)
+    asked = []
+    real = axioms.VOAAction.true_nonzero
+
+    def recording(self, op, n, vec):
+        asked.append((fmt_vec(op), n, fmt_vec(vec)))
+        return real(self, op, n, vec)
+
+    monkeypatch.setattr(axioms.VOAAction, "true_nonzero", recording)
+    got = axioms.three_term_check(p, q, t, WIN2, acts, "jacobi", "-")
+    engine_asked, asked[:] = asked[:], []
+    assert _engine(got) == _naive_three_term(p, q, t, WIN2, acts)
+    assert got.note == "product-inner weight 2 at (-2, 0, -2)"
+    # the naive evaluator asks again at every product; the engine asks
+    # once per image, in the order the naive evaluator first asks
+    assert engine_asked == list(dict.fromkeys(asked))
+    assert engine_asked == [("2*[]", 0, "[3]"), ("[1,1]", 2, "[3]")]
 
 
 # -- plans kept across calls --------------------------------------------------
@@ -660,9 +715,9 @@ def _run_case(kind, vecs, win, corrupt, pick):
     if kind == "translate-skew":
         V = _corrupted_algebra(corrupt, pick, lambda V: _naive_translate_skew(
             V, p, q, t, win))
-        (got, hits, built), calls = _recorded(V, lambda: _plan_hits(
+        (got, hits, built), calls = _distinct(V, lambda: _plan_hits(
             lambda: axioms.check_translate_skew(V, p, q, t, win)))
-        return (_engine(got), calls), _recorded(
+        return (_engine(got), calls), _distinct(
             V, lambda: _naive_translate_skew(V, p, q, t, win)), built
     if kind == "intertwiner":
         V = build_heisenberg(ORACLE_LEVEL)
@@ -674,9 +729,9 @@ def _run_case(kind, vecs, win, corrupt, pick):
     # fresh actions for each evaluator, built before recording, so that a
     # dual's memo warmed by one does not hide the other's calls
     acts, naive_acts = _actions(V, kind, moved), _actions(V, kind, moved)
-    (got, hits, built), calls = _recorded(V, lambda: _plan_hits(
+    (got, hits, built), calls = _distinct(V, lambda: _plan_hits(
         lambda: axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")))
-    return (_engine(got), calls), _recorded(
+    return (_engine(got), calls), _distinct(
         V, lambda: _naive_three_term(p, q, t, win, naive_acts)), built
 
 
@@ -782,9 +837,15 @@ def test_total_weight_plan_read_by_a_signature_is_its_plan():
         for layout, reference, sig_rows, rows, yz in _layout_cases(weights,
                                                                    win):
             want = _signature_plan(reference, weights, win, level, sig_rows)
-            positions, products, feeds = plan(layout, sum(weights), win,
-                                              level, rows)
-            read = [(prod, feed) for prod, feed in zip(products, feeds)
+            positions, groups = plan(layout, sum(weights), win, level, rows)
+            # the groups flattened back into plan order by plan index
+            flat = sorted((n, (term, side, i, j, p), feed)
+                          for (term, j), entries in groups.items()
+                          for n, i, side, p, feed in entries)
+            assert [n for n, _, _ in flat] == list(range(len(flat)))
+            assert list(groups) == list(dict.fromkeys(
+                (prod[0], prod[3]) for _, prod, _ in flat))
+            read = [(prod, feed) for _, prod, feed in flat
                     if prod[3] < yz[prod[0]]]
             assert positions == want[0], (layout, weights, win, level)
             assert read == list(zip(want[1], want[2])), \
