@@ -505,6 +505,17 @@ class DirectSumMap:
         self._skew_chains: dict = {}
         # homogeneous w -> the L(1) chain of w
         self._l1_chains: dict = {}
+        # L(1) chain entry -> {(v label, t): W.act(v, t, entry)}, read by
+        # the pairings of every (w1, n, w2) whose chains share the entry
+        self._pairing_images: dict = {}
+        # weight -> the columns of the inverse of the algebra form's block,
+        # each solved once
+        self._inverse_blocks = {
+            wt: [gauss_solve(b, [int(i == j) for i in range(len(b))])
+                 for j in range(len(b))]
+            for wt, b in form_V.blocks.items()}
+        if any(None in cols for cols in self._inverse_blocks.values()):
+            raise NotSelfDual("degenerate algebra form block")
 
     # cross block: modes of the map sending the module into the sum,
     # recovered from the module action by the skew formula
@@ -550,12 +561,11 @@ class DirectSumMap:
                 c1, c2 = self._l1_chain(p1), self._l1_chain(p2)
                 rhs = [self._pairing_rhs(v_lab, c1, wt1, n, c2)
                        for v_lab in labs]
-                gram = self.form_V.blocks[target]
-                sol = gauss_solve([list(r) for r in gram], rhs)
-                if sol is None:
-                    raise NotSelfDual("degenerate algebra form block")
-                out = out + GradedVector(
-                    {lab: c for lab, c in zip(labs, sol) if c})
+                sol = {}
+                for col, r in zip(self._inverse_blocks[target], rhs):
+                    for lab, c in zip(labs, col):
+                        sol[lab] = sol.get(lab, 0) + c * r
+                out = out + GradedVector(sol)
         return out
 
     def _pairing_rhs(self, v_lab: tuple, chain1: list, wt1: int, n: int,
@@ -565,9 +575,13 @@ class DirectSumMap:
         v = GradedVector.basis(v_lab)
         total = 0
         for p, lp in enumerate(chain1):
+            images = self._pairing_images.setdefault(_vec_key(lp), {})
             for q, lq in enumerate(chain2):
                 t = 2 * wt1 - n - 2 - p + q
-                img = self.W.act(v, t, lp, self.W.level)
+                img = images.get((v_lab, t))
+                if img is None:
+                    img = images[v_lab, t] = self.W.act(v, t, lp,
+                                                        self.W.level)
                 if img.is_zero():
                     continue
                 sign = 1 if (wt1 + t) % 2 else -1

@@ -27,19 +27,21 @@ a(n-k+1). What is memoised where:
 
 * ``HeisenbergVOA._modes`` holds exactly the keys asked for through
   ``mode_basis``; ``touched_mode_keys`` lists them.
-* The subkeys of a computation live in a scratch dict, which reads
-  ``_modes`` for keys already there and is dropped afterwards: one per
-  ``apply_mode_flagged`` call, shared by its pairs (whose keys share
-  tails), else one per ``mode_basis`` call. Storing them on the instance
-  would grow it by keys nobody asked for.
+* The subkeys of a computation (the keys of two or more oscillators that
+  the recursion reads) are kept in ``HeisenbergVOA._subkeys``, one memo
+  per algebra, so that each is computed once: the pairs of one call
+  share tails, and so do the calls of a loop over mode indices or
+  ceilings, as in the sewing check. A key asked for through
+  ``mode_basis`` moves to ``_modes`` and lives only there.
 * The overflow probe of ``apply_mode_flagged`` (a pair above the ceiling,
-  tested only for being nonzero) never enters ``_modes``: it never yields
-  a vector, and the sewing checks probe thousands of high-weight keys
-  once each. Only its answer is kept, as a boolean per key in
-  ``_probes`` on the instance; a key with a corruption is always asked
-  again, so adding or clearing one still changes the flag.
+  tested only for being nonzero) keeps no vector for its own key, only
+  for the subkeys it reads, since the key never yields a vector. It
+  reads a kept subkey without removing it, and keeps its answer as a
+  boolean per key in ``_probes``; a key with a corruption is always
+  asked again, so adding or clearing one still changes the flag.
 * A corruption (``corrupt``) is applied where ``mode_basis`` returns, so
-  it changes its own key only; the recursion reads clean values.
+  it changes its own key only; both memos hold clean values, which is
+  all the recursion reads.
 
 Vector coefficients are exact: ``int`` first, since basis vectors carry
 the integer 1 and every structure constant is an integer, and ``Fraction``
@@ -105,7 +107,7 @@ def _insert(label: tuple[int, ...], m: int) -> tuple[int, ...]:
     return label[:i] + (m,) + label[i:]
 
 
-def _wick(lu, n, lv, target, local, modes) -> dict:
+def _wick(lu, n, lv, target, subkeys, modes) -> dict:
     """mode_basis(lu, n, lv) for nonempty lu and target weight >= 0, by
     peeling the first oscillator a(-k) of lu.
 
@@ -114,8 +116,8 @@ def _wick(lu, n, lv, target, local, modes) -> dict:
     n+m-k with weight binom(m-1, k-1), and the annihilators a(p) to its
     right with weight binom(-p-1, k-1); a(p) takes one part p out of lv
     with factor p times the multiplicity of p. Keys with two or more
-    oscillators are looked up in ``local``, then ``modes``, and stored in
-    ``local``.
+    oscillators are looked up in ``subkeys``, then ``modes``, and stored in
+    ``subkeys``, the key itself included.
     """
     binom = exact.binom
     k = lu[0]
@@ -132,7 +134,7 @@ def _wick(lu, n, lv, target, local, modes) -> dict:
         i = lv.index(m)
         return {lv[:i] + lv[i + 1:]: binom(-m - 1, k - 1) * m * cnt}
     key = (lu, n, lv)
-    out = local.get(key)
+    out = subkeys.get(key)
     if out is None:
         out = modes.get(key)
     if out is not None:
@@ -142,7 +144,7 @@ def _wick(lu, n, lv, target, local, modes) -> dict:
     for m in range(k, target + 1):
         c = binom(m - 1, k - 1)
         for lab, x in _wick(rest, n + m - k, lv, target - m,
-                            local, modes).items():
+                            subkeys, modes).items():
             lab = _insert(lab, m)
             acc[lab] = acc.get(lab, 0) + c * x
     prev = 0
@@ -152,9 +154,9 @@ def _wick(lu, n, lv, target, local, modes) -> dict:
         prev = p
         c = binom(-p - 1, k - 1) * p * lv.count(p)
         for lab, x in _wick(rest, n - p - k, lv[:i] + lv[i + 1:], target,
-                            local, modes).items():
+                            subkeys, modes).items():
             acc[lab] = acc.get(lab, 0) + c * x
-    out = local[key] = {lab: x for lab, x in acc.items() if x}
+    out = subkeys[key] = {lab: x for lab, x in acc.items() if x}
     return out
 
 
@@ -316,6 +318,7 @@ class HeisenbergVOA:
         # a(-1)^2|0> = 2 omega, the integer vector the Virasoro modes use
         self.twice_omega = GradedVector.basis((1, 1))
         self._modes: dict = {}
+        self._subkeys: dict = {}  # Wick subkeys nobody asked for, clean
         self._probes: dict = {}   # overflow probe key -> true value nonzero
         self._corruptions: dict = {}
 
@@ -338,22 +341,24 @@ class HeisenbergVOA:
     # -- exact mode coefficients -------------------------------------------
 
     def mode_basis(self, lu: tuple[int, ...], n: int,
-                   lv: tuple[int, ...], *, store: bool = True,
-                   scratch: dict | None = None) -> dict:
+                   lv: tuple[int, ...], *, store: bool = True) -> dict:
         """Exact action of the n-th mode of basis state lu on basis state lv,
         as a map partition -> integer coefficient (untruncated).
 
-        The result is memoised unless ``store`` is false, which the
-        overflow probe uses for keys it only tests for zero. ``scratch``
-        holds the subkeys, shared with the caller's other pairs.
+        The result is memoised in ``_modes`` unless ``store`` is false,
+        which the overflow probe uses for keys it only tests for zero.
+        Either way the key is not left in ``_subkeys``, unless it was a
+        subkey already and only probed.
         """
         key = (lu, n, lv)
         out = self._modes.get(key)
         if out is None:
-            out = self._compute_mode(lu, n, lv,
-                                     {} if scratch is None else scratch)
+            kept = not store and key in self._subkeys
+            out = self._compute_mode(lu, n, lv)
             if store:
                 self._modes[key] = out
+            if not kept:
+                self._subkeys.pop(key, None)
         if self._corruptions:
             delta = self._corruptions.get(key)
             if delta:
@@ -366,18 +371,13 @@ class HeisenbergVOA:
                         out.pop(label, None)
         return out
 
-    def _compute_mode(self, lu, n, lv, local: dict) -> dict:
+    def _compute_mode(self, lu, n, lv) -> dict:
         target = sum(lu) + sum(lv) - n - 1
         if target < 0:
             return {}
         if not lu:
             return {lv: 1} if n == -1 else {}
-        # subkeys go into ``local``, which reads the instance memo for keys
-        # already asked for. _wick is a module function, not a closure: a
-        # recursive closure is a reference cycle, which would keep the
-        # local memo alive until the cycle collector runs (it raised the
-        # sewing check's peak memory by about 1%)
-        return _wick(lu, n, lv, target, local, self._modes)
+        return _wick(lu, n, lv, target, self._subkeys, self._modes)
 
     # -- public operations --------------------------------------------------
 
@@ -389,7 +389,6 @@ class HeisenbergVOA:
         cap = self.level if ceiling is None else ceiling
         acc: dict = {}
         overflow = False
-        scratch: dict = {}  # Wick subkeys, shared by this call's pairs
         for lu, cu in u.coeff.items():
             for lv, cv in v.coeff.items():
                 target = sum(lu) + sum(lv) - n - 1
@@ -401,11 +400,10 @@ class HeisenbergVOA:
                     # tests for zero, so only that answer is kept, and a
                     # corrupted key is asked again
                     if not overflow:
-                        overflow = self._probe(lu, n, lv, scratch)
+                        overflow = self._probe(lu, n, lv)
                     continue
                 c = cu * cv
-                for label, m in self.mode_basis(lu, n, lv,
-                                                scratch=scratch).items():
+                for label, m in self.mode_basis(lu, n, lv).items():
                     s = acc.get(label, 0) + c * m
                     if s:
                         acc[label] = s
@@ -415,16 +413,15 @@ class HeisenbergVOA:
         r.coeff = acc
         return r, overflow
 
-    def _probe(self, lu, n, lv, scratch: dict) -> bool:
+    def _probe(self, lu, n, lv) -> bool:
         """Whether mode_basis(lu, n, lv) is nonzero, without storing it."""
         key = (lu, n, lv)
         if key in self._corruptions:
-            return bool(self.mode_basis(lu, n, lv, store=False,
-                                        scratch=scratch))
+            return bool(self.mode_basis(lu, n, lv, store=False))
         got = self._probes.get(key)
         if got is None:
             got = self._probes[key] = bool(self.mode_basis(
-                lu, n, lv, store=False, scratch=scratch))
+                lu, n, lv, store=False))
         return got
 
     def apply_mode(self, u: GradedVector, n: int, v: GradedVector,

@@ -375,7 +375,8 @@ def test_only_public_keys_are_memoised():
     assert set(V.touched_mode_keys()) == asked | {key}
 
 
-# -- one Wick scratch per apply_mode call -------------------------------------
+# -- one Wick subkey memo per algebra ------------------------------------------
+# (the two tests named for a scratch date from a memo kept per call)
 
 _labels_upto_10 = st.sampled_from(partitions_upto(10))
 _vectors_upto_10 = st.dictionaries(_labels_upto_10,
@@ -384,8 +385,7 @@ _vectors_upto_10 = st.dictionaries(_labels_upto_10,
 
 
 def _pair_sum(V, u, n, v, cap):
-    """u_n v clipped at cap, from one ``mode_basis`` call per pair, each
-    with a scratch of its own."""
+    """u_n v clipped at cap, from one ``mode_basis`` call per pair."""
     acc = GradedVector()
     for lu, cu in u.coeff.items():
         for lv, cv in v.coeff.items():
@@ -428,6 +428,74 @@ def test_corruption_does_not_leak_through_the_scratch(lu, lv, tail_first,
     want = _pair_sum(build_heisenberg(4), u, n, v, 16) + \
         GradedVector({label: u.coeff[tail]})
     assert V.apply_mode(u, n, v, ceiling=16) == want
+
+
+def test_no_wick_subkey_is_computed_twice(monkeypatch):
+    # a loop over mode indices and ceilings with a many-part operand, as
+    # the sewing check runs: the subkeys of one call are those of the next
+    from voacalc import fock
+
+    computed, depth = [], [0]
+    real = fock._wick
+
+    def spy(lu, n, lv, target, *memos):
+        # a top-level key (depth 0) is asked for or probed, not a subkey
+        if depth[0] and len(lu) > 1 and \
+                not any((lu, n, lv) in m for m in memos):
+            computed.append((lu, n, lv))
+        depth[0] += 1
+        try:
+            return real(lu, n, lv, target, *memos)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fock, "_wick", spy)
+    V = build_heisenberg(6)
+    u = GradedVector({(4, 1, 1, 1): 1, (1, 1, 1): 2})
+    v = GradedVector({(2, 1): 1, (1, 1, 1): -1})
+    for cap in (6, 12):
+        for t in range(-8, 8):
+            V.apply_mode(u, t, v, ceiling=cap)
+    assert len(computed) > 20
+    assert len(computed) == len(set(computed))
+
+
+def test_a_probed_corruption_stays_out_of_the_memos():
+    # ((1, 1, 1), -3, (1,)) lies above level 4 and is probed while
+    # corrupted; asked for afterwards, as the subkey that peeling the
+    # creator a(-2) from `sup` reads, and then directly, it is clean
+    key, sup = ((1, 1, 1), -3, (1,)), ((2, 1, 1, 1), -3, (1,))
+    clean = build_heisenberg(4)
+    V = build_heisenberg(4)
+    V.corrupt(*key, min(clean.mode_basis(*key)), 1)
+    assert V.apply_mode_flagged(GradedVector.basis(key[0]), key[1],
+                                GradedVector.basis(key[2]))[1]
+    V.clear_corruptions()
+    assert V.mode_basis(*sup) == clean.mode_basis(*sup)
+    assert V.mode_basis(*key) == clean.mode_basis(*key)
+
+
+def test_subkeys_hold_no_asked_or_probed_key():
+    V = build_heisenberg(4)
+    u = GradedVector({(2, 1, 1): 1, (1, 1, 1): 3})
+    v = GradedVector({(3, 1): 1, (1, 1): -2})
+    for t in range(-6, 4):
+        V.apply_mode_flagged(u, t, v)
+    assert V._subkeys and V._probes
+    assert not V._subkeys.keys() & V._modes.keys()
+    assert not V._subkeys.keys() & V._probes.keys()
+    # a probe reads a kept subkey and leaves it there; asking for it then
+    # moves it to ``_modes``
+    key = max(V._subkeys, key=lambda k: (bool(V._subkeys[k]), k))
+    lu, n, lv = key
+    clean = build_heisenberg(4).mode_basis(*key)
+    assert clean and V._subkeys[key] == clean
+    cap = sum(lu) + sum(lv) - n - 2
+    assert V.apply_mode_flagged(GradedVector.basis(lu), n,
+                                GradedVector.basis(lv), cap)[1]
+    assert V._probes[key] and V._subkeys[key] == clean
+    assert V.mode_basis(*key) == clean
+    assert key in V._modes and key not in V._subkeys
 
 
 # -- no float reaches a verification path ------------------------------------

@@ -433,6 +433,20 @@ class TestEvaluation:
                  if sum(lu) + sum(lv) - n - 1 > 18]
         assert len(above) <= 100
 
+    def test_omega_sewing_record_is_pinned(self):
+        # the benchmark's omega sewing check, on a fresh algebra as there
+        V = build_heisenberg(6)
+        om = V.omega
+        rep = check_sewing_axiom(V, two_puncture_element(2, M), 1,
+                                 two_puncture_element(1, M), [om] * 3, om,
+                                 (6, 12, 18))
+        assert rep.record() == \
+            "- sewing-evaluation arity=2+2;i=1;cutoffs=6,12,18 pass 0"
+        assert rep.note == (
+            "shrinking 193794241/3869835264,"
+            "1263742695636545881/303256405652583481344,"
+            "8624553200916685033620025/41257699193962142184687796224")
+
     def test_sewing_nontrivial_shrinks(self, V):
         a = GradedVector.basis((1,))
         rep = check_sewing_axiom(V, two_puncture_element(2, M), 1,
