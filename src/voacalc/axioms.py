@@ -8,14 +8,15 @@ evaluation paths on a finite exponent window, in exact arithmetic. A
 check is only allowed to return pass/fail when truncation provably loses
 nothing at any examined coefficient; otherwise it reports skipped.
 
-Every space is driven through one action protocol, ``VOAAction``:
-``level``, ``row`` (one basis label's mode on another), ``act`` (clipped
-at ``level`` unless given a ceiling), ``true_nonzero`` and ``kron``. The
-algebra's ``act`` is ``apply_mode``; the dual and the stored intertwiners
-supply rows and share ``fock.RowAction.act``. The loss test
-``true_nonzero`` is exact: an inner image with true content above the
-working level marks the instance out of budget whenever an outer mode
-could map that content back into the observable range.
+Every space is driven through one action protocol, ``fock.VOAAction``,
+imported here under the same name: ``level``, ``row`` (one basis label's
+mode on another), ``act`` (clipped at ``level`` unless given a ceiling),
+``true_nonzero`` and ``kron``. The algebra is an action itself; the dual,
+the stored intertwiners and the direct-sum map supply rows and share
+``fock.RowAction.act``. The loss test ``true_nonzero`` is exact: an inner
+image with true content above the working level marks the instance out of
+budget whenever an outer mode could map that content back into the
+observable range.
 
 The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
@@ -54,43 +55,10 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import binom
-from .fock import GradedVector, HeisenbergVOA, exp_chain
+from .fock import GradedVector, HeisenbergVOA, VOAAction, exp_chain
 from .reports import (Status, VerificationReport, diff_labels, fmt_label,
                       fmt_vec)
 from .series import Window, delta_rows
-
-
-class VOAAction:
-    """The algebra acting on itself by its modes, clipped at ``level``."""
-
-    def __init__(self, V: HeisenbergVOA):
-        self.V = V
-        self.level = V.level
-
-    def row(self, lu: tuple, n: int, lv: tuple) -> dict:
-        return self.V.mode_basis(lu, n, lv)
-
-    def act(self, op: GradedVector, n: int, vec: GradedVector,
-            ceiling: int | None = None) -> GradedVector:
-        cap = self.level if ceiling is None else ceiling
-        return self.V.apply_mode(op, n, vec, cap)
-
-    def true_nonzero(self, op: GradedVector, n: int, vec: GradedVector) -> bool:
-        """Whether op_n vec is nonzero before any clipping: the action with
-        a ceiling at or above every weight the mode can reach."""
-        top = sum(max(x.weights(), default=0) for x in (op, vec)) + abs(n) + 1
-        return bool(self.act(op, n, vec, ceiling=top))
-
-    def kron(self, op: GradedVector) -> int | None:
-        """Mode index n0 when op acts as delta_{n,n0} times a scalar."""
-        return -1 if self.V.is_vacuum_multiple(op) else None
-
-    def virasoro(self, n: int, vec: GradedVector,
-                 ceiling: int | None = None) -> GradedVector:
-        return self.act(self.V.twice_omega, n + 1, vec, ceiling).divide(2)
-
-    def basis_upto(self, maxweight: int | None = None):
-        return self.V.basis_upto(maxweight)
 
 
 @dataclass
@@ -303,9 +271,8 @@ def _triple_params(u, v, w, extra: str = "") -> str:
 def check_jacobi(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                  w: GradedVector, win: Window) -> VerificationReport:
     """The three-term identity for the ordered triple (u, v, w) on V."""
-    act = VOAAction(V)
     params = _triple_params(u, v, w, f"win={win.hi('x0')}")
-    return three_term_check(u, v, w, win, JacobiActions.uniform(act),
+    return three_term_check(u, v, w, win, JacobiActions.uniform(V),
                             "jacobi", params)
 
 
@@ -344,11 +311,10 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     if hi < 0:
         return VerificationReport.skipped(
             "skew-symmetry", params, f"no orders below level {V.level}")
-    act = VOAAction(V)
     diffs = []
     for k in range(lo, hi + 1):
-        diff_labels(diffs, (k,), V.apply_mode(u, -k - 1, v).coeff,
-                    skew_coefficient(act, v, -k - 1, u).coeff)
+        diff_labels(diffs, (k,), V.act(u, -k - 1, v).coeff,
+                    skew_coefficient(V, v, -k - 1, u).coeff)
     return VerificationReport.from_diffs("skew-symmetry", params, diffs)
 
 
@@ -373,11 +339,10 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
     n_lo = -win.hi("x") - 1
     n_hi = -win.lo("x") - 1
     vac = V.is_vacuum_multiple(v)
-    act = VOAAction(V)
     # the formulas need L(-1)v exactly; test the loss, not the bound
     # (L(-1) is the zero mode of 2 omega)
     lost_raise_v = (not vac and wv + 1 > V.level
-                    and act.true_nonzero(V.twice_omega, 0, v))
+                    and V.true_nonzero(V.twice_omega, 0, v))
     modes = (-1, 0, 1)
     l_v = {} if lost_raise_v else {i: V.virasoro(i, v) for i in modes}
     diffs: dict = {i: [] for i in modes}
@@ -388,7 +353,7 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
         ww = sum(lw)
         lw_name = fmt_label(lw)
         lost_raise_w = (not vac and ww + 1 > V.level
-                        and act.true_nonzero(V.twice_omega, 0, w))
+                        and V.true_nonzero(V.twice_omega, 0, w))
         vn_w: dict = {}    # n -> v_n w
         parts: dict = {}   # (j, m) -> (L(j)v)_m w
         for i in modes:
@@ -401,18 +366,18 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
                 if final < 0 or final > V.level:
                     continue
                 if lost or (i == 1 and wv + ww - n - 1 > V.level
-                            and act.true_nonzero(v, n, w)):
+                            and V.true_nonzero(v, n, w)):
                     skipped[i] += 1
                     continue
                 checked[i] += 1
                 if n not in vn_w:
-                    vn_w[n] = V.apply_mode(v, n, w)
-                lhs = V.virasoro(i, vn_w[n]) - V.apply_mode(v, n, l_w)
+                    vn_w[n] = V.act(v, n, w)
+                lhs = V.virasoro(i, vn_w[n]) - V.act(v, n, l_w)
                 rhs = GradedVector()
                 for j in range(i + 2):
                     key = (i - j, n + j)
                     if key not in parts:
-                        parts[key] = V.apply_mode(l_v[i - j], n + j, w)
+                        parts[key] = V.act(l_v[i - j], n + j, w)
                     rhs = rhs + parts[key].scale(binom(i + 1, j))
                 diff_labels(diffs[i], (lw_name, n), lhs.coeff,
                             rhs.coeff)
@@ -504,7 +469,7 @@ def _scale_conjugation_report(V: HeisenbergVOA, v: GradedVector) -> Verification
         w = GradedVector.basis(lw)
         for n in V.mode_range(v, w):
             rhs_exp = wv - n - 1
-            for wt in sorted(V.apply_mode(v, n, w).weights()):
+            for wt in sorted(V.act(v, n, w).weights()):
                 if wt - sum(lw) != rhs_exp:
                     diffs.append(((fmt_label(lw), n), wt - sum(lw), rhs_exp))
     return VerificationReport.from_diffs("conj-scale", f"v={fmt_vec(v)}",
@@ -541,7 +506,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                 if e < e_lo or e > e_hi:
                     continue
                 for pp, val in enumerate(exp_chain(
-                        V, 1, V.apply_mode(v, n, wq), terms=order - qq + 1)):
+                        V, 1, V.act(v, n, wq), terms=order - qq + 1)):
                     key = (qq + pp, e)
                     lhs[key] = lhs.get(key, GradedVector()) + val.scale(sign)
         rhs: dict = {}
@@ -568,7 +533,7 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                                 continue
                             base = images.get(tprime)
                             if base is None:
-                                base = images[tprime] = V.apply_mode(
+                                base = images[tprime] = V.act(
                                     vi, tprime, w)
                             if base.is_zero():
                                 continue
@@ -608,14 +573,14 @@ def _translate_conjugation_report(V: HeisenbergVOA, v: GradedVector,
             sign = (-1) ** (qq % 2)
             for n in V.mode_range(v, wq):
                 for pp, val in enumerate(exp_chain(
-                        V, -1, V.apply_mode(v, n, wq), terms=j_hi - qq + 1)):
+                        V, -1, V.act(v, n, wq), terms=j_hi - qq + 1)):
                     row = lhs[qq + pp]
                     row[-n - 1] = row.get(-n - 1, GradedVector()) \
                         + val.scale(sign)
         for j in range(j_hi + 1):
             rhs: dict = {}
             for n in V.mode_range(v, w, V.level + j):
-                base = V.apply_mode(v, n, w, V.level + j)
+                base = V.act(v, n, w, V.level + j)
                 if base.is_zero():
                     continue
                 co = binom(-n - 1, j)
@@ -659,7 +624,6 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     wu, wv, ww = u.weight(), v.weight(), w.weight()
     W = wu + wv + ww
     params = _triple_params(u, v, w, f"win={win.hi('x0')}")
-    act = VOAAction(V)
     diffs = []
     # x0 exponent a -> the x2 exponents c at which the final weight is seen
     rows = {}
@@ -672,11 +636,11 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     for a in rows:
         iw = wu + wv + a
         if iw > V.level:
-            if act.true_nonzero(u, -a - 1, v):
+            if V.true_nonzero(u, -a - 1, v):
                 return VerificationReport.skipped(
                     "iterate-skew-rewrite", params, f"inner weight {iw} at x0^{a}")
             for e in range(-(wu + wv), a + 1):
-                if wu + wv + e > V.level and act.true_nonzero(v, -e - 1, u):
+                if wu + wv + e > V.level and V.true_nonzero(v, -e - 1, u):
                     return VerificationReport.skipped(
                         "iterate-skew-rewrite", params,
                         f"skew-inner weight {wu+wv+e} at x0^{e}")
@@ -687,7 +651,7 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     b_parts = {}
     chains = {}
     for e in range(-(wu + wv), a_hi + 1):
-        base = V.apply_mode(v, -e - 1, u)
+        base = V.act(v, -e - 1, u)
         if base:
             b_parts[e] = base.scale((-1) ** (e % 2))
             chains[e] = exp_chain(V, -1, b_parts[e], terms=a_hi - e + 1)
@@ -695,10 +659,10 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
         a_vec = GradedVector()
         for e, chain in chains.items():
             a_vec = a_vec + _entry(chain, a - e)
-        inner = act.act(u, -a - 1, v)
+        inner = V.act(u, -a - 1, v)
         for c in cs:
-            e1 = act.act(inner, -c - 1, w)
-            e2 = act.act(a_vec, -c - 1, w)
+            e1 = V.act(inner, -c - 1, w)
+            e2 = V.act(a_vec, -c - 1, w)
             e3 = GradedVector()
             for k in range(0, wu + wv + a + 1):
                 be = b_parts.get(a - k)
@@ -706,7 +670,7 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                     continue
                 co = binom(c + k, k)
                 if co:
-                    e3 = e3 + act.act(be, -c - k - 1, w).scale(co)
+                    e3 = e3 + V.act(be, -c - k - 1, w).scale(co)
             diff_labels(diffs, (a, c, "skew"), e1.coeff, e2.coeff)
             diff_labels(diffs, (a, c, "shift"), e1.coeff, e3.coeff)
     return VerificationReport.from_diffs("iterate-skew-rewrite", params, diffs)
@@ -724,12 +688,11 @@ def check_translate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     It runs on the engine of ``three_term_check``.
     """
     W = u.weight() + v.weight() + w.weight()
-    act = VOAAction(V)
     rows = _expansion_rows(win, W + win.hi("x1") + 1,
                            W + max(win.hi("x0"), win.hi("x2")) + 1, 1)
-    terms = (_Term(act, u, act, w, v, False, act.kron(u), "inner"),
-             _Term(act, v, act, u, w, True, None, "iterate"),
-             _Term(act, w, act, u, v, False, act.kron(w), "inner"))
+    terms = (_Term(V, u, V, w, v, False, V.kron(u), "inner"),
+             _Term(V, v, V, u, w, True, None, "iterate"),
+             _Term(V, w, V, u, v, False, V.kron(w), "inner"))
     return _evaluate(_translate_skew_layout, W, win, V.level, rows, terms,
                      "translate-skew-rewrite",
                      _triple_params(u, v, w, f"win={win.hi('x0')}"))

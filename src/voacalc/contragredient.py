@@ -34,23 +34,29 @@ of the vacuum with itself and propagating through the oscillator adjoint
 relation; the full invariance constraints are then re-verified as an
 overdetermined cross-check.
 
-The direct-sum map's module-into-sum block is the skew formula
-``axioms.skew_coefficient`` on the module action; its module-module block
-pairs the L(1) chains of both arguments. The map keeps, on the instance,
-each L(-1) chain of an image v_m w1 that the skew formula reads (every
-mode n reads the same ones) and each vector's L(1) chain.
+The direct-sum map on V + W is an action like the others: it supplies
+rows, and its ``act`` is the shared one. A label of the sum is an algebra
+label, or a module label with a trailing 0 part, which keeps its weight;
+``in_module`` and ``summands`` are the only code that knows this. A row
+dispatches on the sectors of its labels: the algebra's row, the module's
+row, the skew formula ``axioms.skew_coefficient`` on the module action
+(module into sum), or the pairing of the L(1) chains of both arguments
+through the two forms (module on module, into the algebra). Rows end at
+the forms' top weight. The map keeps, on the instance, each L(-1) chain
+of an image v_m w1 that the skew formula reads (every mode n reads the
+same ones) and each vector's L(1) chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
 from .exact import exact_det, gauss_solve
-from .fock import (GradedVector, HeisenbergVOA, RowAction, exp_chain,
-                   partitions)
+from .fock import GradedVector, HeisenbergVOA, RowAction, exp_chain, partitions
 from .reports import VerificationReport, diff_labels, fmt_label
 from .series import Window
 
@@ -74,7 +80,7 @@ def _vec_key(v: GradedVector) -> tuple:
     return tuple(sorted(v.coeff.items()))
 
 
-class ContragredientModule(RowAction, axioms.VOAAction):
+class ContragredientModule(RowAction):
     """Dual action on the graded dual of a module, per the adjoint of the
     conjugated modes. Nesting the construction gives the double dual."""
 
@@ -264,7 +270,7 @@ def check_contragredient_jacobi(Mp: ContragredientModule, v1: GradedVector,
     """Three-term identity for the dual action, with the iterate taken in
     the algebra and everything else acting on dual vectors."""
     acts = axioms.JacobiActions(out1=Mp, in1=Mp, out2=Mp, in2=Mp,
-                                iterate=axioms.VOAAction(Mp.V), out3=Mp)
+                                iterate=Mp.V, out3=Mp)
     params = axioms._triple_params(v1, v2, wp,
                                    f"win={win.hi('x0')};space=dual")
     return axioms.three_term_check(v1, v2, wp, win, acts,
@@ -357,12 +363,9 @@ def build_invariant_form(Mp: ContragredientModule,
         for i, lab in enumerate(partitions(w)):
             index[lab] = (w, i)
 
-    from functools import lru_cache
-
     # an integral normalization enters as an int, so that the entries, and
     # the pairings of integer vectors, stay ints
-    if isinstance(normalization, Fraction) and normalization.denominator == 1:
-        normalization = normalization.numerator
+    normalization = _int_first(normalization)
 
     @lru_cache(maxsize=None)
     def entry(lam: tuple, mu: tuple):
@@ -468,24 +471,28 @@ def check_invariant_form(Mp: ContragredientModule
 # -- direct-sum vertex map --------------------------------------------------
 
 
-@dataclass
-class DSVector:
-    """Element of the direct sum: an algebra part and a module part."""
-
-    v: GradedVector
-    w: GradedVector
-
-    def __sub__(self, other):
-        return DSVector(self.v - other.v, self.w - other.w)
-
-    def is_zero(self):
-        return self.v.is_zero() and self.w.is_zero()
+def in_module(w: GradedVector) -> GradedVector:
+    """The module vector w as a vector of the direct sum: each label gains
+    a trailing 0 part, which keeps its weight."""
+    return GradedVector({lab + (0,): c for lab, c in w.coeff.items()})
 
 
-class DirectSumMap:
+def summands(x: GradedVector) -> tuple[GradedVector, GradedVector]:
+    """The algebra part and the module part of a vector of the direct sum,
+    each on its own labels."""
+    v, w = {}, {}
+    for lab, c in x.coeff.items():
+        if lab[-1:] == (0,):
+            w[lab[:-1]] = c
+        else:
+            v[lab] = c
+    return GradedVector(v), GradedVector(w)
+
+
+class DirectSumMap(RowAction):
     """The vertex map on V + W determined by the algebra structure, the
     module structure, the two invariant forms, and the skew and pairing
-    formulas for the cross blocks.
+    formulas for the cross blocks, as an action on the labels of the sum.
 
     The module-to-module block has zero W-component; its V-component is
     recovered from the module form against the algebra form blockwise.
@@ -500,6 +507,8 @@ class DirectSumMap:
         self.form_V = form_V
         self.form_W = form_W
         self.level = min(V.level, W.level)
+        # the forms' top weight, where every row ends
+        self.top = min(max(form_V.blocks), max(form_W.blocks))
         # (v, w1, cap, m) -> (the L(-1) chain of W.act(v, m, w1, cap), the
         # number of terms it was asked for)
         self._skew_chains: dict = {}
@@ -588,14 +597,25 @@ class DirectSumMap:
                 total += self.form_W.pair(img, lq) * sign
         return total
 
-    def act(self, u: DSVector, n: int, x: DSVector,
-            ceiling: int | None = None) -> DSVector:
-        cap = self.level if ceiling is None else ceiling
-        v_out = self.V.apply_mode(u.v, n, x.v, cap)
-        if u.w and x.w:
-            v_out = v_out + self.w_on_w(u.w, n, x.w, cap)
-        w_out = self.W.act(u.v, n, x.w, cap)
-        if u.w and x.v:
-            w_out = w_out + self.w_on_v(u.w, n, x.v, cap)
-        return DSVector(v_out, w_out)
+    def basis_upto(self, maxweight: int | None = None) -> list:
+        """The algebra's labels, then the module's with their trailing 0."""
+        top = self.level if maxweight is None else maxweight
+        return self.V.basis_upto(top) + [lab + (0,)
+                                         for lab in self.W.basis_upto(top)]
 
+    def row(self, lu: tuple, n: int, lv: tuple) -> dict:
+        target = sum(lu) + sum(lv) - n - 1
+        if target > self.top:
+            raise ValueError(f"direct-sum row at weight {target}, above the "
+                             f"forms' top weight {self.top}")
+        if lu[-1:] != (0,):
+            if lv[-1:] != (0,):
+                return self.V.row(lu, n, lv)
+            return {lab + (0,): c
+                    for lab, c in self.W.row(lu, n, lv[:-1]).items()}
+        w1 = GradedVector.basis(lu[:-1])
+        if lv[-1:] == (0,):
+            return self.w_on_w(w1, n, GradedVector.basis(lv[:-1]),
+                               target).coeff
+        return in_module(self.w_on_v(w1, n, GradedVector.basis(lv),
+                                     max(self.level, target))).coeff

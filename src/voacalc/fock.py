@@ -51,10 +51,12 @@ an exponential divides by k at its k-th step, both exactly (``divide``),
 so a coefficient that is integral stays an ``int``. They are never
 ``float``.
 
-``RowAction.act`` is the one bilinear mode loop of the spaces whose modes
-are given on basis labels, ``row(lu, n, lv)``: the contragredient module
-and the stored intertwiner modes. It keeps a pair when its image weight
-lies in 0..ceiling, as ``apply_mode`` does.
+``VOAAction`` is the base of every action (see ``axioms``); the algebra
+is one, acting on itself with ``row`` = ``mode_basis``. ``RowAction.act``
+is the one bilinear mode loop of the spaces whose modes are given on basis
+labels, ``row(lu, n, lv)``: the contragredient module, the stored
+intertwiner modes and the direct-sum map. It keeps a pair when its image
+weight lies in 0..ceiling, as the algebra's ``act`` does.
 
 ``exp_chain`` is the one place that computes L(n)^k v / k!: the chain
 [v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v, ending before its first zero
@@ -68,6 +70,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
+from .reports import fmt_vec
 from .series import FormalSeries, Window
 
 
@@ -266,17 +269,38 @@ class GradedVector:
         return r
 
     def __repr__(self):
-        if not self.coeff:
-            return "0"
-        parts = [f"{v}*{list(k)}" for k, v in sorted(self.coeff.items())]
-        return " + ".join(parts)
+        return fmt_vec(self)
 
 
-class RowAction:
+class VOAAction:
+    """The action protocol's shared methods. A subclass supplies ``level``,
+    ``V``, ``row`` and ``act``."""
+
+    def true_nonzero(self, op: GradedVector, n: int, vec: GradedVector) -> bool:
+        """Whether op_n vec is nonzero before any clipping: the action with
+        a ceiling at or above every weight the mode can reach."""
+        top = sum(max(x.weights(), default=0) for x in (op, vec)) + abs(n) + 1
+        return bool(self.act(op, n, vec, ceiling=top))
+
+    def kron(self, op: GradedVector) -> int | None:
+        """Mode index n0 when op acts as delta_{n,n0} times a scalar."""
+        return -1 if self.V.is_vacuum_multiple(op) else None
+
+    def virasoro(self, n: int, vec: GradedVector,
+                 ceiling: int | None = None) -> GradedVector:
+        """L(n) vec, the (n+1)-st mode of the conformal vector, as half the
+        mode of the integer vector a(-1)^2|0>."""
+        return self.act(self.V.twice_omega, n + 1, vec, ceiling).divide(2)
+
+    def basis_upto(self, maxweight: int | None = None) -> list:
+        return partitions_upto(self.level if maxweight is None else maxweight)
+
+
+class RowAction(VOAAction):
     """The mode action of a space given by its basis rows: ``row(lu, n,
     lv)`` is (lu)_n lv as {label: coefficient}, and ``act`` extends it
-    bilinearly. Like ``HeisenbergVOA.apply_mode``, it keeps the pairs whose
-    image weight lies in 0..ceiling, by default the space's ``level``."""
+    bilinearly. Like the algebra's ``act``, it keeps the pairs whose image
+    weight lies in 0..ceiling, by default the space's ``level``."""
 
     def act(self, op: GradedVector, n: int, vec: GradedVector,
             ceiling: int | None = None) -> GradedVector:
@@ -300,8 +324,8 @@ class RowAction:
         return r
 
 
-class HeisenbergVOA:
-    """Truncated free boson vertex operator algebra.
+class HeisenbergVOA(VOAAction):
+    """Truncated free boson vertex operator algebra, acting on itself.
 
     ``level`` is the declared weight ceiling: the basis consists of
     partitions of weight <= level, and mode applications clip above it
@@ -331,9 +355,6 @@ class HeisenbergVOA:
 
     def basis(self, weight: int) -> tuple[tuple[int, ...], ...]:
         return partitions(weight)
-
-    def basis_upto(self, maxweight: int | None = None) -> list[tuple[int, ...]]:
-        return partitions_upto(self.level if maxweight is None else maxweight)
 
     def is_vacuum_multiple(self, u: GradedVector) -> bool:
         return set(u.coeff) == {()}
@@ -370,6 +391,13 @@ class HeisenbergVOA:
                     else:
                         out.pop(label, None)
         return out
+
+    @property
+    def V(self) -> "HeisenbergVOA":
+        return self
+
+    def row(self, lu: tuple, n: int, lv: tuple) -> dict:
+        return self.mode_basis(lu, n, lv)
 
     def _compute_mode(self, lu, n, lv) -> dict:
         target = sum(lu) + sum(lv) - n - 1
@@ -424,8 +452,8 @@ class HeisenbergVOA:
                 lu, n, lv, store=False))
         return got
 
-    def apply_mode(self, u: GradedVector, n: int, v: GradedVector,
-                   ceiling: int | None = None) -> GradedVector:
+    def act(self, u: GradedVector, n: int, v: GradedVector,
+            ceiling: int | None = None) -> GradedVector:
         return self.apply_mode_flagged(u, n, v, ceiling)[0]
 
     def mode_range(self, u: GradedVector, v: GradedVector,
@@ -444,16 +472,10 @@ class HeisenbergVOA:
     def vertex_series(self, u: GradedVector, v: GradedVector,
                       window: Window) -> FormalSeries:
         """Y(u, x) v as a vector-valued series in x on the window."""
-        coeff = {(-n - 1,): self.apply_mode(u, n, v)
+        coeff = {(-n - 1,): self.act(u, n, v)
                  for n in self.mode_range(u, v)
                  if window.lo("x") <= -n - 1 <= window.hi("x")}
         return FormalSeries(("x",), coeff, window)
-
-    def virasoro(self, n: int, v: GradedVector,
-                 ceiling: int | None = None) -> GradedVector:
-        """L(n) v, the (n+1)-st mode of the conformal vector, as half the
-        mode of the integer vector a(-1)^2|0>."""
-        return self.apply_mode(self.twice_omega, n + 1, v, ceiling).divide(2)
 
     # -- verification aids ---------------------------------------------------
 
@@ -477,8 +499,7 @@ def exp_chain(space, n: int, v: GradedVector, ceiling: int | None = None,
     """The chain [v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v: entry k is
     L(n)^k v / k!, each step clipped at the ceiling. It ends before the
     first zero entry, or after ``terms`` (at least 1) entries. ``space``
-    is anything with ``virasoro(n, v, ceiling)``: the algebra, or an
-    action on a module."""
+    is any ``VOAAction``: the algebra, or an action on a module."""
     out = [v] if v else []
     while out and len(out) != terms:
         v = space.virasoro(n, v, ceiling).divide(len(out))

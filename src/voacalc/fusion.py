@@ -302,7 +302,7 @@ class IntertwinerData:
         return min(self.m1.level, self.m2.level, self.m3.level)
 
 
-class IntertwinerAction(RowAction, axioms.VOAAction):
+class IntertwinerAction(RowAction):
     """The stored mode maps as an ``axioms.VOAAction``: a row is the stored
     entry, and ``act`` is the shared ``fock.RowAction.act``, clipped at the
     output module's level. True loss is the output module's, and no stored
@@ -326,14 +326,13 @@ class IntertwinerAction(RowAction, axioms.VOAAction):
 def intertwiner_from_algebra(V) -> IntertwinerData:
     """The vertex operator of the algebra acting on itself, as the
     canonical intertwiner of self-type."""
-    M = axioms.VOAAction(V)
-    return _intertwiner_from_action(V, M, M, M)
+    return _intertwiner_from_action(V, V, V, V)
 
 
 def intertwiner_from_module(V, M) -> IntertwinerData:
     """The action of the algebra on a module, as the canonical intertwiner
     of module type (first slot the algebra)."""
-    return _intertwiner_from_action(V, axioms.VOAAction(V), M, M)
+    return _intertwiner_from_action(V, V, M, M)
 
 
 def _intertwiner_from_action(V, m1, m2, m3) -> IntertwinerData:

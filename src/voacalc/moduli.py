@@ -617,7 +617,7 @@ def nu_state(V: HeisenbergVOA, Q: ModuliElement, vectors,
         zz = Q.z[idx]
         acc: dict = {}
         for t in V.mode_range(u, state, cutoff):
-            img = V.apply_mode(u, t, state, cutoff).coeff
+            img = V.act(u, t, state, cutoff).coeff
             c = zz ** (-t - 1) if img else 0
             for label, x in img.items():
                 s = acc.get(label, 0) + c * x

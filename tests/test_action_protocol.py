@@ -4,7 +4,7 @@ at the action's level, or at a ceiling when one is given."""
 
 import pytest
 
-from voacalc import axioms, contragredient as contra, fusion
+from voacalc import contragredient as contra, fusion
 from voacalc.fock import GradedVector, build_heisenberg
 from voacalc.series import Window
 
@@ -17,23 +17,27 @@ def B(label):
 
 def _actions():
     V = build_heisenberg(LEVEL)
-    M = axioms.VOAAction(V)
-    Mp = contra.ContragredientModule(M)
+    Mp = contra.ContragredientModule(V)
+    # forms from a higher level, so that the sum's rows reach LEVEL + 2
+    form = contra.build_invariant_form(contra.ContragredientModule(
+        build_heisenberg(LEVEL + 2)))
     return {
-        "algebra": M,
+        "algebra": V,
         "dual": Mp,
         "double-dual": contra.ContragredientModule(Mp),
         "intertwiner-algebra": fusion.IntertwinerAction(
             fusion.intertwiner_from_algebra(V)),
         "intertwiner-dual": fusion.IntertwinerAction(
             fusion.intertwiner_from_module(V, Mp)),
+        "direct-sum": contra.DirectSumMap(V, V, form, form),
     }
 
 
-def _samples(level):
-    """Every basis pair up to the level, at each mode index whose image
+def _samples(action, level):
+    """Every pair of the action's basis labels up to the level (both
+    summands, tagged, on the direct sum), at each mode index whose image
     weight lies in -1..level + 1."""
-    labels = build_heisenberg(level).basis_upto()
+    labels = action.basis_upto(level)
     for lu in labels:
         for lv in labels:
             top = sum(lu) + sum(lv) - 1
@@ -52,7 +56,7 @@ def action(request):
 
 def test_act_on_basis_vectors_is_the_clipped_row(action):
     nonzero = 0
-    for lu, n, lv in _samples(LEVEL):
+    for lu, n, lv in _samples(action, LEVEL):
         row = action.row(lu, n, lv)
         nonzero += bool(row)
         assert action.act(B(lu), n, B(lv)).coeff == _clipped(row, LEVEL), \
@@ -66,10 +70,17 @@ def test_act_on_basis_vectors_is_the_clipped_row(action):
 def test_act_is_bilinear_in_the_rows(action):
     u = GradedVector({(1,): 2, (2,): -1, (1, 1): 3})
     w = GradedVector({(): 1, (1,): -2, (2, 1): 1})
+    if isinstance(action, contra.DirectSumMap):
+        u, w = u + contra.in_module(w), w + contra.in_module(u)
     for n in range(-4, 4):
         want: dict = {}
         for lu, cu in u.coeff.items():
             for lw, cw in w.coeff.items():
+                # a row is homogeneous, so a pair whose image weight is
+                # above the level adds nothing; the sum has no such rows
+                # past its forms' top weight
+                if sum(lu) + sum(lw) - n - 1 > LEVEL:
+                    continue
                 for lab, x in _clipped(action.row(lu, n, lw), LEVEL).items():
                     want[lab] = want.get(lab, 0) + cu * cw * x
         assert action.act(u, n, w) == GradedVector(want), n
@@ -81,7 +92,7 @@ def test_lowered_level_clips_at_that_level():
     for name, action in _actions().items():
         cut = 0
         action.level = LEVEL - 1
-        for lu, n, lv in _samples(LEVEL):
+        for lu, n, lv in _samples(action, LEVEL):
             row = action.row(lu, n, lv)
             got = action.act(B(lu), n, B(lv)).coeff
             assert got == _clipped(row, LEVEL - 1), (name, lu, n, lv)

@@ -64,7 +64,7 @@ class TestJacobi:
         # already ran the check
         u, v, w = B((1,)), B((2,)), B((1,))
         V = build_heisenberg(6)
-        acts = axioms.JacobiActions.uniform(axioms.VOAAction(V))
+        acts = axioms.JacobiActions.uniform(V)
 
         def run(alg, actions=None):
             if actions is None:
@@ -409,11 +409,10 @@ def _naive_three_term(p, q, t, win, acts):
 
 
 def _naive_translate_skew(V, u, v, w, win):
-    act = axioms.VOAAction(V)
     wu, wv, ww = u.weight(), v.weight(), w.weight()
-    term_a = (act, u, act, w, v, False, act.kron(u), "inner")
-    term_b = (act, v, act, u, w, True, None, "iterate")
-    term_c = (act, w, act, u, v, False, act.kron(w), "inner")
+    term_a = (V, u, V, w, v, False, V.kron(u), "inner")
+    term_b = (V, v, V, u, w, True, None, "iterate")
+    term_c = (V, w, V, u, v, False, V.kron(w), "inner")
 
     def terms(a, b, c):
         # the two expansions of term a as a double sum over (k1, k2)
@@ -495,39 +494,45 @@ def _engine(rep):
     return rep.status, rep.note, rep.diffs
 
 
-def _recorded(V, check):
-    """check() and the apply_mode calls it made on V, in order and with
-    repeats: the products and images computed, and the loss tests."""
+def _recorded(actions, check):
+    """check() and the act calls it made on each of the actions, in order
+    and with repeats: the products and images computed, and the loss
+    tests."""
     calls = []
-    apply = V.apply_mode
 
-    def recording(op, n, vec, ceiling=None):
-        calls.append((fmt_vec(op), n, fmt_vec(vec), ceiling))
-        return apply(op, n, vec, ceiling)
+    def recording(action):
+        act = action.act
 
-    V.apply_mode = recording
+        def record(op, n, vec, ceiling=None):
+            calls.append((id(action), fmt_vec(op), n, fmt_vec(vec), ceiling))
+            return act(op, n, vec, ceiling)
+        return record
+
+    actions = list(dict.fromkeys(actions))
+    for action in actions:
+        action.act = recording(action)
     try:
         return check(), calls
     finally:
-        del V.apply_mode
+        for action in actions:
+            del action.act
 
 
 def _distinct(V, check):
-    """check() and the set of distinct apply_mode calls it made on V."""
-    out, calls = _recorded(V, check)
+    """check() and the set of distinct act calls it made on V."""
+    out, calls = _recorded([V], check)
     return out, set(calls)
 
 
 def _actions(V, slot, moved=None):
     """The actions of one slot kind. For the intertwiner, ``moved`` =
     (q, t, pick) adds 1 to one stored mode q_j t."""
-    M = axioms.VOAAction(V)
     if slot == "algebra":
-        return axioms.JacobiActions.uniform(M)
+        return axioms.JacobiActions.uniform(V)
     if slot == "dual":
-        Mp = contra.ContragredientModule(M)
+        Mp = contra.ContragredientModule(V)
         return axioms.JacobiActions(out1=Mp, in1=Mp, out2=Mp, in2=Mp,
-                                    iterate=M, out3=Mp)
+                                    iterate=V, out3=Mp)
     I = fusion.intertwiner_from_algebra(V)
     if moved is not None:
         q, t, pick = moved
@@ -580,10 +585,10 @@ def test_translate_skew_matches_naive_evaluator(case):
 
 def test_a_skipped_check_computes_no_product():
     # exactness is decided before any product is computed: this check is
-    # skipped at its first lost inner image, so its only apply_mode calls
-    # are loss tests, each with an explicit ceiling
+    # skipped at its first lost inner image, so its only act calls are
+    # loss tests, each with an explicit ceiling
     V = build_heisenberg(4)
-    rep, calls = _recorded(V, lambda: axioms.check_jacobi(
+    rep, calls = _recorded([V], lambda: axioms.check_jacobi(
         V, B((1,)), B((1,)), B((2,)), WIN2))
     assert rep.status is Status.SKIPPED
     assert rep.note == "product-inner weight 5 at (-2, -2, 2)"
@@ -609,15 +614,21 @@ def test_each_inner_image_is_loss_tested_once(monkeypatch):
 @pytest.mark.parametrize("slot", ["algebra", "dual", "intertwiner"])
 def test_one_check_never_repeats_an_apply_mode_call(slot):
     # each inner image y_j z and each product is computed once per check:
-    # the calls are kept as a list, so a repeat shows. The triples are
-    # pairwise distinct and of positive weight, so no two terms share an
-    # image or a product
+    # the calls of every action of the slot are kept as a list, so a
+    # repeat shows. The triples are pairwise distinct and of positive
+    # weight, so no two terms share an image or a product. A first,
+    # unrecorded run warms the dual's memo, whose L(1) lowerings are algebra
+    # calls of their own: that of [3] is the iterate image [1,1]_2 [3]
     nonvacuum = [B(lab) for wt in (1, 2, 3) for lab in partitions(wt)]
     for p, q, t in itertools.permutations(nonvacuum, 3):
         V = build_heisenberg(ORACLE_LEVEL)
         acts = _actions(V, slot)
-        got, calls = _recorded(V, lambda: axioms.three_term_check(
-            p, q, t, WIN2, acts, "jacobi", "-"))
+
+        def check():
+            return axioms.three_term_check(p, q, t, WIN2, acts, "jacobi", "-")
+
+        check()
+        got, calls = _recorded(vars(acts).values(), check)
         assert got.status is not Status.FAIL, (p, q, t)
         assert calls and len(calls) == len(set(calls)), (p, q, t)
 
@@ -628,7 +639,7 @@ def test_skip_note_names_the_first_product_the_vacuum_sees(monkeypatch):
     # above the inner level can reach the observed range. In the group of
     # the lost image the first product in plan order has i != -1, so the
     # loss test is ordered, and the note placed, by a later product
-    outer, inner = (axioms.VOAAction(build_heisenberg(L)) for L in (2, 1))
+    outer, inner = (build_heisenberg(L) for L in (2, 1))
     acts = axioms.JacobiActions(out1=outer, in1=inner, out2=outer,
                                 in2=inner, iterate=inner, out3=outer)
     p, q, t = B(()).scale(2), B((1, 1)), B((3,))
@@ -709,7 +720,7 @@ def _oracle_runs(draw):
 
 def _run_case(kind, vecs, win, corrupt, pick):
     """The engine's and the naive evaluator's report of one case, each with
-    the set of distinct apply_mode calls it made, and whether the engine
+    the set of distinct act calls it made, and whether the engine
     built a plan."""
     p, q, t = vecs
     if kind == "translate-skew":

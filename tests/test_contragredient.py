@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import axioms, cli, contragredient as contra
+from voacalc import cli, contragredient as contra
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
 from voacalc.reports import Status
@@ -17,30 +17,29 @@ def B(label):
 @pytest.fixture(scope="module")
 def setup4():
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
-    return V, M, contra.ContragredientModule(M)
+    return V, contra.ContragredientModule(V)
 
 
 def test_conj_operator_examples(setup4):
     # e^{xL(1)} (-x^-2)^{L(0)} v is x^0 1, x^-4 omega and -x^-2 a(-1)1 for
     # the vacuum, omega and a(-1)1, as L(1) kills all three. So A(1, n) is
     # delta_{n,-1}, A(omega, n) = L(1 - n) and A(a(-1)1, n) = -a(-n)
-    V, M, Mp = setup4
+    V, Mp = setup4
     a = B((1,))
     assert Mp._lowerings(()) == [(0, V.vacuum)]
     assert Mp._lowerings((1, 1)) == [(0, B((1, 1)))]
     assert Mp._lowerings((1,)) == [(0, a)]
-    for mu in M.basis_upto():
+    for mu in V.basis_upto():
         m = B(mu)
         for n in range(-4, 5):
             assert Mp.conj_operator(V.vacuum, n, m) == \
                 (m if n == -1 else GradedVector())
             assert Mp.conj_operator(V.omega, n, m) == V.virasoro(1 - n, m)
-            assert Mp.conj_operator(a, n, m) == -V.apply_mode(a, -n, m)
+            assert Mp.conj_operator(a, n, m) == -V.act(a, -n, m)
 
 
 def test_defining_relation(setup4):
-    V, M, Mp = setup4
+    V, Mp = setup4
     for rep in contra.check_defining_relation(Mp):
         assert rep.passed, (rep.params, rep.diffs[:3])
 
@@ -49,7 +48,6 @@ def test_defining_relation_checks_weight_changing_modes():
     # a dual action wrong only for a(-1), which maps the dual of weight
     # w to weight w + 1, can be seen only by pairs with |nu| != |mu|
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
     a = B((1,))
 
     class Doubled(contra.ContragredientModule):
@@ -57,7 +55,7 @@ def test_defining_relation_checks_weight_changing_modes():
             out = super().act(v, n, wp, ceiling)
             return out.scale(2) if v == a and n == -1 else out
 
-    reps = {r.params: r for r in contra.check_defining_relation(Doubled(M))}
+    reps = {r.params: r for r in contra.check_defining_relation(Doubled(V))}
     bad = reps.pop("v=[1]")
     assert bad.failed
     assert all(n == -1 for (_, _, n), _, _ in bad.diffs)
@@ -65,7 +63,7 @@ def test_defining_relation_checks_weight_changing_modes():
 
 
 def test_dual_virasoro_adjoint_and_bracket(setup4):
-    V, M, Mp = setup4
+    V, Mp = setup4
     rep = contra.check_dual_virasoro(Mp, 4)
     assert rep.passed
 
@@ -75,10 +73,9 @@ def test_dual_virasoro_right_side_sees_its_own_corruption():
     # omega_1 nu clipped at |mu| >= 2, reads it; the dual blocks store it
     # at a weight no left side asks for
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
-    assert contra.check_dual_virasoro(contra.ContragredientModule(M), 4).passed
+    assert contra.check_dual_virasoro(contra.ContragredientModule(V), 4).passed
     V.corrupt((1, 1), 1, (1,), (2,), 1)
-    rep = contra.check_dual_virasoro(contra.ContragredientModule(M), 4)
+    rep = contra.check_dual_virasoro(contra.ContragredientModule(V), 4)
     assert rep.failed
     assert all(d[0][:2] == ("adjoint", 0) for d in rep.diffs)
     assert {(d[0][2], d[0][3]) for d in rep.diffs} == {("[2]", "[1]")}
@@ -91,12 +88,12 @@ def test_dual_virasoro_right_side_clips_at_each_weight():
     V = build_heisenberg(4)
     V.corrupt((1, 1), 1, (1,), (), 1)
     assert contra.check_dual_virasoro(
-        contra.ContragredientModule(axioms.VOAAction(V)), 4).passed
+        contra.ContragredientModule(V), 4).passed
 
 
 def test_dual_identity_operator(setup4):
-    V, M, Mp = setup4
-    for mu in M.basis_upto():
+    V, Mp = setup4
+    for mu in V.basis_upto():
         wp = B(mu)
         for n in range(-4, 4):
             got = Mp.act(V.vacuum, n, wp)
@@ -104,12 +101,12 @@ def test_dual_identity_operator(setup4):
 
 
 def test_dual_derivative(setup4):
-    V, M, Mp = setup4
+    V, Mp = setup4
     assert contra.check_dual_derivative(Mp, 3).passed
 
 
 def test_dual_jacobi(setup4):
-    V, M, Mp = setup4
+    V, Mp = setup4
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = B((1,))
     for v1, v2, wp in ((V.vacuum, V.vacuum, B(())), (a, a, B((1,))),
@@ -120,32 +117,30 @@ def test_dual_jacobi(setup4):
 
 def test_dual_jacobi_corrupted_adjoint_fails():
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = B((1,))
     rep = contra.check_contragredient_jacobi(
-        contra.ContragredientModule(M), a, a, B((1,)), win)
+        contra.ContragredientModule(V), a, a, B((1,)), win)
     assert rep.passed
     V.corrupt((1,), 0, (1, 1), (1, 1), 1)
     rep = contra.check_contragredient_jacobi(
-        contra.ContragredientModule(M), a, a, B((1,)), win)
+        contra.ContragredientModule(V), a, a, B((1,)), win)
     V.clear_corruptions()
     assert rep.failed
 
 
 def test_double_contragredient(setup4):
-    V, M, Mp = setup4
+    V, Mp = setup4
     assert contra.check_double_contragredient(Mp).passed
 
 
 def test_double_dual_keeps_graded_rows():
-    # a constant corrupted at a label of the wrong weight: M's action
+    # a constant corrupted at a label of the wrong weight: V's action
     # shows the label, while the double dual reads only the basis vectors
     # of each graded block, so the identity fails
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
     V.corrupt((1, 1), 1, (1,), (2,), 1)
-    rep = contra.check_double_contragredient(contra.ContragredientModule(M))
+    rep = contra.check_double_contragredient(contra.ContragredientModule(V))
     assert rep.failed
     assert [d[0] for d in rep.diffs] == [("[1,1]", 1, "[1]", (2,))]
 
@@ -153,10 +148,10 @@ def test_double_dual_keeps_graded_rows():
 def test_double_dual_conformal_modes(setup4):
     # the double-dual action of the conformal vector reproduces the
     # original Virasoro matrices
-    V, M, Mp = setup4
+    V, Mp = setup4
     Mpp = contra.ContragredientModule(Mp)
     for n in range(-3, 4):
-        for mu in M.basis_upto(3):
+        for mu in V.basis_upto(3):
             got = Mpp.act(V.omega, n + 1, B(mu))
             want = V.virasoro(n, B(mu))
             assert got == want, (n, mu)
@@ -164,7 +159,7 @@ def test_double_dual_conformal_modes(setup4):
 
 class TestInvariantForm:
     def test_frozen_values(self, setup4):
-        V, _, Mp = setup4
+        V, Mp = setup4
         form = contra.build_invariant_form(Mp)
         assert form.pair(V.vacuum, V.vacuum) == 1
         assert form.pair(B((1,)), B((1,))) == -1
@@ -174,40 +169,37 @@ class TestInvariantForm:
         assert form.pair(B((2,)), B((1, 1))) == 0
 
     def test_structure(self, setup4):
-        V, _, Mp = setup4
+        V, Mp = setup4
         form = contra.build_invariant_form(Mp)
         assert form.symmetric
         assert form.nondegenerate()
 
     def test_normalization_scales(self, setup4):
-        V, _, Mp = setup4
+        V, Mp = setup4
         form = contra.build_invariant_form(Mp, Fraction(3))
         assert form.pair(V.vacuum, V.vacuum) == 3
         assert form.pair(V.omega, V.omega) == Fraction(3, 2)
 
     def test_corrupted_action_raises(self):
         V = build_heisenberg(3)
-        M = axioms.VOAAction(V)
         V.corrupt((1,), 1, (1,), (), 1)
         with pytest.raises(contra.NotSelfDual):
-            contra.build_invariant_form(contra.ContragredientModule(M))
+            contra.build_invariant_form(contra.ContragredientModule(V))
         V.clear_corruptions()
-        contra.build_invariant_form(contra.ContragredientModule(M))
+        contra.build_invariant_form(contra.ContragredientModule(V))
 
     def test_shared_module_builds_same_form(self):
         V = build_heisenberg(4)
-        M = axioms.VOAAction(V)
-        Mp = contra.ContragredientModule(M)
+        Mp = contra.ContragredientModule(V)
         assert all(r.passed for r in contra.check_defining_relation(Mp))
         shared = contra.build_invariant_form(Mp)
-        own = contra.build_invariant_form(contra.ContragredientModule(M))
+        own = contra.build_invariant_form(contra.ContragredientModule(V))
         assert shared.blocks == own.blocks
         assert shared.symmetric == own.symmetric
 
     def test_warm_shared_module_still_raises(self):
         V = build_heisenberg(3)
-        M = axioms.VOAAction(V)
-        Mp = contra.ContragredientModule(M)
+        Mp = contra.ContragredientModule(V)
         assert all(r.passed for r in contra.check_defining_relation(Mp))
         contra.build_invariant_form(Mp)
         V.corrupt((1,), 1, (1,), (), 1)
@@ -221,12 +213,12 @@ class TestInvariantForm:
 
     def test_intertwines_into_dual(self, setup4):
         # w -> (w, .) is a module map onto the contragredient
-        V, M, Mp = setup4
+        V, Mp = setup4
         form = contra.build_invariant_form(Mp)
 
         def phi(w):
             out = {}
-            for nu in M.basis_upto():
+            for nu in V.basis_upto():
                 c = form.pair(w, B(nu))
                 if c:
                     out[nu] = c
@@ -234,10 +226,10 @@ class TestInvariantForm:
 
         for lv in partitions_upto(2):
             v = B(lv)
-            for mu in M.basis_upto(3):
+            for mu in V.basis_upto(3):
                 w = B(mu)
                 for n in range(-3, 4):
-                    lhs = phi(M.act(v, n, w))
+                    lhs = phi(V.act(v, n, w))
                     rhs = Mp.act(v, n, phi(w))
                     assert lhs == rhs, (lv, n, mu)
 
@@ -267,8 +259,7 @@ class PerLabelDual(contra.ContragredientModule):
 def warm_duals():
     out = {}
     for level in (4, 5):
-        Mp = contra.ContragredientModule(axioms.VOAAction(
-            build_heisenberg(level)))
+        Mp = contra.ContragredientModule(build_heisenberg(level))
         out[level] = (Mp, contra.ContragredientModule(Mp))
     return out
 
@@ -312,9 +303,9 @@ def test_block_memo_matches_per_label_adjoint(warm_duals, args):
     else:
         V = build_heisenberg(level)
         V.corrupt(*corruption)
-        Mp = contra.ContragredientModule(axioms.VOAAction(V))
+        Mp = contra.ContragredientModule(V)
         Mpp = contra.ContragredientModule(Mp)
-    ref = PerLabelDual(axioms.VOAAction(V))
+    ref = PerLabelDual(V)
     if double:
         got = Mpp.act(v, n, B(mu))
         assert got == PerLabelDual(ref).act(v, n, B(mu))
@@ -335,9 +326,8 @@ def test_block_clips_like_the_base_action_under_a_corrupted_lowering():
     V = build_heisenberg(4)
     V.corrupt((1, 1), 2, (2,), (2,), 2)
     V.corrupt((2,), 1, (2,), (1,), 1)
-    M = axioms.VOAAction(V)
-    got = contra.ContragredientModule(M).act(B((2,)), 0, B((1,)))
-    assert got == PerLabelDual(M).act(B((2,)), 0, B((1,)))
+    got = contra.ContragredientModule(V).act(B((2,)), 0, B((1,)))
+    assert got == PerLabelDual(V).act(B((2,)), 0, B((1,)))
 
 
 def _untruncated(V, op: dict, n: int, vec: dict) -> dict:
@@ -402,23 +392,22 @@ def test_true_nonzero_matches_structure_constant_sum(args):
     if corruption is not None:
         V.corrupt(*corruption)
     want = any(_untruncated(V, op.coeff, n, target.coeff).values())
-    assert axioms.VOAAction(V).true_nonzero(op, n, target) == want
-    Mp = contra.ContragredientModule(axioms.VOAAction(V))
+    assert V.true_nonzero(op, n, target) == want
+    Mp = contra.ContragredientModule(V)
     want = any(_dual_untruncated(V, op, n, target).values())
     assert Mp.true_nonzero(op, n, target) == want
 
 
 def test_fresh_module_sees_corruption_after_warm_memos():
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     a = B((1,))
-    warm = contra.ContragredientModule(M)
+    warm = contra.ContragredientModule(V)
     assert all(r.passed for r in contra.check_defining_relation(warm))
     assert contra.check_contragredient_jacobi(warm, a, a, a, win).passed
     V.corrupt((1,), 0, (1, 1), (1, 1), 1)
     try:
-        fresh = contra.ContragredientModule(M)
+        fresh = contra.ContragredientModule(V)
         assert contra.check_contragredient_jacobi(fresh, a, a, a, win).failed
         with pytest.raises(contra.NotSelfDual):
             contra.build_invariant_form(fresh)
@@ -437,7 +426,7 @@ def test_integral_coefficients_stay_int():
     # the label-keyed blocks, and the shared act's images of integer
     # vectors, on the dual and the double dual
     V = build_heisenberg(5)
-    Mp = contra.ContragredientModule(axioms.VOAAction(V))
+    Mp = contra.ContragredientModule(V)
     Mpp = contra.ContragredientModule(Mp)
     for lab in V.basis_upto():
         v, wv = B(lab), sum(lab)

@@ -1,14 +1,16 @@
 """Checks of the combined vertex map on the sum of the algebra and a
 second copy of itself, with every formula recomputed by independent code."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import axioms, contragredient as contra
+from voacalc import axioms, contragredient as contra, fusion
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
+from voacalc.reports import Status
 
 
 def B(label):
@@ -18,16 +20,15 @@ def B(label):
 @pytest.fixture(scope="module")
 def ds4():
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(contra.ContragredientModule(M))
-    return V, M, form, contra.DirectSumMap(V, M, form, form)
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
+    return V, form, contra.DirectSumMap(V, V, form, form)
 
 
 def independent_skew_block(V, w1, n, v):
     """Fresh evaluation of the module-into-sum mode formula."""
     out = GradedVector()
     for j in range(0, 20):
-        base = V.apply_mode(v, n + j, w1)
+        base = V.act(v, n + j, w1)
         if base.is_zero():
             continue
         term = base.scale(Fraction((-1) ** ((n + j + 1) % 2)))
@@ -49,7 +50,7 @@ def independent_pairing_rhs(V, form, vlab, w1, wt1, n, w2, wt2):
         if lp.is_zero():
             continue
         for t in range(-12, 12):
-            img = V.apply_mode(v, t, lp)
+            img = V.act(v, t, lp)
             if img.is_zero():
                 continue
             for q in range(0, wt2 + 1):
@@ -68,7 +69,7 @@ def independent_pairing_rhs(V, form, vlab, w1, wt1, n, w2, wt2):
 
 
 def test_skew_block_formula(ds4):
-    V, M, form, ds = ds4
+    V, form, ds = ds4
     for w1l in partitions_upto(3):
         for vl in partitions_upto(3):
             for n in range(-6, 6):
@@ -97,11 +98,11 @@ def skew_args(draw):
 def test_skew_block_chains_match_skew_formula(ds4, args):
     # the map keeps each L(-1) chain it reads across calls; the skew
     # formula computes every chain afresh
-    V, M, form, ds = ds4
+    V, form, ds = ds4
     w1, n, v, ceiling = args
     cap = ds.level if ceiling is None else ceiling
     assert ds.w_on_v(w1, n, v, ceiling) == \
-        axioms.skew_coefficient(M, v, n, w1, cap)
+        axioms.skew_coefficient(V, v, n, w1, cap)
 
 
 @given(st.sampled_from(partitions_upto(3)),
@@ -114,14 +115,13 @@ def test_map_built_after_corruption_sees_it(lw1, lv, n, data):
     if not 0 <= target <= 4 or lv == (1, 1):
         return
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(contra.ContragredientModule(M))
-    warm = contra.DirectSumMap(V, M, form, form)
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
+    warm = contra.DirectSumMap(V, V, form, form)
     w1, v = B(lw1), B(lv)
     clean = warm.w_on_v(w1, n, v)
     V.corrupt(lv, n, lw1, data.draw(st.sampled_from(partitions(target))), 1)
-    fresh = contra.DirectSumMap(V, M, form, form).w_on_v(w1, n, v)
-    assert fresh == axioms.skew_coefficient(M, v, n, w1, 4)
+    fresh = contra.DirectSumMap(V, V, form, form).w_on_v(w1, n, v)
+    assert fresh == axioms.skew_coefficient(V, v, n, w1, 4)
     assert fresh != clean
     assert warm.w_on_v(w1, n, v) == clean
 
@@ -131,32 +131,30 @@ def test_skew_block_with_weight_lowering_translation():
     # a(-1)|0> = a(-1)_(-1)|0> then never reaches zero, and the map builds
     # each chain only as far as it is read
     V = build_heisenberg(4)
-    M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(contra.ContragredientModule(M))
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
     V.corrupt((1, 1), 0, (3,), (1,), -1)
-    ds = contra.DirectSumMap(V, M, form, form)
+    ds = contra.DirectSumMap(V, V, form, form)
     for w1l in ((), (1,)):
         for n in range(-5, 3):
             assert ds.w_on_v(B(w1l), n, B((1,))) == \
-                axioms.skew_coefficient(M, B((1,)), n, B(w1l), 4)
+                axioms.skew_coefficient(V, B((1,)), n, B(w1l), 4)
 
 
 def test_module_block_orthogonal_to_module(ds4):
-    V, M, form, ds = ds4
-    zero = GradedVector()
+    V, form, ds = ds4
     for w1l in partitions_upto(2):
         for w2l in partitions_upto(2):
-            u = contra.DSVector(zero, B(w1l))
-            x = contra.DSVector(zero, B(w2l))
+            u = contra.in_module(B(w1l))
+            x = contra.in_module(B(w2l))
             for n in range(-5, 5):
-                res = ds.act(u, n, x)
-                assert res.w.is_zero()
+                _, res_w = contra.summands(ds.act(u, n, x))
+                assert res_w.is_zero()
                 for l3 in partitions_upto(4):
-                    assert form.pair(B(l3), res.w) == 0
+                    assert form.pair(B(l3), res_w) == 0
 
 
 def test_pairing_block_matches_independent(ds4):
-    V, M, form, ds = ds4
+    V, form, ds = ds4
     for w1l in partitions_upto(3):
         for w2l in partitions_upto(3):
             wt1, wt2 = sum(w1l), sum(w2l)
@@ -173,50 +171,116 @@ def test_pairing_block_matches_independent(ds4):
 
 
 def test_algebra_block_is_plain_action(ds4):
-    V, M, form, ds = ds4
-    zero = GradedVector()
+    V, form, ds = ds4
     for ul in partitions_upto(3):
         for xl in partitions_upto(3):
             for n in range(-5, 5):
-                got = ds.act(contra.DSVector(B(ul), zero), n,
-                             contra.DSVector(B(xl), zero))
-                assert got.v == V.apply_mode(B(ul), n, B(xl))
-                assert got.w.is_zero()
+                got_v, got_w = contra.summands(ds.act(B(ul), n, B(xl)))
+                assert got_v == V.act(B(ul), n, B(xl))
+                assert got_w.is_zero()
+
+
+def test_labels_of_the_sum_keep_their_weight():
+    v = GradedVector({(): 2, (2, 1): -1})
+    w = GradedVector({(): 1, (1,): 3})
+    x = v + contra.in_module(w)
+    assert contra.summands(x) == (v, w)
+    assert x.weights() == {0, 1, 3}
+    assert contra.summands(x.component(0)) == (B(()).scale(2), B(()))
+
+
+def _sigma(t):
+    v, w = contra.summands(t)
+    return v - contra.in_module(w)
 
 
 def test_involution_automorphism(ds4):
-    V, M, form, ds = ds4
-    zero = GradedVector()
-    basis = [contra.DSVector(B(l), zero) for l in partitions_upto(2)]
-    basis += [contra.DSVector(zero, B(l)) for l in partitions_upto(2)]
-
-    def sigma(t):
-        return contra.DSVector(t.v, t.w.scale(-1))
-
+    V, form, ds = ds4
+    basis = [B(l) for l in partitions_upto(2)]
+    basis += [contra.in_module(B(l)) for l in partitions_upto(2)]
+    assert [B(l) for l in ds.basis_upto(2)] == basis
     for u in basis:
         for x in basis:
             for n in range(-4, 4):
-                assert sigma(ds.act(u, n, x)) == ds.act(sigma(u), n, sigma(x))
+                assert _sigma(ds.act(u, n, x)) == \
+                    ds.act(_sigma(u), n, _sigma(x))
 
 
 def test_vacuum_and_conformal_come_from_algebra(ds4):
-    V, M, form, ds = ds4
-    zero = GradedVector()
-    x = contra.DSVector(zero, B((2, 1)))
-    got = ds.act(contra.DSVector(V.vacuum, zero), -1, x)
+    V, form, ds = ds4
+    x = contra.in_module(B((2, 1)))
+    got = ds.act(V.vacuum, -1, x)
     assert got == x
-    got = ds.act(contra.DSVector(V.omega, zero), 1, x)
-    assert got.w == B((2, 1)).scale(3) and got.v.is_zero()
+    got_v, got_w = contra.summands(ds.act(V.omega, 1, x))
+    assert got_w == B((2, 1)).scale(3) and got_v.is_zero()
+
+
+def test_rows_above_the_forms_top_weight_raise():
+    # the module-module block needs the algebra form's block at the image
+    # weight; past the forms' top weight the map has no data, and says so
+    V = build_heisenberg(3)
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
+    ds = contra.DirectSumMap(V, V, form, form)
+    u, x = contra.in_module(B((2,))), contra.in_module(B((1,)))
+    msg = "weight 4, above the forms' top weight 3"
+    with pytest.raises(ValueError, match=msg):
+        ds.act(u, -2, x, ceiling=6)
+    with pytest.raises(ValueError, match=msg):
+        ds.row((2, 0), -2, (1, 0))
+    with pytest.raises(ValueError, match=msg):
+        ds.true_nonzero(u, -2, x)
+    # at the top weight itself the row exists
+    assert ds.row((2, 0), -1, (1, 0))
+
+
+def _engine_on_the_sum(ds):
+    """The three-term identity on the sum at level 3: every ordered triple
+    of its 8 basis vectors of weight <= 2, each on a shaped window of
+    width 2, on which no loss test is asked. Returns the number failed."""
+    basis = [B(l) for l in ds.basis_upto(2)]
+    assert len(basis) == 8
+    acts = axioms.JacobiActions.uniform(ds)
+    failed = 0
+    for p, q, t in itertools.product(basis, repeat=3):
+        win = fusion.shaped_jacobi_window(p.weight(), q.weight(), t.weight(),
+                                          ds.level, 2)
+        rep = axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")
+        assert rep.status is not Status.SKIPPED
+        failed += rep.failed
+    return failed
+
+
+@pytest.fixture(scope="module")
+def form3():
+    return contra.build_invariant_form(contra.ContragredientModule(
+        build_heisenberg(3)))
+
+
+@pytest.mark.parametrize("block, scale, failed", [
+    # W = V with V's form: the sum is V tensor Q[Z/2], a vertex algebra
+    (None, 1, 0),
+    # a doubled module-into-sum block disagrees with skew-symmetry
+    ("w_on_v", 2, 224),
+    # a negated module-module block gives V tensor Q[t]/(t^2 + 1), again a
+    # vertex algebra, so this scaling is no negative control
+    ("w_on_w", -1, 0),
+])
+def test_engine_runs_on_the_sum(form3, block, scale, failed):
+    V = build_heisenberg(3)
+    ds = contra.DirectSumMap(V, V, form3, form3)
+    if block is not None:
+        real = getattr(ds, block)
+        setattr(ds, block, lambda *args: real(*args).scale(scale))
+    assert _engine_on_the_sum(ds) == failed
 
 
 def test_asymmetric_form_rejected():
     V = build_heisenberg(3)
-    M = axioms.VOAAction(V)
-    form = contra.build_invariant_form(contra.ContragredientModule(M))
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
     bad = contra.BilinearForm({w: [row[:] for row in b]
                                for w, b in form.blocks.items()},
                               form.index, symmetric=True)
     bad.blocks[2][0][1] += 1
     bad.symmetric = False
     with pytest.raises(contra.AsymmetricForm):
-        contra.DirectSumMap(V, M, form, bad)
+        contra.DirectSumMap(V, V, form, bad)

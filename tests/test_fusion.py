@@ -350,7 +350,7 @@ class TestIntertwiners:
             assert rep.passed, (rep.identity, rep.diffs[:2])
 
     def test_module_type_on_dual(self, V):
-        Mp = contra.ContragredientModule(axioms.VOAAction(V))
+        Mp = contra.ContragredientModule(V)
         I = fusion.intertwiner_from_module(V, Mp)
         win = Window.symmetric(("x0", "x1", "x2"), 2)
         for rep in fusion.check_intertwiner([I], win)[0]:

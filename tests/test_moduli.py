@@ -387,7 +387,7 @@ class TestEvaluation:
         state = nu_state(V, P, [u, w], 10)
         oracle = GradedVector()
         for n in V.mode_range(u, w, 10):
-            img = V.apply_mode(u, n, w, 10)
+            img = V.act(u, n, w, 10)
             if img:
                 oracle = oracle + img.scale(QQi.promote(z) ** (-n - 1))
         assert state == oracle
