@@ -9,9 +9,8 @@ since the sewn product sits at points 3 and 2."""
 import argparse
 from fractions import Fraction
 
-from voacalc.exact import QQi
 from voacalc.fock import GradedVector, build_heisenberg
-from voacalc.moduli import nu_state, sew, two_puncture_element
+from voacalc.moduli import nu_state, pair, sew, two_puncture_element
 
 
 def main():
@@ -29,19 +28,12 @@ def main():
     sewn = sew(P2, 1, P1).element
     print(f"sewn punctures: {[str(z) for z in sewn.z]} and 0")
 
-    def pair(state):
-        total = QQi(0)
-        for lab, c in vp.coeff.items():
-            s = state.coeff.get(lab)
-            if s:
-                total = total + QQi.promote(c) * QQi.promote(s)
-        return total
-
+    wts = vp.weights()
     print(f"{'N':>3} {'product side':>22} {'iterate side':>22} {'|diff|^2':>14}")
     for N in range(2, args.max_cutoff + 1, 2):
-        lhs = pair(nu_state(V, sewn, [a, a, a], N))
+        lhs = pair(vp, nu_state(V, sewn, [a, a, a], N, wts))
         inner = nu_state(V, P1, [a, a], N)
-        rhs = pair(nu_state(V, P2, [inner, a], N))
+        rhs = pair(vp, nu_state(V, P2, [inner, a], N, wts))
         d = (lhs - rhs).norm2()
         print(f"{N:>3} {str(lhs):>22} {str(rhs):>22} {float(d):>14.3e}")
     print("limit: 49/36 =", float(Fraction(49, 36)))

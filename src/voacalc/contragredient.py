@@ -518,13 +518,16 @@ class DirectSumMap(RowAction):
         # the pairings of every (w1, n, w2) whose chains share the entry
         self._pairing_images: dict = {}
         # weight -> the columns of the inverse of the algebra form's block,
-        # each solved once
-        self._inverse_blocks = {
-            wt: [gauss_solve(b, [int(i == j) for i in range(len(b))])
-                 for j in range(len(b))]
-            for wt, b in form_V.blocks.items()}
-        if any(None in cols for cols in self._inverse_blocks.values()):
-            raise NotSelfDual("degenerate algebra form block")
+        # each solved once and kept as its nonzero (index, value) pairs:
+        # the form is diagonal on partitions, so nearly every entry is 0
+        self._inverse_blocks = {}
+        for wt, b in form_V.blocks.items():
+            cols = [gauss_solve(b, [int(i == j) for i in range(len(b))])
+                    for j in range(len(b))]
+            if None in cols:
+                raise NotSelfDual("degenerate algebra form block")
+            self._inverse_blocks[wt] = [[(i, c) for i, c in enumerate(col)
+                                         if c] for col in cols]
 
     # cross block: modes of the map sending the module into the sum,
     # recovered from the module action by the skew formula
@@ -572,8 +575,10 @@ class DirectSumMap(RowAction):
                        for v_lab in labs]
                 sol = {}
                 for col, r in zip(self._inverse_blocks[target], rhs):
-                    for lab, c in zip(labs, col):
-                        sol[lab] = sol.get(lab, 0) + c * r
+                    if not r:
+                        continue
+                    for i, c in col:
+                        sol[labs[i]] = sol.get(labs[i], 0) + c * r
                 out = out + GradedVector(sol)
         return out
 

@@ -21,7 +21,11 @@ scalar with trivial multiplication.
 The evaluation map sends an element with standard coordinates and
 strictly decreasing puncture moduli to the matrix element of a product
 of vertex operators at exact points; scales act per slot through the
-grading. All arithmetic is over Gaussian rationals.
+grading. All arithmetic is over Gaussian rationals. Each insertion is
+computed by output weight (``_insertion``), and a pairing with v'
+computes only the weights v' reads: ``nu_evaluate`` and the sewing check
+restrict the outermost insertion to them; inner states stay whole up to
+the cutoff.
 
 One function is memoised: ``_translated_inf``, the infinity flow data
 after a translation, in a bounded module-level ``lru_cache``. It is safe
@@ -592,45 +596,68 @@ def _scaled(v: GradedVector, a: QQi) -> GradedVector:
     return GradedVector(out)
 
 
-def nu_state(V: HeisenbergVOA, Q: ModuliElement, vectors,
-             cutoff: int) -> GradedVector:
+def _insertion(V: HeisenbergVOA, u: GradedVector, z: QQi,
+               s: GradedVector, weights) -> GradedVector:
+    """sum_t z^(-t-1) u_t s at the given output weights. Weight a of u and
+    weight b of s meet weight w at the one mode t = a + b - 1 - w, so each
+    term is ``V.act`` at ceiling w: nothing is clipped and no overflow
+    probe runs. Each power of z is computed once per t."""
+    parts = []
+    for v in (u, s):
+        by_weight: dict = {}
+        for label, c in v.coeff.items():
+            by_weight.setdefault(sum(label), {})[label] = c
+        parts.append([(w, GradedVector(c)) for w, c in by_weight.items()])
+    powers: dict = {}
+    acc: dict = {}
+    for w in weights:
+        for a, ua in parts[0]:
+            for b, sb in parts[1]:
+                t = a + b - 1 - w
+                img = V.act(ua, t, sb, w).coeff
+                if not img:
+                    continue
+                c = powers.get(t)
+                if c is None:
+                    c = powers[t] = z ** (-t - 1)
+                for label, x in img.items():
+                    acc[label] = acc.get(label, 0) + c * x
+    return GradedVector(acc)
+
+
+def nu_state(V: HeisenbergVOA, Q: ModuliElement, vectors, cutoff: int,
+             weights=None) -> GradedVector:
     """The unpaired evaluation of an element on input vectors: the state
-    produced at infinity, truncated at the cutoff weight."""
+    produced at infinity, each intermediate state truncated at the cutoff
+    weight. With ``weights``, the outermost insertion computes only the
+    components of those weights (a pairing reads no others)."""
     if any(Q.inf_coord) or \
             not all(c.is_linear for c in Q.coords):
         raise DomainViolation("evaluation needs standard (linear, "
                               "zero-flow) coordinates")
     if len(vectors) != Q.arity:
         raise ValueError("need one input vector per positive puncture")
-    if Q.arity == 0:
-        return V.vacuum
     norms = [zz.norm2() for zz in Q.z]
     for a, b in zip(norms, norms[1:]):
         if not a > b:
             raise DomainViolation("puncture moduli must strictly decrease")
     if norms and not norms[-1] > 0:
         raise DomainViolation("punctures must avoid the origin")
-    state = _scaled(vectors[-1], Q.coords[-1].scale)
-    state = state.clip(cutoff)
+    full = range(cutoff + 1)
+    keep = full if weights is None else [w for w in full if w in weights]
+    # below arity 2 the innermost state is also the outermost
+    state = _scaled(vectors[-1], Q.coords[-1].scale) if Q.arity else V.vacuum
+    inner = keep if Q.arity < 2 else full
+    state = GradedVector({k: c for k, c in state.coeff.items()
+                          if sum(k) in inner})
     for idx in range(Q.arity - 2, -1, -1):
         u = _scaled(vectors[idx], Q.coords[idx].scale)
-        zz = Q.z[idx]
-        acc: dict = {}
-        for t in V.mode_range(u, state, cutoff):
-            img = V.act(u, t, state, cutoff).coeff
-            c = zz ** (-t - 1) if img else 0
-            for label, x in img.items():
-                s = acc.get(label, 0) + c * x
-                if s:
-                    acc[label] = s
-                else:
-                    del acc[label]
-        state = GradedVector.__new__(GradedVector)
-        state.coeff = acc
+        state = _insertion(V, u, Q.z[idx], state, keep if idx == 0 else full)
     return state
 
 
-def _pair(vprime: GradedVector, state: GradedVector) -> QQi:
+def pair(vprime: GradedVector, state: GradedVector) -> QQi:
+    """<v', state>, read on the labels of v'."""
     total = QQi(0)
     for label, c in vprime.coeff.items():
         s = state.coeff.get(label)
@@ -645,7 +672,8 @@ def nu_evaluate(V: HeisenbergVOA, Q: ModuliElement, vectors,
     operator product, with a stabilization flag: the truncations at
     cutoff - 2, cutoff - 1 and cutoff agree. Below cutoff 2 there are no
     three truncations, so the flag is false."""
-    values = [_pair(vprime, nu_state(V, Q, vectors, n))
+    wts = vprime.weights()
+    values = [pair(vprime, nu_state(V, Q, vectors, n, wts))
               for n in (cutoff - 2, cutoff - 1, cutoff) if n >= 0]
     stable = len(values) == 3 and values[0] == values[1] == values[2]
     return NuResult(values[-1], stable)
@@ -664,13 +692,14 @@ def check_sewing_axiom(V: HeisenbergVOA, Q1: ModuliElement, i: int,
     n2 = Q2.arity
     inner_slice = vectors[i - 1: i - 1 + n2]
     rest = list(vectors[:i - 1]) + [None] + list(vectors[i - 1 + n2:])
+    wts = vprime.weights()
     series = []
     for N in cutoffs:
-        lhs = _pair(vprime, nu_state(V, sewn, vectors, N))
+        lhs = pair(vprime, nu_state(V, sewn, vectors, N, wts))
         inner = nu_state(V, Q2, inner_slice, N)
         outer_inputs = list(rest)
         outer_inputs[i - 1] = inner
-        rhs = _pair(vprime, nu_state(V, Q1, outer_inputs, N))
+        rhs = pair(vprime, nu_state(V, Q1, outer_inputs, N, wts))
         series.append((N, lhs - rhs))
     mags = [d.norm2() for _, d in series]
     shrinking = True

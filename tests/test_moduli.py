@@ -14,7 +14,8 @@ from voacalc.moduli import (DomainViolation, LocalCoordinate, ModuliElement,
                             check_sewing_axiom, compose_perms,
                             coordinate_series, extract_coordinate_data,
                             format_moduli_element, identity_element,
-                            nu_evaluate, nu_state, parse_moduli_element,
+                            nu_evaluate, nu_state, pair,
+                            parse_moduli_element,
                             permute, random_supported_element, scaling_element,
                             sew, two_puncture_element)
 from voacalc.reports import FixtureError
@@ -420,9 +421,9 @@ class TestEvaluation:
         assert rep.passed and rep.note == "exact-zero"
 
     def test_overflow_flag_stops_at_first_loss(self):
-        # the omega sewing check keeps only the above-cutoff structure
-        # constants the overflow flag needed before it was set: 48 here,
-        # against 2,026 when every above-ceiling pair was computed
+        # the omega sewing check keeps no above-cutoff structure constant:
+        # every pair an insertion asks for lands at an output weight inside
+        # the cutoff, so no overflow probe runs on this path
         V = build_heisenberg(6)
         om = V.omega
         rep = check_sewing_axiom(V, two_puncture_element(2, M), 1,
@@ -432,6 +433,35 @@ class TestEvaluation:
         above = [(lu, n, lv) for lu, n, lv in V.touched_mode_keys()
                  if sum(lu) + sum(lv) - n - 1 > 18]
         assert len(above) <= 100
+
+    def test_omega_sewing_computes_what_it_pairs(self):
+        # the outermost insertions compute only omega's weight 2, which
+        # reads 181 structure constants; the whole states read 3,097
+        V = build_heisenberg(6)
+        om = V.omega
+        check_sewing_axiom(V, two_puncture_element(2, M), 1,
+                           two_puncture_element(1, M), [om] * 3, om,
+                           (6, 12, 18))
+        assert len(V.touched_mode_keys()) <= 200
+
+    def test_corrupted_restricted_constant_moves_the_note(self):
+        # negative control: a constant that only the restricted outermost
+        # insertion of the contraction side reads, where a weight-4
+        # component of the inner state meets omega at weight 2 (mode 3)
+        def note(V):
+            om = V.omega
+            return check_sewing_axiom(V, two_puncture_element(2, M), 1,
+                                      two_puncture_element(1, M), [om] * 3,
+                                      om, (6, 12, 18)).note
+
+        V = build_heisenberg(6)
+        clean = note(V)
+        inner = nu_state(V, two_puncture_element(1, M), [V.omega] * 2, 6)
+        lu = next(lab for lab in inner.coeff
+                  if sum(lab) == 4 and lab != (1, 1))
+        assert (lu, 3, (1, 1)) in V.touched_mode_keys()
+        V.corrupt(lu, 3, (1, 1), (1, 1), 1)
+        assert note(V) != clean
 
     def test_omega_sewing_record_is_pinned(self):
         # the benchmark's omega sewing check, on a fresh algebra as there
@@ -488,6 +518,49 @@ class TestEvaluation:
         lhs = nu_evaluate(V, Q, [om, a, a], vp, 8).value
         rhs = nu_evaluate(V, permute(Qp, sigma), [om, a, a], vp, 8).value
         assert lhs == rhs
+
+
+_vectors = st.dictionaries(
+    st.sampled_from([(), (1,), (1, 1), (2,), (2, 1), (3,)]),
+    st.integers(-2, 2).filter(bool), min_size=1, max_size=3).map(GradedVector)
+
+
+@st.composite
+def _evaluations(draw):
+    """An element of arity 0-3 with Gaussian-rational positions (moduli
+    strictly decreasing) and scales, inhomogeneous inputs, a cutoff and a
+    set of weights, some outside 0..cutoff."""
+    arity = draw(st.integers(0, 3))
+    z = draw(st.lists(_small_qqi.filter(bool), min_size=max(arity - 1, 0),
+                      max_size=max(arity - 1, 0), unique_by=QQi.norm2))
+    z = sorted(z, key=QQi.norm2, reverse=True)
+    scales = draw(st.lists(_small_qqi.filter(bool), min_size=arity,
+                           max_size=arity))
+    Q = ModuliElement(arity, M, tuple(z), pad(),
+                      tuple(LocalCoordinate(a, pad()) for a in scales))
+    vectors = draw(st.lists(_vectors, min_size=arity, max_size=arity))
+    return (Q, vectors, draw(st.integers(0, 6)),
+            draw(st.sets(st.integers(-2, 9), max_size=4)))
+
+
+class TestRestrictedEvaluation:
+    """``nu_state`` with ``weights`` computes the full state's components
+    at those weights, and a pairing reads the same value from either."""
+
+    @given(_evaluations(), _vectors)
+    @settings(max_examples=60, deadline=None)
+    def test_restricted_state_is_the_full_state_at_those_weights(
+            self, V, case, vprime):
+        Q, vectors, cutoff, weights = case
+        full = nu_state(V, Q, vectors, cutoff)
+        got = nu_state(V, Q, vectors, cutoff, weights)
+        assert got == GradedVector({lab: c for lab, c in full.coeff.items()
+                                    if sum(lab) in weights})
+        values = [pair(vprime, nu_state(V, Q, vectors, n))
+                  for n in (cutoff - 2, cutoff - 1, cutoff) if n >= 0]
+        res = nu_evaluate(V, Q, vectors, vprime, cutoff)
+        assert res.value == values[-1]
+        assert res.stable == (len(values) == 3 and len(set(values)) == 1)
 
 
 class TestFixtureFormat:
