@@ -41,10 +41,11 @@ is seen by the second, and dual and intertwiner actions reuse the
 algebra's plan safely. Coefficients stay integers until a genuine
 fraction enters.
 
-The skew formula, the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u, is
-written once (``skew_coefficient``) for the skew-symmetry check and the
-direct-sum cross block. It, the sl(2) conjugation checks and the iterate
-rewrite read L(+-1)^k w / k! off ``fock.exp_chain``, one chain per vector.
+The skew formula, the x^(-n-1) coefficients of e^{xL(-1)} Y(v, -x) u, is
+written once (``skew_coefficients``) for the skew-symmetry check, the
+iterate rewrite and the direct-sum cross block. It and the sl(2)
+conjugation checks read L(+-1)^k w / k! off ``fock.exp_chain``, one chain
+per vector.
 """
 
 from __future__ import annotations
@@ -276,28 +277,27 @@ def check_jacobi(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                             "jacobi", params)
 
 
-def skew_coefficient(action: VOAAction, v: GradedVector, n: int,
-                     u: GradedVector, ceiling: int | None = None,
-                     chain=None) -> GradedVector:
-    """The x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u,
+def skew_coefficients(action: VOAAction, v: GradedVector, u: GradedVector,
+                      ns, ceiling: int | None = None) -> dict:
+    """{n: the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u} for each n
+    in ``ns``,
 
         sum_j (-1)^(n+j+1) L(-1)^j/j! v_(n+j) u,
 
     which skew-symmetry equates with u_n v. The modes and L(-1) are
-    ``action``'s, each clipped at the ceiling. ``chain(m, terms)`` gives
-    at least the first ``terms`` entries of the ``exp_chain`` of
-    e^{xL(-1)} v_m u; by default it is computed afresh for each j."""
-    out = GradedVector()
-    if not v or not u:
+    ``action``'s, each clipped at the ceiling. Each image v_m u and its
+    ``exp_chain`` are computed once; the chain runs to the entry that the
+    smallest n reads."""
+    out = {n: GradedVector() for n in ns}
+    if not out or not v or not u:
         return out
-    if chain is None:
-        def chain(m, terms):
-            return exp_chain(action, -1, action.act(v, m, u, ceiling),
-                             ceiling, terms)
-    for j in range(max(v.weights()) + max(u.weights()) - n):
-        chain_j = chain(n + j, j + 1)
-        if len(chain_j) > j:
-            out = out + (chain_j[j] if (n + j) % 2 else -chain_j[j])
+    lo = min(out)
+    for m in range(lo, max(v.weights()) + max(u.weights())):
+        chain = exp_chain(action, -1, action.act(v, m, u, ceiling), ceiling,
+                          m - lo + 1)
+        for n in out:
+            if n <= m < n + len(chain):
+                out[n] = out[n] + (chain[m - n] if m % 2 else -chain[m - n])
     return out
 
 
@@ -312,9 +312,10 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
         return VerificationReport.skipped(
             "skew-symmetry", params, f"no orders below level {V.level}")
     diffs = []
+    skew = skew_coefficients(V, v, u, range(-hi - 1, -lo))
     for k in range(lo, hi + 1):
         diff_labels(diffs, (k,), V.act(u, -k - 1, v).coeff,
-                    skew_coefficient(V, v, -k - 1, u).coeff)
+                    skew[-k - 1].coeff)
     return VerificationReport.from_diffs("skew-symmetry", params, diffs)
 
 
@@ -511,36 +512,21 @@ def _shear_conjugation_report(V: HeisenbergVOA, v: GradedVector,
                     lhs[key] = lhs.get(key, GradedVector()) + val.scale(sign)
         rhs: dict = {}
         for i, vi in enumerate(ev):
-            wvi = wv - i
-            images: dict = {}  # tprime -> vi_tprime w, once per (i, w)
-            for g in range(0, order + 1 - i):
-                bg = binom(i, g)
-                if not bg:
-                    continue
-                for m in range(0, order + 1 - i - g):
-                    bm = binom(-2 * wv, m)
-                    if not bm:
+            for tprime in range(wv - i + ww - 1 - V.level, wv - i + ww):
+                base = None  # vi_tprime w, once per (i, tprime)
+                for r in range(max(0, e_lo + tprime + 1),
+                               min(order - i, e_hi + tprime + 1) + 1):
+                    # the x^r coefficient of (1 - x)^i (1 - x)^(-2 wt v)
+                    # (1 - x)^(t' + 1), one binomial by Vandermonde
+                    co = binom(i - 2 * wv + tprime + 1, r) * (-1) ** (r % 2)
+                    if not co:
                         continue
-                    xdeg_base = i + g + m
-                    for h in range(0, order + 1 - xdeg_base):
-                        j = xdeg_base + h
-                        for tprime in range(wvi + ww - 1 - V.level, wvi + ww):
-                            e = g + m + h - tprime - 1
-                            if e < e_lo or e > e_hi or j > order:
-                                continue
-                            bh = binom(tprime + 1, h)
-                            if not bh:
-                                continue
-                            base = images.get(tprime)
-                            if base is None:
-                                base = images[tprime] = V.act(
-                                    vi, tprime, w)
-                            if base.is_zero():
-                                continue
-                            co = bg * bm * bh * (-1) ** ((g + m + h) % 2)
-                            key = (j, e)
-                            rhs[key] = rhs.get(key, GradedVector()) \
-                                + base.scale(co)
+                    if base is None:
+                        base = V.act(vi, tprime, w)
+                    if not base:
+                        break
+                    key = (i + r, r - tprime - 1)
+                    rhs[key] = rhs.get(key, GradedVector()) + base.scale(co)
         lw_name = fmt_label(lw)
         for key in sorted(set(lhs) | set(rhs)):
             diff_labels(diffs, (lw_name,) + key,
@@ -644,25 +630,20 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                     return VerificationReport.skipped(
                         "iterate-skew-rewrite", params,
                         f"skew-inner weight {wu+wv+e} at x0^{e}")
-    # B_e = (-1)^e v_{-e-1} u, the skew-reversed iterate, with the chain of
-    # e^{x0 L(-1)} B_e; the x0^a coefficient of the skew side sums entry
-    # a - e of each chain
-    a_hi = max(rows, default=-(wu + wv) - 1)
+    # the x0^a coefficient of the skew side is skew[-a - 1], the x^a one of
+    # e^{xL(-1)} Y(v, -x)u; the shift side reads B_e = (-1)^e v_{-e-1} u,
+    # the skew-reversed iterate
+    skew = skew_coefficients(V, v, u, [-a - 1 for a in rows])
     b_parts = {}
-    chains = {}
-    for e in range(-(wu + wv), a_hi + 1):
+    for e in range(-(wu + wv), max(rows, default=-(wu + wv) - 1) + 1):
         base = V.act(v, -e - 1, u)
         if base:
             b_parts[e] = base.scale((-1) ** (e % 2))
-            chains[e] = exp_chain(V, -1, b_parts[e], terms=a_hi - e + 1)
     for a, cs in rows.items():
-        a_vec = GradedVector()
-        for e, chain in chains.items():
-            a_vec = a_vec + _entry(chain, a - e)
         inner = V.act(u, -a - 1, v)
         for c in cs:
             e1 = V.act(inner, -c - 1, w)
-            e2 = V.act(a_vec, -c - 1, w)
+            e2 = V.act(skew[-a - 1], -c - 1, w)
             e3 = GradedVector()
             for k in range(0, wu + wv + a + 1):
                 be = b_parts.get(a - k)

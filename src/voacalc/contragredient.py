@@ -39,12 +39,12 @@ rows, and its ``act`` is the shared one. A label of the sum is an algebra
 label, or a module label with a trailing 0 part, which keeps its weight;
 ``in_module`` and ``summands`` are the only code that knows this. A row
 dispatches on the sectors of its labels: the algebra's row, the module's
-row, the skew formula ``axioms.skew_coefficient`` on the module action
+row, the skew formula ``axioms.skew_coefficients`` on the module action
 (module into sum), or the pairing of the L(1) chains of both arguments
 through the two forms (module on module, into the algebra). Rows end at
-the forms' top weight. The map keeps, on the instance, each L(-1) chain
-of an image v_m w1 that the skew formula reads (every mode n reads the
-same ones) and each vector's L(1) chain.
+the forms' top weight. The map keeps, on the instance, the skew
+coefficients of each (v, w1, ceiling) for every mode n from the lowest
+asked for, and each vector's L(1) chain.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
-from .exact import exact_det, gauss_solve
+from .exact import gauss_solve
 from .fock import GradedVector, HeisenbergVOA, RowAction, exp_chain, partitions
 from .reports import VerificationReport, diff_labels, fmt_label
 from .series import Window
@@ -337,7 +337,7 @@ class BilinearForm:
         return out
 
     def block_determinants(self) -> dict[int, Fraction]:
-        return {w: exact_det(b) for w, b in self.blocks.items()}
+        return {w: gauss_solve(b, [])[0] for w, b in self.blocks.items()}
 
     def nondegenerate(self) -> bool:
         return all(d != 0 for d in self.block_determinants().values())
@@ -509,22 +509,22 @@ class DirectSumMap(RowAction):
         self.level = min(V.level, W.level)
         # the forms' top weight, where every row ends
         self.top = min(max(form_V.blocks), max(form_W.blocks))
-        # (v, w1, cap, m) -> (the L(-1) chain of W.act(v, m, w1, cap), the
-        # number of terms it was asked for)
-        self._skew_chains: dict = {}
+        # (v, w1, cap) -> {n: skew coefficient} for n from the lowest asked
+        self._skew: dict = {}
         # homogeneous w -> the L(1) chain of w
         self._l1_chains: dict = {}
         # L(1) chain entry -> {(v label, t): W.act(v, t, entry)}, read by
         # the pairings of every (w1, n, w2) whose chains share the entry
         self._pairing_images: dict = {}
         # weight -> the columns of the inverse of the algebra form's block,
-        # each solved once and kept as its nonzero (index, value) pairs:
-        # the form is diagonal on partitions, so nearly every entry is 0
+        # solved in one elimination and kept as their nonzero (index, value)
+        # pairs: the form is diagonal on partitions, so nearly every entry
+        # is 0
         self._inverse_blocks = {}
         for wt, b in form_V.blocks.items():
-            cols = [gauss_solve(b, [int(i == j) for i in range(len(b))])
-                    for j in range(len(b))]
-            if None in cols:
+            cols = gauss_solve(b, [[int(i == j) for i in range(len(b))]
+                                   for j in range(len(b))])[1]
+            if cols is None:
                 raise NotSelfDual("degenerate algebra form block")
             self._inverse_blocks[wt] = [[(i, c) for i, c in enumerate(col)
                                          if c] for col in cols]
@@ -535,19 +535,13 @@ class DirectSumMap(RowAction):
                ceiling: int | None = None) -> GradedVector:
         cap = self.level if ceiling is None else ceiling
         key = (_vec_key(v), _vec_key(w1), cap)
-
-        # every n reads the chains of the same images v_m w1, so each is
-        # kept on the map. It is built again only when cut short by its
-        # number of terms: a corrupted L(-1) can lower the weight, and then
-        # a chain need never reach zero
-        def chain(m, terms):
-            got = self._skew_chains.get(key + (m,))
-            if got is None or len(got[0]) == got[1] < terms:
-                got = self._skew_chains[key + (m,)] = (exp_chain(
-                    self.W, -1, self.W.act(v, m, w1, cap), cap, terms), terms)
-            return got[0]
-
-        return axioms.skew_coefficient(self.W, v, n, w1, cap, chain)
+        got = self._skew.get(key)
+        if got is None or n < min(got):
+            # every n from this one to the last with a nonzero coefficient
+            top = max(v.weights(), default=0) + max(w1.weights(), default=0)
+            got = self._skew[key] = axioms.skew_coefficients(
+                self.W, v, w1, range(n, max(top, n + 1)), cap)
+        return got.get(n, GradedVector())
 
     def _l1_chain(self, w: GradedVector) -> list:
         key = _vec_key(w)

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: generalized binomials, Gaussian rationals, and
-dense linear solving over an exact field.
+one dense elimination over an exact field, which gives a square system's
+determinant and its solutions together.
 
 Everything in this package computes with exact numbers; no floats appear
 anywhere in the verification paths.
@@ -239,20 +240,26 @@ class QQi:
 _set_a, _set_b, _set_d = QQi._a.__set__, QQi._b.__set__, QQi._d.__set__
 
 
-def gauss_solve(rows: list[list[Fraction]], rhs: list) -> list | None:
-    """Solve a square exact linear system by Gaussian elimination.
+def gauss_solve(rows: list[list], columns: list[list]) -> tuple:
+    """Solve a square exact linear system for each right-hand column by
+    one Gauss-Jordan elimination that tracks the determinant.
 
-    Returns the solution vector, or None when the matrix is singular.
-    Entries may be ints, Fractions or QQi; rhs entries likewise. Pivots
-    are inverted exactly, so integer input gives Fraction output.
+    Returns (determinant, solution columns), or (0, None) when the matrix
+    is singular. Entries may be ints, Fractions or QQi; column entries
+    likewise. Pivots are inverted exactly, so integer input gives a
+    Fraction determinant and Fraction solutions.
     """
     n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    a = [list(r) + [c[i] for c in columns] for i, r in enumerate(rows)]
+    det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
+            return Fraction(0), None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
         inv = (a[col][col].inverse() if isinstance(a[col][col], QQi)
                else Fraction(1) / a[col][col])
         a[col] = [x * inv for x in a[col]]
@@ -260,26 +267,4 @@ def gauss_solve(rows: list[list[Fraction]], rhs: list) -> list | None:
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def exact_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of ints or Fractions, by Gaussian
-    elimination with exact arithmetic; always a Fraction."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    return det, [[a[i][n + k] for i in range(n)] for k in range(len(columns))]

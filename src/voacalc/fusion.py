@@ -26,7 +26,8 @@ from typing import Sequence
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
 from .fock import GradedVector, RowAction
-from .reports import FixtureError, VerificationReport, diff_labels, fmt_vec
+from .reports import (FixtureError, VerificationReport, diff_labels, fmt_vec,
+                      load_fixture)
 from .series import Window
 
 
@@ -126,13 +127,7 @@ def parse_fusion_tensor(text: str, name: str = "<fusion>") -> FusionTensor:
 
 
 def load_fusion_tensor(path) -> FusionTensor:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_fusion_tensor(fh.read(), str(path))
-    except OSError as e:
-        raise FixtureError(f"{path}: {e}")
-    except UnicodeDecodeError:
-        raise FixtureError(f"{path}: not UTF-8 text")
+    return load_fixture(path, parse_fusion_tensor)
 
 
 def check_s3_symmetry(T: FusionTensor) -> VerificationReport:

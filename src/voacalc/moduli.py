@@ -52,7 +52,7 @@ from functools import lru_cache
 
 from .exact import QQi
 from .fock import GradedVector, HeisenbergVOA
-from .reports import FixtureError, VerificationReport
+from .reports import FixtureError, VerificationReport, load_fixture
 
 ZERO = QQi(0)
 ONE = QQi(1)
@@ -794,13 +794,7 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
 
 
 def load_moduli_element(path) -> ModuliElement:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_moduli_element(fh.read(), str(path))
-    except OSError as e:
-        raise FixtureError(f"{path}: {e}")
-    except UnicodeDecodeError:
-        raise FixtureError(f"{path}: not UTF-8 text")
+    return load_fixture(path, parse_moduli_element)
 
 
 def format_moduli_element(Q: ModuliElement) -> str:

@@ -20,6 +20,18 @@ class FixtureError(Exception):
     """A fixture file failed to parse; the message carries file and line."""
 
 
+def load_fixture(path, parse):
+    """``parse(text, name)`` on the UTF-8 text of the file at ``path``; a
+    file that cannot be read or decoded raises ``FixtureError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read(), str(path))
+    except OSError as e:
+        raise FixtureError(f"{path}: {e}")
+    except UnicodeDecodeError:
+        raise FixtureError(f"{path}: not UTF-8 text")
+
+
 @dataclass
 class VerificationReport:
     """Outcome of one identity check.

@@ -2,14 +2,15 @@
 second copy of itself, with every formula recomputed by independent code."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from voacalc import axioms, contragredient as contra, fusion
-from voacalc.fock import (GradedVector, build_heisenberg, partitions,
-                          partitions_upto)
+from voacalc.fock import (GradedVector, build_heisenberg, exp_chain,
+                          partitions, partitions_upto)
 from voacalc.reports import Status
 
 
@@ -35,6 +36,22 @@ def independent_skew_block(V, w1, n, v):
         for i in range(1, j + 1):
             term = V.virasoro(-1, term).scale(Fraction(1, i))
         out = out + term
+    return out
+
+
+def skew_oracle(action, v, n, u, ceiling=None):
+    """The x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u for one n,
+    sum_j (-1)^(n+j+1) L(-1)^j/j! v_(n+j) u, with a fresh L(-1) chain of
+    each image: the per-n formula that ``axioms.skew_coefficients``
+    computes for many n at once."""
+    out = GradedVector()
+    if not v or not u:
+        return out
+    for j in range(max(v.weights()) + max(u.weights()) - n):
+        chain = exp_chain(action, -1, action.act(v, n + j, u, ceiling),
+                          ceiling, j + 1)
+        if len(chain) > j:
+            out = out + (chain[j] if (n + j) % 2 else -chain[j])
     return out
 
 
@@ -101,8 +118,7 @@ def test_skew_block_chains_match_skew_formula(ds4, args):
     V, form, ds = ds4
     w1, n, v, ceiling = args
     cap = ds.level if ceiling is None else ceiling
-    assert ds.w_on_v(w1, n, v, ceiling) == \
-        axioms.skew_coefficient(V, v, n, w1, cap)
+    assert ds.w_on_v(w1, n, v, ceiling) == skew_oracle(V, v, n, w1, cap)
 
 
 @given(st.sampled_from(partitions_upto(3)),
@@ -121,7 +137,7 @@ def test_map_built_after_corruption_sees_it(lw1, lv, n, data):
     clean = warm.w_on_v(w1, n, v)
     V.corrupt(lv, n, lw1, data.draw(st.sampled_from(partitions(target))), 1)
     fresh = contra.DirectSumMap(V, V, form, form).w_on_v(w1, n, v)
-    assert fresh == axioms.skew_coefficient(V, v, n, w1, 4)
+    assert fresh == skew_oracle(V, v, n, w1, 4)
     assert fresh != clean
     assert warm.w_on_v(w1, n, v) == clean
 
@@ -137,7 +153,51 @@ def test_skew_block_with_weight_lowering_translation():
     for w1l in ((), (1,)):
         for n in range(-5, 3):
             assert ds.w_on_v(B(w1l), n, B((1,))) == \
-                axioms.skew_coefficient(V, B((1,)), n, B(w1l), 4)
+                skew_oracle(V, B((1,)), n, B(w1l), 4)
+
+
+def _lowering_translation(V):
+    """The corruption above: L(-1) sends a(-3) to a(-1), so L(-1) chains
+    need never reach zero."""
+    V.corrupt((1, 1), 0, (3,), (1,), -1)
+    return V
+
+
+@given(skew_args(), st.integers(0, 6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_skew_coefficients_match_per_n_formula(args, width, corrupted):
+    # one call over a range of orders gives, for each, the per-n formula
+    w1, n, v, ceiling = args
+    V = build_heisenberg(4)
+    if corrupted:
+        _lowering_translation(V)
+    ns = range(n - width, n + 1)
+    got = axioms.skew_coefficients(V, v, w1, ns, ceiling)
+    assert list(got) == list(ns)
+    for m in ns:
+        assert got[m] == skew_oracle(V, v, m, w1, ceiling), m
+
+
+@pytest.mark.parametrize("corrupted", (False, True))
+@pytest.mark.parametrize("order", ("ascending", "descending", "shuffled"))
+def test_skew_block_in_any_order_of_n(order, corrupted):
+    # the map keeps the coefficients of one call from the lowest n asked;
+    # a lower n asks again, and every answer is the fresh one
+    V = build_heisenberg(4)
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
+    if corrupted:
+        _lowering_translation(V)
+    ds = contra.DirectSumMap(V, V, form, form)
+    ns = list(range(-6, 6))
+    if order == "descending":
+        ns.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(ns)
+    for w1l, vl in (((), (1,)), ((1,), (1,)), ((2,), (1, 1)), ((3,), (2,))):
+        v, w1 = B(vl), B(w1l)
+        for n in ns:
+            assert ds.w_on_v(w1, n, v) == skew_oracle(V, v, n, w1, 4), \
+                (w1l, vl, n)
 
 
 def test_module_block_orthogonal_to_module(ds4):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import operator
 import sys
 from fractions import Fraction
@@ -8,33 +9,95 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc.exact import QQi, exact_det, gauss_solve
+from voacalc.exact import QQi, gauss_solve
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def test_exact_det_of_integer_matrix_is_fraction():
-    det = exact_det([[2, 1], [1, 1]])
+    det, _ = gauss_solve([[2, 1], [1, 1]], [])
     assert isinstance(det, Fraction) and det == 1
-    det = exact_det([[3, 1, 0], [1, 3, 1], [0, 1, 3]])
+    det, _ = gauss_solve([[3, 1, 0], [1, 3, 1], [0, 1, 3]], [])
     assert isinstance(det, Fraction) and det == 21
 
 
 def test_gauss_solve_of_integer_system_is_fraction():
-    sol = gauss_solve([[2, 1], [1, 1]], [1, 0])
+    _, (sol,) = gauss_solve([[2, 1], [1, 1]], [[1, 0]])
     assert all(isinstance(x, Fraction) for x in sol)
     assert sol == [1, -1]
-    sol = gauss_solve([[3, 0], [0, 3]], [1, 2])
+    _, (sol,) = gauss_solve([[3, 0], [0, 3]], [[1, 2]])
     assert all(isinstance(x, Fraction) for x in sol)
     assert sol == [Fraction(1, 3), Fraction(2, 3)]
 
 
 def test_gauss_solve_gaussian_rationals():
-    sol = gauss_solve([[QQi(0, 1), QQi(1)], [QQi(1), QQi(1)]],
-                      [QQi(1), QQi(2)])
+    _, (sol,) = gauss_solve([[QQi(0, 1), QQi(1)], [QQi(1), QQi(1)]],
+                            [[QQi(1), QQi(2)]])
     # i x + y = 1, x + y = 2
     x, y = sol
     assert QQi(0, 1) * x + y == 1 and x + y == 2
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+exact_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def exact_systems(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[draw(exact_entries) for _ in range(n)] for _ in range(n)]
+    columns = [[draw(exact_entries) for _ in range(n)]
+               for _ in range(draw(st.integers(0, 2)))]
+    return rows, columns
+
+
+@given(exact_systems())
+@settings(max_examples=200, deadline=None)
+def test_gauss_solve_determinant_and_solutions(system):
+    rows, columns = system
+    det, sols = gauss_solve(rows, columns)
+    assert det == leibniz_det(rows)
+    if det == 0:
+        assert sols is None
+        return
+    assert len(sols) == len(columns)
+    for b, x in zip(columns, sols):
+        assert [sum(r[j] * x[j] for j in range(len(r))) for r in rows] == b
+
+
+def test_gauss_solve_singular_matrix():
+    assert gauss_solve([[1, 2], [2, 4]], [[1, 0]]) == (0, None)
+    assert gauss_solve([[0, 0, 1], [0, 1, 0], [0, 2, 0]], []) == (0, None)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.builds(QQi, exact_entries, exact_entries),
+                      min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.builds(QQi, exact_entries, exact_entries),
+             min_size=n, max_size=n))))
+@settings(max_examples=100, deadline=None)
+def test_gauss_solve_gaussian_rational_systems(system):
+    rows, b = system
+    det, sols = gauss_solve(rows, [b])
+    assert det == leibniz_det(rows)
+    if sols is not None:
+        x = sols[0]
+        assert [sum((r[j] * x[j] for j in range(len(r))), QQi(0))
+                for r in rows] == b
 
 
 # -- QQi against the two-Fraction representation it replaced ----------------
