@@ -599,6 +599,8 @@ def _dispatch(args) -> int:
             print(f"cutoff {N}: value {res.value} stable {res.stable}")
         return 0
 
+    if action == "axioms" and args.files:
+        raise ConfigError("moduli axioms takes no files")
     # `check <suite>`, `all`, and `contragredient verify`, `fusion verify`,
     # `moduli axioms`, whose commands are named after their suites
     if args.command == "all":

@@ -42,9 +42,11 @@ dispatches on the sectors of its labels: the algebra's row, the module's
 row, the skew formula ``axioms.skew_coefficients`` on the module action
 (module into sum), or the pairing of the L(1) chains of both arguments
 through the two forms (module on module, into the algebra). Rows end at
-the forms' top weight. The map keeps, on the instance, the skew
-coefficients of each (v, w1, ceiling) for every mode n from the lowest
-asked for, and each vector's L(1) chain.
+the forms' top weight. The map's memos are keyed by basis label: the
+skew coefficients of each (v, w1, ceiling) for every mode n from the
+lowest asked for, each module label's L(1) chain, and the images its
+entries pair through. ``w_on_v`` and ``w_on_w`` take labels too: vectors
+enter only through the shared ``act``.
 """
 
 from __future__ import annotations
@@ -74,10 +76,6 @@ def _int_first(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
-
-
-def _vec_key(v: GradedVector) -> tuple:
-    return tuple(sorted(v.coeff.items()))
 
 
 class ContragredientModule(RowAction):
@@ -509,12 +507,11 @@ class DirectSumMap(RowAction):
         self.level = min(V.level, W.level)
         # the forms' top weight, where every row ends
         self.top = min(max(form_V.blocks), max(form_W.blocks))
-        # (v, w1, cap) -> {n: skew coefficient} for n from the lowest asked
+        # (lv, l1, ceiling) -> {n: skew coefficient}, n from the lowest asked
         self._skew: dict = {}
-        # homogeneous w -> the L(1) chain of w
+        # module label -> its L(1) chain
         self._l1_chains: dict = {}
-        # L(1) chain entry -> {(v label, t): W.act(v, t, entry)}, read by
-        # the pairings of every (w1, n, w2) whose chains share the entry
+        # (l1, p) -> {(v label, t): W.act(v, t, entry p of l1's L(1) chain)}
         self._pairing_images: dict = {}
         # weight -> the columns of the inverse of the algebra form's block,
         # solved in one elimination and kept as their nonzero (index, value)
@@ -529,62 +526,50 @@ class DirectSumMap(RowAction):
             self._inverse_blocks[wt] = [[(i, c) for i, c in enumerate(col)
                                          if c] for col in cols]
 
-    # cross block: modes of the map sending the module into the sum,
-    # recovered from the module action by the skew formula
-    def w_on_v(self, w1: GradedVector, n: int, v: GradedVector,
-               ceiling: int | None = None) -> GradedVector:
-        cap = self.level if ceiling is None else ceiling
-        key = (_vec_key(v), _vec_key(w1), cap)
+    def w_on_v(self, l1: tuple, n: int, lv: tuple, ceiling: int) -> dict:
+        """The W-row of module label l1's mode n on algebra label lv: the
+        cross block, from the module action by the skew formula."""
+        key = (lv, l1, ceiling)
         got = self._skew.get(key)
         if got is None or n < min(got):
             # every n from this one to the last with a nonzero coefficient
-            top = max(v.weights(), default=0) + max(w1.weights(), default=0)
             got = self._skew[key] = axioms.skew_coefficients(
-                self.W, v, w1, range(n, max(top, n + 1)), cap)
-        return got.get(n, GradedVector())
+                self.W, GradedVector.basis(lv), GradedVector.basis(l1),
+                range(n, max(sum(lv) + sum(l1), n + 1)), ceiling)
+        return got.get(n, GradedVector()).coeff
 
-    def _l1_chain(self, w: GradedVector) -> list:
-        key = _vec_key(w)
-        out = self._l1_chains.get(key)
+    def _l1_chain(self, lw: tuple) -> list:
+        out = self._l1_chains.get(lw)
         if out is None:
-            out = self._l1_chains[key] = exp_chain(
-                self.W, 1, w, self.W.level, w.weight() + 1)
+            out = self._l1_chains[lw] = exp_chain(
+                self.W, 1, GradedVector.basis(lw), self.W.level, sum(lw) + 1)
         return out
 
     # block (1-60): V-component of Y(w1, x)w2 via the two forms
-    def w_on_w(self, w1: GradedVector, n: int, w2: GradedVector,
-               ceiling: int | None = None) -> GradedVector:
-        cap = self.level if ceiling is None else ceiling
-        out = GradedVector()
-        for wt1 in sorted(w1.weights()):
-            p1 = w1.component(wt1)
-            for wt2 in sorted(w2.weights()):
-                p2 = w2.component(wt2)
-                target = wt1 + wt2 - n - 1
-                if target < 0 or target > cap:
-                    continue
-                labs = partitions(target)
-                c1, c2 = self._l1_chain(p1), self._l1_chain(p2)
-                rhs = [self._pairing_rhs(v_lab, c1, wt1, n, c2)
-                       for v_lab in labs]
-                sol = {}
-                for col, r in zip(self._inverse_blocks[target], rhs):
-                    if not r:
-                        continue
-                    for i, c in col:
-                        sol[labs[i]] = sol.get(labs[i], 0) + c * r
-                out = out + GradedVector(sol)
-        return out
+    def w_on_w(self, l1: tuple, n: int, l2: tuple, target: int) -> dict:
+        """The weight-target algebra row of module label l1's mode n on l2."""
+        if target < 0:
+            return {}
+        labs = partitions(target)
+        sol = {}
+        for col, v_lab in zip(self._inverse_blocks[target], labs):
+            r = self._pairing_rhs(v_lab, l1, n, l2)
+            if not r:
+                continue
+            for i, c in col:
+                sol[labs[i]] = sol.get(labs[i], 0) + c * r
+        return {lab: c for lab, c in sol.items() if c}
 
-    def _pairing_rhs(self, v_lab: tuple, chain1: list, wt1: int, n: int,
-                     chain2: list) -> Fraction:
-        """(v, Y(w1, x)w2)_V coefficient of x^{-n-1}, evaluated through the
-        module form from the L(1) chains of w1 (of weight wt1) and w2."""
+    def _pairing_rhs(self, v_lab: tuple, l1: tuple, n: int,
+                     l2: tuple) -> Fraction:
+        """(v, Y(l1, x)l2)_V coefficient of x^{-n-1}, evaluated through the
+        module form from the L(1) chains of l1 and l2."""
         v = GradedVector.basis(v_lab)
+        wt1 = sum(l1)
         total = 0
-        for p, lp in enumerate(chain1):
-            images = self._pairing_images.setdefault(_vec_key(lp), {})
-            for q, lq in enumerate(chain2):
+        for p, lp in enumerate(self._l1_chain(l1)):
+            images = self._pairing_images.setdefault((l1, p), {})
+            for q, lq in enumerate(self._l1_chain(l2)):
                 t = 2 * wt1 - n - 2 - p + q
                 img = images.get((v_lab, t))
                 if img is None:
@@ -610,11 +595,9 @@ class DirectSumMap(RowAction):
         if lu[-1:] != (0,):
             if lv[-1:] != (0,):
                 return self.V.row(lu, n, lv)
-            return {lab + (0,): c
-                    for lab, c in self.W.row(lu, n, lv[:-1]).items()}
-        w1 = GradedVector.basis(lu[:-1])
-        if lv[-1:] == (0,):
-            return self.w_on_w(w1, n, GradedVector.basis(lv[:-1]),
-                               target).coeff
-        return in_module(self.w_on_v(w1, n, GradedVector.basis(lv),
-                                     max(self.level, target))).coeff
+            img = self.W.row(lu, n, lv[:-1])
+        elif lv[-1:] == (0,):
+            return self.w_on_w(lu[:-1], n, lv[:-1], target)
+        else:
+            img = self.w_on_v(lu[:-1], n, lv, max(self.level, target))
+        return {lab + (0,): c for lab, c in img.items()}

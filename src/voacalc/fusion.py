@@ -8,10 +8,10 @@ unit behavior, and associativity. Intertwiner data is checked against
 lower truncation, the three-term identity, and the derivative property;
 ``check_intertwiner`` takes several intertwiners at once and visits
 their three-term triples by weight signature, so they share plans.
-The stored modes are an action like any other: ``IntertwinerAction``
-supplies their rows to the protocol of ``axioms.VOAAction``, so the
-three-term engine takes it beside the modules themselves (the algebra or
-a contragredient module).
+The stored modes are an action like any other: ``IntertwinerData`` is a
+``fock.RowAction`` whose rows are its stored entries, so the three-term
+engine takes it beside the modules themselves (the algebra or a
+contragredient module).
 """
 
 from __future__ import annotations
@@ -275,9 +275,13 @@ def check_unit(A: VerlindeAlgebra) -> VerificationReport:
 # -- intertwining operators ----------------------------------------------
 
 
-@dataclass
-class IntertwinerData:
-    """Mode maps of a candidate intertwining operator of a fixed type.
+@dataclass(eq=False)
+class IntertwinerData(RowAction):
+    """Mode maps of a candidate intertwining operator of a fixed type, as
+    an ``axioms.VOAAction``: a row is the stored entry, and ``act`` is the
+    shared ``fock.RowAction.act``, clipped at the output module's level.
+    True loss is the output module's, and no stored operator acts as a
+    delta. Like every action, it is equal only to itself.
 
     Modes are stored at integer offsets j; the true mode index is j plus
     the declared rational shift, which must be shared by every entry.
@@ -292,27 +296,14 @@ class IntertwinerData:
     shift: Fraction
     modes: dict
 
-    @property
-    def level(self) -> int:
-        return min(self.m1.level, self.m2.level, self.m3.level)
-
-
-class IntertwinerAction(RowAction):
-    """The stored mode maps as an ``axioms.VOAAction``: a row is the stored
-    entry, and ``act`` is the shared ``fock.RowAction.act``, clipped at the
-    output module's level. True loss is the output module's, and no stored
-    operator acts as a delta."""
-
-    def __init__(self, data: IntertwinerData):
-        self.data = data
-        self.V = data.V
-        self.level = data.m3.level
+    def __post_init__(self):
+        self.level = self.m3.level
 
     def row(self, l1: tuple, j: int, l2: tuple) -> dict:
-        return self.data.modes.get((l1, j, l2), {})
+        return self.modes.get((l1, j, l2), {})
 
     def true_nonzero(self, op, j, vec) -> bool:
-        return self.data.m3.true_nonzero(op, j, vec)
+        return self.m3.true_nonzero(op, j, vec)
 
     def kron(self, op) -> int | None:
         return None
@@ -373,7 +364,7 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
     the three-term engine is built once per call. A failure reports the
     intertwiner's first failing triple in basis order.
     """
-    out, acts = [], []
+    out, acts, levels = [], [], []
     groups: dict = {}   # signature key -> [(intertwiner, index, triple)]
     for x, I in enumerate(Is):
         reports = []
@@ -388,29 +379,30 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
         # derivative: modes of the shifted operator against the raised vector
         diffs = []
         h = I.shift
-        y_act = IntertwinerAction(I)
+        level = min(I.m1.level, I.m2.level, I.m3.level)
+        levels.append(level)
         for l1 in I.m1.basis_upto(I.m1.level - 1):
             w1 = GradedVector.basis(l1)
             dw1 = I.m1.virasoro(-1, w1)
             for l2 in I.m2.basis_upto():
                 w2 = GradedVector.basis(l2)
-                for j in range(-(2 * I.level + 2), sum(l1) + sum(l2) + 1):
-                    lhs = y_act.act(w1, j, w2).scale(-(Fraction(j) + h + 1))
+                for j in range(-(2 * level + 2), sum(l1) + sum(l2) + 1):
+                    lhs = I.act(w1, j, w2).scale(-(Fraction(j) + h + 1))
                     diff_labels(diffs, (l1, l2, j), lhs.coeff,
-                                y_act.act(dw1, j + 1, w2).coeff)
+                                I.act(dw1, j + 1, w2).coeff)
         reports.append(VerificationReport.from_diffs(
             "intertwiner-derivative", f"shift={I.shift}", diffs))
         out.append(reports)
 
         # the three-term triples, grouped by signature key
-        acts.append(axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
-                                         in2=I.m2, iterate=I.m1, out3=y_act))
-        width = max(win.hi(v) for v in win.variables) + I.level + 1
-        for at, triple in enumerate(product(I.V.basis_upto(min(I.level, 2)),
-                                            I.m1.basis_upto(I.level),
-                                            I.m2.basis_upto(I.level))):
+        acts.append(axioms.JacobiActions(out1=I.m3, in1=I, out2=I, in2=I.m2,
+                                         iterate=I.m1, out3=I))
+        width = max(win.hi(v) for v in win.variables) + level + 1
+        for at, triple in enumerate(product(I.V.basis_upto(min(level, 2)),
+                                            I.m1.basis_upto(level),
+                                            I.m2.basis_upto(level))):
             sig = tuple(map(sum, triple))
-            shaped = shaped_jacobi_window(*sig, I.level, width)
+            shaped = shaped_jacobi_window(*sig, level, width)
             if shaped is not None:
                 groups.setdefault((sig, shaped, I.m3.level), []).append(
                     (x, at, triple))
@@ -427,8 +419,8 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
             if rep.failed and at < fails[x][0]:
                 fails[x] = at, rep
             checked[x] += 1
-    for I, reports, (_, rep), n in zip(Is, out, fails, checked):
-        params = f"wt<=({I.level})"
+    for level, reports, (_, rep), n in zip(levels, out, fails, checked):
+        params = f"wt<=({level})"
         if rep is None and n == 0:
             rep = VerificationReport.skipped("intertwiner-jacobi", params,
                                              "no in-budget window")

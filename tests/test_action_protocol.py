@@ -25,10 +25,8 @@ def _actions():
         "algebra": V,
         "dual": Mp,
         "double-dual": contra.ContragredientModule(Mp),
-        "intertwiner-algebra": fusion.IntertwinerAction(
-            fusion.intertwiner_from_algebra(V)),
-        "intertwiner-dual": fusion.IntertwinerAction(
-            fusion.intertwiner_from_module(V, Mp)),
+        "intertwiner-algebra": fusion.intertwiner_from_algebra(V),
+        "intertwiner-dual": fusion.intertwiner_from_module(V, Mp),
         "direct-sum": contra.DirectSumMap(V, V, form, form),
     }
 
@@ -103,11 +101,10 @@ def test_lowered_level_clips_at_that_level():
 def test_corrupted_intertwiner_entry_changes_act_and_fails():
     V = build_heisenberg(LEVEL)
     I = fusion.intertwiner_from_algebra(V)
-    act = fusion.IntertwinerAction(I)
     key = ((1,), 1, (1, 1))
-    clean = act.act(B(key[0]), key[1], B(key[2]))
+    clean = I.act(B(key[0]), key[1], B(key[2]))
     lab = min(I.modes[key])
     I.modes[key] = {**I.modes[key], lab: I.modes[key][lab] + 1}
-    assert act.act(B(key[0]), key[1], B(key[2])) != clean
+    assert I.act(B(key[0]), key[1], B(key[2])) != clean
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     assert any(r.failed for r in fusion.check_intertwiner([I], win)[0])

@@ -542,9 +542,8 @@ def _actions(V, slot, moved=None):
             key = keys[pick % len(keys)]
             lab = min(I.modes[key])
             I.modes[key] = {**I.modes[key], lab: I.modes[key][lab] + 1}
-    y_act = fusion.IntertwinerAction(I)
-    return axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
-                                in2=I.m2, iterate=I.m1, out3=y_act)
+    return axioms.JacobiActions(out1=I.m3, in1=I, out2=I,
+                                in2=I.m2, iterate=I.m1, out3=I)
 
 
 @pytest.mark.parametrize("slot", ["algebra", "dual", "intertwiner"])

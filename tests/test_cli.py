@@ -152,6 +152,13 @@ def test_leftover_arguments_rejected(argv, capsys):
     assert argv[-1] in capsys.readouterr().err
 
 
+def test_moduli_axioms_refuses_files(capsys):
+    # the suite reads no file; a file named to it is an error, not ignored
+    code, out, err = run_cli(["moduli", "axioms", "/nonexistent.mod"], capsys)
+    assert code == 2 and out == ""
+    assert "moduli axioms" in err
+
+
 def test_bad_fixture_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.fus"
     bad.write_text("labels: V\nV V 1\n")

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from voacalc import axioms, cli, contragredient as contra, fusion
 from voacalc.fock import GradedVector, build_heisenberg
-from voacalc.reports import FixtureError, VerificationReport, fmt_vec
+from voacalc.reports import (FixtureError, Status, VerificationReport,
+                             fmt_vec)
 from voacalc.series import Window
 
 FIXTURES = resources.files("voacalc") / "fixtures"
@@ -382,6 +383,24 @@ class TestIntertwiners:
         reps = {r.identity: r for r in fusion.check_intertwiner([I], win)[0]}
         assert reps["intertwiner-derivative"].failed
 
+    def test_unequal_levels_read_the_least_and_clip_at_the_output(self, V):
+        # both slots at level 3, the output at level 4: the checks read the
+        # least of the three levels, and the stored operator clips at its
+        # output's, so it keeps weight-4 images
+        V4 = build_heisenberg(4)
+        I = fusion._intertwiner_from_action(V4, V, V, V4)
+        win = Window.symmetric(("x0", "x1", "x2"), 2)
+        reps = fusion.check_intertwiner([I], win)[0]
+        assert [(r.identity, r.params, r.status, r.note, r.diffs)
+                for r in reps] == [
+            ("intertwiner-truncation", "shift=0", Status.PASS, "", []),
+            ("intertwiner-derivative", "shift=0", Status.PASS, "", []),
+            ("intertwiner-jacobi", "wt<=(3)", Status.PASS, "196 instances",
+             [])]
+        assert I.level == 4
+        assert I.act(GradedVector.basis((3,)), -1,
+                     GradedVector.basis((1,))) == GradedVector.basis((3, 1))
+
     def test_first_failure_in_triple_order_is_reported(self):
         # the triples run v, then w1, then w2 over the basis; they are
         # visited by weight signature. Key A first fails at
@@ -405,9 +424,8 @@ class TestIntertwiners:
 
         # the ungrouped loop's first failure, and the premise: B's triple
         # fails, with a smaller signature
-        y_act = fusion.IntertwinerAction(I)
-        acts = axioms.JacobiActions(out1=I.m3, in1=y_act, out2=y_act,
-                                    in2=I.m2, iterate=I.m1, out3=y_act)
+        acts = axioms.JacobiActions(out1=I.m3, in1=I, out2=I,
+                                    in2=I.m2, iterate=I.m1, out3=I)
         width = 2 + I.level + 1
 
         def run(lv, l1, l2):
