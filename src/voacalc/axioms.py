@@ -33,13 +33,15 @@ at the first product in plan order whose outer mode can see it, the
 images in the order of those products, and the check skips at the first
 lost one before it computes any product. Otherwise it walks the groups:
 it computes each inner image once, skips all products of a zero image,
-scatters the nonzero products of the others and diffs the positions in
-order. Nothing is memoised; each image and product is computed once by
-construction. A plan holds no value, so the last few are kept across
-calls: a constant corrupted between two calls, as negative controls do,
-is seen by the second, and dual and intertwiner actions reuse the
-algebra's plan safely. Coefficients stay integers until a genuine
-fraction enters.
+and scatters the nonzero products of the others into one list per side
+and basis label, indexed by position. The check passes when each label's
+two lists are equal; otherwise the labels whose lists differ are diffed
+by (position, label). Nothing is memoised; each image and product is
+computed once by construction. A plan holds no value, so the last few
+are kept across calls: a constant corrupted between two calls, as
+negative controls do, is seen by the second, and dual and intertwiner
+actions reuse the algebra's plan safely. Coefficients stay integers
+until a genuine fraction enters: the lists start as int 0.
 
 The skew formula, the x^(-n-1) coefficients of e^{xL(-1)} Y(v, -x) u, is
 written once (``skew_coefficients``) for the skew-symmetry check, the
@@ -187,8 +189,10 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
     in plan order, that can see it, and the first lost one skips the
     check. Otherwise each image of nonnegative weight is computed once, a
     zero one skipping all of its products; the products of the others are
-    computed and scattered, and the positions either side reached are
-    diffed in order."""
+    computed, and each label of a nonzero one is scattered over its feed
+    into that side's list for the label, one entry per position. A label
+    whose two lists are equal holds everywhere; the others are diffed by
+    (position, label)."""
     positions, groups = _PLANS[layout](layout, W, win, level, rows)
     seen = []   # (n, term, j, p) of each image's first product that sees it
     for (term, j), entries in groups.items():
@@ -203,7 +207,8 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
             return VerificationReport.skipped(
                 identity, params,
                 f"{t.note} weight {t.yz_weight - j - 1} at {positions[p]}")
-    lhs, rhs = sides = ({}, {})   # position -> {label: coefficient}
+    zeros = [0] * len(positions)
+    lhs, rhs = sides = ({}, {})   # label -> coefficient at each position
     for (term, j), entries in groups.items():
         t = terms[term]
         img = t.image(j)
@@ -213,17 +218,22 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
             val = t.compute(i, img)
             if val:
                 live = sides[side]
-                it = iter(feed)
-                for p, co in zip(it, it):
-                    acc = live.get(p)
+                for label, x in val.items():
+                    acc = live.get(label)
                     if acc is None:
-                        acc = live[p] = {}
-                    for label, x in val.items():
-                        acc[label] = acc.get(label, 0) + co * x
-    diffs: list = []
-    for p in sorted(lhs.keys() | rhs.keys()):
-        diff_labels(diffs, positions[p], lhs.get(p, {}), rhs.get(p, {}))
-    return VerificationReport.from_diffs(identity, params, diffs)
+                        acc = live[label] = zeros.copy()
+                    it = iter(feed)
+                    for p, co in zip(it, it):
+                        acc[p] += co * x
+    diffs = []   # (p, label, lhs, rhs)
+    for label in lhs.keys() | rhs.keys():
+        left, right = lhs.get(label, zeros), rhs.get(label, zeros)
+        if left != right:
+            diffs += [(p, label, lc, rc) for p, (lc, rc)
+                      in enumerate(zip(left, right)) if lc != rc]
+    diffs.sort(key=lambda d: d[:2])
+    return VerificationReport.from_diffs(identity, params, [
+        (positions[p] + (label,), lc, rc) for p, label, lc, rc in diffs])
 
 
 def three_term_check(p: GradedVector, q: GradedVector, tgt,
@@ -278,7 +288,8 @@ def check_jacobi(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
 
 
 def skew_coefficients(action: VOAAction, v: GradedVector, u: GradedVector,
-                      ns, ceiling: int | None = None) -> dict:
+                      ns, ceiling: int | None = None,
+                      images: dict | None = None) -> dict:
     """{n: the x^(-n-1) coefficient of e^{xL(-1)} Y(v, -x) u} for each n
     in ``ns``,
 
@@ -287,14 +298,17 @@ def skew_coefficients(action: VOAAction, v: GradedVector, u: GradedVector,
     which skew-symmetry equates with u_n v. The modes and L(-1) are
     ``action``'s, each clipped at the ceiling. Each image v_m u and its
     ``exp_chain`` are computed once; the chain runs to the entry that the
-    smallest n reads."""
+    smallest n reads. A given ``images`` dict receives each image, as
+    {m: v_m u}."""
     out = {n: GradedVector() for n in ns}
     if not out or not v or not u:
         return out
     lo = min(out)
     for m in range(lo, max(v.weights()) + max(u.weights())):
-        chain = exp_chain(action, -1, action.act(v, m, u, ceiling), ceiling,
-                          m - lo + 1)
+        img = action.act(v, m, u, ceiling)
+        if images is not None:
+            images[m] = img
+        chain = exp_chain(action, -1, img, ceiling, m - lo + 1)
         for n in out:
             if n <= m < n + len(chain):
                 out[n] = out[n] + (chain[m - n] if m % 2 else -chain[m - n])
@@ -632,13 +646,11 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
                         f"skew-inner weight {wu+wv+e} at x0^{e}")
     # the x0^a coefficient of the skew side is skew[-a - 1], the x^a one of
     # e^{xL(-1)} Y(v, -x)u; the shift side reads B_e = (-1)^e v_{-e-1} u,
-    # the skew-reversed iterate
-    skew = skew_coefficients(V, v, u, [-a - 1 for a in rows])
-    b_parts = {}
-    for e in range(-(wu + wv), max(rows, default=-(wu + wv) - 1) + 1):
-        base = V.act(v, -e - 1, u)
-        if base:
-            b_parts[e] = base.scale((-1) ** (e % 2))
+    # the skew-reversed iterate, from the images v_m u the skew side made
+    images = {}
+    skew = skew_coefficients(V, v, u, [-a - 1 for a in rows], images=images)
+    b_parts = {-m - 1: base.scale(1 if m % 2 else -1)
+               for m, base in images.items() if base}
     for a, cs in rows.items():
         inner = V.act(u, -a - 1, v)
         for c in cs:

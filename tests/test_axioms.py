@@ -132,15 +132,31 @@ def _touched(u, v, w):
 
 
 def test_failing_records_hold_exact_coefficients():
-    # the plans' signs (-1)^a, (-1)^c for negative exponents must stay
-    # ints: a float would compare equal and pass unnoticed
+    # the plans' signs (-1)^a, (-1)^c for negative exponents and the
+    # engine's sums, which start from int 0, must stay exact: a float would
+    # compare equal and pass unnoticed
     u, v, w = B((2,)), B((1,)), B((1,))
-    for check in (axioms.check_jacobi, axioms.check_translate_skew):
+    keys = _touched(u, v, w)
+    reports = []
+    for check in (axioms.check_jacobi, axioms.check_translate_skew,
+                  lambda V, *args: contra.check_contragredient_jacobi(
+                      contra.ContragredientModule(V), *args)):
         V = build_heisenberg(6)
-        for key in _touched(u, v, w):
+        for key in keys:
             V.corrupt(*key, min(V.mode_basis(*key)), 1)
-        rep = check(V, u, v, w, WIN3)
-        assert rep.failed
+        reports.append(check(V, u, v, w, WIN3))
+    # a stored intertwiner, its modes moved at the same keys
+    I = fusion.intertwiner_from_algebra(build_heisenberg(3))
+    for key in keys:
+        if I.modes.get(key):
+            lab = min(I.modes[key])
+            I.modes[key] = {**I.modes[key], lab: I.modes[key][lab] + 1}
+    reports.append(fusion.check_intertwiner([I], WIN2)[0][-1])
+    assert [r.identity for r in reports] == [
+        "jacobi", "translate-skew-rewrite", "dual-jacobi",
+        "intertwiner-jacobi"]
+    for rep in reports:
+        assert rep.failed and rep.diffs, rep.identity
         assert {type(x) for _, *vals in rep.diffs for x in vals} <= \
             {int, Fraction}
 
@@ -352,13 +368,17 @@ def _naive_product(outer, x, inner, y, z, iterate, kron, note, i, j):
     return (outer.act(img, i, x) if iterate else outer.act(x, i, img)).coeff
 
 
-def _naive_report(win, weight, level, terms):
-    """terms(a, b, c) yields (side, term, i, j, coefficient) in key order;
-    side 0 is the left-hand side."""
-    keys = [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
+def _naive_keys(win, weight, level):
+    return [(a, b, c) for a in range(win.lo("x0"), win.hi("x0") + 1)
             for b in range(win.lo("x1"), win.hi("x1") + 1)
             for c in range(win.lo("x2"), win.hi("x2") + 1)
             if 0 <= weight + a + b + c + 1 <= level]
+
+
+def _naive_report(win, weight, level, terms):
+    """terms(a, b, c) yields (side, term, i, j, coefficient) in key order;
+    side 0 is the left-hand side."""
+    keys = _naive_keys(win, weight, level)
     for pos in keys:
         for _, term, i, j, _ in terms(*pos):
             _, _, inner, y, z, _, kron, note = term
@@ -382,6 +402,12 @@ def _naive_report(win, weight, level, terms):
 
 
 def _naive_three_term(p, q, t, win, acts):
+    level = min(acts.out1.level, acts.out2.level, acts.out3.level)
+    return _naive_report(win, p.weight() + q.weight() + t.weight(), level,
+                         _naive_three_terms(p, q, t, acts))
+
+
+def _naive_three_terms(p, q, t, acts):
     pw, qw, tw = p.weight(), q.weight(), t.weight()
     first = (acts.out1, p, acts.in1, q, t, False, acts.out1.kron(p),
              "product-inner")
@@ -404,8 +430,7 @@ def _naive_three_term(p, q, t, win, acts):
             if co:
                 yield 1, third, -(b + c + k + 2), k - a - 1, co
 
-    level = min(acts.out1.level, acts.out2.level, acts.out3.level)
-    return _naive_report(win, pw + qw + tw, level, terms)
+    return terms
 
 
 def _naive_translate_skew(V, u, v, w, win):
@@ -580,6 +605,72 @@ def test_translate_skew_matches_naive_evaluator(case):
         V, u, v, w, win))
     assert (_engine(got), calls) == _distinct(
         V, lambda: _naive_translate_skew(V, u, v, w, win))
+
+
+# One fixed failing check per slot: (omega, [1], [1]) at level 6 on WIN2,
+# omega bringing in the Fraction 1/2, with one structure constant (the
+# algebra's, the dual's through its algebra, or a stored mode) moved by +1.
+# Each case's diffs span several positions with several labels at some,
+# and at a diffed coefficient one side's contributions cancel to 0.
+FAILING_CASES = {"algebra": (((1,), -1, (1,)), (1, 1)),
+                 "dual": (((1,), -1, ()), (1,)),
+                 "intertwiner": (((1,), 1, (1,)), ())}
+
+
+def _failing_actions(slot):
+    V = build_heisenberg(6)
+    key, lab = FAILING_CASES[slot]
+    if slot != "intertwiner":
+        V.corrupt(*key, lab, 1)
+        return V, _actions(V, slot)
+    acts = _actions(V, slot)
+    modes = acts.in1.modes
+    modes[key] = {**modes[key], lab: modes[key][lab] + 1}
+    return V, acts
+
+
+def _cancelled(win, weight, level, terms):
+    """The (position + (label,), side) at which two or more nonzero
+    contributions of the naive sweep sum to 0."""
+    out = set()
+    for pos in _naive_keys(win, weight, level):
+        parts = ({}, {})
+        for side, term, i, j, co in terms(*pos):
+            for label, x in _naive_product(*term, i, j).items():
+                if co * x:
+                    parts[side].setdefault(label, []).append(co * x)
+        out |= {(pos + (label,), side) for side in (0, 1)
+                for label, xs in parts[side].items()
+                if len(xs) > 1 and not sum(xs)}
+    return out
+
+
+def _typed(diffs):
+    return [(where, type(lc), lc, type(rc), rc) for where, lc, rc in diffs]
+
+
+@pytest.mark.parametrize("slot", ["algebra", "dual", "intertwiner"])
+def test_failing_check_matches_naive_evaluator_exactly(slot):
+    V, acts = _failing_actions(slot)
+    p, q, t = V.omega, B((1,)), B((1,))
+    got = _engine(axioms.three_term_check(p, q, t, WIN2, acts, "jacobi", "-"))
+    want = _naive_three_term(p, q, t, WIN2, acts)
+    assert got[:2] == want[:2] == (Status.FAIL, "")
+    assert _typed(got[2]) == _typed(want[2])
+    # the case reaches what the scatter and the diff assembly must get
+    # right: many positions, several labels at one, Fraction coefficients
+    # and a diffed coefficient whose side cancelled to 0
+    diffs = want[2]
+    labels_at = {}
+    for where, _, _ in diffs:
+        labels_at.setdefault(where[:3], []).append(where[3])
+    assert len(labels_at) >= 3 and max(map(len, labels_at.values())) >= 2
+    assert Fraction in {type(x) for _, *vals in diffs for x in vals}
+    cancelled = _cancelled(WIN2, 4, 6, _naive_three_terms(p, q, t, acts))
+    assert any((where, side) in cancelled and not (lc, rc)[side]
+               for where, lc, rc in diffs for side in (0, 1))
+    # negative control: the same diffs sorted by (label, position) differ
+    assert sorted(diffs, key=lambda d: (d[0][3], d[0][:3])) != diffs
 
 
 def test_a_skipped_check_computes_no_product():

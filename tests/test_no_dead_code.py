@@ -68,10 +68,13 @@ class _Scan(ast.NodeVisitor):
 
 def _definitions() -> dict:
     """Qualified name -> whether a reference outside its body names it."""
-    scans = []
+    # the trees stay alive until the end, so that no two modules' nodes
+    # share an id: a freed tree's ids are reused by the next module's
+    scans, trees = [], []
     for path in sorted(SRC.glob("*.py")):
         scan = _Scan(path.stem)
-        scan.visit(ast.parse(path.read_text(), str(path)))
+        trees.append(ast.parse(path.read_text(), str(path)))
+        scan.visit(trees[-1])
         scans.append(scan)
     refs = [ref for scan in scans for ref in scan.refs]
     return {qual: any(n == name and (attr or not method) and node not in inside
