@@ -13,10 +13,14 @@ imported here under the same name: ``level``, ``row`` (one basis label's
 mode on another), ``act`` (clipped at ``level`` unless given a ceiling),
 ``true_nonzero`` and ``kron``. The algebra is an action itself; the dual,
 the stored intertwiners and the direct-sum map supply rows and share
-``fock.RowAction.act``. The loss test ``true_nonzero`` is exact: an inner
-image with true content above the working level marks the instance out of
-budget whenever an outer mode could map that content back into the
-observable range.
+``fock.RowAction.act``. The three-term engine applies modes through the
+rows too, with the loop that ``RowAction.act`` runs, ``fock.apply_pairs``:
+it sums c row(lu, n, lv) over label pairs (``fock.label_pairs``) that the
+engine forms once and reads at many n, keeping a pair when its image
+weight lies in 0..level, as every ``act`` does. The loss test ``true_nonzero``
+is exact: an inner image with true content above the working level marks
+the instance out of budget whenever an outer mode could map that content
+back into the observable range.
 
 The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
@@ -32,9 +36,11 @@ exactness first: each image above the inner level is loss-tested once,
 at the first product in plan order whose outer mode can see it, the
 images in the order of those products, and the check skips at the first
 lost one before it computes any product. Otherwise it walks the groups:
-it computes each inner image once, skips all products of a zero image,
-and scatters the nonzero products of the others into one list per side
-and basis label, indexed by position. The check passes when each label's
+it computes each inner image once, over the (y, z) label pairs formed
+once per check, skips all products of a zero image, computes the
+products of the others over the (x, image) pairs formed once per image,
+and scatters the nonzero products into one list per side and basis
+label, indexed by position. The check passes when each label's
 two lists are equal; otherwise the labels whose lists differ are diffed
 by (position, label). Nothing is memoised; each image and product is
 computed once by construction. A plan holds no value, so the last few
@@ -58,7 +64,8 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import binom
-from .fock import GradedVector, HeisenbergVOA, VOAAction, exp_chain
+from .fock import (GradedVector, HeisenbergVOA, VOAAction, apply_pairs,
+                   exp_chain, label_pairs)
 from .reports import (Status, VerificationReport, diff_labels, fmt_label,
                       fmt_vec)
 from .series import Window, delta_rows
@@ -97,26 +104,29 @@ class _Term:
     within one check call. An inner image y_j z above the inner action's
     level is lost when its true value is nonzero and the outer mode can
     see it: ``kron`` is the one outer index at which x acts, when x is a
-    vacuum multiple."""
+    vacuum multiple. Its (y, z) label pairs are formed once per check."""
 
     def __init__(self, outer, x, inner, y, z, iterate: bool, kron, note: str):
         self.outer, self.x, self.inner, self.y, self.z = outer, x, inner, y, z
         self.iterate, self.kron, self.note = iterate, kron, note
         self.yz_weight = y.weight() + z.weight()
+        self.yz = label_pairs(y.coeff, z.coeff)
 
     def lost(self, j: int) -> bool:
         return self.inner.true_nonzero(self.y, j, self.z)
 
-    def image(self, j: int):
-        """y_j z, or None where its weight is negative or above the inner
-        action's level."""
-        if 0 <= self.yz_weight - j - 1 <= self.inner.level:
-            return self.inner.act(self.y, j, self.z)
-        return None
+    def image_pairs(self, j: int) -> list:
+        """The (x, image) label pairs of the image y_j z, formed once for
+        all the products of its group; empty where the image is zero, or
+        its weight is negative or above the inner action's level."""
+        if not 0 <= self.yz_weight - j - 1 <= self.inner.level:
+            return []
+        img = apply_pairs(self.inner.row, self.yz, j, self.inner.level)
+        return (label_pairs(img, self.x.coeff) if self.iterate
+                else label_pairs(self.x.coeff, img))
 
-    def compute(self, i: int, img: GradedVector) -> dict:
-        return (self.outer.act(img, i, self.x) if self.iterate
-                else self.outer.act(self.x, i, img)).coeff
+    def compute(self, i: int, pairs: list) -> dict:
+        return apply_pairs(self.outer.row, pairs, i, self.outer.level)
 
 
 def _jacobi_layout(pos, W, prod, iterate):
@@ -189,10 +199,11 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
     in plan order, that can see it, and the first lost one skips the
     check. Otherwise each image of nonnegative weight is computed once, a
     zero one skipping all of its products; the products of the others are
-    computed, and each label of a nonzero one is scattered over its feed
-    into that side's list for the label, one entry per position. A label
-    whose two lists are equal holds everywhere; the others are diffed by
-    (position, label)."""
+    computed by the pair loop over the image's (x, image) pairs, formed
+    once for its group, and each label of a nonzero one is scattered over
+    its feed into that side's list for the label, one entry per position.
+    A label whose two lists are equal holds everywhere; the others are
+    diffed by (position, label)."""
     positions, groups = _PLANS[layout](layout, W, win, level, rows)
     seen = []   # (n, term, j, p) of each image's first product that sees it
     for (term, j), entries in groups.items():
@@ -211,11 +222,11 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
     lhs, rhs = sides = ({}, {})   # label -> coefficient at each position
     for (term, j), entries in groups.items():
         t = terms[term]
-        img = t.image(j)
-        if not img:
+        pairs = t.image_pairs(j)
+        if not pairs:
             continue
         for _, i, side, _, feed in entries:
-            val = t.compute(i, img)
+            val = t.compute(i, pairs)
             if val:
                 live = sides[side]
                 for label, x in val.items():

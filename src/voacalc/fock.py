@@ -52,11 +52,16 @@ so a coefficient that is integral stays an ``int``. They are never
 ``float``.
 
 ``VOAAction`` is the base of every action (see ``axioms``); the algebra
-is one, acting on itself with ``row`` = ``mode_basis``. ``RowAction.act``
-is the one bilinear mode loop of the spaces whose modes are given on basis
-labels, ``row(lu, n, lv)``: the contragredient module, the stored
-intertwiner modes and the direct-sum map. It keeps a pair when its image
-weight lies in 0..ceiling, as the algebra's ``act`` does.
+is one, acting on itself with ``row`` = ``mode_basis``. ``apply_pairs`` is
+the one bilinear mode loop over rows: it sums c row(lu, n, lv) over the
+label pairs of two vectors (``label_pairs``), keeping a pair when its
+image weight lies in 0..ceiling, as the algebra's ``act`` does.
+``RowAction.act``, the action of the spaces whose modes are given on basis
+labels (the contragredient module, the stored intertwiner modes and the
+direct-sum map), forms the pairs at each call and runs it; the three-term
+engine forms them once and runs it at every mode index that shares them.
+The algebra's ``act`` runs ``apply_mode_flagged``, whose loop also probes
+the pairs above the ceiling for the loss flag.
 
 ``exp_chain`` is the one place that computes L(n)^k v / k!: the chain
 [v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v, ending before its first zero
@@ -296,6 +301,29 @@ class VOAAction:
         return partitions_upto(self.level if maxweight is None else maxweight)
 
 
+def label_pairs(op: dict, vec: dict) -> list:
+    """The label pairs (lu, lv, wt lu + wt lv - 1, cu cv) of every op_n vec,
+    op's labels outermost."""
+    return [(lu, lv, sum(lu) + sum(lv) - 1, cu * cv)
+            for lu, cu in op.items() for lv, cv in vec.items()]
+
+
+def apply_pairs(row, pairs: list, n: int, cap: int) -> dict:
+    """op_n vec from its label pairs: the sum of c row(lu, n, lv) over the
+    pairs whose image weight lies in 0..cap, int-first, dropping zeros."""
+    acc: dict = {}
+    top = n + cap
+    for lu, lv, base, c in pairs:
+        if n <= base <= top:
+            for label, m in row(lu, n, lv).items():
+                s = acc.get(label, 0) + c * m
+                if s:
+                    acc[label] = s
+                else:
+                    acc.pop(label, None)
+    return acc
+
+
 class RowAction(VOAAction):
     """The mode action of a space given by its basis rows: ``row(lu, n,
     lv)`` is (lu)_n lv as {label: coefficient}, and ``act`` extends it
@@ -304,23 +332,9 @@ class RowAction(VOAAction):
 
     def act(self, op: GradedVector, n: int, vec: GradedVector,
             ceiling: int | None = None) -> GradedVector:
-        cap = self.level if ceiling is None else ceiling
-        row = self.row
-        acc: dict = {}
-        for lu, cu in op.coeff.items():
-            base = sum(lu) - n - 1
-            for lv, cv in vec.coeff.items():
-                if not 0 <= base + sum(lv) <= cap:
-                    continue
-                c = cu * cv
-                for label, m in row(lu, n, lv).items():
-                    s = acc.get(label, 0) + c * m
-                    if s:
-                        acc[label] = s
-                    else:
-                        acc.pop(label, None)
         r = GradedVector.__new__(GradedVector)
-        r.coeff = acc
+        r.coeff = apply_pairs(self.row, label_pairs(op.coeff, vec.coeff), n,
+                              self.level if ceiling is None else ceiling)
         return r
 
 

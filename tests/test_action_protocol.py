@@ -2,10 +2,13 @@
 ``row(lu, n, lv)``, and its ``act`` on basis vectors is that row clipped
 at the action's level, or at a ceiling when one is given."""
 
+from fractions import Fraction
+
 import pytest
 
 from voacalc import contragredient as contra, fusion
-from voacalc.fock import GradedVector, build_heisenberg
+from voacalc.fock import (GradedVector, apply_pairs, build_heisenberg,
+                          label_pairs)
 from voacalc.series import Window
 
 LEVEL = 3
@@ -82,6 +85,35 @@ def test_act_is_bilinear_in_the_rows(action):
                 for lab, x in _clipped(action.row(lu, n, lw), LEVEL).items():
                     want[lab] = want.get(lab, 0) + cu * cw * x
         assert action.act(u, n, w) == GradedVector(want), n
+
+
+@pytest.mark.parametrize("name", list(_actions()))
+def test_engine_pair_loop_is_act(name):
+    # the three-term engine applies modes through fock.apply_pairs, over
+    # label pairs it forms once and reads at many n, where act forms them
+    # per call (the algebra's act runs apply_mode_flagged): both must give
+    # the same values with the same coefficient types. A constant
+    # corrupted at a pair of image weight -1 (its label has weight 1) is
+    # kept out only by the pair loop's 0..cap filter, as are the rows above
+    # the cap
+    action = _actions()[name]
+    action.V.corrupt((1,), 2, (1,), (1,), 1)
+    assert action.V.row((1,), 2, (1,)) == {(1,): 1}
+    u = GradedVector({(1,): Fraction(1, 2), (2,): -1, (1, 1): 3})
+    w = GradedVector({(): Fraction(2, 3), (1,): -2, (2, 1): 1})
+    if isinstance(action, contra.DirectSumMap):
+        u, w = u + contra.in_module(w), w + contra.in_module(u)
+    pairs = label_pairs(u.coeff, w.coeff)
+    nonzero, types = 0, set()
+    for n in range(-5, 5):
+        for cap in (LEVEL - 1, LEVEL, LEVEL + 2):
+            got = apply_pairs(action.row, pairs, n, cap)
+            want = action.act(u, n, w, cap).coeff
+            assert {lab: (type(c), c) for lab, c in got.items()} == \
+                {lab: (type(c), c) for lab, c in want.items()}, (n, cap)
+            nonzero += bool(want)
+            types |= set(map(type, want.values()))
+    assert nonzero > 10 and types == {int, Fraction}
 
 
 def test_lowered_level_clips_at_that_level():

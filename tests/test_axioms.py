@@ -520,10 +520,16 @@ def _engine(rep):
 
 
 def _recorded(actions, check):
-    """check() and the act calls it made on each of the actions, in order
-    and with repeats: the products and images computed, and the loss
-    tests."""
-    calls = []
+    """check() and the images, products and loss tests it computed on each
+    of the actions, in order and with repeats, as (action, op, n, vec,
+    ceiling): the act calls, and the engine's own calls of the pair loop
+    ``fock.apply_pairs``. A pair list is named by the vectors it was formed
+    from, as pairs alone do not tell 6[3]_n [2,1] from [3]_n 6[2,1]; the
+    pair loop's ceiling is the action's level, recorded as None, as for an
+    act call naming none."""
+    # formed: id(pairs) -> (pairs, op, vec), holding each list so that no
+    # other list takes its id during the check
+    calls, formed = [], {}
 
     def recording(action):
         act = action.act
@@ -534,17 +540,37 @@ def _recorded(actions, check):
         return record
 
     actions = list(dict.fromkeys(actions))
+    ids = set(map(id, actions))
+    pairs, apply = axioms.label_pairs, axioms.apply_pairs
+
+    def pairs_recorded(op, vec):
+        out = pairs(op, vec)
+        formed[id(out)] = (out, fmt_vec(GradedVector(op)),
+                           fmt_vec(GradedVector(vec)))
+        return out
+
+    def apply_recorded(row, got, n, cap):
+        action = row.__self__
+        if id(action) in ids:
+            _, op, vec = formed[id(got)]
+            calls.append((id(action), op, n, vec,
+                          None if cap == action.level else cap))
+        return apply(row, got, n, cap)
+
     for action in actions:
         action.act = recording(action)
+    axioms.label_pairs, axioms.apply_pairs = pairs_recorded, apply_recorded
     try:
         return check(), calls
     finally:
+        axioms.label_pairs, axioms.apply_pairs = pairs, apply
         for action in actions:
             del action.act
 
 
 def _distinct(V, check):
-    """check() and the set of distinct act calls it made on V."""
+    """check() and the set of distinct images, products and loss tests it
+    computed on V."""
     out, calls = _recorded([V], check)
     return out, set(calls)
 
@@ -810,8 +836,8 @@ def _oracle_runs(draw):
 
 def _run_case(kind, vecs, win, corrupt, pick):
     """The engine's and the naive evaluator's report of one case, each with
-    the set of distinct act calls it made, and whether the engine
-    built a plan."""
+    the set of distinct images, products and loss tests it computed, and
+    whether the engine built a plan."""
     p, q, t = vecs
     if kind == "translate-skew":
         V = _corrupted_algebra(corrupt, pick, lambda V: _naive_translate_skew(
