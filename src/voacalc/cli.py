@@ -14,6 +14,7 @@ sorted by (suite, identity, params). Suites run one after another;
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -71,9 +72,13 @@ def _tag(reports, suite):
 
 
 # -- suites -------------------------------------------------------------------
+#
+# A suite takes the config and ``algebra``, which returns the algebra at a
+# level: the run's own in ``run_suites``, or a fresh one from
+# ``build_heisenberg`` when a suite is called by itself.
 
 
-def delta_suite(cfg: SuiteConfig) -> list[VerificationReport]:
+def delta_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
     rng = random.Random(cfg.seed)
     win1 = Window.of(x=(-cfg.window - 1, cfg.window + 1))
     out = []
@@ -109,8 +114,8 @@ def _partition_count_oracle(n: int) -> int:
     return p[n]
 
 
-def voa_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    V = build_heisenberg(cfg.level)
+def voa_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
+    V = algebra(cfg.level)
     out = []
     dims = [V.dim(n) for n in range(cfg.level + 1)]
     want = [_partition_count_oracle(n) for n in range(cfg.level + 1)]
@@ -141,18 +146,21 @@ def voa_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     diffs = []
     c = V.central_charge
     ceil = cfg.level + 8
+    labels = [lab for w in range(min(4, cfg.level) + 1) for lab in V.basis(w)]
+    # the inner images L(k)v, k = m, n and m + n, computed once each
+    inner = {(k, lab): V.virasoro(k, GradedVector.basis(lab), ceil)
+             for k in range(-8, 9) for lab in labels}
     for m in range(-4, 5):
         for n in range(-4, 5):
-            for w in range(0, min(4, cfg.level) + 1):
-                for lab in V.basis(w):
-                    vec = GradedVector.basis(lab)
-                    lhs = V.virasoro(m, V.virasoro(n, vec, ceil), ceil) \
-                        - V.virasoro(n, V.virasoro(m, vec, ceil), ceil)
-                    rhs = V.virasoro(m + n, vec, ceil).scale(Fraction(m - n))
-                    if m + n == 0:
-                        rhs = rhs + vec.scale(c * Fraction(m ** 3 - m, 12))
-                    if lhs.clip(cfg.level) != rhs.clip(cfg.level):
-                        diffs.append(((m, n, lab), "differs", ""))
+            for lab in labels:
+                lhs = V.virasoro(m, inner[n, lab], ceil) \
+                    - V.virasoro(n, inner[m, lab], ceil)
+                rhs = inner[m + n, lab].scale(Fraction(m - n))
+                if m + n == 0:
+                    rhs = rhs + GradedVector.basis(lab).scale(
+                        c * Fraction(m ** 3 - m, 12))
+                if lhs.clip(cfg.level) != rhs.clip(cfg.level):
+                    diffs.append(((m, n, lab), "differs", ""))
     out.append(VerificationReport.from_diffs(
         "virasoro-bracket", "range=4;maxwt=4", diffs))
     return _tag(out, "voa-axioms")
@@ -177,8 +185,8 @@ def _commutator_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
     return out
 
 
-def conjugation_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    V = build_heisenberg(cfg.level)
+def conjugation_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
+    V = algebra(cfg.level)
     out = []
     for lv in V.basis_upto(min(cfg.level, 4)):
         out.extend(axioms.check_conjugation(V, GradedVector.basis(lv),
@@ -187,8 +195,8 @@ def conjugation_suite(cfg: SuiteConfig) -> list[VerificationReport]:
 
 
 def _part(suite, reports):
-    """One part of a suite, on a fresh algebra, tagged as the suite."""
-    return lambda cfg: _tag(reports(build_heisenberg(cfg.level), cfg), suite)
+    """One part of a suite, on the run's algebra, tagged as the suite."""
+    return lambda cfg, algebra: _tag(reports(algebra(cfg.level), cfg), suite)
 
 
 # `check` targets outside SUITES, so `voacalc all` does not run them
@@ -210,8 +218,8 @@ def _jacobi_triples(max_total: int):
                             yield l1, l2, l3
 
 
-def jacobi_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    V = build_heisenberg(cfg.level)
+def jacobi_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
+    V = algebra(cfg.level)
     win = Window.symmetric(("x0", "x1", "x2"), cfg.window)
     out = [axioms.check_jacobi(V, GradedVector.basis(l1),
                                GradedVector.basis(l2),
@@ -220,8 +228,8 @@ def jacobi_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     return _tag(out, "jacobi")
 
 
-def s3_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    V = build_heisenberg(cfg.level)
+def s3_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
+    V = algebra(cfg.level)
     win = Window.symmetric(("x0", "x1", "x2"), cfg.s3_window)
     out = []
     kept = 0
@@ -241,8 +249,9 @@ def s3_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     return _tag(out, "s3")
 
 
-def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
-    V = build_heisenberg(cfg.level)
+def contragredient_suite(cfg: SuiteConfig,
+                         algebra) -> list[VerificationReport]:
+    V = algebra(cfg.level)
     Mp = contra.ContragredientModule(V)
     out = []
     out.extend(contra.check_defining_relation(Mp))
@@ -258,7 +267,7 @@ def contragredient_suite(cfg: SuiteConfig) -> list[VerificationReport]:
                        (a, om, GradedVector.basis(())),
                        (om, om, GradedVector.basis(()))):
         out.append(contra.check_contragredient_jacobi(Mp, v1, v2, wp, win))
-    out.extend(_direct_sum_reports(min(cfg.level, 4)))
+    out.extend(_direct_sum_reports(algebra(min(cfg.level, 4))))
     return _tag(out, "contragredient")
 
 
@@ -267,8 +276,8 @@ DIRECT_SUM_IDENTITIES = ("direct-sum-algebra-block",
                          "direct-sum-block-structure", "direct-sum-involution")
 
 
-def _direct_sum_reports(level: int) -> list[VerificationReport]:
-    V = build_heisenberg(level)
+def _direct_sum_reports(V) -> list[VerificationReport]:
+    level = V.level
     try:
         form = contra.build_invariant_form(contra.ContragredientModule(V))
         ds = contra.DirectSumMap(V, V, form, form)
@@ -324,7 +333,7 @@ def _direct_sum_reports(level: int) -> list[VerificationReport]:
     return out
 
 
-def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
+def fusion_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
     out = []
     paths = list(cfg.fixtures)
     if not paths:
@@ -349,7 +358,7 @@ def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
             rep.params += f";file={name}"
             out.append(rep)
 
-    V = build_heisenberg(3)
+    V = algebra(3)
     win = Window.symmetric(("x0", "x1", "x2"), 2)
     Mp = contra.ContragredientModule(V)
     intertwiners = {"self": fusion.intertwiner_from_algebra(V),
@@ -362,7 +371,7 @@ def fusion_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     return _tag(out, "fusion")
 
 
-def moduli_suite(cfg: SuiteConfig) -> list[VerificationReport]:
+def moduli_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
     Mo = MODULI_ORDER
     rng = random.Random(cfg.seed)
     out = []
@@ -399,7 +408,7 @@ def moduli_suite(cfg: SuiteConfig) -> list[VerificationReport]:
     ]
     out.extend(moduli.check_operad_axioms(pinned, seed=cfg.seed))
 
-    V = build_heisenberg(cfg.level)
+    V = algebra(cfg.level)
     aa = GradedVector.basis((1,))
     dual1 = GradedVector.basis((1,))
     P2 = moduli.two_puncture_element(2, Mo)
@@ -439,12 +448,20 @@ SUITES = {
 
 
 def run_suites(names, cfg: SuiteConfig) -> RunReport:
-    """Run each named suite or `check` part in turn; records sorted."""
+    """Run each named suite or `check` part in turn; records sorted.
+
+    The run builds one algebra per level, when a suite first asks for it,
+    and every suite and part of the run reads that one, so each structure
+    constant is computed once per run. The algebras go with the run."""
     cfg.validate()
     t0 = time.time()
+    # ``build_heisenberg`` is looked up at each new level, so that a
+    # replacement installed on this module builds every algebra of the run
+    algebra = functools.cache(lambda level: build_heisenberg(level))
     run = RunReport()
     for name in names:
-        run.extend((SUITES[name] if name in SUITES else PARTS[name])(cfg))
+        run.extend((SUITES[name] if name in SUITES else PARTS[name])(
+            cfg, algebra))
     run.reports.sort(key=lambda r: (r.suite, r.identity, r.params))
     run.elapsed = time.time() - t0
     return run

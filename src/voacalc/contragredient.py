@@ -102,12 +102,20 @@ class ContragredientModule(RowAction):
                       ceiling: int | None = None) -> GradedVector:
         """A(v, n) applied to a vector of the base module through the
         base's ``act``: the definition the blocks are tested against."""
-        out = GradedVector()
+        acc: dict = {}
         for lu, c in v.coeff.items():
             wtv = sum(lu)
+            s = -c if wtv % 2 else c
             for k, lv in self._lowerings(lu):
-                out = out + self.base.act(lv, 2 * wtv - 2 - n - k, m,
-                                          ceiling).scale(-c if wtv % 2 else c)
+                for label, x in self.base.act(lv, 2 * wtv - 2 - n - k, m,
+                                              ceiling).coeff.items():
+                    t = acc.get(label, 0) + s * x
+                    if t:
+                        acc[label] = t
+                    else:
+                        acc.pop(label, None)
+        out = GradedVector.__new__(GradedVector)
+        out.coeff = acc
         return out
 
     def adjoint_block(self, lu: tuple, n: int, weight: int) -> dict:

@@ -25,6 +25,9 @@ first factor go to the left of the remaining state's mode, its
 annihilators to the right, and a single oscillator keeps only the mode
 a(n-k+1). What is memoised where:
 
+* Every memo is per algebra, and a run of ``voacalc`` builds one algebra
+  per level, which all of its suites read (``cli.run_suites``), so a
+  structure constant is computed once per run.
 * ``HeisenbergVOA._modes`` holds exactly the keys asked for through
   ``mode_basis``; ``touched_mode_keys`` lists them.
 * The subkeys of a computation (the keys of two or more oscillators that
@@ -42,6 +45,8 @@ a(n-k+1). What is memoised where:
 * A corruption (``corrupt``) is applied where ``mode_basis`` returns, so
   it changes its own key only; both memos hold clean values, which is
   all the recursion reads.
+* Both memos keep every zero row as one shared read-only mapping,
+  ``_ZERO_ROW``; a corruption on its key returns a fresh dict.
 
 Vector coefficients are exact: ``int`` first, since basis vectors carry
 the integer 1 and every structure constant is an integer, and ``Fraction``
@@ -73,6 +78,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import exact
 from .reports import fmt_vec
@@ -103,6 +109,10 @@ def partitions_upto(maxweight: int) -> list[tuple[int, ...]]:
     for w in range(maxweight + 1):
         out.extend(partitions(w))
     return out
+
+
+# every zero row the memos keep: one shared mapping, which nobody can change
+_ZERO_ROW = MappingProxyType({})
 
 
 def _insert(label: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -164,7 +174,7 @@ def _wick(lu, n, lv, target, subkeys, modes) -> dict:
         for lab, x in _wick(rest, n - p - k, lv[:i] + lv[i + 1:], target,
                             subkeys, modes).items():
             acc[lab] = acc.get(lab, 0) + c * x
-    out = subkeys[key] = {lab: x for lab, x in acc.items() if x}
+    out = subkeys[key] = {lab: x for lab, x in acc.items() if x} or _ZERO_ROW
     return out
 
 
@@ -389,7 +399,7 @@ class HeisenbergVOA(VOAAction):
         out = self._modes.get(key)
         if out is None:
             kept = not store and key in self._subkeys
-            out = self._compute_mode(lu, n, lv)
+            out = self._compute_mode(lu, n, lv) or _ZERO_ROW
             if store:
                 self._modes[key] = out
             if not kept:

@@ -33,10 +33,11 @@ def test_tracer_counts_every_suite_run():
     assert proc.returncode == 0, proc.stderr
     metrics, spans = json.loads(proc.stdout)
     # every loss test reaches the wrapped ``axioms.VOAAction.true_nonzero``,
-    # and the pass computes each structure constant it reads once, the
-    # moduli evaluations only those at the weights their pairings read
+    # and the run computes each structure constant it reads once, on its
+    # one algebra per level, the moduli evaluations only those at the
+    # weights their pairings read
     assert metrics["axioms.true_nonzero.calls"] == 212
-    assert metrics["fock.mode_basis.computed"] == 1485
+    assert metrics["fock.mode_basis.computed"] == 604
     assert metrics["fock.apply_mode.calls"] > 0
     assert metrics["fock.float_coeffs"] == 0
     # the delta suite's 25 fundamental checks plus the two- and three-term

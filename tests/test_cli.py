@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -285,7 +287,8 @@ def test_verlinde_build_counts_the_symmetry_report():
     from importlib import resources
     src = resources.files("voacalc") / "fixtures" / "bad_symmetry.fus"
     reps = {r.identity: r
-            for r in cli.fusion_suite(cli.SuiteConfig(fixtures=(str(src),)))}
+            for r in cli.fusion_suite(cli.SuiteConfig(fixtures=(str(src),)),
+                                      cli.build_heisenberg)}
     n = len(reps["fusion-s3-symmetry"].diffs)
     assert n and reps["verlinde-build"].failed
     assert reps["verlinde-build"].diffs == [
@@ -404,7 +407,7 @@ def test_all_reports_a_defective_algebra(monkeypatch, capsys):
         in records
 
 
-def test_direct_sum_cross_blocks_reproduce_the_product(monkeypatch):
+def test_direct_sum_cross_blocks_reproduce_the_product():
     # negative control: a(0) a(-2)|0> corrupted to read a(-1)|0> survives
     # the invariant form, but the blocks recovered through the forms and
     # the skew formula no longer reproduce the corrupted product
@@ -415,11 +418,65 @@ def test_direct_sum_cross_blocks_reproduce_the_product(monkeypatch):
         V.corrupt((1,), 0, (2,), (1,), 1)
         return V
 
-    assert all(r.passed for r in cli._direct_sum_reports(4))
-    monkeypatch.setattr(cli, "build_heisenberg", corrupted)
-    reps = {r.identity: r for r in cli._direct_sum_reports(4)}
+    assert all(r.passed for r in cli._direct_sum_reports(real(4)))
+    reps = {r.identity: r for r in cli._direct_sum_reports(corrupted(4))}
     assert reps["direct-sum-module-orthogonality"].failed
     assert reps["direct-sum-block-structure"].failed
+
+
+def _record_builds(monkeypatch, corruption=None):
+    """Patch ``cli.build_heisenberg`` to list every algebra it builds, each
+    with ``corruption`` applied if given; returns the list."""
+    built = []
+    real = cli.build_heisenberg
+
+    def build(level):
+        V = real(level)
+        if corruption:
+            V.corrupt(*corruption)
+        built.append(V)
+        return V
+
+    monkeypatch.setattr(cli, "build_heisenberg", build)
+    return built
+
+
+def test_a_run_builds_one_algebra_per_level(monkeypatch):
+    # every suite and the direct sum read level 4, the fusion intertwiners 3
+    built = _record_builds(monkeypatch)
+    run = cli.run_suites(list(cli.SUITES), cli.SuiteConfig(level=4))
+    assert not run.failed
+    assert sorted(V.level for V in built) == [3, 4]
+
+
+def test_runs_do_not_share_algebras(monkeypatch):
+    # the first run's algebra carries the conj-scale corruption of
+    # test_conj_scale_fails_on_a_mixed_weight_image; the next run builds
+    # its own, clean one
+    cfg = cli.SuiteConfig(level=4)
+    first = _record_builds(monkeypatch, ((1, 1), 1, (2,), (1,), -2))
+    assert cli.run_suites(["conjugation"], cfg).failed
+    monkeypatch.undo()
+    second = _record_builds(monkeypatch)
+    assert not cli.run_suites(["conjugation"], cfg).failed
+    assert len(first) == len(second) == 1 and first[0] is not second[0]
+
+
+def test_no_algebra_outlives_its_run(monkeypatch):
+    # negative control for an algebra kept across runs, at module level
+    refs = []
+    real = cli.build_heisenberg
+
+    def build(level):
+        V = real(level)
+        refs.append(weakref.ref(V))
+        return V
+
+    monkeypatch.setattr(cli, "build_heisenberg", build)
+    run = cli.run_suites(list(cli.SUITES), cli.SuiteConfig(level=4))
+    assert run.reports and len(refs) == 2
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_conjugation_records_are_pinned(capsys):

@@ -460,7 +460,8 @@ def test_suite_blocks_hold_exact_integer_first_values(monkeypatch):
         duals.append(self)
 
     monkeypatch.setattr(contra.ContragredientModule, "__init__", init)
-    reps = cli.contragredient_suite(cli.SuiteConfig(level=4))
+    reps = cli.contragredient_suite(cli.SuiteConfig(level=4),
+                                    cli.build_heisenberg)
     assert not any(r.failed for r in reps)
     assert any(isinstance(d.base, contra.ContragredientModule) for d in duals)
     for d in duals:

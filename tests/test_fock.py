@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from voacalc.contragredient import ContragredientModule
 from voacalc.exact import binom
-from voacalc.fock import (GradedVector, build_heisenberg, exp_chain,
-                          partitions, partitions_upto)
+from voacalc.fock import (_ZERO_ROW, GradedVector, build_heisenberg,
+                          exp_chain, partitions, partitions_upto)
 from voacalc.series import Window
 
 
@@ -496,6 +496,31 @@ def test_subkeys_hold_no_asked_or_probed_key():
     assert V._probes[key] and V._subkeys[key] == clean
     assert V.mode_basis(*key) == clean
     assert key in V._modes and key not in V._subkeys
+
+
+def test_zero_rows_are_one_shared_read_only_mapping():
+    V = build_heisenberg(4)
+    u = GradedVector({(2, 1, 1): 1, (1, 1, 1): 3})
+    v = GradedVector({(3, 1): 1, (1, 1): -2})
+    for t in range(-6, 4):
+        V.act(u, t, v)
+    zeros = [k for k, row in V._subkeys.items() if not row]
+    assert zeros and all(V._subkeys[k] is _ZERO_ROW for k in zeros)
+    # asked for, a zero subkey moves to ``_modes`` as the shared row, and
+    # so does a key whose image weight is negative
+    for key in (zeros[0], ((1,), 5, (1,))):
+        assert V.mode_basis(*key) is _ZERO_ROW
+        assert V._modes[key] is _ZERO_ROW
+    with pytest.raises(TypeError):
+        _ZERO_ROW[()] = 1
+    # a corruption on a zero key returns a fresh row of its own
+    key = zeros[0]
+    V.corrupt(*key, (1,), 1)
+    got = V.mode_basis(*key)
+    assert got == {(1,): 1} and got is not _ZERO_ROW
+    assert not _ZERO_ROW and V._modes[key] is _ZERO_ROW
+    V.clear_corruptions()
+    assert V.mode_basis(*key) is _ZERO_ROW
 
 
 # -- no float reaches a verification path ------------------------------------
