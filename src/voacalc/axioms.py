@@ -64,8 +64,8 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import binom
-from .fock import (GradedVector, HeisenbergVOA, VOAAction, apply_pairs,
-                   exp_chain, label_pairs)
+from .fock import (GradedVector, HeisenbergVOA, VOAAction, accumulate,
+                   apply_pairs, divided, exp_chain, label_pairs)
 from .reports import (Status, VerificationReport, diff_labels, fmt_label,
                       fmt_vec)
 from .series import Window, delta_rows
@@ -359,7 +359,9 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
     (w, n) pair is only asserted when every constituent stays below the
     level, and instances with no assertable pair at all report skipped.
     Each image is computed once: L(i)v per v, v_n w per (w, n), and
-    (L(j)v)_m w per w for all three formulas.
+    (L(j)v)_m w per w for all three formulas, by the pair loop over the
+    algebra's rows (L(i) as half the mode i + 1 of 2 omega), which clips
+    as ``act`` does, and each side is summed in one dict.
     """
     wv = v.weight()
     n_lo = -win.hi("x") - 1
@@ -370,7 +372,13 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
     lost_raise_v = (not vac and wv + 1 > V.level
                     and V.true_nonzero(V.twice_omega, 0, v))
     modes = (-1, 0, 1)
-    l_v = {} if lost_raise_v else {i: V.virasoro(i, v) for i in modes}
+    row, level, two = V.row, V.level, V.twice_omega.coeff
+
+    def virasoro(i, pairs):   # L(i) x from the pairs of (2 omega, x)
+        return divided(apply_pairs(row, pairs, i + 1, level), 2)
+
+    tv = label_pairs(two, v.coeff)
+    l_v = {} if lost_raise_v else {i: virasoro(i, tv) for i in modes}
     diffs: dict = {i: [] for i in modes}
     checked = dict.fromkeys(modes, 0)
     skipped = dict.fromkeys(modes, 0)
@@ -380,13 +388,15 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
         lw_name = fmt_label(lw)
         lost_raise_w = (not vac and ww + 1 > V.level
                         and V.true_nonzero(V.twice_omega, 0, w))
-        vn_w: dict = {}    # n -> v_n w
+        vw, tw = label_pairs(v.coeff, w.coeff), label_pairs(two, w.coeff)
+        l_v_w = {j: label_pairs(x, w.coeff) for j, x in l_v.items()}
+        vn_w: dict = {}    # n -> the pairs of (2 omega, v_n w)
         parts: dict = {}   # (j, m) -> (L(j)v)_m w
         for i in modes:
             # exactness conditions for each constituent; a lost raise
             # skips every n
             lost = lost_raise_v or (i == -1 and lost_raise_w)
-            l_w = None if lost else V.virasoro(i, w)
+            v_l_w = None if lost else label_pairs(v.coeff, virasoro(i, tw))
             for n in range(n_lo, n_hi + 1):
                 final = wv + ww - n - 1 - i
                 if final < 0 or final > V.level:
@@ -397,16 +407,17 @@ def check_commutators(V: HeisenbergVOA, v: GradedVector,
                     continue
                 checked[i] += 1
                 if n not in vn_w:
-                    vn_w[n] = V.act(v, n, w)
-                lhs = V.virasoro(i, vn_w[n]) - V.act(v, n, l_w)
-                rhs = GradedVector()
+                    vn_w[n] = label_pairs(two, apply_pairs(row, vw, n, level))
+                lhs = virasoro(i, vn_w[n])
+                accumulate(lhs, apply_pairs(row, v_l_w, n, level), -1)
+                rhs: dict = {}
                 for j in range(i + 2):
                     key = (i - j, n + j)
                     if key not in parts:
-                        parts[key] = V.act(l_v[i - j], n + j, w)
-                    rhs = rhs + parts[key].scale(binom(i + 1, j))
-                diff_labels(diffs[i], (lw_name, n), lhs.coeff,
-                            rhs.coeff)
+                        parts[key] = apply_pairs(row, l_v_w[i - j], n + j,
+                                                 level)
+                    accumulate(rhs, parts[key], binom(i + 1, j))
+                diff_labels(diffs[i], (lw_name, n), lhs, rhs)
     params = f"v={fmt_vec(v)};win={win.hi('x')}"
     out = []
     for i in modes:

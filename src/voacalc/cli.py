@@ -288,29 +288,34 @@ def _direct_sum_reports(V) -> list[VerificationReport]:
             for identity in DIRECT_SUM_IDENTITIES]
     # W is V with V's form, so every block reproduces the algebra's
     # product u_n x: the module-module block in its V-part, the cross block
-    # (by skew-symmetry) in its W-part
+    # (by skew-symmetry) in its W-part. Each label lu is read with mu, the
+    # same label in the module, as rows of the sum
+    labels = [(lu, *contra.in_module(GradedVector.basis(lu)).coeff)
+              for lu in V.basis_upto()]
+
+    def sectors(lu, n, lx):
+        return contra.summands(GradedVector(ds.row(lu, n, lx)))
+
     algebra, orthogonal, block = [], [], []
-    for lu in V.basis_upto():
-        u = GradedVector.basis(lu)
-        wu = contra.in_module(u)
-        for lx in V.basis_upto():
-            x = GradedVector.basis(lx)
-            wx = contra.in_module(x)
-            for n in range(-level - 1, level + 1):
+    for lu, mu in labels:
+        for lx, mx in labels:
+            # every side is zero unless the image weight lies in 0..level
+            top = sum(lu) + sum(lx) - 1
+            for n in range(top - level, min(level + 1, top + 1)):
                 key = (lu, n, lx)
-                want = V.act(u, n, x)
-                got_v, got_w = contra.summands(ds.act(u, n, x))
-                if got_v != want or got_w:
+                want = V.row(lu, n, lx)
+                got_v, got_w = sectors(lu, n, lx)
+                if got_v.coeff != want or got_w:
                     algebra.append((key, "differs", ""))
-                got_v, got_w = contra.summands(ds.act(wu, n, wx))
+                got_v, got_w = sectors(mu, n, mx)
                 if got_w:
                     orthogonal.append((key, "nonzero", "zero"))
-                if got_v != want:
+                if got_v.coeff != want:
                     orthogonal.append((key, "differs", ""))
-                got_v, got_w = contra.summands(ds.act(wu, n, x))
+                got_v, got_w = sectors(mu, n, lx)
                 if got_v:
                     block.append((key, "nonzero", "zero"))
-                if got_w != want:
+                if got_w.coeff != want:
                     block.append((key, "differs", ""))
     out = [VerificationReport.from_diffs(identity, f"level={level}", diffs)
            for identity, diffs in zip(DIRECT_SUM_IDENTITIES,

@@ -58,7 +58,8 @@ from functools import lru_cache
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
 from .exact import gauss_solve
-from .fock import GradedVector, HeisenbergVOA, RowAction, exp_chain, partitions
+from .fock import (GradedVector, HeisenbergVOA, RowAction, accumulate,
+                   exp_chain, partitions)
 from .reports import VerificationReport, diff_labels, fmt_label
 from .series import Window
 
@@ -107,13 +108,8 @@ class ContragredientModule(RowAction):
             wtv = sum(lu)
             s = -c if wtv % 2 else c
             for k, lv in self._lowerings(lu):
-                for label, x in self.base.act(lv, 2 * wtv - 2 - n - k, m,
-                                              ceiling).coeff.items():
-                    t = acc.get(label, 0) + s * x
-                    if t:
-                        acc[label] = t
-                    else:
-                        acc.pop(label, None)
+                accumulate(acc, self.base.act(lv, 2 * wtv - 2 - n - k, m,
+                                              ceiling).coeff, s)
         out = GradedVector.__new__(GradedVector)
         out.coeff = acc
         return out
@@ -252,20 +248,24 @@ def check_dual_virasoro(Mp: ContragredientModule,
 
 def check_dual_derivative(Mp: ContragredientModule,
                           order: int) -> VerificationReport:
-    """d/dx Y'(v, x) = Y'(L(-1)v, x) on the dual store, modewise."""
-    V = Mp.V
+    """d/dx Y'(v, x) = Y'(L(-1)v, x) on the dual store, modewise, at the
+    n whose image weight wt v + wt mu - n - 1 lies in 0..level."""
+    V, level = Mp.V, Mp.level
     diffs = []
     for lv in V.basis_upto(V.level - 1):
-        v = GradedVector.basis(lv)
-        dv = V.virasoro(-1, v)
+        dv = V.virasoro(-1, GradedVector.basis(lv)).coeff
         lv_name = fmt_label(lv)
         for mu in Mp.base.basis_upto():
-            wp = GradedVector.basis(mu)
+            pairs = axioms.label_pairs(dv, {mu: 1})
             mu_name = fmt_label(mu)
-            for n in range(-(order + 1), order + 1):
+            top = sum(lv) + sum(mu) - 1
+            for n in range(max(-(order + 1), top - level),
+                           min(order + 1, top + 1)):
+                c = -n - 1
                 diff_labels(diffs, (lv_name, mu_name, n),
-                            Mp.act(v, n, wp).scale(-n - 1).coeff,
-                            Mp.act(dv, n + 1, wp).coeff)
+                            {lab: c * x for lab, x
+                             in Mp.row(lv, n, mu).items()} if c else {},
+                            axioms.apply_pairs(Mp.row, pairs, n + 1, level))
     return VerificationReport.from_diffs("dual-derivative",
                                          f"order={order}", diffs)
 
@@ -291,16 +291,14 @@ def check_double_contragredient(Mp: ContragredientModule
     Mpp = ContragredientModule(Mp)
     diffs = []
     for lv in Mp.V.basis_upto():
-        v = GradedVector.basis(lv)
         wtv = sum(lv)
         lv_name = fmt_label(lv)
         for mu in M.basis_upto():
-            m = GradedVector.basis(mu)
             mu_name = fmt_label(mu)
+            # every image weight wt v + wt mu - n - 1 lies in 0..level
             for n in range(wtv + sum(mu) - 1 - M.level, wtv + sum(mu)):
-                # the row of the double dual's block, read whole
-                diff_labels(diffs, (lv_name, n, mu_name),
-                            M.act(v, n, m).coeff, Mpp.row(lv, n, mu))
+                diff_labels(diffs, (lv_name, n, mu_name), M.row(lv, n, mu),
+                            Mpp.row(lv, n, mu))
     return VerificationReport.from_diffs("double-dual-identity", "all-basis",
                                          diffs)
 
@@ -326,14 +324,13 @@ class BilinearForm:
                     total += cu * cv * self.blocks[wu][iu][iv]
         return total
 
-    def pairings(self, u: GradedVector, weight: int,
-                 first: bool = True) -> list:
-        """The pairings of u with each basis vector b_j of this weight, in
-        the order of ``partitions(weight)``: (u, b_j), or (b_j, u) when not
-        ``first``. Components of u of other weights pair to zero."""
+    def pairings(self, u: dict, weight: int, first: bool = True) -> list:
+        """The pairings of u's coefficients with each basis vector b_j of
+        this weight, in the order of ``partitions(weight)``: (u, b_j), or
+        (b_j, u) when not ``first``. Other weights pair to zero."""
         block = self.blocks[weight]
         out = [0] * len(block)
-        for lab, c in u.coeff.items():
+        for lab, c in u.items():
             w, i = self.index[lab]
             if w != weight:
                 continue
@@ -402,32 +399,28 @@ def build_invariant_form(Mp: ContragredientModule,
         raise NotSelfDual("degenerate weight block at this truncation")
 
     for lv in M.V.basis_upto():
-        v = GradedVector.basis(lv)
         wtv = sum(lv)
         # the direct image depends on nu only through |nu|, the
         # adjoint image on mu only through |mu|; each is paired with
         # its whole block at once
         adjoint: dict = {}
         for mu in M.basis_upto():
-            w1 = GradedVector.basis(mu)
             wmu, imu = index[mu]
             direct: dict = {}
             for nu in M.basis_upto():
                 wnu, inu = index[nu]
-                # single weight-matching mode index
+                # single weight-matching mode index (image weight wnu)
                 n = wtv + wmu - wnu - 1
                 row = direct.get(wnu)
                 if row is None:
-                    row = direct[wnu] = form.pairings(M.act(v, n, w1),
-                                                      wnu)
+                    row = direct[wnu] = form.pairings(M.row(lv, n, mu), wnu)
                 lhs = row[inu]
                 col = adjoint.get((nu, wmu))
                 if col is None:
                     block = Mp.adjoint_block(lv, n, wmu)
-                    adj = GradedVector({lab: c[nu] for lab, c
-                                        in block.items() if nu in c})
                     col = adjoint[(nu, wmu)] = form.pairings(
-                        adj, wmu, first=False)
+                        {lab: c[nu] for lab, c in block.items() if nu in c},
+                        wmu, first=False)
                 rhs = col[imu]
                 if lhs != rhs:
                     raise NotSelfDual(

@@ -64,9 +64,13 @@ image weight lies in 0..ceiling, as the algebra's ``act`` does.
 ``RowAction.act``, the action of the spaces whose modes are given on basis
 labels (the contragredient module, the stored intertwiner modes and the
 direct-sum map), forms the pairs at each call and runs it; the three-term
-engine forms them once and runs it at every mode index that shares them.
-The algebra's ``act`` runs ``apply_mode_flagged``, whose loop also probes
-the pairs above the ceiling for the loss flag.
+engine, the bracket formulas and the dual-derivative check form them once
+and run it at every mode index that shares them. A check that applies one
+basis label's mode to another reads ``row`` and tests the image weight
+itself. The algebra's ``act`` runs ``apply_mode_flagged``, whose loop also
+probes the pairs above the ceiling for a loss flag that ``act`` drops.
+``accumulate`` and ``divided`` are the int-first sum and exact division
+of bare coefficient maps.
 
 ``exp_chain`` is the one place that computes L(n)^k v / k!: the chain
 [v, L(n)v, L(n)^2 v/2!, ...] of e^{xL(n)} v, ending before its first zero
@@ -178,6 +182,29 @@ def _wick(lu, n, lv, target, subkeys, modes) -> dict:
     return out
 
 
+def accumulate(acc: dict, terms, c) -> None:
+    """acc += c terms, coefficientwise and int-first, dropping zeros."""
+    for label, x in terms.items():
+        s = acc.get(label, 0) + c * x
+        if s:
+            acc[label] = s
+        else:
+            acc.pop(label, None)
+
+
+def divided(coeff: dict, d: int) -> dict:
+    """The coefficients divided exactly by a nonzero integer; an ``int``
+    stays an ``int`` when d divides it."""
+    out = {}
+    for k, v in coeff.items():
+        if type(v) is int:
+            q, r = divmod(v, d)
+            out[k] = Fraction(v, d) if r else q
+        else:
+            out[k] = v / d
+    return out
+
+
 class GradedVector:
     """Finite linear combination of partition-labelled basis states.
 
@@ -247,17 +274,9 @@ class GradedVector:
         return r
 
     def divide(self, d: int) -> "GradedVector":
-        """The vector divided exactly by a nonzero integer; an ``int``
-        coefficient stays an ``int`` when d divides it."""
-        out = {}
-        for k, v in self.coeff.items():
-            if type(v) is int:
-                q, r = divmod(v, d)
-                out[k] = Fraction(v, d) if r else q
-            else:
-                out[k] = v / d
+        """The vector divided exactly by a nonzero integer (``divided``)."""
         r = GradedVector.__new__(GradedVector)
-        r.coeff = out
+        r.coeff = divided(self.coeff, d)
         return r
 
     def weights(self) -> set[int]:
@@ -408,12 +427,7 @@ class HeisenbergVOA(VOAAction):
             delta = self._corruptions.get(key)
             if delta:
                 out = dict(out)
-                for label, d in delta.items():
-                    s = out.get(label, 0) + d
-                    if s:
-                        out[label] = s
-                    else:
-                        out.pop(label, None)
+                accumulate(out, delta, 1)
         return out
 
     @property

@@ -14,7 +14,7 @@ from voacalc import axioms, contragredient as contra, fusion
 from voacalc.exact import binom
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
-from voacalc.reports import Status, fmt_vec
+from voacalc.reports import Status, diff_labels, fmt_label, fmt_vec
 from voacalc.series import Window, check_delta_identity, delta_expansion
 
 
@@ -264,6 +264,21 @@ class TestCommutators:
         for vec in (B((1,)), V.omega, B((2, 1))):
             for rep in axioms.check_commutators(V, vec, Window.of(x=(-7, 7))):
                 assert not rep.failed
+
+    def test_a_corrupted_constant_fails_the_brackets(self):
+        # negative control: a(0) a(-2)|0> corrupted to read a(-1)|0> breaks
+        # all three formulas at v = [1] and L(1)'s at v = [2]
+        from voacalc import cli
+        V = build_heisenberg(4)
+        cfg = cli.SuiteConfig(level=4)
+        assert not any(r.failed for r in cli._commutator_reports(V, cfg))
+        V.corrupt((1,), 0, (2,), (1,), 1)
+        failed = [(r.identity, r.params, len(r.diffs))
+                  for r in cli._commutator_reports(V, cfg) if r.failed]
+        assert failed == [("bracket-L(-1)", "v=[1];win=5", 2),
+                          ("bracket-L(0)", "v=[1];win=5", 1),
+                          ("bracket-L(1)", "v=[1];win=5", 2),
+                          ("bracket-L(1)", "v=[2];win=5", 1)]
 
 
 class TestConjugation:
@@ -1001,3 +1016,98 @@ def test_jacobi_l7_builds_one_plan_per_total_weight(monkeypatch):
         level=7, window=3, s3_window=2)).reports
     assert not any(r.failed for r in reports)
     assert len(builds) == len(set(builds)) <= len(keys)
+
+
+def _naive_commutators(V, v, win):
+    """The bracket formulas as ``check_commutators`` states them, every
+    image through ``act`` and ``virasoro`` and summed as vectors: the
+    reference the row-based check is compared against."""
+    wv = v.weight()
+    vac = V.is_vacuum_multiple(v)
+    lost_raise_v = (not vac and wv + 1 > V.level
+                    and V.true_nonzero(V.twice_omega, 0, v))
+    modes = (-1, 0, 1)
+    l_v = {} if lost_raise_v else {i: V.virasoro(i, v) for i in modes}
+    diffs = {i: [] for i in modes}
+    checked = dict.fromkeys(modes, 0)
+    skipped = dict.fromkeys(modes, 0)
+    for lw in V.basis_upto():
+        w, ww = B(lw), sum(lw)
+        lost_raise_w = (not vac and ww + 1 > V.level
+                        and V.true_nonzero(V.twice_omega, 0, w))
+        for i in modes:
+            lost = lost_raise_v or (i == -1 and lost_raise_w)
+            l_w = None if lost else V.virasoro(i, w)
+            for n in range(-win.hi("x") - 1, -win.lo("x")):
+                if not 0 <= wv + ww - n - 1 - i <= V.level:
+                    continue
+                if lost or (i == 1 and wv + ww - n - 1 > V.level
+                            and V.true_nonzero(v, n, w)):
+                    skipped[i] += 1
+                    continue
+                checked[i] += 1
+                lhs = V.virasoro(i, V.act(v, n, w)) - V.act(v, n, l_w)
+                rhs = GradedVector()
+                for j in range(i + 2):
+                    rhs = rhs + V.act(l_v[i - j], n + j, w).scale(
+                        binom(i + 1, j))
+                diff_labels(diffs[i], (fmt_label(lw), n), lhs.coeff,
+                            rhs.coeff)
+    out = []
+    for i in modes:
+        if checked[i] == 0:
+            out.append((Status.SKIPPED, "no assertable modes", "[]"))
+        else:
+            note = f"{skipped[i]} mode positions skipped" if skipped[i] else ""
+            out.append((Status.FAIL if diffs[i] else Status.PASS, note,
+                        repr(diffs[i])))
+    return out
+
+
+@st.composite
+def _commutator_cases(draw):
+    """A homogeneous vector (a basis vector, or a combination of two with
+    Fraction coefficients), a window, and whether to corrupt one structure
+    constant."""
+    wt = draw(st.integers(0, ORACLE_LEVEL))
+    labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
+                           max_size=2, unique=True))
+    v = GradedVector()
+    for lab in labels:
+        v = v + B(lab).scale(draw(st.sampled_from(
+            (1, -2, Fraction(1, 2), Fraction(-3, 4)))))
+    lo = draw(st.integers(-ORACLE_LEVEL - 2, 1))
+    win = Window.of(x=(lo, lo + draw(st.integers(0, 2 * ORACLE_LEVEL + 2))))
+    return v, win, draw(st.booleans()), draw(st.integers(0, 1 << 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_commutator_cases())
+def test_commutators_match_naive_evaluator(case):
+    # status, note and the ordered diffs, through repr, so that an int
+    # coefficient turning into an equal Fraction fails too
+    v, win, corrupt, pick = case
+    V = _corrupted_algebra(corrupt, pick,
+                           lambda V: _naive_commutators(V, v, win))
+    got = [(r.status, r.note, repr(r.diffs))
+           for r in axioms.check_commutators(V, v, win)]
+    assert got == _naive_commutators(V, v, win)
+
+
+def test_commutators_match_naive_evaluator_on_every_basis_vector():
+    # every basis vector of a clean and of a corrupted algebra, on the
+    # window the suite uses; the corruption fails some records, and some
+    # diffs hold Fraction coefficients
+    win = Window.of(x=(-ORACLE_LEVEL - 1, ORACLE_LEVEL + 1))
+    kinds, failed = set(), 0
+    for corrupt in (None, ((1, 1), 1, (2,), (2,), 1)):
+        V = build_heisenberg(ORACLE_LEVEL)
+        if corrupt:
+            V.corrupt(*corrupt)
+        for lv in partitions_upto(ORACLE_LEVEL):
+            reps = axioms.check_commutators(V, B(lv), win)
+            assert [(r.status, r.note, repr(r.diffs)) for r in reps] == \
+                _naive_commutators(V, B(lv), win), (corrupt, lv)
+            failed += sum(r.failed for r in reps)
+            kinds |= {type(x) for r in reps for _, *xs in r.diffs for x in xs}
+    assert failed and Fraction in kinds

@@ -531,3 +531,41 @@ def test_conj_scale_fails_on_a_mixed_weight_image(monkeypatch, capsys):
                             "--format", "structured"], capsys)
     assert code == 1
     assert "conjugation conj-scale v=[1,1] fail 1" in out.splitlines()
+
+
+# one structure constant each, moved by delta: (lu, n, lv, label, delta);
+# three keep the invariant form, so the direct-sum records run on them too
+PINNED_CORRUPTIONS = (
+    ((1,), 0, (2,), (1,), 1),
+    ((1,), 1, (1,), (), 1),
+    ((1, 1), 1, (2,), (1,), -2),
+    ((1, 1), 0, (1,), (2,), 1),
+    ((1, 1), 1, (1, 1), (1, 1), 1),
+    ((1, 1), 2, (2,), (1,), 1),
+    ((2,), -1, (), (2,), 1),
+    ((), -1, (1,), (1,), 1),
+    ((1,), -1, (1,), (1, 1), 1),
+    ((1,), -2, (1,), (2, 1), 1),
+    ((2,), 0, (1, 1), (2, 1), 1),
+    ((2,), 1, (3,), (2, 1), -1),
+    ((1, 1), -1, (), (1, 1), 1),
+    ((1,), 2, (2, 1), (1,), 1),
+    ((3,), 2, (1,), (1,), 1),
+)
+
+
+def test_records_under_corruptions_are_pinned(monkeypatch):
+    # every record of a level-4 `all` run, with its diffs (their locations,
+    # values and types, through repr), under each corruption in turn: what
+    # the failing checks report must not move when their evaluation does
+    digest, failed = hashlib.sha256(), 0
+    for corruption in PINNED_CORRUPTIONS:
+        _record_builds(monkeypatch, corruption)
+        run = cli.run_suites(list(cli.SUITES), cli.SuiteConfig(level=4))
+        monkeypatch.undo()
+        failed += run.failed
+        for r in run.reports:
+            digest.update((r.record() + repr(r.diffs) + "\n").encode())
+    assert failed == 423
+    assert digest.hexdigest() == \
+        "b4111aebece71a888e19e73457c7c481ccfb86034ce4eb2e6e8b733ae1bc9c17"

@@ -450,8 +450,8 @@ def test_integral_coefficients_stay_int():
 
 
 def test_suite_blocks_hold_exact_integer_first_values(monkeypatch):
-    # the blocks read mode_basis directly, so the float spy on
-    # apply_mode_flagged in test_fock does not see their values
+    # the float spies in test_fock see the algebra's act and its rows
+    # (mode_basis), which the blocks read, but not the blocks themselves
     duals = []
     real_init = contra.ContragredientModule.__init__
 

@@ -557,8 +557,12 @@ def test_no_float_in_any_suite(monkeypatch):
     from voacalc import cli
     from voacalc.fock import HeisenbergVOA
 
+    # the algebra's act, and the rows that the checks which apply one
+    # basis label's mode to another read without it
     kinds: Counter = Counter()
+    rows: Counter = Counter()
     real = HeisenbergVOA.apply_mode_flagged
+    real_row = HeisenbergVOA.mode_basis
 
     def spy(self, u, n, v, ceiling=None):
         out, overflow = real(self, u, n, v, ceiling)
@@ -566,10 +570,17 @@ def test_no_float_in_any_suite(monkeypatch):
             kinds.update(type(c).__name__ for c in vec.coeff.values())
         return out, overflow
 
+    def row_spy(self, lu, n, lv, *, store=True):
+        out = real_row(self, lu, n, lv, store=store)
+        rows.update(type(c).__name__ for c in out.values())
+        return out
+
     monkeypatch.setattr(HeisenbergVOA, "apply_mode_flagged", spy)
+    monkeypatch.setattr(HeisenbergVOA, "mode_basis", row_spy)
     run = cli.run_suites(list(cli.SUITES), cli.SuiteConfig(level=4))
-    assert kinds["float"] == 0, kinds
-    assert kinds["int"] > kinds["Fraction"], kinds
+    for seen in (kinds, rows):
+        assert seen["float"] == 0, seen
+        assert seen["int"] > seen["Fraction"], seen
     for rep in run.reports:
         for d in rep.diffs:
             assert not list(_floats(d)), (rep.identity, d)
