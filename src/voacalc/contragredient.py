@@ -57,7 +57,7 @@ from functools import lru_cache
 
 # through the module, so that a wrapper installed on axioms sees every call
 from . import axioms
-from .exact import gauss_solve
+from .exact import gauss_solve, int_first
 from .fock import (GradedVector, HeisenbergVOA, RowAction, accumulate,
                    exp_chain, partitions)
 from .reports import VerificationReport, diff_labels, fmt_label
@@ -70,13 +70,6 @@ class NotSelfDual(Exception):
 
 class AsymmetricForm(Exception):
     """Direct-sum construction requires a symmetric module form."""
-
-
-def _int_first(x):
-    """An integral ``Fraction`` as its ``int``; anything else unchanged."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
 
 
 class ContragredientModule(RowAction):
@@ -145,7 +138,7 @@ class ContragredientModule(RowAction):
                         col[nu] = col.get(nu, 0) + c * x
         sign = -1 if wtv % 2 else 1
         for mu, col in list(block.items()):
-            col = {nu: _int_first(sign * x) for nu, x in col.items() if x}
+            col = {nu: int_first(sign * x) for nu, x in col.items() if x}
             if col:
                 block[mu] = col
             else:
@@ -368,7 +361,7 @@ def build_invariant_form(Mp: ContragredientModule,
 
     # an integral normalization enters as an int, so that the entries, and
     # the pairings of integer vectors, stay ints
-    normalization = _int_first(normalization)
+    normalization = int_first(normalization)
 
     @lru_cache(maxsize=None)
     def entry(lam: tuple, mu: tuple):

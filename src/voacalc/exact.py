@@ -3,7 +3,8 @@ one dense elimination over an exact field, which gives a square system's
 determinant and its solutions together.
 
 Everything in this package computes with exact numbers; no floats appear
-anywhere in the verification paths.
+anywhere in the verification paths. Exact values are int-first: an
+integral result is kept as an ``int`` (``int_first``).
 
 A Gaussian rational ``QQi`` is three Python ints (a, b, d) standing for
 (a + b*i)/d, kept in the normal form d > 0, gcd(a, b, d) = 1. Each
@@ -31,6 +32,29 @@ def binom(n: int, k: int) -> int:
     if n >= 0:
         return comb(n, k)
     return (-1) ** k * comb(k - n - 1, k)
+
+
+def int_first(x):
+    """An integral ``Fraction`` as its ``int``; anything else unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+class derived_once:
+    """A method read as an attribute, computed on first read and set on
+    the instance, frozen dataclasses included. ``functools.cached_property``
+    would build each instance a ``__dict__``, which costs memory."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.fn.__name__, value)
+        return value
 
 
 def _frac(x) -> Fraction:

@@ -15,8 +15,9 @@ this covers the identity, scaling, standard two-puncture, and cap
 elements. Results are renormalized to the canonical representative
 (infinity at scale one, last puncture at zero) by an exact translation,
 whose effect on the coordinate at infinity is recomputed by series
-composition. The central-extension slot is carried along as an opaque
-scalar with trivial multiplication.
+composition. The central-extension slot is an opaque exact scalar,
+int-first like every value in the package (default ``1``), multiplied
+through sewing.
 
 The evaluation map sends an element with standard coordinates and
 strictly decreasing puncture moduli to the matrix element of a product
@@ -32,7 +33,11 @@ after a translation, in a bounded module-level ``lru_cache``. It is safe
 because the function is pure and its arguments (a tuple of ``QQi``, a
 ``QQi`` shift, an int order) and its tuple result are exact and
 immutable; the operad checks repeat a handful of distinct translations
-hundreds of times.
+hundreds of times. ``LocalCoordinate.is_linear`` and
+``ModuliElement.standard_at_infinity`` (zero flow data) are derived once
+per object, on first read (``exact.derived_once``). Positions are
+compared, not hashed: there are a handful, and a non-integral ``QQi``
+hashes like a ``Fraction``, at the cost of a modular inverse.
 
 ``check_operad_axioms`` keeps a table of Q_a o_i Q_b by sample indices
 (a, i, b), sewn on first use: every left factor, inner and equivariance
@@ -46,11 +51,11 @@ every sewing cost 11% of peak memory); every sewing goes through ``sew``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import QQi
+from .exact import QQi, derived_once, int_first
 from .fock import GradedVector, HeisenbergVOA
 from .reports import FixtureError, VerificationReport, load_fixture
 
@@ -63,7 +68,7 @@ class UnsupportedSewing(Exception):
 
 
 class SewingUndefined(Exception):
-    """The disjoint-disc radius condition fails or punctures collide."""
+    """No admissible sewing radius, or an undefined translation."""
 
 
 class DomainViolation(Exception):
@@ -139,13 +144,14 @@ class LocalCoordinate:
 
     scale: QQi
     taylor: tuple[QQi, ...]
-    # zero flow data; derived from taylor, so left out of eq and hash
-    is_linear: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.scale:
             raise ValueError("coordinate scale must be nonzero")
-        object.__setattr__(self, "is_linear", not any(self.taylor))
+
+    @derived_once
+    def is_linear(self) -> bool:
+        return not any(self.taylor)
 
 
 def coordinate_series(scale, taylor, order: int) -> PSeries:
@@ -202,7 +208,8 @@ class ModuliElement:
     ``inf_coord`` is the flow sequence at infinity (scale pinned to one);
     ``coords`` gives one LocalCoordinate per positive puncture. ``order``
     bounds all stored sequences. The extension slot is an opaque exact
-    scalar multiplied through sewing.
+    scalar, int-first, multiplied through sewing. Positions are checked
+    in order, each against the earlier ones by comparison.
     """
 
     arity: int
@@ -210,7 +217,7 @@ class ModuliElement:
     z: tuple[QQi, ...]
     inf_coord: tuple[QQi, ...]
     coords: tuple[LocalCoordinate, ...]
-    det_slot: Fraction = Fraction(1)
+    det_slot: int | Fraction = 1
 
     def __post_init__(self):
         if self.arity < 0:
@@ -221,13 +228,11 @@ class ModuliElement:
             raise ValueError("need one coordinate per positive puncture")
         if len(self.inf_coord) != self.order:
             raise ValueError("infinity sequence must have length order")
-        seen = set()
-        for zz in self.z:
+        for k, zz in enumerate(self.z):
             if not zz:
                 raise ValueError("puncture positions must be nonzero")
-            if zz in seen:
+            if zz in self.z[:k]:
                 raise ValueError("puncture positions must be distinct")
-            seen.add(zz)
         if self.arity == 0 and self.order >= 1 and self.inf_coord[0]:
             raise ValueError("arity-0 elements need a vanishing first "
                              "infinity coefficient")
@@ -238,8 +243,12 @@ class ModuliElement:
             return ()
         return self.z + (ZERO,)
 
+    @derived_once
+    def standard_at_infinity(self) -> bool:
+        return not any(self.inf_coord)
+
     def standard_coordinates(self) -> bool:
-        return not any(self.inf_coord) and \
+        return self.standard_at_infinity and \
             all(c.is_linear and c.scale == ONE for c in self.coords)
 
 
@@ -322,7 +331,7 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
     coord_i = Q1.coords[i - 1]
     if not coord_i.is_linear:
         raise UnsupportedSewing("sewn puncture coordinate is not linear")
-    if any(Q2.inf_coord):
+    if not Q2.standard_at_infinity:
         raise UnsupportedSewing("second factor has a non-standard coordinate "
                                 "at infinity")
     pos1 = Q1.positions
@@ -338,10 +347,10 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
             dn, dd = (pos1[j] - p_i).norm2_pair()
             if any(qn * ad * dd >= an * dn * qd for qn, qd in qs):
                 raise SewingUndefined("no admissible sewing radius")
+    # no collision test: the radius test gives |q/a_i| < |p_j - p_i| for
+    # every other p_j, and q -> p_i + q/a_i is injective on Q2's positions
     transplanted_pos = tuple(p_i + q / a_i for q in Q2.positions)
     new_pos = pos1[:i - 1] + transplanted_pos + pos1[i:]
-    if len(set(new_pos)) != len(new_pos):
-        raise SewingUndefined("punctures collide after gluing")
     new_coords = []
     new_coords.extend(Q1.coords[:i - 1])
     new_coords.extend(_rescaled(c, a_i) for c in Q2.coords)
@@ -631,7 +640,7 @@ def nu_state(V: HeisenbergVOA, Q: ModuliElement, vectors, cutoff: int,
     produced at infinity, each intermediate state truncated at the cutoff
     weight. With ``weights``, the outermost insertion computes only the
     components of those weights (a pairing reads no others)."""
-    if any(Q.inf_coord) or \
+    if not Q.standard_at_infinity or \
             not all(c.is_linear for c in Q.coords):
         raise DomainViolation("evaluation needs standard (linear, "
                               "zero-flow) coordinates")
@@ -736,7 +745,7 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
     z: list[QQi] = []
     inf = (0, [])
     coords: dict[int, tuple] = {}
-    det = Fraction(1)
+    det = 1
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -751,7 +760,7 @@ def parse_moduli_element(text: str, name: str = "<moduli>") -> ModuliElement:
             elif line.startswith("z:"):
                 z, z_ln = [QQi.parse(tok) for tok in line[2:].split()], ln
             elif line.startswith("det:"):
-                det = Fraction(line[4:].strip())
+                det = int_first(Fraction(line[4:].strip()))
             elif line.startswith("coord"):
                 head, _, rest = line.partition(":")
                 idx = int(head.split()[1])

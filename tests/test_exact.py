@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import operator
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc.exact import QQi, gauss_solve
+from voacalc.exact import QQi, derived_once, gauss_solve, int_first
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -300,3 +301,31 @@ def test_every_traced_operator_is_a_qqi_method():
     spec.loader.exec_module(tracing)
     for name in tracing.QQI_OPS:
         assert callable(QQi.__dict__.get(name)), name
+
+
+def test_int_first():
+    three = int_first(Fraction(6, 2))
+    assert type(three) is int and three == 3
+    assert int_first(Fraction(7, 2)) == Fraction(7, 2)
+    assert int_first(5) == 5 and int_first(QQi(2)) == QQi(2)
+
+
+def test_derived_once_computes_on_first_read_of_a_frozen_instance():
+    calls = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Box:
+        items: tuple
+
+        @derived_once
+        def empty(self):
+            calls.append(self)
+            return not any(self.items)
+
+    b = Box((0, 0))
+    assert calls == []
+    assert b.empty and b.empty and calls == [b]
+    assert not Box((0, 1)).empty and len(calls) == 2
+    # the flag is no field: equality and hashing read ``items`` alone
+    assert b == Box((0, 0)) and hash(b) == hash(Box((0, 0)))
+    assert isinstance(Box.empty, derived_once)

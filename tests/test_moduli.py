@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -84,14 +85,22 @@ class TestSewing:
         assert got.standard_coordinates()
 
     def test_unsupported_flow_data(self):
-        Q = ModuliElement(1, M, (), pad(),
-                          (LocalCoordinate(QQi(1), pad((1,))),))
-        with pytest.raises(UnsupportedSewing):
-            sew(Q, 1, identity_element(M))
-        Q2 = ModuliElement(1, M, (), pad((0, 1)),
-                           (LocalCoordinate(QQi(1), pad()),))
-        with pytest.raises(UnsupportedSewing):
-            sew(identity_element(M), 1, Q2)
+        # one nonzero flow coefficient among zeros, at a sewn puncture or
+        # at infinity of the second factor
+        for flow in ((1,), (0, 1), (0,) * (M - 1) + (Fraction(1, 3),)):
+            coord = LocalCoordinate(QQi(2), pad(flow))
+            assert not coord.is_linear
+            Q = ModuliElement(2, M, (QQi(3),), pad(),
+                              (coord, LocalCoordinate(QQi(1), pad())))
+            with pytest.raises(UnsupportedSewing, match="not linear"):
+                sew(Q, 1, identity_element(M))
+            assert sew(Q, 2, identity_element(M)).element == Q
+            Q2 = ModuliElement(1, M, (), pad(flow),
+                               (LocalCoordinate(QQi(1), pad()),))
+            assert not Q2.standard_at_infinity
+            assert not Q2.standard_coordinates()
+            with pytest.raises(UnsupportedSewing, match="at infinity"):
+                sew(identity_element(M), 1, Q2)
 
     def test_radius_condition(self):
         # second factor's punctures too wide for the free disc
@@ -145,6 +154,24 @@ class TestSewing:
                            (LocalCoordinate(QQi(5), pad()),),
                            det_slot=Fraction(7, 2))
         assert sew(Q1, 1, Q2).element.det_slot == Fraction(21, 2)
+
+    def test_det_slot_is_int_first(self):
+        # the default slot and an integral ``det:`` are ints; a Fraction
+        # slot times a parsed 3 stays exact
+        assert type(identity_element(M).det_slot) is int
+        text = "arity 1\norder 4\ncoord 0: 0\ncoord 1: 5 ;\n"
+        assert type(parse_moduli_element(text).det_slot) is int
+        Q2 = parse_moduli_element(text + "det: 6/2\n")
+        assert type(Q2.det_slot) is int and Q2.det_slot == 3
+        Q1 = ModuliElement(1, 4, (), (QQi(0),) * 4,
+                           (LocalCoordinate(QQi(2), (QQi(0),) * 4),),
+                           det_slot=Fraction(7, 2))
+        got = sew(Q1, 1, Q2).element.det_slot
+        assert type(got) is Fraction and got == Fraction(21, 2)
+        # a Fraction(1) slot and the int default give one element
+        one = dataclasses.replace(identity_element(M), det_slot=Fraction(1))
+        assert one == identity_element(M)
+        assert hash(one) == hash(identity_element(M))
 
 
 class TestPermutations:
@@ -224,6 +251,37 @@ class TestTranslation:
         assert cached == moduli._translated_inf.__wrapped__(inf, z[0], order)
 
 
+class TestPositions:
+    """Distinct positions are tested by comparison, first fault first."""
+
+    @staticmethod
+    def _element(z):
+        coords = (LocalCoordinate(QQi(1), pad()),) * (len(z) + 1)
+        return ModuliElement(len(z) + 1, M, tuple(z), pad(), coords)
+
+    def test_equal_values_as_distinct_objects(self):
+        halves = [QQi(Fraction(1, 2)), QQi(1) / 2, QQi.parse("2/4")]
+        assert len({id(h) for h in halves}) == 3
+        for k, a in enumerate(halves):
+            for b in halves[k + 1:]:
+                with pytest.raises(ValueError, match="must be distinct"):
+                    self._element((a, QQi(3), b))
+
+    def test_fixture_with_equal_positions_names_its_z_line(self):
+        text = ("arity 3\norder 2\nz: 1/2 2/4\ncoord 0: 0 0\n"
+                "coord 1: 1 ;\ncoord 2: 1 ;\ncoord 3: 1 ;\n")
+        with pytest.raises(FixtureError, match="<moduli>:3: .*distinct"):
+            parse_moduli_element(text)
+
+    @pytest.mark.parametrize("z,fault", [((1, 1, 0), "distinct"),
+                                         ((0, 2, 2), "nonzero"),
+                                         ((2, 0, 2), "nonzero"),
+                                         ((2, 3, 2), "distinct")])
+    def test_first_fault_order(self, z, fault):
+        with pytest.raises(ValueError, match=f"must be {fault}"):
+            self._element([QQi(x) for x in z])
+
+
 def test_operad_axiom_reports():
     rng = random.Random(5)
     sample = [random_supported_element(rng, M) for _ in range(4)]
@@ -270,6 +328,27 @@ def test_operad_skip_notes_are_pinned(monkeypatch):
     # ``calls`` keeps every factor alive, so no id is reused
     keys = [(id(Q1), i, id(Q2)) for Q1, i, Q2 in calls]
     assert len(set(keys)) == len(keys)
+
+
+def test_operad_records_are_pinned(monkeypatch):
+    # parsed positions, as a fixture loader makes them; the reports and
+    # the number of sewings that produce them are pinned
+    rng = random.Random(2024)
+    sample = [parse_moduli_element(format_moduli_element(
+        random_supported_element(rng, 8))) for _ in range(8)]
+    calls = []
+    real = moduli.sew
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(moduli, "sew", counted)
+    reps = check_operad_axioms(sample, seed=11)
+    text = "\n".join(r.record() + r.note + repr(r.diffs) for r in reps)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1de7d8781f3aacb866cb0636c1acea1464bdb4799d34f266844eaad1ea098a14"
+    assert len(calls) == 2357
 
 
 def _reference_associativity(sample):
