@@ -338,8 +338,9 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
             "skew-symmetry", params, f"no orders below level {V.level}")
     diffs = []
     skew = skew_coefficients(V, v, u, range(-hi - 1, -lo))
+    uv = label_pairs(u.coeff, v.coeff)
     for k in range(lo, hi + 1):
-        diff_labels(diffs, (k,), V.act(u, -k - 1, v).coeff,
+        diff_labels(diffs, (k,), apply_pairs(V.row, uv, -k - 1, V.level),
                     skew[-k - 1].coeff)
     return VerificationReport.from_diffs("skew-symmetry", params, diffs)
 
@@ -671,23 +672,30 @@ def check_iterate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
     # the skew-reversed iterate, from the images v_m u the skew side made
     images = {}
     skew = skew_coefficients(V, v, u, [-a - 1 for a in rows], images=images)
-    b_parts = {-m - 1: base.scale(1 if m % 2 else -1)
+    # each mode runs over the algebra's rows, on the label pairs of (u, v)
+    # and of (B_e, w) formed once, and of (inner, w) and (skew, w) per a
+    row, level = V.row, V.level
+    uv = label_pairs(u.coeff, v.coeff)
+    b_pairs = {-m - 1: label_pairs(base.scale(1 if m % 2 else -1).coeff,
+                                   w.coeff)
                for m, base in images.items() if base}
     for a, cs in rows.items():
-        inner = V.act(u, -a - 1, v)
+        inner = label_pairs(apply_pairs(row, uv, -a - 1, level), w.coeff)
+        skewed = label_pairs(skew[-a - 1].coeff, w.coeff)
         for c in cs:
-            e1 = V.act(inner, -c - 1, w)
-            e2 = V.act(skew[-a - 1], -c - 1, w)
-            e3 = GradedVector()
+            e1 = apply_pairs(row, inner, -c - 1, level)
+            e2 = apply_pairs(row, skewed, -c - 1, level)
+            e3: dict = {}
             for k in range(0, wu + wv + a + 1):
-                be = b_parts.get(a - k)
+                be = b_pairs.get(a - k)
                 if be is None:
                     continue
                 co = binom(c + k, k)
                 if co:
-                    e3 = e3 + V.act(be, -c - k - 1, w).scale(co)
-            diff_labels(diffs, (a, c, "skew"), e1.coeff, e2.coeff)
-            diff_labels(diffs, (a, c, "shift"), e1.coeff, e3.coeff)
+                    accumulate(e3, apply_pairs(row, be, -c - k - 1, level),
+                               co)
+            diff_labels(diffs, (a, c, "skew"), e1, e2)
+            diff_labels(diffs, (a, c, "shift"), e1, e3)
     return VerificationReport.from_diffs("iterate-skew-rewrite", params, diffs)
 
 

@@ -19,8 +19,12 @@ A(v, n) from the dual block of that weight, the transpose of the sum
 over k of the base's matrices of (L(1)^k v / k!)_{2 wt v - 2 - n - k},
 whose rows are the base's own ``row``: ``mode_basis`` on the algebra,
 the base's blocks on a dual (the double dual). ``conj_operator`` is the
-same adjoint applied to one vector through the base's ``act``: the
-definition the blocks are tested against.
+same adjoint applied to one vector, each lowering's mode run over the
+base's rows by ``fock.apply_pairs``, which keeps the images whose weight
+lies in 0..ceiling as the base's ``act`` does: the definition the blocks
+are tested against. ``check_defining_relation`` compares each block with
+the ``conj_operator`` images of its weight in one comparison, and diffs
+only the blocks that differ.
 
 Everything is memoised on the instance, by basis label: the lowered
 vectors [(k, L(1)^k v / k!)] (the ``fock.exp_chain`` of e^{xL(1)} v) and
@@ -94,15 +98,19 @@ class ContragredientModule(RowAction):
 
     def conj_operator(self, v: GradedVector, n: int, m: GradedVector,
                       ceiling: int | None = None) -> GradedVector:
-        """A(v, n) applied to a vector of the base module through the
-        base's ``act``: the definition the blocks are tested against."""
+        """A(v, n) applied to a vector of the base module: each lowering's
+        mode runs over the base's rows, keeping the images of weight in
+        0..ceiling as the base's ``act`` does. The definition the blocks
+        are tested against."""
+        cap = self.base.level if ceiling is None else ceiling
         acc: dict = {}
         for lu, c in v.coeff.items():
             wtv = sum(lu)
             s = -c if wtv % 2 else c
             for k, lv in self._lowerings(lu):
-                accumulate(acc, self.base.act(lv, 2 * wtv - 2 - n - k, m,
-                                              ceiling).coeff, s)
+                accumulate(acc, axioms.apply_pairs(
+                    self.base.row, axioms.label_pairs(lv.coeff, m.coeff),
+                    2 * wtv - 2 - n - k, cap), s)
         out = GradedVector.__new__(GradedVector)
         out.coeff = acc
         return out
@@ -155,42 +163,42 @@ def check_defining_relation(Mp: ContragredientModule
     """The pairing relation defining the dual action, on every basis triple
     (v, dual basis, basis) with a nonzero weight match.
 
-    The left side reads off the dual action, one image per (mu, |nu|); the
-    right side is ``conj_operator``, the conjugated operand acting on the
-    base module, one block per (|nu|, |mu|), transposed to be indexed like
-    the left. Rows that agree are compared whole.
+    Per (|mu|, |nu|), the left side is the dual's block of A(v, n) from
+    the weight |mu|, and the right side is ``conj_operator``, the
+    conjugated operand acting on the base module, at each nu of weight
+    |nu|, transposed to be indexed like the left. The two blocks are
+    compared whole; blocks that differ are diffed per mu, then |nu|, then
+    nu.
     """
     M = Mp.base
     out = []
     for lv in Mp.V.basis_upto():
         v = GradedVector.basis(lv)
         wtv = sum(lv)
-        # (|nu|, |mu|) -> {mu: {nu: coefficient}}
-        right: dict = {}
         diffs = []
-        for mu in M.basis_upto():
-            wmu = sum(mu)
-            dual = GradedVector.basis(mu)
+        for wmu in range(M.level + 1):
+            # the pairs of blocks that differ, by |nu|
+            differ = []
             for wnu in range(M.level + 1):
                 # the mode index that maps the weight of mu onto that of nu
                 n = wtv + wmu - wnu - 1
-                lhs = Mp.act(v, n, dual).coeff
-                block = right.get((wnu, wmu))
-                if block is None:
-                    block = right[(wnu, wmu)] = {}
-                    for nu in partitions(wnu):
-                        for lab, c in Mp.conj_operator(
-                                v, n, GradedVector.basis(nu),
-                                ceiling=wmu).coeff.items():
-                            block.setdefault(lab, {})[nu] = c
-                rhs = block.get(mu, {})
-                if lhs == rhs:
-                    continue
+                right: dict = {}
                 for nu in partitions(wnu):
-                    lc, rc = lhs.get(nu, 0), rhs.get(nu, 0)
-                    if lc != rc:
-                        diffs.append(((fmt_label(mu), fmt_label(nu), n),
-                                      lc, rc))
+                    for lab, c in Mp.conj_operator(
+                            v, n, GradedVector.basis(nu),
+                            ceiling=wmu).coeff.items():
+                        right.setdefault(lab, {})[nu] = c
+                left = Mp.adjoint_block(lv, n, wmu)
+                if left != right:
+                    differ.append((n, wnu, left, right))
+            for mu in partitions(wmu):
+                for n, wnu, left, right in differ:
+                    lhs, rhs = left.get(mu, {}), right.get(mu, {})
+                    for nu in partitions(wnu):
+                        lc, rc = lhs.get(nu, 0), rhs.get(nu, 0)
+                        if lc != rc:
+                            diffs.append(((fmt_label(mu), fmt_label(nu), n),
+                                          lc, rc))
         out.append(VerificationReport.from_diffs(
             "dual-defining-relation", f"v={fmt_label(lv)}", diffs))
     return out
@@ -204,6 +212,9 @@ def check_dual_virasoro(Mp: ContragredientModule,
     diffs = []
     basis = M.basis_upto()
     names = {mu: fmt_label(mu) for mu in basis}
+    # L(-n) nu is omega_{-n+1} nu, over the pairs of (omega, nu)
+    omega_on = {nu: axioms.label_pairs(V.omega.coeff, {nu: 1})
+                for nu in basis}
     for n in range(-n_range, n_range + 1):
         # L(-n) nu clipped at |mu| depends on mu only through |mu|
         right: dict = {}
@@ -214,9 +225,9 @@ def check_dual_virasoro(Mp: ContragredientModule,
                 lc = lhs.coeff.get(nu, 0)
                 img = right.get((nu, wmu))
                 if img is None:
-                    img = right[(nu, wmu)] = M.act(
-                        V.omega, -n + 1, GradedVector.basis(nu), ceiling=wmu)
-                rc = img.coeff.get(mu, 0)
+                    img = right[(nu, wmu)] = axioms.apply_pairs(
+                        M.row, omega_on[nu], -n + 1, wmu)
+                rc = img.get(mu, 0)
                 if lc != rc:
                     diffs.append((("adjoint", n, names[mu], names[nu]),
                                   lc, rc))
@@ -393,32 +404,30 @@ def build_invariant_form(Mp: ContragredientModule,
 
     for lv in M.V.basis_upto():
         wtv = sum(lv)
-        # the direct image depends on nu only through |nu|, the
-        # adjoint image on mu only through |mu|; each is paired with
-        # its whole block at once
+        # (|nu|, |mu|) -> per mu, the adjoint image of each nu of weight |nu|
+        # paired with mu, from one block of Mp's memo
         adjoint: dict = {}
         for mu in M.basis_upto():
             wmu, imu = index[mu]
-            direct: dict = {}
-            for nu in M.basis_upto():
-                wnu, inu = index[nu]
+            for wnu in range(level + 1):
                 # single weight-matching mode index (image weight wnu)
                 n = wtv + wmu - wnu - 1
-                row = direct.get(wnu)
-                if row is None:
-                    row = direct[wnu] = form.pairings(M.row(lv, n, mu), wnu)
-                lhs = row[inu]
-                col = adjoint.get((nu, wmu))
-                if col is None:
+                cols = adjoint.get((wnu, wmu))
+                if cols is None:
                     block = Mp.adjoint_block(lv, n, wmu)
-                    col = adjoint[(nu, wmu)] = form.pairings(
-                        {lab: c[nu] for lab, c in block.items() if nu in c},
-                        wmu, first=False)
-                rhs = col[imu]
-                if lhs != rhs:
-                    raise NotSelfDual(
-                        f"invariance fails at v={lv}, w1={mu}, w2={nu}, n={n}: "
-                        f"{lhs} != {rhs}")
+                    cols = adjoint[(wnu, wmu)] = list(map(list, zip(*(
+                        form.pairings({lab: c[nu] for lab, c in block.items()
+                                       if nu in c}, wmu, first=False)
+                        for nu in partitions(wnu)))))
+                # the direct image paired with each nu of weight wnu
+                direct = form.pairings(M.row(lv, n, mu), wnu)
+                if direct == cols[imu]:
+                    continue
+                for nu, lhs, rhs in zip(partitions(wnu), direct, cols[imu]):
+                    if lhs != rhs:
+                        raise NotSelfDual(
+                            f"invariance fails at v={lv}, w1={mu}, w2={nu}, "
+                            f"n={n}: {lhs} != {rhs}")
     return form
 
 
@@ -505,7 +514,7 @@ class DirectSumMap(RowAction):
         self._skew: dict = {}
         # module label -> its L(1) chain
         self._l1_chains: dict = {}
-        # (l1, p) -> {(v label, t): W.act(v, t, entry p of l1's L(1) chain)}
+        # (l1, p) -> {(v label, t): v_t on entry p of l1's L(1) chain, in W}
         self._pairing_images: dict = {}
         # weight -> the columns of the inverse of the algebra form's block,
         # solved in one elimination and kept as their nonzero (index, value)
@@ -558,17 +567,17 @@ class DirectSumMap(RowAction):
                      l2: tuple) -> Fraction:
         """(v, Y(l1, x)l2)_V coefficient of x^{-n-1}, evaluated through the
         module form from the L(1) chains of l1 and l2."""
-        v = GradedVector.basis(v_lab)
         wt1 = sum(l1)
         total = 0
         for p, lp in enumerate(self._l1_chain(l1)):
             images = self._pairing_images.setdefault((l1, p), {})
+            pairs = axioms.label_pairs({v_lab: 1}, lp.coeff)
             for q, lq in enumerate(self._l1_chain(l2)):
                 t = 2 * wt1 - n - 2 - p + q
                 img = images.get((v_lab, t))
                 if img is None:
-                    img = images[v_lab, t] = self.W.act(v, t, lp,
-                                                        self.W.level)
+                    img = images[v_lab, t] = GradedVector(
+                        axioms.apply_pairs(self.W.row, pairs, t, self.W.level))
                 if img.is_zero():
                     continue
                 sign = 1 if (wt1 + t) % 2 else -1

@@ -63,8 +63,10 @@ label pairs of two vectors (``label_pairs``), keeping a pair when its
 image weight lies in 0..ceiling, as the algebra's ``act`` does.
 ``RowAction.act``, the action of the spaces whose modes are given on basis
 labels (the contragredient module, the stored intertwiner modes and the
-direct-sum map), forms the pairs at each call and runs it; the three-term
-engine, the bracket formulas and the dual-derivative check form them once
+direct-sum map), forms the pairs at each call and runs it. The three-term
+engine, the bracket formulas, the skew-symmetry and iterate-skew checks,
+the dual-derivative and dual-Virasoro checks, ``conj_operator``, the
+direct-sum pairings and the intertwiner-derivative check form them once
 and run it at every mode index that shares them. A check that applies one
 basis label's mode to another reads ``row`` and tests the image weight
 itself. The algebra's ``act`` runs ``apply_mode_flagged``, whose loop also

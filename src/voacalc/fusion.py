@@ -324,14 +324,13 @@ def intertwiner_from_module(V, M) -> IntertwinerData:
 def _intertwiner_from_action(V, m1, m2, m3) -> IntertwinerData:
     modes: dict = {}
     for l1 in m1.basis_upto():
-        op = GradedVector.basis(l1)
         for l2 in m2.basis_upto():
-            vec = GradedVector.basis(l2)
+            # the j with image weight in 0..level, the rows m3's act keeps
             for j in range(sum(l1) + sum(l2) - 1 - m3.level,
                            sum(l1) + sum(l2)):
-                val = m3.act(op, j, vec)
+                val = {lab: c for lab, c in m3.row(l1, j, l2).items() if c}
                 if val:
-                    modes[(l1, j, l2)] = dict(val.coeff)
+                    modes[(l1, j, l2)] = val
     return IntertwinerData(V, m1, m2, m3, Fraction(0), modes)
 
 
@@ -382,14 +381,18 @@ def check_intertwiner(Is: Sequence[IntertwinerData],
         level = min(I.m1.level, I.m2.level, I.m3.level)
         levels.append(level)
         for l1 in I.m1.basis_upto(I.m1.level - 1):
-            w1 = GradedVector.basis(l1)
-            dw1 = I.m1.virasoro(-1, w1)
+            dw1 = I.m1.virasoro(-1, GradedVector.basis(l1)).coeff
             for l2 in I.m2.basis_upto():
-                w2 = GradedVector.basis(l2)
-                for j in range(-(2 * level + 2), sum(l1) + sum(l2) + 1):
-                    lhs = I.act(w1, j, w2).scale(-(Fraction(j) + h + 1))
-                    diff_labels(diffs, (l1, l2, j), lhs.coeff,
-                                I.act(dw1, j + 1, w2).coeff)
+                # the mode of w1 is one row, kept when its image weight
+                # lies in 0..level; that of L(-1)w1 runs over their pairs
+                pairs = axioms.label_pairs(dw1, {l2: 1})
+                top = sum(l1) + sum(l2) - 1
+                for j in range(-(2 * level + 2), top + 2):
+                    c = -(Fraction(j) + h + 1)
+                    lhs = ({lab: c * x for lab, x in I.row(l1, j, l2).items()}
+                           if c and j <= top <= j + I.level else {})
+                    diff_labels(diffs, (l1, l2, j), lhs, axioms.apply_pairs(
+                        I.row, pairs, j + 1, I.level))
         reports.append(VerificationReport.from_diffs(
             "intertwiner-derivative", f"shift={I.shift}", diffs))
         out.append(reports)

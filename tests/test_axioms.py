@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voacalc import axioms, contragredient as contra, fusion
+from voacalc import axioms, cli, contragredient as contra, fusion
 from voacalc.exact import binom
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
@@ -238,6 +240,49 @@ def test_unsigned_delta_rows_fail_delta_and_jacobi(tmp_path):
     win = Window.symmetric(("x0", "x1", "x2"), 4)
     assert check_delta_identity("two-term", None, win).passed
     assert check_delta_identity("three-term", None, win).passed
+
+
+# -- failing paths, pinned ------------------------------------------------
+# each digest is of the failing records' record() and repr(diffs): where a
+# check reports a fault, in what order, with what values and types
+
+
+def failing_digest(reports) -> tuple[int, str]:
+    failed = [r for r in reports if r.failed]
+    text = "".join(r.record() + repr(r.diffs) + "\n" for r in failed)
+    return len(failed), hashlib.sha256(text.encode()).hexdigest()
+
+
+def seeded_corruptions(seed: int, count: int, level: int,
+                       ops: tuple = ()) -> list:
+    """``count`` structure constants (lu, n, lv, label, delta), drawn from
+    ``random.Random(seed)``, lu among ``ops`` if given, each with its label
+    at its true image weight, in 0..level."""
+    rng = random.Random(seed)
+    labels = partitions_upto(level)
+    out = []
+    for _ in range(count):
+        lu, lv = rng.choice(ops or labels[1:]), rng.choice(labels)
+        target = rng.randint(0, level)
+        out.append((lu, sum(lu) + sum(lv) - target - 1, lv,
+                    rng.choice(partitions(target)), rng.choice((-1, 1))))
+    return out
+
+
+def test_skew_records_under_seeded_corruptions_are_pinned():
+    # skew-symmetry and the iterate rewrite of the s3 suite at level 5, on
+    # three algebras with twelve seeded corrupted constants each
+    cfg = cli.SuiteConfig(level=5)
+    reps = []
+    for seed in range(3):
+        V = build_heisenberg(5)
+        for corruption in seeded_corruptions(seed, 12, 5):
+            V.corrupt(*corruption)
+        reps += cli._skew_reports(V, cfg)
+        reps += [r for r in cli.s3_suite(cfg, lambda level: V)
+                 if r.identity == "iterate-skew-rewrite"]
+    assert failing_digest(reps) == (20, "937258877df0270816cb90d152a6d9bc"
+                                        "d6992177d078157b2a1e49c2bd5ad61a")
 
 
 class TestSkewSymmetry:

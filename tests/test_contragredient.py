@@ -9,6 +9,8 @@ from voacalc.fock import (GradedVector, build_heisenberg, partitions,
 from voacalc.reports import Status
 from voacalc.series import Window
 
+from test_axioms import failing_digest, seeded_corruptions
+
 
 def B(label):
     return GradedVector.basis(label)
@@ -47,13 +49,16 @@ def test_defining_relation(setup4):
 def test_defining_relation_checks_weight_changing_modes():
     # a dual action wrong only for a(-1), which maps the dual of weight
     # w to weight w + 1, can be seen only by pairs with |nu| != |mu|
+    # the fault is put where the check reads the dual: its blocks
     V = build_heisenberg(4)
-    a = B((1,))
 
     class Doubled(contra.ContragredientModule):
-        def act(self, v, n, wp, ceiling=None):
-            out = super().act(v, n, wp, ceiling)
-            return out.scale(2) if v == a and n == -1 else out
+        def adjoint_block(self, lu, n, weight):
+            block = super().adjoint_block(lu, n, weight)
+            if lu != (1,) or n != -1:
+                return block
+            return {mu: {nu: 2 * c for nu, c in col.items()}
+                    for mu, col in block.items()}
 
     reps = {r.params: r for r in contra.check_defining_relation(Doubled(V))}
     bad = reps.pop("v=[1]")
@@ -157,6 +162,46 @@ def test_double_dual_conformal_modes(setup4):
             assert got == want, (n, mu)
 
 
+# -- failing paths, pinned ------------------------------------------------
+# each digest is of the failing records' record() and repr(diffs): where a
+# check reports a fault, in what order, with what values and types
+
+
+class SignFlipped(contra.ContragredientModule):
+    """A dual whose every block has one entry's sign flipped: the entry at
+    its least (mu, nu)."""
+
+    def adjoint_block(self, lu, n, weight):
+        block = super().adjoint_block(lu, n, weight)
+        if not block:
+            return block
+        mu = min(block)
+        nu = min(block[mu])
+        return {**block, mu: {**block[mu], nu: -block[mu][nu]}}
+
+
+def test_sign_flipped_dual_records_are_pinned():
+    Mp = SignFlipped(build_heisenberg(4))
+    reps = contra.check_defining_relation(Mp)
+    reps += [contra.check_dual_virasoro(Mp, 4),
+             contra.check_double_contragredient(Mp)]
+    assert failing_digest(reps) == (14, "41c2a479ffdcac1bf17353fc4458a4e6"
+                                        "62c0129b5a5b924986e3609fb320627f")
+
+
+def test_dual_virasoro_under_seeded_corruptions_is_pinned():
+    # the right side reads omega's modes, so only those are corrupted
+    reps = []
+    for seed in range(4):
+        V = build_heisenberg(4)
+        for corruption in seeded_corruptions(seed, 3, 4, ops=((1, 1),)):
+            V.corrupt(*corruption)
+        reps.append(contra.check_dual_virasoro(contra.ContragredientModule(V),
+                                               4))
+    assert failing_digest(reps) == (4, "53e0902a204600b136c71610995bb6c3"
+                                       "4d9c2c9abcb338d9992511f930d12ef7")
+
+
 class TestInvariantForm:
     def test_frozen_values(self, setup4):
         V, Mp = setup4
@@ -179,6 +224,26 @@ class TestInvariantForm:
         form = contra.build_invariant_form(Mp, Fraction(3))
         assert form.pair(V.vacuum, V.vacuum) == 3
         assert form.pair(V.omega, V.omega) == Fraction(3, 2)
+
+    @pytest.mark.parametrize("level, corruptions, message", [
+        (3, [((1,), 1, (1,), (), 1)],
+         "invariance fails at v=(1,), w1=(), w2=(1,), n=-1: -1 != -2"),
+        (4, [((2,), 0, (1, 1), (2, 1), 1)],
+         "invariance fails at v=(2,), w1=(1, 1), w2=(2, 1), n=0: 2 != 0"),
+        (4, [((1,), -2, (1,), (2, 1), 1), ((1,), -2, (1,), (1, 1, 1), 1)],
+         "invariance fails at v=(1,), w1=(1,), w2=(2, 1), n=-2: 4 != 2"),
+    ])
+    def test_first_fault_message_is_pinned(self, level, corruptions,
+                                           message):
+        # the first failing (w1, w2) in basis order, w1 outermost: the
+        # second case first fails at weights 2 and 3, and the third at two
+        # w2 of weight 3, of which it names the first
+        V = build_heisenberg(level)
+        for corruption in corruptions:
+            V.corrupt(*corruption)
+        with pytest.raises(contra.NotSelfDual) as e:
+            contra.build_invariant_form(contra.ContragredientModule(V))
+        assert str(e.value) == message
 
     def test_corrupted_action_raises(self):
         V = build_heisenberg(3)

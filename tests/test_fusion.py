@@ -383,6 +383,17 @@ class TestIntertwiners:
         reps = {r.identity: r for r in fusion.check_intertwiner([I], win)[0]}
         assert reps["intertwiner-derivative"].failed
 
+    def test_derivative_clips_a_stored_entry_above_the_output_level(self, V):
+        # a(-1)'s mode -3 on a(-1) has weight 4, above the level: stored,
+        # its true value is clipped away on the side that reads it, as the
+        # shared act clips it, and L(-1)a(-1) = a(-2)'s image is clipped too
+        I = fusion.intertwiner_from_algebra(V)
+        assert ((1,), -3, (1,)) not in I.modes
+        I.modes[((1,), -3, (1,))] = {(3, 1): 1}
+        win = Window.symmetric(("x0", "x1", "x2"), 1)
+        reps = {r.identity: r for r in fusion.check_intertwiner([I], win)[0]}
+        assert reps["intertwiner-derivative"].passed
+
     def test_unequal_levels_read_the_least_and_clip_at_the_output(self, V):
         # both slots at level 3, the output at level 4: the checks read the
         # least of the three levels, and the stored operator clips at its
