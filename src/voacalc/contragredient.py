@@ -41,8 +41,9 @@ overdetermined cross-check.
 The direct-sum map on V + W is an action like the others: it supplies
 rows, and its ``act`` is the shared one. A label of the sum is an algebra
 label, or a module label with a trailing 0 part, which keeps its weight;
-``in_module`` and ``summands`` are the only code that knows this. A row
-dispatches on the sectors of its labels: the algebra's row, the module's
+``in_module``, ``summands``, ``DirectSumMap.row`` and
+``DirectSumMap.basis_upto`` are the only code that adds or strips it. A
+row dispatches on the sectors of its labels: the algebra's row, the module's
 row, the skew formula ``axioms.skew_coefficients`` on the module action
 (module into sum), or the pairing of the L(1) chains of both arguments
 through the two forms (module on module, into the algebra). Rows end at

@@ -29,19 +29,14 @@ a(n-k+1). What is memoised where:
   per level, which all of its suites read (``cli.run_suites``), so a
   structure constant is computed once per run.
 * ``HeisenbergVOA._modes`` holds exactly the keys asked for through
-  ``mode_basis``; ``touched_mode_keys`` lists them.
+  ``mode_basis``, the loss flag's reads included; ``touched_mode_keys``
+  lists them.
 * The subkeys of a computation (the keys of two or more oscillators that
   the recursion reads) are kept in ``HeisenbergVOA._subkeys``, one memo
   per algebra, so that each is computed once: the pairs of one call
   share tails, and so do the calls of a loop over mode indices or
   ceilings, as in the sewing check. A key asked for through
   ``mode_basis`` moves to ``_modes`` and lives only there.
-* The overflow probe of ``apply_mode_flagged`` (a pair above the ceiling,
-  tested only for being nonzero) keeps no vector for its own key, only
-  for the subkeys it reads, since the key never yields a vector. It
-  reads a kept subkey without removing it, and keeps its answer as a
-  boolean per key in ``_probes``; a key with a corruption is always
-  asked again, so adding or clearing one still changes the flag.
 * A corruption (``corrupt``) is applied where ``mode_basis`` returns, so
   it changes its own key only; both memos hold clean values, which is
   all the recursion reads.
@@ -69,8 +64,9 @@ the dual-derivative and dual-Virasoro checks, ``conj_operator``, the
 direct-sum pairings and the intertwiner-derivative check form them once
 and run it at every mode index that shares them. A check that applies one
 basis label's mode to another reads ``row`` and tests the image weight
-itself. The algebra's ``act`` runs ``apply_mode_flagged``, whose loop also
-probes the pairs above the ceiling for a loss flag that ``act`` drops.
+itself. The algebra's ``act`` runs ``apply_mode_flagged``, which runs the
+same loop and also reports whether a pair above the ceiling has a nonzero
+row; ``act`` drops that flag.
 ``accumulate`` and ``divided`` are the int-first sum and exact division
 of bare coefficient maps.
 
@@ -242,27 +238,15 @@ class GradedVector:
         raise TypeError("GradedVector is not hashable")
 
     def __add__(self, other):
-        out = dict(self.coeff)
-        for k, v in other.coeff.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
         r = GradedVector.__new__(GradedVector)
-        r.coeff = out
+        r.coeff = dict(self.coeff)
+        accumulate(r.coeff, other.coeff, 1)
         return r
 
     def __sub__(self, other):
-        out = dict(self.coeff)
-        for k, v in other.coeff.items():
-            s = out.get(k, 0) - v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
         r = GradedVector.__new__(GradedVector)
-        r.coeff = out
+        r.coeff = dict(self.coeff)
+        accumulate(r.coeff, other.coeff, -1)
         return r
 
     def __neg__(self):
@@ -374,7 +358,7 @@ class HeisenbergVOA(VOAAction):
 
     ``level`` is the declared weight ceiling: the basis consists of
     partitions of weight <= level, and mode applications clip above it
-    (flagging the loss) unless an explicit higher ceiling is given.
+    unless an explicit higher ceiling is given.
     """
 
     def __init__(self, level: int):
@@ -388,7 +372,6 @@ class HeisenbergVOA(VOAAction):
         self.twice_omega = GradedVector.basis((1, 1))
         self._modes: dict = {}
         self._subkeys: dict = {}  # Wick subkeys nobody asked for, clean
-        self._probes: dict = {}   # overflow probe key -> true value nonzero
         self._corruptions: dict = {}
 
     # -- basis bookkeeping ------------------------------------------------
@@ -407,24 +390,15 @@ class HeisenbergVOA(VOAAction):
     # -- exact mode coefficients -------------------------------------------
 
     def mode_basis(self, lu: tuple[int, ...], n: int,
-                   lv: tuple[int, ...], *, store: bool = True) -> dict:
+                   lv: tuple[int, ...]) -> dict:
         """Exact action of the n-th mode of basis state lu on basis state lv,
-        as a map partition -> integer coefficient (untruncated).
-
-        The result is memoised in ``_modes`` unless ``store`` is false,
-        which the overflow probe uses for keys it only tests for zero.
-        Either way the key is not left in ``_subkeys``, unless it was a
-        subkey already and only probed.
-        """
+        as a map partition -> integer coefficient (untruncated), memoised
+        in ``_modes``; the key is not left in ``_subkeys``."""
         key = (lu, n, lv)
         out = self._modes.get(key)
         if out is None:
-            kept = not store and key in self._subkeys
-            out = self._compute_mode(lu, n, lv) or _ZERO_ROW
-            if store:
-                self._modes[key] = out
-            if not kept:
-                self._subkeys.pop(key, None)
+            out = self._modes[key] = self._compute_mode(lu, n, lv) or _ZERO_ROW
+            self._subkeys.pop(key, None)
         if self._corruptions:
             delta = self._corruptions.get(key)
             if delta:
@@ -453,44 +427,15 @@ class HeisenbergVOA(VOAAction):
                            ceiling: int | None = None
                            ) -> tuple[GradedVector, bool]:
         """u_n v clipped at the ceiling (default the declared level), with a
-        flag reporting whether clipping dropped anything."""
+        flag reporting whether clipping dropped anything: whether a pair
+        above the ceiling has a nonzero row, read through ``mode_basis``
+        up to the first such pair."""
         cap = self.level if ceiling is None else ceiling
-        acc: dict = {}
-        overflow = False
-        for lu, cu in u.coeff.items():
-            for lv, cv in v.coeff.items():
-                target = sum(lu) + sum(lv) - n - 1
-                if target < 0:
-                    continue
-                if target > cap:
-                    # a nonzero true value here would be lost entirely;
-                    # once one is found the flag is settled. The probe only
-                    # tests for zero, so only that answer is kept, and a
-                    # corrupted key is asked again
-                    if not overflow:
-                        overflow = self._probe(lu, n, lv)
-                    continue
-                c = cu * cv
-                for label, m in self.mode_basis(lu, n, lv).items():
-                    s = acc.get(label, 0) + c * m
-                    if s:
-                        acc[label] = s
-                    else:
-                        acc.pop(label, None)
+        pairs = label_pairs(u.coeff, v.coeff)
         r = GradedVector.__new__(GradedVector)
-        r.coeff = acc
-        return r, overflow
-
-    def _probe(self, lu, n, lv) -> bool:
-        """Whether mode_basis(lu, n, lv) is nonzero, without storing it."""
-        key = (lu, n, lv)
-        if key in self._corruptions:
-            return bool(self.mode_basis(lu, n, lv, store=False))
-        got = self._probes.get(key)
-        if got is None:
-            got = self._probes[key] = bool(self.mode_basis(
-                lu, n, lv, store=False))
-        return got
+        r.coeff = apply_pairs(self.mode_basis, pairs, n, cap)
+        return r, any(self.mode_basis(lu, n, lv)
+                      for lu, lv, base, _ in pairs if base - n > cap)
 
     def act(self, u: GradedVector, n: int, v: GradedVector,
             ceiling: int | None = None) -> GradedVector:

@@ -609,8 +609,8 @@ def _insertion(V: HeisenbergVOA, u: GradedVector, z: QQi,
                s: GradedVector, weights) -> GradedVector:
     """sum_t z^(-t-1) u_t s at the given output weights. Weight a of u and
     weight b of s meet weight w at the one mode t = a + b - 1 - w, so each
-    term is ``V.act`` at ceiling w: nothing is clipped and no overflow
-    probe runs. Each power of z is computed once per t."""
+    term is ``V.act`` at ceiling w: nothing is clipped and the loss flag
+    reads no row. Each power of z is computed once per t."""
     parts = []
     for v in (u, s):
         by_weight: dict = {}

@@ -234,13 +234,12 @@ def check_delta_identity(kind: str, f: FormalSeries | None,
     raise ValueError(f"unknown delta identity {kind!r}")
 
 
-def random_laurent_polynomial(rng, max_degree: int = 6,
-                              max_terms: int = 6) -> FormalSeries:
+def random_laurent_polynomial(rng) -> FormalSeries:
     """Seeded random Laurent polynomial in x with small exact
-    coefficients."""
+    coefficients: up to 6 terms, of degrees in -6..6."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = rng.randint(-max_degree, max_degree)
+    for _ in range(rng.randint(1, 6)):
+        e = rng.randint(-6, 6)
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         if c:
             terms[(e,)] = terms.get((e,), Fraction(0)) + c

@@ -91,11 +91,11 @@ def test_act_is_bilinear_in_the_rows(action):
 def test_engine_pair_loop_is_act(name):
     # the three-term engine applies modes through fock.apply_pairs, over
     # label pairs it forms once and reads at many n, where act forms them
-    # per call (the algebra's act runs apply_mode_flagged): both must give
-    # the same values with the same coefficient types. A constant
-    # corrupted at a pair of image weight -1 (its label has weight 1) is
-    # kept out only by the pair loop's 0..cap filter, as are the rows above
-    # the cap
+    # per call (the algebra's act runs it too, in apply_mode_flagged): both
+    # must give the same values with the same coefficient types. A
+    # constant corrupted at a pair of image weight -1 (its label has
+    # weight 1) is kept out only by the pair loop's 0..cap filter, as are
+    # the rows above the cap
     action = _actions()[name]
     action.V.corrupt((1,), 2, (1,), (1,), 1)
     assert action.V.row((1,), 2, (1,)) == {(1,): 1}

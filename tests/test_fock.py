@@ -155,11 +155,13 @@ def test_kept_probe_answer_yields_to_a_corruption():
     key = ((2,), 0, (4,))
     assert build_heisenberg(4).mode_basis(*key) == {}
     assert V.apply_mode_flagged(u, 0, v) == (GradedVector(), False)
-    assert V._probes == {key: False} and key not in V._modes
+    # the flag reads the row through mode_basis, which memoises it
+    assert V.touched_mode_keys() == [key] and V._modes[key] == {}
     V.corrupt(*key, (5,), 1)
     assert V.apply_mode_flagged(u, 0, v) == (GradedVector(), True)
     V.clear_corruptions()
     assert V.apply_mode_flagged(u, 0, v) == (GradedVector(), False)
+    assert V._modes[key] == {}
 
 
 _flag_calls = st.lists(
@@ -359,20 +361,35 @@ def test_corruption_stays_at_its_key():
                 assert V.mode_basis(*key) == clean.mode_basis(*key), key
 
 
+def _flag_reads(u, n, v, cap):
+    """The above-ceiling pairs whose rows the loss flag of u_n v reads: in
+    pair order, up to the first nonzero one."""
+    clean = build_heisenberg(0)
+    reads = []
+    for lu in u.coeff:
+        for lv in v.coeff:
+            if sum(lu) + sum(lv) - n - 1 > cap:
+                reads.append((lu, n, lv))
+                if clean.mode_basis(lu, n, lv):
+                    return reads
+    return reads
+
+
 def test_only_public_keys_are_memoised():
     V = build_heisenberg(6)
     key = ((3, 2, 1, 1), -4, (2, 1, 1))
     assert V.mode_basis(*key)
     assert V.touched_mode_keys() == [key]
-    # apply_mode_flagged asks for each below-ceiling pair; its above-ceiling
-    # probes are not memoised
+    # apply_mode_flagged asks for each below-ceiling pair, and its loss flag
+    # for the above-ceiling pairs up to the first nonzero one
     u = GradedVector({(2, 1): 1, (1,): 3})
     v = GradedVector({(3, 1): 1, (1, 1): -2})
     out, lost = V.apply_mode_flagged(u, -2, v, ceiling=6)
     assert lost and out
     asked = {(lu, -2, lv) for lu in u.coeff for lv in v.coeff
              if 0 <= sum(lu) + sum(lv) + 1 <= 6}
-    assert set(V.touched_mode_keys()) == asked | {key}
+    assert set(V.touched_mode_keys()) == \
+        asked | {key} | set(_flag_reads(u, -2, v, 6))
 
 
 # -- one Wick subkey memo per algebra ------------------------------------------
@@ -405,7 +422,8 @@ def test_shared_scratch_matches_separate_pairs(u, v, cap, data):
         _pair_sum(build_heisenberg(4), u, n, v, cap)
     assert set(V.touched_mode_keys()) == {
         (lu, n, lv) for lu in u.coeff for lv in v.coeff
-        if 0 <= sum(lu) + sum(lv) - n - 1 <= cap}
+        if 0 <= sum(lu) + sum(lv) - n - 1 <= cap} | \
+        set(_flag_reads(u, n, v, cap))
 
 
 @given(st.sampled_from([l for l in partitions_upto(10) if len(l) >= 3]),
@@ -439,7 +457,7 @@ def test_no_wick_subkey_is_computed_twice(monkeypatch):
     real = fock._wick
 
     def spy(lu, n, lv, target, *memos):
-        # a top-level key (depth 0) is asked for or probed, not a subkey
+        # a top-level key (depth 0) is asked for, not a subkey
         if depth[0] and len(lu) > 1 and \
                 not any((lu, n, lv) in m for m in memos):
             computed.append((lu, n, lv))
@@ -461,8 +479,8 @@ def test_no_wick_subkey_is_computed_twice(monkeypatch):
 
 
 def test_a_probed_corruption_stays_out_of_the_memos():
-    # ((1, 1, 1), -3, (1,)) lies above level 4 and is probed while
-    # corrupted; asked for afterwards, as the subkey that peeling the
+    # ((1, 1, 1), -3, (1,)) lies above level 4 and the loss flag reads it
+    # while corrupted; asked for afterwards, as the subkey that peeling the
     # creator a(-2) from `sup` reads, and then directly, it is clean
     key, sup = ((1, 1, 1), -3, (1,)), ((2, 1, 1, 1), -3, (1,))
     clean = build_heisenberg(4)
@@ -481,11 +499,10 @@ def test_subkeys_hold_no_asked_or_probed_key():
     v = GradedVector({(3, 1): 1, (1, 1): -2})
     for t in range(-6, 4):
         V.apply_mode_flagged(u, t, v)
-    assert V._subkeys and V._probes
+    assert V._subkeys
     assert not V._subkeys.keys() & V._modes.keys()
-    assert not V._subkeys.keys() & V._probes.keys()
-    # a probe reads a kept subkey and leaves it there; asking for it then
-    # moves it to ``_modes``
+    # the loss flag reads a kept subkey through mode_basis, which moves it
+    # to ``_modes``
     key = max(V._subkeys, key=lambda k: (bool(V._subkeys[k]), k))
     lu, n, lv = key
     clean = build_heisenberg(4).mode_basis(*key)
@@ -493,9 +510,9 @@ def test_subkeys_hold_no_asked_or_probed_key():
     cap = sum(lu) + sum(lv) - n - 2
     assert V.apply_mode_flagged(GradedVector.basis(lu), n,
                                 GradedVector.basis(lv), cap)[1]
-    assert V._probes[key] and V._subkeys[key] == clean
-    assert V.mode_basis(*key) == clean
     assert key in V._modes and key not in V._subkeys
+    assert V._modes[key] == clean and V.mode_basis(*key) == clean
+    assert not V._subkeys.keys() & V._modes.keys()
 
 
 def test_zero_rows_are_one_shared_read_only_mapping():
@@ -570,8 +587,8 @@ def test_no_float_in_any_suite(monkeypatch):
             kinds.update(type(c).__name__ for c in vec.coeff.values())
         return out, overflow
 
-    def row_spy(self, lu, n, lv, *, store=True):
-        out = real_row(self, lu, n, lv, store=store)
+    def row_spy(self, lu, n, lv):
+        out = real_row(self, lu, n, lv)
         rows.update(type(c).__name__ for c in out.values())
         return out
 

@@ -502,7 +502,7 @@ class TestEvaluation:
     def test_overflow_flag_stops_at_first_loss(self):
         # the omega sewing check keeps no above-cutoff structure constant:
         # every pair an insertion asks for lands at an output weight inside
-        # the cutoff, so no overflow probe runs on this path
+        # the cutoff, so the overflow flag reads no row on this path
         V = build_heisenberg(6)
         om = V.omega
         rep = check_sewing_axiom(V, two_puncture_element(2, M), 1,
