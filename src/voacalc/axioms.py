@@ -309,14 +309,17 @@ def skew_coefficients(action: VOAAction, v: GradedVector, u: GradedVector,
     which skew-symmetry equates with u_n v. The modes and L(-1) are
     ``action``'s, each clipped at the ceiling. Each image v_m u and its
     ``exp_chain`` are computed once; the chain runs to the entry that the
-    smallest n reads. A given ``images`` dict receives each image, as
-    {m: v_m u}."""
+    smallest n reads, and the images run the pair loop of ``act``. A
+    given ``images`` dict receives each image, as {m: v_m u}."""
     out = {n: GradedVector() for n in ns}
     if not out or not v or not u:
         return out
     lo = min(out)
+    cap = action.level if ceiling is None else ceiling
+    pairs = label_pairs(v.coeff, u.coeff)
     for m in range(lo, max(v.weights()) + max(u.weights())):
-        img = action.act(v, m, u, ceiling)
+        img = GradedVector.__new__(GradedVector)
+        img.coeff = apply_pairs(action.row, pairs, m, cap)
         if images is not None:
             images[m] = img
         chain = exp_chain(action, -1, img, ceiling, m - lo + 1)
@@ -348,89 +351,101 @@ def check_skew_symmetry(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
 # -- bracket formulas ------------------------------------------------------
 
 
-def check_commutators(V: HeisenbergVOA, v: GradedVector,
+# the binomials binom(i + 1, j), j = 0..i+1, of the bracket formulas
+_BRACKET_BINOMS = {-1: (1,), 0: (1, 1), 1: (1, 2, 1)}
+
+
+def check_commutators(V: HeisenbergVOA, vs: list,
                       win: Window) -> list[VerificationReport]:
     """The three Virasoro bracket formulas
 
         [L(i), v_n] = sum_j binom(i+1, j) (L(i-j)v)_(n+j),   i = -1, 0, 1,
 
-    applied to every basis vector, coefficientwise in the mode index.
+    for each homogeneous v of ``vs`` on every basis vector w,
+    coefficientwise in the mode index: three reports per v, in order.
 
     Mode indices n are taken from the exponent window (n = -exp - 1); a
     (w, n) pair is only asserted when every constituent stays below the
     level, and instances with no assertable pair at all report skipped.
-    Each image is computed once: L(i)v per v, v_n w per (w, n), and
-    (L(j)v)_m w per w for all three formulas, by the pair loop over the
-    algebra's rows (L(i) as half the mode i + 1 of 2 omega), which clips
-    as ``act`` does, and each side is summed in one dict.
+    Each image is computed once: w's name, loss test and L(i)w per call,
+    L(i)v per v, v_n w per (v, w, n) and (L(j)v)_m w per (v, w), by the
+    pair loop over the algebra's rows (L(i) as half the mode i + 1 of
+    2 omega), and each side is summed in one dict.
     """
-    wv = v.weight()
     n_lo = -win.hi("x") - 1
     n_hi = -win.lo("x") - 1
-    vac = V.is_vacuum_multiple(v)
-    # the formulas need L(-1)v exactly; test the loss, not the bound
-    # (L(-1) is the zero mode of 2 omega)
-    lost_raise_v = (not vac and wv + 1 > V.level
-                    and V.true_nonzero(V.twice_omega, 0, v))
     modes = (-1, 0, 1)
     row, level, two = V.row, V.level, V.twice_omega.coeff
 
     def virasoro(i, pairs):   # L(i) x from the pairs of (2 omega, x)
         return divided(apply_pairs(row, pairs, i + 1, level), 2)
 
-    tv = label_pairs(two, v.coeff)
-    l_v = {} if lost_raise_v else {i: virasoro(i, tv) for i in modes}
-    diffs: dict = {i: [] for i in modes}
-    checked = dict.fromkeys(modes, 0)
-    skipped = dict.fromkeys(modes, 0)
+    def lost_raise(x):
+        # the formulas need L(-1)x exactly; test the loss, not the bound
+        # (L(-1) is the zero mode of 2 omega)
+        return x.weight() + 1 > level and V.true_nonzero(
+            V.twice_omega, 0, x)
+
+    # per basis vector w: w, its weight and name, its lost raise and L(i)w
+    ws = []
     for lw in V.basis_upto():
         w = GradedVector.basis(lw)
-        ww = sum(lw)
-        lw_name = fmt_label(lw)
-        lost_raise_w = (not vac and ww + 1 > V.level
-                        and V.true_nonzero(V.twice_omega, 0, w))
-        vw, tw = label_pairs(v.coeff, w.coeff), label_pairs(two, w.coeff)
-        l_v_w = {j: label_pairs(x, w.coeff) for j, x in l_v.items()}
-        vn_w: dict = {}    # n -> the pairs of (2 omega, v_n w)
-        parts: dict = {}   # (j, m) -> (L(j)v)_m w
-        for i in modes:
-            # exactness conditions for each constituent; a lost raise
-            # skips every n
-            lost = lost_raise_v or (i == -1 and lost_raise_w)
-            v_l_w = None if lost else label_pairs(v.coeff, virasoro(i, tw))
-            for n in range(n_lo, n_hi + 1):
-                final = wv + ww - n - 1 - i
-                if final < 0 or final > V.level:
-                    continue
-                if lost or (i == 1 and wv + ww - n - 1 > V.level
-                            and V.true_nonzero(v, n, w)):
-                    skipped[i] += 1
-                    continue
-                checked[i] += 1
-                if n not in vn_w:
-                    vn_w[n] = label_pairs(two, apply_pairs(row, vw, n, level))
-                lhs = virasoro(i, vn_w[n])
-                accumulate(lhs, apply_pairs(row, v_l_w, n, level), -1)
-                rhs: dict = {}
-                for j in range(i + 2):
-                    key = (i - j, n + j)
-                    if key not in parts:
-                        parts[key] = apply_pairs(row, l_v_w[i - j], n + j,
-                                                 level)
-                    accumulate(rhs, parts[key], binom(i + 1, j))
-                diff_labels(diffs[i], (lw_name, n), lhs, rhs)
-    params = f"v={fmt_vec(v)};win={win.hi('x')}"
+        tw = label_pairs(two, w.coeff)
+        ws.append((w, sum(lw), fmt_label(lw), lost_raise(w),
+                   {i: virasoro(i, tw) for i in modes}))
     out = []
-    for i in modes:
-        ident = f"bracket-L({i})"
-        if checked[i] == 0:
-            out.append(VerificationReport.skipped(ident, params,
-                                                  "no assertable modes"))
-        else:
-            rep = VerificationReport.from_diffs(ident, params, diffs[i])
-            if skipped[i]:
-                rep.note = f"{skipped[i]} mode positions skipped"
-            out.append(rep)
+    for v in vs:
+        wv = v.weight()
+        vac = V.is_vacuum_multiple(v)
+        lost_raise_v = not vac and lost_raise(v)
+        tv = label_pairs(two, v.coeff)
+        l_v = {} if lost_raise_v else {i: virasoro(i, tv) for i in modes}
+        diffs: dict = {i: [] for i in modes}
+        checked = dict.fromkeys(modes, 0)
+        skipped = dict.fromkeys(modes, 0)
+        for w, ww, lw_name, lost_raise_w, l_w in ws:
+            vw = label_pairs(v.coeff, w.coeff)
+            l_v_w = {j: label_pairs(x, w.coeff) for j, x in l_v.items()}
+            vn_w: dict = {}    # n -> the pairs of (2 omega, v_n w)
+            parts: dict = {}   # (j, m) -> (L(j)v)_m w
+            for i in modes:
+                # exactness conditions for each constituent; a lost raise
+                # skips every n
+                lost = lost_raise_v or (i == -1 and lost_raise_w and not vac)
+                v_l_w = None if lost else label_pairs(v.coeff, l_w[i])
+                for n in range(n_lo, n_hi + 1):
+                    final = wv + ww - n - 1 - i
+                    if final < 0 or final > level:
+                        continue
+                    if lost or (i == 1 and wv + ww - n - 1 > level
+                                and V.true_nonzero(v, n, w)):
+                        skipped[i] += 1
+                        continue
+                    checked[i] += 1
+                    if n not in vn_w:
+                        vn_w[n] = label_pairs(two,
+                                              apply_pairs(row, vw, n, level))
+                    lhs = virasoro(i, vn_w[n])
+                    accumulate(lhs, apply_pairs(row, v_l_w, n, level), -1)
+                    rhs: dict = {}
+                    for j, b in enumerate(_BRACKET_BINOMS[i]):
+                        key = (i - j, n + j)
+                        if key not in parts:
+                            parts[key] = apply_pairs(row, l_v_w[i - j],
+                                                     n + j, level)
+                        accumulate(rhs, parts[key], b)
+                    diff_labels(diffs[i], (lw_name, n), lhs, rhs)
+        params = f"v={fmt_vec(v)};win={win.hi('x')}"
+        for i in modes:
+            ident = f"bracket-L({i})"
+            if checked[i] == 0:
+                out.append(VerificationReport.skipped(ident, params,
+                                                      "no assertable modes"))
+            else:
+                rep = VerificationReport.from_diffs(ident, params, diffs[i])
+                if skipped[i]:
+                    rep.note = f"{skipped[i]} mode positions skipped"
+                out.append(rep)
     return out
 
 

@@ -179,10 +179,8 @@ def _skew_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
 
 def _commutator_reports(V, cfg: SuiteConfig) -> list[VerificationReport]:
     win = Window.of(x=(-cfg.level - 1, cfg.level + 1))
-    out = []
-    for lv in V.basis_upto():
-        out.extend(axioms.check_commutators(V, GradedVector.basis(lv), win))
-    return out
+    return axioms.check_commutators(
+        V, [GradedVector.basis(lv) for lv in V.basis_upto()], win)
 
 
 def conjugation_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:

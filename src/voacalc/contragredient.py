@@ -19,12 +19,13 @@ A(v, n) from the dual block of that weight, the transpose of the sum
 over k of the base's matrices of (L(1)^k v / k!)_{2 wt v - 2 - n - k},
 whose rows are the base's own ``row``: ``mode_basis`` on the algebra,
 the base's blocks on a dual (the double dual). ``conj_operator`` is the
-same adjoint applied to one vector, each lowering's mode run over the
-base's rows by ``fock.apply_pairs``, which keeps the images whose weight
-lies in 0..ceiling as the base's ``act`` does: the definition the blocks
-are tested against. ``check_defining_relation`` compares each block with
-the ``conj_operator`` images of its weight in one comparison, and diffs
-only the blocks that differ.
+same adjoint applied to one vector, the definition the blocks are tested
+against: ``_conj_terms`` forms its operands that do not depend on the
+mode index, and ``_conj_image`` runs each lowering's mode over the base's
+rows by ``fock.apply_pairs``, keeping the images whose weight lies in
+0..ceiling as the base's ``act`` does. ``check_defining_relation`` forms
+the terms once per (v, nu) and compares each block whole with the images
+of its weight, diffing only the blocks that differ.
 
 Everything is memoised on the instance, by basis label: the lowered
 vectors [(k, L(1)^k v / k!)] (the ``fock.exp_chain`` of e^{xL(1)} v) and
@@ -99,22 +100,35 @@ class ContragredientModule(RowAction):
 
     def conj_operator(self, v: GradedVector, n: int, m: GradedVector,
                       ceiling: int | None = None) -> GradedVector:
-        """A(v, n) applied to a vector of the base module: each lowering's
-        mode runs over the base's rows, keeping the images of weight in
-        0..ceiling as the base's ``act`` does. The definition the blocks
-        are tested against."""
+        """A(v, n) applied to a vector of the base module, clipped at the
+        ceiling as the base's ``act`` clips: the definition the blocks are
+        tested against, by the code the defining relation runs."""
         cap = self.base.level if ceiling is None else ceiling
-        acc: dict = {}
-        for lu, c in v.coeff.items():
+        out = GradedVector.__new__(GradedVector)
+        out.coeff = self._conj_image(self._conj_terms(v.coeff, m.coeff),
+                                     n, cap)
+        return out
+
+    def _conj_terms(self, v: dict, m: dict) -> list:
+        """Per label lu of v and lowering k, the operands of A(v, n) m
+        that do not depend on n: c_lu (-1)^{wt lu}, 2 wt lu - 2 - k and
+        the label pairs of (L(1)^k lu / k!, m)."""
+        out = []
+        for lu, c in v.items():
             wtv = sum(lu)
             s = -c if wtv % 2 else c
             for k, lv in self._lowerings(lu):
-                accumulate(acc, axioms.apply_pairs(
-                    self.base.row, axioms.label_pairs(lv.coeff, m.coeff),
-                    2 * wtv - 2 - n - k, cap), s)
-        out = GradedVector.__new__(GradedVector)
-        out.coeff = acc
+                out.append((s, 2 * wtv - 2 - k,
+                            axioms.label_pairs(lv.coeff, m)))
         return out
+
+    def _conj_image(self, terms: list, n: int, cap: int) -> dict:
+        """A(v, n) m from its ``_conj_terms``, clipped at cap."""
+        acc: dict = {}
+        row = self.base.row
+        for s, t, pairs in terms:
+            accumulate(acc, axioms.apply_pairs(row, pairs, t - n, cap), s)
+        return acc
 
     def adjoint_block(self, lu: tuple, n: int, weight: int) -> dict:
         """The matrix {mu: {nu: coefficient}} of A(lu, n) from the block of
@@ -165,17 +179,18 @@ def check_defining_relation(Mp: ContragredientModule
     (v, dual basis, basis) with a nonzero weight match.
 
     Per (|mu|, |nu|), the left side is the dual's block of A(v, n) from
-    the weight |mu|, and the right side is ``conj_operator``, the
-    conjugated operand acting on the base module, at each nu of weight
-    |nu|, transposed to be indexed like the left. The two blocks are
-    compared whole; blocks that differ are diffed per mu, then |nu|, then
-    nu.
+    the weight |mu|, and the right side is ``conj_operator`` at ceiling
+    |mu| at each nu of weight |nu|, from operands formed once per (v, nu),
+    transposed to be indexed like the left. The two blocks are compared
+    whole; blocks that differ are diffed per mu, then |nu|, then nu.
     """
     M = Mp.base
     out = []
     for lv in Mp.V.basis_upto():
-        v = GradedVector.basis(lv)
         wtv = sum(lv)
+        # per nu, the operands of A(v, n) nu, formed once for every n
+        terms = {nu: Mp._conj_terms({lv: 1}, {nu: 1})
+                 for nu in M.basis_upto()}
         diffs = []
         for wmu in range(M.level + 1):
             # the pairs of blocks that differ, by |nu|
@@ -185,9 +200,7 @@ def check_defining_relation(Mp: ContragredientModule
                 n = wtv + wmu - wnu - 1
                 right: dict = {}
                 for nu in partitions(wnu):
-                    for lab, c in Mp.conj_operator(
-                            v, n, GradedVector.basis(nu),
-                            ceiling=wmu).coeff.items():
+                    for lab, c in Mp._conj_image(terms[nu], n, wmu).items():
                         right.setdefault(lab, {})[nu] = c
                 left = Mp.adjoint_block(lv, n, wmu)
                 if left != right:

@@ -302,13 +302,16 @@ class TestSkewSymmetry:
 
 class TestCommutators:
     def test_vacuum(self, V):
-        for rep in axioms.check_commutators(V, V.vacuum, Window.of(x=(-7, 7))):
+        for rep in axioms.check_commutators(V, [V.vacuum],
+                                            Window.of(x=(-7, 7))):
             assert rep.passed
 
     def test_oscillator_and_conformal(self, V):
-        for vec in (B((1,)), V.omega, B((2, 1))):
-            for rep in axioms.check_commutators(V, vec, Window.of(x=(-7, 7))):
-                assert not rep.failed
+        reps = axioms.check_commutators(V, [B((1,)), V.omega, B((2, 1))],
+                                        Window.of(x=(-7, 7)))
+        assert len(reps) == 9
+        for rep in reps:
+            assert not rep.failed
 
     def test_a_corrupted_constant_fails_the_brackets(self):
         # negative control: a(0) a(-2)|0> corrupted to read a(-1)|0> breaks
@@ -1109,21 +1112,30 @@ def _naive_commutators(V, v, win):
     return out
 
 
+def _naive_per_v(V, vs, win):
+    """The naive evaluator run once per vector of ``vs``, in order: the
+    per-v loop the one-call ``check_commutators`` is compared against."""
+    return [rep for v in vs for rep in _naive_commutators(V, v, win)]
+
+
 @st.composite
 def _commutator_cases(draw):
-    """A homogeneous vector (a basis vector, or a combination of two with
-    Fraction coefficients), a window, and whether to corrupt one structure
-    constant."""
-    wt = draw(st.integers(0, ORACLE_LEVEL))
-    labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
-                           max_size=2, unique=True))
-    v = GradedVector()
-    for lab in labels:
-        v = v + B(lab).scale(draw(st.sampled_from(
-            (1, -2, Fraction(1, 2), Fraction(-3, 4)))))
+    """One to three homogeneous vectors (each a basis vector, or a
+    combination of two with Fraction coefficients), a window, and whether
+    to corrupt one structure constant."""
+    vs = []
+    for _ in range(draw(st.integers(1, 3))):
+        wt = draw(st.integers(0, ORACLE_LEVEL))
+        labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
+                               max_size=2, unique=True))
+        v = GradedVector()
+        for lab in labels:
+            v = v + B(lab).scale(draw(st.sampled_from(
+                (1, -2, Fraction(1, 2), Fraction(-3, 4)))))
+        vs.append(v)
     lo = draw(st.integers(-ORACLE_LEVEL - 2, 1))
     win = Window.of(x=(lo, lo + draw(st.integers(0, 2 * ORACLE_LEVEL + 2))))
-    return v, win, draw(st.booleans()), draw(st.integers(0, 1 << 20))
+    return vs, win, draw(st.booleans()), draw(st.integers(0, 1 << 20))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1131,28 +1143,43 @@ def _commutator_cases(draw):
 def test_commutators_match_naive_evaluator(case):
     # status, note and the ordered diffs, through repr, so that an int
     # coefficient turning into an equal Fraction fails too
-    v, win, corrupt, pick = case
+    vs, win, corrupt, pick = case
     V = _corrupted_algebra(corrupt, pick,
-                           lambda V: _naive_commutators(V, v, win))
+                           lambda V: _naive_per_v(V, vs, win))
     got = [(r.status, r.note, repr(r.diffs))
-           for r in axioms.check_commutators(V, v, win)]
-    assert got == _naive_commutators(V, v, win)
+           for r in axioms.check_commutators(V, vs, win)]
+    assert got == _naive_per_v(V, vs, win)
 
 
 def test_commutators_match_naive_evaluator_on_every_basis_vector():
-    # every basis vector of a clean and of a corrupted algebra, on the
-    # window the suite uses; the corruption fails some records, and some
-    # diffs hold Fraction coefficients
-    win = Window.of(x=(-ORACLE_LEVEL - 1, ORACLE_LEVEL + 1))
-    kinds, failed = set(), 0
-    for corrupt in (None, ((1, 1), 1, (2,), (2,), 1)):
-        V = build_heisenberg(ORACLE_LEVEL)
-        if corrupt:
-            V.corrupt(*corrupt)
-        for lv in partitions_upto(ORACLE_LEVEL):
-            reps = axioms.check_commutators(V, B(lv), win)
+    # every basis vector in one call, as the suite checks them, against
+    # the per-v loop, on the suite's window, at levels 4-6: on a clean
+    # algebra, on one with a constant that v = [1] and [2] read corrupted
+    # (it fails some records, and some diffs hold Fraction coefficients),
+    # and on one whose L(-1) on the top-weight w = [level] is zeroed, so
+    # that the lost-raise test of w, which every v shares, flips
+    for level in (4, 5, 6):
+        win = Window.of(x=(-level - 1, level + 1))
+        basis = [B(lv) for lv in partitions_upto(level)]
+        top = (level,)
+        kinds, failed, notes = set(), 0, {}
+        for corrupt in ("clean", "constant", "raise"):
+            V = build_heisenberg(level)
+            if corrupt == "constant":
+                V.corrupt((1, 1), 1, (2,), (2,), 1)
+            elif corrupt == "raise":
+                for label, c in list(V.mode_basis((1, 1), 0, top).items()):
+                    V.corrupt((1, 1), 0, top, label, -c)
+                assert not V.true_nonzero(V.twice_omega, 0, B(top))
+            reps = axioms.check_commutators(V, basis, win)
+            assert [(r.identity, r.params) for r in reps] == [
+                (f"bracket-L({i})", f"v={fmt_vec(v)};win={level + 1}")
+                for v in basis for i in (-1, 0, 1)]
             assert [(r.status, r.note, repr(r.diffs)) for r in reps] == \
-                _naive_commutators(V, B(lv), win), (corrupt, lv)
+                _naive_per_v(V, basis, win), (level, corrupt)
             failed += sum(r.failed for r in reps)
-            kinds |= {type(x) for r in reps for _, *xs in r.diffs for x in xs}
-    assert failed and Fraction in kinds
+            kinds |= {type(x) for r in reps for _, *xs in r.diffs
+                      for x in xs}
+            notes[corrupt] = [r.note for r in reps]
+        assert failed and Fraction in kinds, level
+        assert notes["raise"] != notes["clean"], level

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from voacalc import cli, contragredient as contra
 from voacalc.fock import (GradedVector, build_heisenberg, partitions,
                           partitions_upto)
-from voacalc.reports import Status
+from voacalc.reports import Status, VerificationReport
 from voacalc.series import Window
 
 from test_axioms import failing_digest, seeded_corruptions
@@ -393,6 +393,97 @@ def test_block_clips_like_the_base_action_under_a_corrupted_lowering():
     V.corrupt((2,), 1, (2,), (1,), 1)
     got = contra.ContragredientModule(V).act(B((2,)), 0, B((1,)))
     assert got == PerLabelDual(V).act(B((2,)), 0, B((1,)))
+
+
+def _defining_relation_by_conj_operator(Mp):
+    """``check_defining_relation`` with its right side written per (v, n,
+    nu): one ``conj_operator`` call on each nu at ceiling |mu|, each
+    forming its operands anew. The reference for the check, which forms
+    them once per (v, nu)."""
+    M = Mp.base
+    out = []
+    for lv in Mp.V.basis_upto():
+        v = B(lv)
+        wtv = sum(lv)
+        diffs = []
+        for wmu in range(M.level + 1):
+            differ = []
+            for wnu in range(M.level + 1):
+                n = wtv + wmu - wnu - 1
+                right: dict = {}
+                for nu in partitions(wnu):
+                    for lab, c in Mp.conj_operator(
+                            v, n, B(nu), ceiling=wmu).coeff.items():
+                        right.setdefault(lab, {})[nu] = c
+                left = Mp.adjoint_block(lv, n, wmu)
+                if left != right:
+                    differ.append((n, wnu, left, right))
+            for mu in partitions(wmu):
+                for n, wnu, left, right in differ:
+                    lhs, rhs = left.get(mu, {}), right.get(mu, {})
+                    for nu in partitions(wnu):
+                        lc, rc = lhs.get(nu, 0), rhs.get(nu, 0)
+                        if lc != rc:
+                            diffs.append(((contra.fmt_label(mu),
+                                           contra.fmt_label(nu), n), lc, rc))
+        out.append(VerificationReport.from_diffs(
+            "dual-defining-relation", f"v={contra.fmt_label(lv)}", diffs))
+    return out
+
+
+def _relation_records(reps) -> list:
+    # the ordered diffs through repr, so that an int turning into an equal
+    # Fraction fails too
+    return [(r.identity, r.params, r.status, r.note, repr(r.diffs))
+            for r in reps]
+
+
+def _assert_relation_matches_reference(make_dual) -> list:
+    """The check's records on one dual, against the reference's on another
+    dual made the same way (so no block memo is shared); returns them."""
+    got = _relation_records(contra.check_defining_relation(make_dual()))
+    assert got == _relation_records(
+        _defining_relation_by_conj_operator(make_dual()))
+    return got
+
+
+@pytest.mark.parametrize("level", (3, 4, 5))
+def test_defining_relation_oracle_clean_lowering_and_sign_flip(level):
+    # a clean algebra; the corrupted L(1) lowering of
+    # test_block_clips_like_the_base_action_under_a_corrupted_lowering,
+    # which both sides clip at |mu| = 1 alike, so its records pass; and a
+    # dual whose blocks carry a flipped sign, which fails records
+    clean = build_heisenberg(level)
+    assert all(status is Status.PASS for _, _, status, _, _ in
+               _assert_relation_matches_reference(
+                   lambda: contra.ContragredientModule(clean)))
+    lowered = build_heisenberg(level)
+    lowered.corrupt((1, 1), 2, (2,), (2,), 2)
+    lowered.corrupt((2,), 1, (2,), (1,), 1)
+    lowerings = contra.ContragredientModule(lowered)._lowerings((2,))
+    assert (2,) in lowerings[1][1].coeff
+    _assert_relation_matches_reference(
+        lambda: contra.ContragredientModule(lowered))
+    got = _assert_relation_matches_reference(lambda: SignFlipped(clean))
+    assert any(status is Status.FAIL for _, _, status, _, _ in got)
+
+
+@given(level=st.sampled_from((3, 4, 5)), seed=st.integers(0, 1 << 16),
+       count=st.integers(1, 6), lowering=st.booleans(), flip=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_defining_relation_oracle_under_seeded_corruptions(level, seed, count,
+                                                           lowering, flip):
+    # seeded corrupted constants, among omega's modes when ``lowering``,
+    # which is where the L(1) lowerings are read; with ``flip``, a sign in
+    # every block is flipped too, which fails records
+    V = build_heisenberg(level)
+    for corruption in seeded_corruptions(
+            seed, count, level, ops=((1, 1),) if lowering else ()):
+        V.corrupt(*corruption)
+    dual = SignFlipped if flip else contra.ContragredientModule
+    got = _assert_relation_matches_reference(lambda: dual(V))
+    if flip:
+        assert any(status is Status.FAIL for _, _, status, _, _ in got)
 
 
 def _untruncated(V, op: dict, n: int, vec: dict) -> dict:

@@ -21,6 +21,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "voacalc"
 
 # aids that only tests or the benchmark call, each with its reason
 ALLOWED = {
+    "contragredient.ContragredientModule.conj_operator":
+        "the conjugated operand on one vector, sharing the defining "
+        "relation's code: tests hold the dual to it, and perfbench's "
+        "tracer counts its calls",
     "fock.HeisenbergVOA.corrupt":
         "negative controls corrupt one structure constant",
     "fock.HeisenbergVOA.clear_corruptions":
@@ -36,6 +40,9 @@ ALLOWED = {
 # defaulted parameters that only tests or the console script set, or that
 # a call the scan cannot resolve passes, each with its reason
 ALLOWED_KNOBS = {
+    "contragredient.ContragredientModule.conj_operator.ceiling":
+        "tests clip the conjugated operand at |mu|, as the defining "
+        "relation's right side does",
     "cli.emit.stream": "tests capture the records of one run",
     "cli.main.argv": "tests pass argv; the console script reads sys.argv",
     "contragredient.build_invariant_form.normalization":
