@@ -61,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .exact import binom
@@ -104,12 +105,14 @@ class _Term:
     within one check call. An inner image y_j z above the inner action's
     level is lost when its true value is nonzero and the outer mode can
     see it: ``kron`` is the one outer index at which x acts, when x is a
-    vacuum multiple. Its (y, z) label pairs are formed once per check."""
+    vacuum multiple. Its (y, z) label pairs are formed once per check, and
+    the caller, which has read the operands' weights, gives wt y + wt z."""
 
-    def __init__(self, outer, x, inner, y, z, iterate: bool, kron, note: str):
+    def __init__(self, outer, x, inner, y, z, yz_weight: int, iterate: bool,
+                 kron, note: str):
         self.outer, self.x, self.inner, self.y, self.z = outer, x, inner, y, z
         self.iterate, self.kron, self.note = iterate, kron, note
-        self.yz_weight = y.weight() + z.weight()
+        self.yz_weight = yz_weight
         self.yz = label_pairs(y.coeff, z.coeff)
 
     def lost(self, j: int) -> bool:
@@ -258,27 +261,31 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
 
     Mixed-weight inputs decompose into homogeneous component triples, which
     by the grading verify independently; the reports merge, skipping when
-    any component is out of budget.
+    any component is out of budget. Each operand's weights are read once.
     """
-    comps = [(p.component(a), q.component(b), tgt.component(c))
-             for a in sorted(p.weights()) for b in sorted(q.weights())
-             for c in sorted(tgt.weights())]
-    if len(comps) > 1:
+    wp, wq, wt = p.weights(), q.weights(), tgt.weights()
+    if len(wp) == len(wq) == len(wt) == 1:
+        (a,), (b,), (c,) = wp, wq, wt
+    elif wp and wq and wt:
         merged: list = []
-        for cp, cq, ct in comps:
-            rep = three_term_check(cp, cq, ct, win, acts, identity, params)
+        for a, b, c in product(sorted(wp), sorted(wq), sorted(wt)):
+            rep = three_term_check(p.component(a), q.component(b),
+                                   tgt.component(c), win, acts, identity,
+                                   params)
             if rep.status is Status.SKIPPED:
                 return rep
             merged.extend(rep.diffs)
         return VerificationReport.from_diffs(identity, params, merged)
-    W = p.weight() + q.weight() + tgt.weight()
+    else:   # a zero operand, refused as GradedVector.weight refuses it
+        a, b, c = p.weight(), q.weight(), tgt.weight()
+    W = a + b + c
     rows = _expansion_rows(win, W + max(win.hi("x1"), win.hi("x2")) + 1,
                            W + win.hi("x0") + 1, -1)
-    terms = (_Term(acts.out1, p, acts.in1, q, tgt, False, acts.out1.kron(p),
-                   "product-inner"),
-             _Term(acts.out2, q, acts.in2, p, tgt, False, acts.out2.kron(q),
-                   "product-inner"),
-             _Term(acts.out3, tgt, acts.iterate, p, q, True, None,
+    terms = (_Term(acts.out1, p, acts.in1, q, tgt, W - a, False,
+                   acts.out1.kron(p), "product-inner"),
+             _Term(acts.out2, q, acts.in2, p, tgt, W - b, False,
+                   acts.out2.kron(q), "product-inner"),
+             _Term(acts.out3, tgt, acts.iterate, p, q, W - c, True, None,
                    "iterate-inner"))
     level = min(acts.out1.level, acts.out2.level, acts.out3.level)
     return _evaluate(_jacobi_layout, W, win, level, rows, terms, identity,
@@ -725,12 +732,13 @@ def check_translate_skew(V: HeisenbergVOA, u: GradedVector, v: GradedVector,
 
     It runs on the engine of ``three_term_check``.
     """
-    W = u.weight() + v.weight() + w.weight()
+    a, b, c = u.weight(), v.weight(), w.weight()
+    W = a + b + c
     rows = _expansion_rows(win, W + win.hi("x1") + 1,
                            W + max(win.hi("x0"), win.hi("x2")) + 1, 1)
-    terms = (_Term(V, u, V, w, v, False, V.kron(u), "inner"),
-             _Term(V, v, V, u, w, True, None, "iterate"),
-             _Term(V, w, V, u, v, False, V.kron(w), "inner"))
+    terms = (_Term(V, u, V, w, v, W - a, False, V.kron(u), "inner"),
+             _Term(V, v, V, u, w, W - b, True, None, "iterate"),
+             _Term(V, w, V, u, v, W - c, False, V.kron(w), "inner"))
     return _evaluate(_translate_skew_layout, W, win, V.level, rows, terms,
                      "translate-skew-rewrite",
                      _triple_params(u, v, w, f"win={win.hi('x0')}"))

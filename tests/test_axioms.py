@@ -762,6 +762,48 @@ def test_failing_check_matches_naive_evaluator_exactly(slot):
     assert sorted(diffs, key=lambda d: (d[0][3], d[0][:3])) != diffs
 
 
+def test_mixed_weights_split_into_component_triples():
+    # every suite hands the engine homogeneous triples; a mixed one is
+    # checked as its homogeneous component triples, in weight order
+    V = build_heisenberg(6)
+    acts = axioms.JacobiActions.uniform(V)
+
+    def parts(p, q, t, win):
+        return [axioms.three_term_check(p.component(a), q.component(b),
+                                        t.component(c), win, acts, "jacobi",
+                                        "-")
+                for a, b, c in itertools.product(
+                    sorted(p.weights()), sorted(q.weights()),
+                    sorted(t.weights()))]
+
+    # the failing report is the merge of the components' diffs, in order
+    V.corrupt(*FAILING_CASES["algebra"][0], FAILING_CASES["algebra"][1], 1)
+    p, q, t = V.omega + B((1,)), B((1,)) + B((2,)), B((1,)) + V.vacuum
+    comps = parts(p, q, t, WIN2)
+    assert len(comps) == 8 and not any(r.status is Status.SKIPPED
+                                       for r in comps)
+    assert sum(r.failed for r in comps) > 1 and any(r.passed for r in comps)
+    rep = axioms.three_term_check(p, q, t, WIN2, acts, "jacobi", "-")
+    assert (rep.identity, rep.params) == ("jacobi", "-") and rep.failed
+    assert rep.diffs == [d for r in comps for d in r.diffs]
+    V.clear_corruptions()
+
+    # one skipped component skips the whole check, with its report
+    p, q, t = V.omega + B((1,)), B((1,)), V.omega
+    first, second = parts(p, q, t, WIN3)
+    assert first.passed and second.status is Status.SKIPPED
+    assert axioms.three_term_check(p, q, t, WIN3, acts, "jacobi",
+                                   "-") == second
+
+    # a zero operand is refused as GradedVector.weight refuses it
+    for zero in range(3):
+        triple = [B((1,)), B((2,)), B((1,))]
+        triple[zero] = GradedVector()
+        with pytest.raises(ValueError) as err:
+            axioms.three_term_check(*triple, WIN2, acts, "jacobi", "-")
+        assert str(err.value) == "vector is not homogeneous: weights []"
+
+
 def test_a_skipped_check_computes_no_product():
     # exactness is decided before any product is computed: this check is
     # skipped at its first lost inner image, so its only act calls are

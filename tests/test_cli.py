@@ -568,4 +568,4 @@ def test_records_under_corruptions_are_pinned(monkeypatch):
             digest.update((r.record() + repr(r.diffs) + "\n").encode())
     assert failed == 423
     assert digest.hexdigest() == \
-        "b4111aebece71a888e19e73457c7c481ccfb86034ce4eb2e6e8b733ae1bc9c17"
+        "dcadd801bf240412ac59cfae682ad35b5a69e270de038bb16530f0c3ea527bc9"

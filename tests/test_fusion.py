@@ -150,6 +150,11 @@ def _s3_cases():
     for k in range(1, 10):
         yield f"su2_k{k}", _su2_tensor(k)
         yield f"su2_k{k}_orbit", _su2_tensor(k, raised=(1, k, k - 1))
+    # SU(2)_3 with the one cell N(j3, j1, j2) raised by 1: a position that
+    # is no orbit's representative (t0 <= t1 <= t2) breaks the symmetry
+    k3 = _su2_tensor(3)
+    yield "su2_k3_cell", fusion.FusionTensor(k3.labels, k3.dual, tuple(
+        (t, n + (t == ("j3", "j1", "j2"))) for t, n in k3.entries))
     # Z3 fusion, dual 1 <-> 2: N_ij^k = 1 when i + j = k mod 3. The lowered
     # tensor (i + j + k = 0 mod 3) is symmetric, the upper one is not
     z3 = fusion.FusionTensor(
@@ -180,6 +185,10 @@ def test_s3_cases_cover_diffs_and_the_note():
     # the raised orbit is a tensor of its own, still symmetric
     assert S3_CASES["su2_k5_orbit"] != S3_CASES["su2_k5"]
     assert fusion.check_s3_symmetry(S3_CASES["su2_k5_orbit"]).passed
+    # the raised cell is listed against each of its orbit's other positions
+    cell = fusion.check_s3_symmetry(S3_CASES["su2_k3_cell"])
+    assert cell.failed and not cell.note
+    assert (("j3", "j1", "j2", "perm", ("j1", "j2", "j3")), 2, 1) in cell.diffs
 
 
 @st.composite
