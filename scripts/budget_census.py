@@ -7,7 +7,7 @@ import argparse
 import time
 
 from voacalc import axioms
-from voacalc.fock import GradedVector, build_heisenberg, partitions
+from voacalc.fock import GradedVector, build_heisenberg
 from voacalc.reports import Status
 from voacalc.series import Window
 
@@ -29,9 +29,9 @@ def main():
         for w1 in range(total + 1):
             for w2 in range(total - w1 + 1):
                 w3 = total - w1 - w2
-                for l1 in partitions(w1):
-                    for l2 in partitions(w2):
-                        for l3 in partitions(w3):
+                for l1 in V.basis(w1):
+                    for l2 in V.basis(w2):
+                        for l3 in V.basis(w3):
                             rep = axioms.check_jacobi(
                                 V, GradedVector.basis(l1),
                                 GradedVector.basis(l2),

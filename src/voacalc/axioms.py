@@ -292,9 +292,8 @@ def three_term_check(p: GradedVector, q: GradedVector, tgt,
                      params)
 
 
-def _triple_params(u, v, w, extra: str = "") -> str:
-    s = f"u={fmt_vec(u)};v={fmt_vec(v)};w={fmt_vec(w)}"
-    return s + (";" + extra if extra else "")
+def _triple_params(u, v, w, extra: str) -> str:
+    return f"u={fmt_vec(u)};v={fmt_vec(v)};w={fmt_vec(w)};{extra}"
 
 
 def check_jacobi(V: HeisenbergVOA, u: GradedVector, v: GradedVector,

@@ -25,7 +25,7 @@ from importlib import resources
 
 from . import axioms, contragredient as contra, fusion, moduli, series
 from .exact import QQi
-from .fock import GradedVector, build_heisenberg, partitions
+from .fock import GradedVector, build_heisenberg
 from .reports import (ConfigError, FixtureError, RunReport, Status,
                       VerificationReport)
 from .series import Window, random_laurent_polynomial
@@ -146,7 +146,7 @@ def voa_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
     diffs = []
     c = V.central_charge
     ceil = cfg.level + 8
-    labels = [lab for w in range(min(4, cfg.level) + 1) for lab in V.basis(w)]
+    labels = V.basis_upto(min(4, cfg.level))
     # the inner images L(k)v, k = m, n and m + n, computed once each
     inner = {(k, lab): V.virasoro(k, GradedVector.basis(lab), ceil)
              for k in range(-8, 9) for lab in labels}
@@ -205,14 +205,14 @@ PARTS = {
 }
 
 
-def _jacobi_triples(max_total: int):
-    for total in range(max_total + 1):
+def _jacobi_triples(V):
+    for total in range(V.level + 1):
         for w1 in range(total + 1):
             for w2 in range(total - w1 + 1):
                 w3 = total - w1 - w2
-                for l1 in partitions(w1):
-                    for l2 in partitions(w2):
-                        for l3 in partitions(w3):
+                for l1 in V.basis(w1):
+                    for l2 in V.basis(w2):
+                        for l3 in V.basis(w3):
                             yield l1, l2, l3
 
 
@@ -222,7 +222,7 @@ def jacobi_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
     out = [axioms.check_jacobi(V, GradedVector.basis(l1),
                                GradedVector.basis(l2),
                                GradedVector.basis(l3), win)
-           for l1, l2, l3 in _jacobi_triples(cfg.level)]
+           for l1, l2, l3 in _jacobi_triples(V)]
     return _tag(out, "jacobi")
 
 
@@ -231,7 +231,7 @@ def s3_suite(cfg: SuiteConfig, algebra) -> list[VerificationReport]:
     win = Window.symmetric(("x0", "x1", "x2"), cfg.s3_window)
     out = []
     kept = 0
-    for l1, l2, l3 in _jacobi_triples(cfg.level):
+    for l1, l2, l3 in _jacobi_triples(V):
         if kept >= cfg.count:
             break
         u = GradedVector.basis(l1)
@@ -503,7 +503,7 @@ def _common(sub):
     sub.add_argument("--jobs", type=int, default=1)
 
 
-def _config_from(args, fixtures=()) -> SuiteConfig:
+def _config_from(args, fixtures) -> SuiteConfig:
     try:
         cutoffs = tuple(int(t) for t in args.cutoffs.split(",") if t)
     except ValueError:

@@ -10,8 +10,9 @@ so that pairing a dual vector against A(v, n) reproduces the defining
 relation of the dual action. Because every pairing projects onto a single
 weight block, these adjoints are exact at any truncation.
 
-A ContragredientModule is an ``axioms.VOAAction`` that supplies only
-``row``, so the three-term engine, the intertwiner checker and the
+A ContragredientModule is an ``axioms.VOAAction`` that supplies ``row``
+and its base's ``basis`` (a dual basis vector carries its base vector's
+label), so the three-term engine, the intertwiner checker and the
 direct-sum map take it wherever they take the algebra acting on itself;
 its ``act`` is the shared ``fock.RowAction.act``. A row is read from a
 block matrix: for each basis label v, mode n and weight, the matrix of
@@ -43,8 +44,8 @@ The direct-sum map on V + W is an action like the others: it supplies
 rows, and its ``act`` is the shared one. A label of the sum is an algebra
 label, or a module label with a trailing 0 part, which keeps its weight;
 ``in_module``, ``summands``, ``DirectSumMap.row`` and
-``DirectSumMap.basis_upto`` are the only code that adds or strips it. A
-row dispatches on the sectors of its labels: the algebra's row, the module's
+``DirectSumMap.basis`` are the only code that adds or strips it. A row
+dispatches on the sectors of its labels: the algebra's row, the module's
 row, the skew formula ``axioms.skew_coefficients`` on the module action
 (module into sum), or the pairing of the L(1) chains of both arguments
 through the two forms (module on module, into the algebra). Rows end at
@@ -65,7 +66,7 @@ from functools import lru_cache
 from . import axioms
 from .exact import gauss_solve, int_first
 from .fock import (GradedVector, HeisenbergVOA, RowAction, accumulate,
-                   exp_chain, partitions)
+                   exp_chain)
 from .reports import VerificationReport, diff_labels, fmt_label
 from .series import Window
 
@@ -86,6 +87,7 @@ class ContragredientModule(RowAction):
         self.base = base
         self.V = base.V
         self.level = base.level
+        self.basis = base.basis
         # basis label lu -> [(k, L(1)^k lu / k!)] while nonzero
         self._lowered: dict = {}
         # (lu, n, block weight) -> {mu: {nu: coefficient}}
@@ -144,6 +146,7 @@ class ContragredientModule(RowAction):
             return block
         wtv = sum(lu)
         source = weight + wtv - n - 1
+        basis = self.base.basis(source)
         block = {}
         for k, lv in self._lowerings(lu):
             t = 2 * wtv - 2 - n - k
@@ -155,7 +158,7 @@ class ContragredientModule(RowAction):
                 if not 0 <= sum(lw) + source - t - 1 <= weight:
                     continue
                 # row nu of the base matrix is column nu of the block
-                for nu in partitions(source):
+                for nu in basis:
                     for mu, x in self.base.row(lw, t, nu).items():
                         col = block.setdefault(mu, {})
                         col[nu] = col.get(nu, 0) + c * x
@@ -199,16 +202,16 @@ def check_defining_relation(Mp: ContragredientModule
                 # the mode index that maps the weight of mu onto that of nu
                 n = wtv + wmu - wnu - 1
                 right: dict = {}
-                for nu in partitions(wnu):
+                for nu in M.basis(wnu):
                     for lab, c in Mp._conj_image(terms[nu], n, wmu).items():
                         right.setdefault(lab, {})[nu] = c
                 left = Mp.adjoint_block(lv, n, wmu)
                 if left != right:
                     differ.append((n, wnu, left, right))
-            for mu in partitions(wmu):
+            for mu in M.basis(wmu):
                 for n, wnu, left, right in differ:
                     lhs, rhs = left.get(mu, {}), right.get(mu, {})
-                    for nu in partitions(wnu):
+                    for nu in M.basis(wnu):
                         lc, rc = lhs.get(nu, 0), rhs.get(nu, 0)
                         if lc != rc:
                             diffs.append(((fmt_label(mu), fmt_label(nu), n),
@@ -344,8 +347,8 @@ class BilinearForm:
 
     def pairings(self, u: dict, weight: int, first: bool = True) -> list:
         """The pairings of u's coefficients with each basis vector b_j of
-        this weight, in the order of ``partitions(weight)``: (u, b_j), or
-        (b_j, u) when not ``first``. Other weights pair to zero."""
+        this weight, in the order of the module's ``basis(weight)``: (u,
+        b_j), or (b_j, u) when not ``first``. Other weights pair to zero."""
         block = self.blocks[weight]
         out = [0] * len(block)
         for lab, c in u.items():
@@ -381,7 +384,7 @@ def build_invariant_form(Mp: ContragredientModule,
     level = M.level
     index: dict[tuple, tuple[int, int]] = {}
     for w in range(level + 1):
-        for i, lab in enumerate(partitions(w)):
+        for i, lab in enumerate(M.basis(w)):
             index[lab] = (w, i)
 
     # an integral normalization enters as an int, so that the entries, and
@@ -404,7 +407,7 @@ def build_invariant_form(Mp: ContragredientModule,
 
     blocks = {}
     for w in range(level + 1):
-        labs = partitions(w)
+        labs = M.basis(w)
         blocks[w] = [[entry(la, lb) for lb in labs] for la in labs]
 
     form = BilinearForm(blocks, index)
@@ -432,12 +435,12 @@ def build_invariant_form(Mp: ContragredientModule,
                     cols = adjoint[(wnu, wmu)] = list(map(list, zip(*(
                         form.pairings({lab: c[nu] for lab, c in block.items()
                                        if nu in c}, wmu, first=False)
-                        for nu in partitions(wnu)))))
+                        for nu in M.basis(wnu)))))
                 # the direct image paired with each nu of weight wnu
                 direct = form.pairings(M.row(lv, n, mu), wnu)
                 if direct == cols[imu]:
                     continue
-                for nu, lhs, rhs in zip(partitions(wnu), direct, cols[imu]):
+                for nu, lhs, rhs in zip(M.basis(wnu), direct, cols[imu]):
                     if lhs != rhs:
                         raise NotSelfDual(
                             f"invariance fails at v={lv}, w1={mu}, w2={nu}, "
@@ -567,7 +570,7 @@ class DirectSumMap(RowAction):
         """The weight-target algebra row of module label l1's mode n on l2."""
         if target < 0:
             return {}
-        labs = partitions(target)
+        labs = self.V.basis(target)
         sol = {}
         for col, v_lab in zip(self._inverse_blocks[target], labs):
             r = self._pairing_rhs(v_lab, l1, n, l2)
@@ -598,11 +601,10 @@ class DirectSumMap(RowAction):
                 total += self.form_W.pair(img, lq) * sign
         return total
 
-    def basis_upto(self, maxweight: int | None = None) -> list:
+    def basis(self, weight: int) -> tuple:
         """The algebra's labels, then the module's with their trailing 0."""
-        top = self.level if maxweight is None else maxweight
-        return self.V.basis_upto(top) + [lab + (0,)
-                                         for lab in self.W.basis_upto(top)]
+        return self.V.basis(weight) + tuple(lab + (0,)
+                                            for lab in self.W.basis(weight))
 
     def row(self, lu: tuple, n: int, lv: tuple) -> dict:
         target = sum(lu) + sum(lv) - n - 1

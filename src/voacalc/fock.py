@@ -106,13 +106,6 @@ def partitions(weight: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(weight, weight))
 
 
-def partitions_upto(maxweight: int) -> list[tuple[int, ...]]:
-    out = []
-    for w in range(maxweight + 1):
-        out.extend(partitions(w))
-    return out
-
-
 # every zero row the memos keep: one shared mapping, which nobody can change
 _ZERO_ROW = MappingProxyType({})
 
@@ -294,7 +287,7 @@ class GradedVector:
 
 class VOAAction:
     """The action protocol's shared methods. A subclass supplies ``level``,
-    ``V``, ``row`` and ``act``."""
+    ``V``, ``row``, ``act`` and ``basis(weight)``, its labels by weight."""
 
     def true_nonzero(self, op: GradedVector, n: int, vec: GradedVector) -> bool:
         """Whether op_n vec is nonzero before any clipping: the action with
@@ -313,7 +306,8 @@ class VOAAction:
         return self.act(self.V.twice_omega, n + 1, vec, ceiling).divide(2)
 
     def basis_upto(self, maxweight: int | None = None) -> list:
-        return partitions_upto(self.level if maxweight is None else maxweight)
+        top = self.level if maxweight is None else maxweight
+        return [lab for w in range(top + 1) for lab in self.basis(w)]
 
 
 def label_pairs(op: dict, vec: dict) -> list:
@@ -379,7 +373,7 @@ class HeisenbergVOA(VOAAction):
     def dim(self, weight: int) -> int:
         if weight < 0 or weight > self.level:
             return 0
-        return len(partitions(weight))
+        return len(self.basis(weight))
 
     def basis(self, weight: int) -> tuple[tuple[int, ...], ...]:
         return partitions(weight)

@@ -313,6 +313,7 @@ class IntertwinerData(RowAction):
 
     def __post_init__(self):
         self.level = self.m3.level
+        self.basis = self.m2.basis
 
     def row(self, l1: tuple, j: int, l2: tuple) -> dict:
         return self.modes.get((l1, j, l2), {})

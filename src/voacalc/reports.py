@@ -55,7 +55,7 @@ class VerificationReport:
         return VerificationReport(identity, params, status, diffs, note)
 
     @staticmethod
-    def skipped(identity: str, params: str, note: str = "") -> "VerificationReport":
+    def skipped(identity: str, params: str, note: str) -> "VerificationReport":
         return VerificationReport(identity, params, Status.SKIPPED, [], note)
 
     @property

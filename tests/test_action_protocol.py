@@ -1,6 +1,7 @@
 """The one action protocol: every action the checks drive supplies
-``row(lu, n, lv)``, and its ``act`` on basis vectors is that row clipped
-at the action's level, or at a ceiling when one is given."""
+``row(lu, n, lv)`` and ``basis(weight)``, and its ``act`` on basis vectors
+is that row clipped at the action's level, or at a ceiling when one is
+given."""
 
 from fractions import Fraction
 
@@ -53,6 +54,16 @@ def _clipped(row: dict, cap: int) -> dict:
 @pytest.fixture(scope="module", params=list(_actions()))
 def action(request):
     return _actions()[request.param]
+
+
+def test_basis_labels_are_distinct_and_of_their_weight(action):
+    # the labels every check reads: the direct sum's are both summands'
+    for w in range(LEVEL + 1):
+        labels = action.basis(w)
+        assert labels and all(sum(lab) == w for lab in labels)
+        assert len(set(labels)) == len(labels)
+    assert len(action.basis_upto(LEVEL)) == \
+        (14 if isinstance(action, contra.DirectSumMap) else 7)
 
 
 def test_act_on_basis_vectors_is_the_clipped_row(action):

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from voacalc import axioms, cli, contragredient as contra, fusion
 from voacalc.exact import binom
-from voacalc.fock import (GradedVector, build_heisenberg, partitions,
-                          partitions_upto)
+from voacalc.fock import GradedVector, build_heisenberg, partitions
 from voacalc.reports import Status, diff_labels, fmt_label, fmt_vec
 from voacalc.series import Window, check_delta_identity, delta_expansion
 
@@ -259,7 +258,7 @@ def seeded_corruptions(seed: int, count: int, level: int,
     ``random.Random(seed)``, lu among ``ops`` if given, each with its label
     at its true image weight, in 0..level."""
     rng = random.Random(seed)
-    labels = partitions_upto(level)
+    labels = build_heisenberg(level).basis_upto()
     out = []
     for _ in range(count):
         lu, lv = rng.choice(ops or labels[1:]), rng.choice(labels)
@@ -294,8 +293,8 @@ class TestSkewSymmetry:
         assert axioms.check_skew_symmetry(V, V.omega, V.omega, 6).passed
 
     def test_all_pairs_in_budget(self, V):
-        for lu in partitions_upto(3):
-            for lv in partitions_upto(3):
+        for lu in V.basis_upto(3):
+            for lv in V.basis_upto(3):
                 rep = axioms.check_skew_symmetry(V, B(lu), B(lv), 4)
                 assert rep.passed, (lu, lv)
 
@@ -331,7 +330,7 @@ class TestCommutators:
 
 class TestConjugation:
     def test_all_identities_low_weight(self, V):
-        for lab in partitions_upto(3):
+        for lab in V.basis_upto(3):
             for rep in axioms.check_conjugation(V, B(lab), 3):
                 assert not rep.failed, (lab, rep.identity, rep.diffs[:2])
 
@@ -1202,7 +1201,7 @@ def test_commutators_match_naive_evaluator_on_every_basis_vector():
     # that the lost-raise test of w, which every v shares, flips
     for level in (4, 5, 6):
         win = Window.of(x=(-level - 1, level + 1))
-        basis = [B(lv) for lv in partitions_upto(level)]
+        basis = [B(lv) for lv in build_heisenberg(level).basis_upto()]
         top = (level,)
         kinds, failed, notes = set(), 0, {}
         for corrupt in ("clean", "constant", "raise"):

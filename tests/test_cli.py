@@ -58,6 +58,13 @@ def test_bad_config_exits_two(capsys):
     (["check", "conjugation", "--order", "-1"], "order must be nonnegative"),
     (["check", "s3", "--count", "-3"], "count must be positive"),
     (["check", "s3", "--count", "0"], "count must be positive"),
+    (["check", "jacobi", "--level", "-1"], "level must be nonnegative"),
+    (["check", "delta", "--window", "-1"],
+     "window bounds must be nonnegative"),
+    (["all", "--level", "1", "--jobs", "0"], "jobs must be positive"),
+    (["moduli", "axioms", "--cutoffs", "4,x"], "bad cutoff schedule '4,x'"),
+    (["moduli", "sew"], "moduli sew needs exactly two element files"),
+    (["moduli", "nu"], "moduli nu needs one element file"),
 ])
 def test_bad_order_or_count_exits_two(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -104,6 +111,28 @@ def test_bad_sewing_input_exits_two(orders, at, message, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert message.format(a=files[0], b=files[1]) in err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["sew", "{a}", "{b}", "--at", "1"],
+     "sewn puncture coordinate is not linear"),
+    (["nu", "{a}", "--cutoffs", "4"],
+     "evaluation needs standard (linear, zero-flow) coordinates"),
+], ids=["sew-non-linear", "nu-nonzero-flow"])
+def test_unsupported_coordinates_exit_one(command, message, tmp_path,
+                                          capsys):
+    # puncture 1 of a.mod carries flow data, so its coordinate is not
+    # linear: sewing there and evaluating the element both refuse
+    a, b = tmp_path / "a.mod", tmp_path / "b.mod"
+    a.write_text("arity 2\norder 4\nz: 3\ncoord 0: 0 0 0 0\n"
+                 "coord 1: 1 ; 1 0 0 0\ncoord 2: 2 ; 0 0 0 0\n")
+    b.write_text("arity 2\norder 4\nz: 5\ncoord 0: 0 0 0 0\n"
+                 "coord 1: 1 ; 0 0 0 0\ncoord 2: 1 ; 0 0 0 0\n")
+    argv = ["moduli"] + [t.format(a=a, b=b) for t in command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 @pytest.mark.parametrize("command", [["fusion", "verify"], ["moduli", "nu"]])
@@ -552,6 +581,17 @@ PINNED_CORRUPTIONS = (
     ((1,), 2, (2, 1), (1,), 1),
     ((3,), 2, (1,), (1,), 1),
 )
+
+
+def test_creation_property_fails_on_a_singular_vertex_operator():
+    # with a(0)|0> = |0> corrupted in, Y(a(-1)|0>, x)|0> gains an x^-1
+    # term, and the regularity half of the record reports it
+    V = cli.build_heisenberg(4)
+    V.corrupt((1,), 0, (), (), 1)
+    reps = {r.identity: r
+            for r in cli.voa_suite(cli.SuiteConfig(level=4), lambda _: V)}
+    assert reps["creation-property"].diffs == \
+        [(((1,), "regular"), "negative powers", "none")]
 
 
 def test_records_under_corruptions_are_pinned(monkeypatch):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voacalc import cli, contragredient as contra
-from voacalc.fock import (GradedVector, build_heisenberg, partitions,
-                          partitions_upto)
+from voacalc.fock import GradedVector, build_heisenberg, partitions
 from voacalc.reports import Status, VerificationReport
 from voacalc.series import Window
 
@@ -289,7 +288,7 @@ class TestInvariantForm:
                     out[nu] = c
             return GradedVector(out)
 
-        for lv in partitions_upto(2):
+        for lv in V.basis_upto(2):
             v = B(lv)
             for mu in V.basis_upto(3):
                 w = B(mu)
@@ -332,7 +331,7 @@ def warm_duals():
 @st.composite
 def dual_action_args(draw):
     level = draw(st.sampled_from((4, 5)))
-    labels = partitions_upto(level)
+    labels = build_heisenberg(level).basis_upto()
     terms = draw(st.dictionaries(st.sampled_from(labels),
                                  st.integers(-3, 3).filter(bool),
                                  min_size=1, max_size=3))
@@ -348,7 +347,7 @@ def dual_action_args(draw):
     source = sum(mu) + sum(lv) - n - 1
     if 0 <= source <= level and lv != (1, 1) and draw(st.booleans()):
         label = draw(st.one_of(st.just(mu), st.sampled_from(
-            partitions_upto(level + 1))))
+            build_heisenberg(level + 1).basis_upto())))
         corruption = (lv, 2 * sum(lv) - 2 - n,
                       draw(st.sampled_from(partitions(source))), label,
                       draw(st.sampled_from((-1, 1))))
@@ -518,7 +517,7 @@ def _dual_untruncated(V, v: GradedVector, n: int, wp: GradedVector) -> dict:
 @st.composite
 def loss_args(draw):
     level = draw(st.sampled_from((3, 4)))
-    labels = partitions_upto(level)
+    labels = build_heisenberg(level).basis_upto()
 
     def vec():
         # mixed weights, several terms
@@ -625,3 +624,28 @@ def test_suite_blocks_hold_exact_integer_first_values(monkeypatch):
         for key, block in d._blocks.items():
             for col in block.values():
                 _integer_first(col.values(), (type(d.base).__name__, key))
+
+
+def test_dual_of_the_direct_sum_reads_the_sums_labels():
+    # the dual of V + W reads its labels from the sum, the module's with
+    # their trailing 0: on W = V every module row is V's dual row with its
+    # labels tagged, and the vacuum acts as the identity on W's dual
+    V = build_heisenberg(3)
+    form = contra.build_invariant_form(contra.ContragredientModule(V))
+    Dp = contra.ContragredientModule(contra.DirectSumMap(V, V, form, form))
+    Vp = contra.ContragredientModule(V)
+    rows = 0
+    for lu in V.basis_upto():
+        for lv in V.basis_upto():
+            # every n whose image weight lies in 0..level
+            top = sum(lu) + sum(lv) - 1
+            for n in range(top - V.level, top + 1):
+                want = {mu + (0,): c for mu, c in Vp.row(lu, n, lv).items()}
+                assert Dp.row(lu, n, lv + (0,)) == want, (lu, n, lv)
+                rows += 1
+    assert rows == 196
+    assert Dp.row((), -1, (0,)) == {(0,): 1}
+    assert all(r.passed for r in contra.check_defining_relation(Dp))
+    # the sum's weight-0 block pairs its two vacua to zero
+    with pytest.raises(contra.NotSelfDual, match="degenerate weight block"):
+        contra.build_invariant_form(Dp)

@@ -10,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from voacalc import axioms, contragredient as contra, fusion
 from voacalc.fock import (GradedVector, build_heisenberg, exp_chain,
-                          partitions, partitions_upto)
+                          partitions)
 from voacalc.reports import Status
 
 
 def B(label):
     return GradedVector.basis(label)
+
+
+# the algebra's labels up to weights 3 and 4
+UPTO_3, UPTO_4 = (build_heisenberg(w).basis_upto() for w in (3, 4))
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +91,8 @@ def independent_pairing_rhs(V, form, vlab, w1, wt1, n, w2, wt2):
 
 def test_skew_block_formula(ds4):
     V, form, ds = ds4
-    for w1l in partitions_upto(3):
-        for vl in partitions_upto(3):
+    for w1l in V.basis_upto(3):
+        for vl in V.basis_upto(3):
             for n in range(-6, 6):
                 got = ds.w_on_v(w1l, n, vl, ds.level)
                 want = independent_skew_block(V, B(w1l), n, B(vl))
@@ -97,11 +101,9 @@ def test_skew_block_formula(ds4):
 
 @st.composite
 def skew_args(draw):
-    labels = partitions_upto(4)
-
     def vec():
         return GradedVector(draw(st.dictionaries(
-            st.sampled_from(labels), st.integers(-2, 2).filter(bool),
+            st.sampled_from(UPTO_4), st.integers(-2, 2).filter(bool),
             min_size=1, max_size=2)))
 
     w1, v = vec(), vec()
@@ -110,8 +112,7 @@ def skew_args(draw):
     return w1, n, v, ceiling
 
 
-@given(st.sampled_from(partitions_upto(4)),
-       st.sampled_from(partitions_upto(4)), st.integers(-6, 5),
+@given(st.sampled_from(UPTO_4), st.sampled_from(UPTO_4), st.integers(-6, 5),
        st.sampled_from((2, 3, 4, 6)))
 @settings(max_examples=60, deadline=None)
 def test_skew_block_chains_match_skew_formula(ds4, w1l, vl, n, ceiling):
@@ -122,8 +123,8 @@ def test_skew_block_chains_match_skew_formula(ds4, w1l, vl, n, ceiling):
         skew_oracle(V, B(vl), n, B(w1l), ceiling).coeff
 
 
-@given(st.sampled_from(partitions_upto(3)),
-       st.sampled_from(partitions_upto(3)), st.integers(-4, 3), st.data())
+@given(st.sampled_from(UPTO_3), st.sampled_from(UPTO_3), st.integers(-4, 3),
+       st.data())
 @settings(max_examples=40, deadline=None)
 def test_map_built_after_corruption_sees_it(lw1, lv, n, data):
     # corrupt v_n w1, the j = 0 term of the skew formula, after a warm map
@@ -203,21 +204,21 @@ def test_skew_block_in_any_order_of_n(order, corrupted):
 
 def test_module_block_orthogonal_to_module(ds4):
     V, form, ds = ds4
-    for w1l in partitions_upto(2):
-        for w2l in partitions_upto(2):
+    for w1l in V.basis_upto(2):
+        for w2l in V.basis_upto(2):
             u = contra.in_module(B(w1l))
             x = contra.in_module(B(w2l))
             for n in range(-5, 5):
                 _, res_w = contra.summands(ds.act(u, n, x))
                 assert res_w.is_zero()
-                for l3 in partitions_upto(4):
+                for l3 in V.basis_upto():
                     assert form.pair(B(l3), res_w) == 0
 
 
 def test_pairing_block_matches_independent(ds4):
     V, form, ds = ds4
-    for w1l in partitions_upto(3):
-        for w2l in partitions_upto(3):
+    for w1l in V.basis_upto(3):
+        for w2l in V.basis_upto(3):
             wt1, wt2 = sum(w1l), sum(w2l)
             for n in range(-5, 5):
                 target = wt1 + wt2 - n - 1
@@ -225,7 +226,7 @@ def test_pairing_block_matches_independent(ds4):
                     # no algebra label has this weight
                     continue
                 got = GradedVector(ds.w_on_w(w1l, n, w2l, target))
-                for vlab in partitions_upto(4):
+                for vlab in V.basis_upto():
                     if sum(vlab) != target:
                         continue
                     lhs = form.pair(B(vlab), got)
@@ -236,8 +237,8 @@ def test_pairing_block_matches_independent(ds4):
 
 def test_algebra_block_is_plain_action(ds4):
     V, form, ds = ds4
-    for ul in partitions_upto(3):
-        for xl in partitions_upto(3):
+    for ul in V.basis_upto(3):
+        for xl in V.basis_upto(3):
             for n in range(-5, 5):
                 got_v, got_w = contra.summands(ds.act(B(ul), n, B(xl)))
                 assert got_v == V.act(B(ul), n, B(xl))
@@ -260,8 +261,10 @@ def _sigma(t):
 
 def test_involution_automorphism(ds4):
     V, form, ds = ds4
-    basis = [B(l) for l in partitions_upto(2)]
-    basis += [contra.in_module(B(l)) for l in partitions_upto(2)]
+    # weight by weight: the algebra's labels, then the module's
+    basis = [x for w in range(3)
+             for x in [B(l) for l in V.basis(w)]
+             + [contra.in_module(B(l)) for l in V.basis(w)]]
     assert [B(l) for l in ds.basis_upto(2)] == basis
     for u in basis:
         for x in basis:

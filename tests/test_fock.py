@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from voacalc.contragredient import ContragredientModule
 from voacalc.exact import binom
 from voacalc.fock import (_ZERO_ROW, GradedVector, build_heisenberg,
-                          exp_chain, partitions, partitions_upto)
+                          exp_chain, partitions)
 from voacalc.series import Window
 
 
@@ -63,7 +63,7 @@ def test_conformal_vector(V6):
 
 
 def test_grading_operator(V6):
-    for lab in partitions_upto(6):
+    for lab in V6.basis_upto():
         v = GradedVector.basis(lab)
         assert V6.virasoro(0, v) == v.scale(sum(lab))
 
@@ -73,7 +73,7 @@ def test_translation_annihilates_vacuum(V6):
 
 
 def test_creation_property(V6):
-    for lab in partitions_upto(5):
+    for lab in V6.basis_upto(5):
         v = GradedVector.basis(lab)
         ys = V6.vertex_series(v, V6.vacuum, Window.of(x=(-14, 14)))
         assert all(e[0] >= 0 for e in ys.coeff)
@@ -83,8 +83,8 @@ def test_creation_property(V6):
 
 
 def test_lower_truncation(V6):
-    for lu in partitions_upto(4):
-        for lv in partitions_upto(4):
+    for lu in V6.basis_upto(4):
+        for lv in V6.basis_upto(4):
             u, v = GradedVector.basis(lu), GradedVector.basis(lv)
             bound = sum(lu) + sum(lv)
             for n in range(bound, bound + 4):
@@ -97,7 +97,7 @@ def test_mode_weight_shift(seed):
     import random
     rng = random.Random(seed)
     V = build_heisenberg(6)
-    labs = partitions_upto(4)
+    labs = V.basis_upto(4)
     lu = rng.choice(labs)
     lv = rng.choice(labs)
     n = rng.randint(-6, 6)
@@ -128,7 +128,7 @@ def test_truncation_overflow_flag(V6):
     assert not lost2 and full == GradedVector.basis((6, 1))
 
 
-_labels_upto_4 = st.sampled_from(partitions_upto(4))
+_labels_upto_4 = st.sampled_from(build_heisenberg(4).basis_upto())
 _mixed_vectors = st.dictionaries(_labels_upto_4,
                                  st.integers(-3, 3).filter(bool),
                                  min_size=1, max_size=5).map(GradedVector)
@@ -219,7 +219,7 @@ def test_virasoro_bracket_extended(V6):
     c = V6.central_charge
     for m in range(-3, 4):
         for n in range(-3, 4):
-            for lab in partitions_upto(3):
+            for lab in V6.basis_upto(3):
                 v = GradedVector.basis(lab)
                 top = 12
                 lhs = V6.virasoro(m, V6.virasoro(n, v, top), top) \
@@ -325,7 +325,7 @@ def test_wick_recursion_matches_enumeration(lu, lv, data):
 
 def test_wick_recursion_matches_enumeration_exhaustively():
     V = build_heisenberg(4)
-    labels = partitions_upto(4)
+    labels = V.basis_upto()
     for lu in labels:
         for lv in labels:
             for n in range(-8, sum(lu) + sum(lv) + 1):
@@ -344,8 +344,8 @@ def test_corruption_stays_at_its_key():
     poisoned._modes[sub] = {}
     for key in through:
         assert poisoned.mode_basis(*key) != clean.mode_basis(*key), key
-    keys = [(lu, n, lv) for lu in partitions_upto(4)
-            for lv in partitions_upto(3)
+    keys = [(lu, n, lv) for lu in clean.basis_upto(4)
+            for lv in clean.basis_upto(3)
             for n in range(-4, sum(lu) + sum(lv))] + through
     for asked_first in (False, True):
         V = build_heisenberg(6)
@@ -395,7 +395,7 @@ def test_only_public_keys_are_memoised():
 # -- one Wick subkey memo per algebra ------------------------------------------
 # (the two tests named for a scratch date from a memo kept per call)
 
-_labels_upto_10 = st.sampled_from(partitions_upto(10))
+_labels_upto_10 = st.sampled_from(build_heisenberg(10).basis_upto())
 _vectors_upto_10 = st.dictionaries(_labels_upto_10,
                                    st.integers(-3, 3).filter(bool),
                                    min_size=1, max_size=3).map(GradedVector)
@@ -426,7 +426,8 @@ def test_shared_scratch_matches_separate_pairs(u, v, cap, data):
         set(_flag_reads(u, n, v, cap))
 
 
-@given(st.sampled_from([l for l in partitions_upto(10) if len(l) >= 3]),
+@given(st.sampled_from([l for l in build_heisenberg(10).basis_upto()
+                        if len(l) >= 3]),
        _labels_upto_10, st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_corruption_does_not_leak_through_the_scratch(lu, lv, tail_first,
@@ -558,7 +559,7 @@ def _floats(x):
 
 def test_apply_mode_coefficients_are_exact():
     V = build_heisenberg(5)
-    labels = partitions_upto(5)
+    labels = V.basis_upto()
     for lu in labels:
         u = GradedVector.basis(lu)
         for lv in labels:

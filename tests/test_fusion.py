@@ -310,6 +310,37 @@ def test_symmetric_construction_passes_s3_and_commutes(T):
     assert fusion.check_commutativity(A).passed
 
 
+@st.composite
+def lowered_symmetric_tensors(draw):
+    """Tensors whose lowered table N_{ijk} = N^{k'}_{ij} is S3-invariant,
+    under a drawn involution: one value per orbit of label triples."""
+    labels = ("V", "a", "b", "c")[:draw(st.integers(1, 4))]
+    dual = {}
+    if len(labels) >= 3 and draw(st.booleans()):
+        dual = {"a": "b", "b": "a"}
+    lowered = {}
+    for orbit in itertools.combinations_with_replacement(labels, 3):
+        n = draw(st.integers(0, 2))
+        for p in itertools.permutations(orbit):
+            lowered[p] = n
+    entries = tuple(((i, j, k), lowered[i, j, dual.get(k, k)])
+                    for i, j, k in itertools.product(labels, repeat=3))
+    return fusion.FusionTensor(labels, tuple(dual.items()), entries)
+
+
+@given(lowered_symmetric_tensors())
+@settings(max_examples=80, deadline=None)
+def test_s3_symmetry_implies_commutativity(T):
+    # build_verlinde refuses T unless fusion-s3-symmetry passed, and then
+    # N^k_ij = N_{ijk'} = N_{jik'} = N^k_ji by the transposition of the
+    # first two slots: verlinde-commutativity cannot fail on an algebra
+    # that is built
+    symmetry = fusion.check_s3_symmetry(T)
+    assert symmetry.passed
+    A = fusion.build_verlinde(T, symmetry)
+    assert fusion.check_commutativity(A).passed
+
+
 def _brute_force_associativity(T):
     """The defining formula over all quadruples and all k."""
     diffs = []

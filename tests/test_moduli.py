@@ -438,6 +438,28 @@ def test_a_wrong_inner_sewing_fails_associativity(monkeypatch):
         {"low", "nested", "high"}
 
 
+def test_a_wrong_second_factor_relabelling_fails_equivariance(monkeypatch):
+    # X's punctures have non-linear coordinates, so no sewing into X is
+    # supported and X is relabelled only as a second factor, the tau half
+    # of the check; relabelling it by the reversed permutation there must
+    # fail that half and leave the sigma half passing
+    X = ModuliElement(2, M, (QQi(3),), pad(),
+                      (LocalCoordinate(QQi(1), pad((1,))),
+                       LocalCoordinate(QQi(2), pad((0, 1)))))
+    sample = [two_puncture_element(5, M), scaling_element(2, M), X]
+    assert all(r.passed for r in check_operad_axioms(sample))
+    real = moduli._permuted
+
+    def reversed_on_x(Q, perm):
+        return real(Q, perm[::-1] if Q is X else perm)
+
+    monkeypatch.setattr(moduli, "_permuted", reversed_on_x)
+    reps = {r.identity: r for r in check_operad_axioms(sample)}
+    equiv = reps["operad-equivariance"]
+    assert equiv.failed
+    assert {half for (half, _, _), _, _ in equiv.diffs} == {"tau"}
+
+
 @pytest.fixture(scope="module")
 def V():
     return build_heisenberg(6)
