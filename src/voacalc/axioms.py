@@ -14,13 +14,15 @@ mode on another), ``act`` (clipped at ``level`` unless given a ceiling),
 ``true_nonzero`` and ``kron``. The algebra is an action itself; the dual,
 the stored intertwiners and the direct-sum map supply rows and share
 ``fock.RowAction.act``. The three-term engine applies modes through the
-rows too, with the loop that ``RowAction.act`` runs, ``fock.apply_pairs``:
-it sums c row(lu, n, lv) over label pairs (``fock.label_pairs``) that the
-engine forms once and reads at many n, keeping a pair when its image
-weight lies in 0..level, as every ``act`` does. The loss test ``true_nonzero``
-is exact: an inner image with true content above the working level marks
-the instance out of budget whenever an outer mode could map that content
-back into the observable range.
+rows too, over label pairs (``fock.label_pairs``) that it forms once and
+reads at many n, keeping a pair when its image weight lies in 0..level,
+as every ``act`` does: it sums c row(lu, n, lv) with the loop that
+``RowAction.act`` runs, ``fock.apply_pairs``, and reads a list of one pair
+straight off the row, with that loop's values, int-first types and
+dropped zeros. The loss test ``true_nonzero`` is exact: an inner image
+with true content above the working level marks the instance out of
+budget whenever an outer mode could map that content back into the
+observable range.
 
 The three-term engine (``three_term_check`` and ``check_translate_skew``)
 runs on evaluation plans. A plan is built from integers only (term
@@ -39,15 +41,16 @@ lost one before it computes any product. Otherwise it walks the groups:
 it computes each inner image once, over the (y, z) label pairs formed
 once per check, skips all products of a zero image, computes the
 products of the others over the (x, image) pairs formed once per image,
-and scatters the nonzero products into one list per side and basis
-label, indexed by position. The check passes when each label's
-two lists are equal; otherwise the labels whose lists differ are diffed
-by (position, label). Nothing is memoised; each image and product is
-computed once by construction. A plan holds no value, so the last few
-are kept across calls: a constant corrupted between two calls, as
-negative controls do, is seen by the second, and dual and intertwiner
-actions reuse the algebra's plan safely. Coefficients stay integers
-until a genuine fraction enters: the lists start as int 0.
+an image or product of one pair read off the row, and scatters the
+nonzero products into one list per side and basis label, indexed by
+position. The check passes when each label's two lists are equal;
+otherwise the labels whose lists differ are diffed by (position, label).
+Nothing is memoised; each image and product is computed once by
+construction. A plan holds no value, so the last few are kept across
+calls: a constant corrupted between two calls, as negative controls do,
+is seen by the second, and dual and intertwiner actions reuse the
+algebra's plan safely. Coefficients stay integers until a genuine
+fraction enters: the lists start as int 0.
 
 The skew formula, the x^(-n-1) coefficients of e^{xL(-1)} Y(v, -x) u, is
 written once (``skew_coefficients``) for the skew-symmetry check, the
@@ -106,7 +109,8 @@ class _Term:
     level is lost when its true value is nonzero and the outer mode can
     see it: ``kron`` is the one outer index at which x acts, when x is a
     vacuum multiple. Its (y, z) label pairs are formed once per check, and
-    the caller, which has read the operands' weights, gives wt y + wt z."""
+    the caller, which has read the operands' weights, gives wt y + wt z;
+    ``_evaluate`` computes the products over its ``image_pairs``."""
 
     def __init__(self, outer, x, inner, y, z, yz_weight: int, iterate: bool,
                  kron, note: str):
@@ -121,15 +125,21 @@ class _Term:
     def image_pairs(self, j: int) -> list:
         """The (x, image) label pairs of the image y_j z, formed once for
         all the products of its group; empty where the image is zero, or
-        its weight is negative or above the inner action's level."""
+        its weight is negative or above the inner action's level. A single
+        (y, z) pair (lu, lv, base, c) reads the image off its row, as is
+        when c is the int 1 and the row holds no explicit 0; otherwise
+        scaled and without zeros, as the pair loop sums it."""
         if not 0 <= self.yz_weight - j - 1 <= self.inner.level:
             return []
-        img = apply_pairs(self.inner.row, self.yz, j, self.inner.level)
+        if len(self.yz) == 1:
+            (lu, lv, _, c), = self.yz
+            img = self.inner.row(lu, j, lv)
+            if type(c) is not int or c != 1 or 0 in img.values():
+                img = {label: c * m for label, m in img.items() if m}
+        else:
+            img = apply_pairs(self.inner.row, self.yz, j, self.inner.level)
         return (label_pairs(img, self.x.coeff) if self.iterate
                 else label_pairs(self.x.coeff, img))
-
-    def compute(self, i: int, pairs: list) -> dict:
-        return apply_pairs(self.outer.row, pairs, i, self.outer.level)
 
 
 def _jacobi_layout(pos, W, prod, iterate):
@@ -202,11 +212,13 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
     in plan order, that can see it, and the first lost one skips the
     check. Otherwise each image of nonnegative weight is computed once, a
     zero one skipping all of its products; the products of the others are
-    computed by the pair loop over the image's (x, image) pairs, formed
-    once for its group, and each label of a nonzero one is scattered over
-    its feed into that side's list for the label, one entry per position.
-    A label whose two lists are equal holds everywhere; the others are
-    diffed by (position, label)."""
+    computed over the image's (x, image) pairs, formed once for its group:
+    by the pair loop, or, for one pair (lu, lv, base, c), read off the
+    outer row where the pair loop would keep the pair, c folded into each
+    label's value and an explicit 0 dropped. Each nonzero label is
+    scattered over its feed into that side's list for the label, one entry
+    per position. A label whose two lists are equal holds everywhere; the
+    others are diffed by (position, label)."""
     positions, groups = _PLANS[layout](layout, W, win, level, rows)
     seen = []   # (n, term, j, p) of each image's first product that sees it
     for (term, j), entries in groups.items():
@@ -228,11 +240,22 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
         pairs = t.image_pairs(j)
         if not pairs:
             continue
+        row, cap = t.outer.row, t.outer.level
+        one = len(pairs) == 1
+        lu, lv, base, c = pairs[0] if one else (None, None, None, 1)
         for _, i, side, _, feed in entries:
-            val = t.compute(i, pairs)
+            if not one:
+                val = apply_pairs(row, pairs, i, cap)
+            elif i <= base <= i + cap:
+                val = row(lu, i, lv)
+            else:
+                continue
             if val:
                 live = sides[side]
                 for label, x in val.items():
+                    x *= c
+                    if not x:
+                        continue
                     acc = live.get(label)
                     if acc is None:
                         acc = live[label] = zeros.copy()

@@ -251,31 +251,33 @@ def check_commutativity(A: VerlindeAlgebra) -> VerificationReport:
 def check_associativity(A: VerlindeAlgebra) -> VerificationReport:
     """sum_k N_ij^k N_kl^m = sum_k N_jl^k N_ik^m for every quadruple
     (i, j, l, m), both sides summed over the nonzero N_ij^k of each pair
-    (i, j) only. Every summand is positive and no zero is stored, so the
-    two sides of (i, j, l) are compared whole; the labels m are walked
-    only when they differ."""
+    (i, j) only, the list of (i, j) read once for every l. Every summand
+    is positive and no zero is stored, so the two sides of (i, j, l) are
+    compared whole; the labels m are walked only when they differ."""
     T = A.tensor
     nonzero: dict = {}
     for (i, j, k), n in T._entry_map.items():
         if n:
             nonzero.setdefault((i, j), []).append((k, n))
 
-    def compose(first, second) -> dict:
-        out: dict = {}
-        for k, a in nonzero.get(first, ()):
-            for m, b in nonzero.get(second(k), ()):
-                out[m] = out.get(m, 0) + a * b
-        return out
-
     diffs = []
-    for i, j, l in product(T.labels, repeat=3):
-        lhs = compose((i, j), lambda k: (k, l))
-        rhs = compose((j, l), lambda k: (i, k))
-        if lhs == rhs:
-            continue
-        for m in T.labels:
-            if lhs.get(m, 0) != rhs.get(m, 0):
-                diffs.append(((i, j, l, m), lhs.get(m, 0), rhs.get(m, 0)))
+    for i, j in product(T.labels, repeat=2):
+        ij = nonzero.get((i, j), ())
+        for l in T.labels:
+            lhs: dict = {}
+            for k, a in ij:
+                for m, b in nonzero.get((k, l), ()):
+                    lhs[m] = lhs.get(m, 0) + a * b
+            rhs: dict = {}
+            for k, a in nonzero.get((j, l), ()):
+                for m, b in nonzero.get((i, k), ()):
+                    rhs[m] = rhs.get(m, 0) + a * b
+            if lhs == rhs:
+                continue
+            for m in T.labels:
+                if lhs.get(m, 0) != rhs.get(m, 0):
+                    diffs.append(((i, j, l, m), lhs.get(m, 0),
+                                  rhs.get(m, 0)))
     return VerificationReport.from_diffs(
         "verlinde-associativity", f"labels={len(T.labels)}", diffs)
 

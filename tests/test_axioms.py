@@ -546,12 +546,14 @@ ORACLE_WEIGHTS = (0, 1, 1, 2, 2, 3, ORACLE_LEVEL)
 
 
 def _oracle_vector(draw, wt):
-    """A small integer combination of basis vectors of weight wt."""
+    """A small combination of basis vectors of weight wt; a coefficient may
+    be a Fraction, 1/2 or a Fraction equal to 1."""
     labels = draw(st.lists(st.sampled_from(partitions(wt)), min_size=1,
                            max_size=2, unique=True))
     vec = GradedVector()
     for lab in labels:
-        vec = vec + B(lab).scale(draw(st.sampled_from((1, -2, 3))))
+        vec = vec + B(lab).scale(draw(st.sampled_from(
+            (1, -2, 3, Fraction(1, 2), Fraction(1)))))
     return vec
 
 
@@ -581,34 +583,77 @@ def _engine(rep):
     return rep.status, rep.note, rep.diffs
 
 
-def _recorded(actions, check):
+def _typed_report(report):
+    """A (status, note, diffs) report with each diff's value types, as the
+    oracles compare it: a Fraction equal to an int is not that int."""
+    status, note, diffs = report
+    return status, note, _typed(diffs)
+
+
+class _Named(tuple):
+    """The outer label of a one-pair list, carrying the list's name as
+    ``op`` and ``vec``: the engine reads such a pair's row directly."""
+
+
+def _recorded(actions, check, others=()):
     """check() and the images, products and loss tests it computed on each
     of the actions, in order and with repeats, as (action, op, n, vec,
-    ceiling): the act calls, and the engine's own calls of the pair loop
-    ``fock.apply_pairs``. A pair list is named by the vectors it was formed
-    from, as pairs alone do not tell 6[3]_n [2,1] from [3]_n 6[2,1]; the
-    pair loop's ceiling is the action's level, recorded as None, as for an
-    act call naming none."""
+    ceiling): the act calls, the engine's own calls of the pair loop
+    ``fock.apply_pairs``, and its direct reads of the row of a one-pair
+    list. A pair list is named by the vectors it was formed from, as pairs
+    alone do not tell 6[3]_n [2,1] from [3]_n 6[2,1]; a one-pair list
+    carries its name on its outer label, so a read is named by the list it
+    came from. The pair loop's ceiling, and a direct read's, is the
+    action's level, recorded as None, as for an act call naming none. A
+    read nested in a recorded act, pair loop or row call is not recorded.
+    The rows of ``others`` are wrapped too, unrecorded, so that no named
+    label reaches a row unwrapped."""
     # formed: id(pairs) -> (pairs, op, vec), holding each list so that no
     # other list takes its id during the check
-    calls, formed = [], {}
+    calls, formed, depth = [], {}, 0
+
+    def inside(fn, *args):
+        nonlocal depth
+        depth += 1
+        try:
+            return fn(*args)
+        finally:
+            depth -= 1
 
     def recording(action):
         act = action.act
 
         def record(op, n, vec, ceiling=None):
             calls.append((id(action), fmt_vec(op), n, fmt_vec(vec), ceiling))
-            return act(op, n, vec, ceiling)
+            return inside(act, op, n, vec, ceiling)
         return record
+
+    def reading(action):
+        row = action.row
+
+        def read(lu, n, lv):
+            if type(lu) is _Named:
+                if not depth and id(action) in ids:
+                    calls.append((id(action), lu.op, n, lu.vec, None))
+                lu = tuple(lu)
+            return inside(row, lu, n, lv)
+        read.__self__ = action
+        return read
 
     actions = list(dict.fromkeys(actions))
     ids = set(map(id, actions))
+    wrapped = list(dict.fromkeys([*actions, *others]))
     pairs, apply = axioms.label_pairs, axioms.apply_pairs
 
     def pairs_recorded(op, vec):
         out = pairs(op, vec)
-        formed[id(out)] = (out, fmt_vec(GradedVector(op)),
-                           fmt_vec(GradedVector(vec)))
+        name = fmt_vec(GradedVector(op)), fmt_vec(GradedVector(vec))
+        formed[id(out)] = (out, *name)
+        if len(out) == 1:
+            (lu, lv, base, c), = out
+            named = _Named(lu)
+            named.op, named.vec = name
+            out[0] = (named, lv, base, c)
         return out
 
     def apply_recorded(row, got, n, cap):
@@ -617,10 +662,12 @@ def _recorded(actions, check):
             _, op, vec = formed[id(got)]
             calls.append((id(action), op, n, vec,
                           None if cap == action.level else cap))
-        return apply(row, got, n, cap)
+        return inside(apply, row, got, n, cap)
 
     for action in actions:
         action.act = recording(action)
+    for action in wrapped:
+        action.row = reading(action)
     axioms.label_pairs, axioms.apply_pairs = pairs_recorded, apply_recorded
     try:
         return check(), calls
@@ -628,12 +675,15 @@ def _recorded(actions, check):
         axioms.label_pairs, axioms.apply_pairs = pairs, apply
         for action in actions:
             del action.act
+        for action in wrapped:
+            del action.row
 
 
-def _distinct(V, check):
+def _distinct(V, check, acts=None):
     """check() and the set of distinct images, products and loss tests it
-    computed on V."""
-    out, calls = _recorded([V], check)
+    computed on V; the rows of the other actions in ``acts`` are wrapped,
+    unrecorded."""
+    out, calls = _recorded([V], check, vars(acts).values() if acts else ())
     return out, set(calls)
 
 
@@ -674,13 +724,14 @@ def test_three_term_engine_matches_naive_evaluator(slot, case):
         acts = _actions(V, slot)
     if slot != "algebra":
         got = axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")
-        assert _engine(got) == _naive_three_term(p, q, t, win, acts)
+        assert _typed_report(_engine(got)) == _typed_report(
+            _naive_three_term(p, q, t, win, acts))
         return
     # the engine computes each product once, and no other products
     got, calls = _distinct(V, lambda: axioms.three_term_check(
         p, q, t, win, acts, "jacobi", "-"))
-    assert (_engine(got), calls) == _distinct(
-        V, lambda: _naive_three_term(p, q, t, win, acts))
+    assert (_typed_report(_engine(got)), calls) == _distinct(
+        V, lambda: _typed_report(_naive_three_term(p, q, t, win, acts)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -691,8 +742,8 @@ def test_translate_skew_matches_naive_evaluator(case):
         V, u, v, w, win))
     got, calls = _distinct(V, lambda: axioms.check_translate_skew(
         V, u, v, w, win))
-    assert (_engine(got), calls) == _distinct(
-        V, lambda: _naive_translate_skew(V, u, v, w, win))
+    assert (_typed_report(_engine(got)), calls) == _distinct(
+        V, lambda: _typed_report(_naive_translate_skew(V, u, v, w, win)))
 
 
 # One fixed failing check per slot: (omega, [1], [1]) at level 6 on WIN2,
@@ -703,6 +754,60 @@ def test_translate_skew_matches_naive_evaluator(case):
 FAILING_CASES = {"algebra": (((1,), -1, (1,)), (1, 1)),
                  "dual": (((1,), -1, ()), (1,)),
                  "intertwiner": (((1,), 1, (1,)), ())}
+
+
+# The same check with p = 2 omega, whose coefficient is Fraction(1): an
+# image or a product read off one label pair must take c's type, as the
+# pair loop's c * m does, though Fraction(1) == 1.
+@pytest.mark.parametrize("slot", FAILING_CASES)
+def test_fraction_one_coefficient_matches_naive_evaluator(slot):
+    V, acts = _failing_actions(slot)
+    p, q, t = V.omega.scale(2), B((1,)), B((1,))
+    assert [type(c) for c in p.coeff.values()] == [Fraction]
+    got = _engine(axioms.three_term_check(p, q, t, WIN2, acts, "jacobi", "-"))
+    want = _naive_three_term(p, q, t, WIN2, acts)
+    assert got[:2] == want[:2] == (Status.FAIL, "")
+    assert _typed(got[2]) == _typed(want[2])
+    # the Fraction(1) reaches diffs of integral value
+    assert any(type(x) is Fraction and x.denominator == 1
+               for _, *vals in want[2] for x in vals)
+
+
+def _zeroed_intertwiner(key, lab):
+    """The algebra's self-type intertwiner at ORACLE_LEVEL with the stored
+    coefficient of lab in mode key set to an explicit 0, and its actions."""
+    I = fusion.intertwiner_from_algebra(build_heisenberg(ORACLE_LEVEL))
+    I.modes[key] = {**I.modes[key], lab: 0}
+    return I, axioms.JacobiActions(out1=I.m3, in1=I, out2=I, in2=I.m2,
+                                   iterate=I.m1, out3=I)
+
+
+def test_one_pair_images_are_the_pair_loops():
+    # an image y_j z of one label pair is read off its row as the pair loop
+    # sums it: c's type is kept, and a stored explicit 0 is dropped
+    I, _ = _zeroed_intertwiner(((1,), -1, (1,)), (2,))
+    x, z = B((2,)) + B((1, 1)).scale(Fraction(1, 2)), B((1,))
+    for y, iterate, j in itertools.product(
+            (B((1,)), B((1,)).scale(Fraction(1)), B((1,)).scale(-2)),
+            (False, True), range(-3, 2)):
+        term = axioms._Term(I, x, I, y, z, 2, iterate, None, "-")
+        img = axioms.apply_pairs(I.row, axioms.label_pairs(y.coeff, z.coeff),
+                                 j, I.level) if 0 <= 1 - j <= I.level else {}
+        want = (axioms.label_pairs(img, x.coeff) if iterate
+                else axioms.label_pairs(x.coeff, img))
+        assert [(*pair, type(pair[3])) for pair in term.image_pairs(j)] \
+            == [(*pair, type(pair[3])) for pair in want]
+
+
+def test_explicit_zero_in_a_stored_row_matches_naive_evaluator():
+    # a product read off one label pair drops the 0 the pair loop drops:
+    # scattered, c * 0 = Fraction(0) would make an int diff a Fraction
+    _, acts = _zeroed_intertwiner(((1, 1), 0, (1,)), (2,))
+    p, q, t = B((1,)), B((1,)), B((1,)).scale(Fraction(1, 2))
+    got = _engine(axioms.three_term_check(p, q, t, WIN2, acts, "jacobi", "-"))
+    want = _naive_three_term(p, q, t, WIN2, acts)
+    assert got[:2] == want[:2] == (Status.FAIL, "")
+    assert _typed(got[2]) == _typed(want[2])
 
 
 def _failing_actions(slot):
@@ -948,8 +1053,9 @@ def _run_case(kind, vecs, win, corrupt, pick):
             V, p, q, t, win))
         (got, hits, built), calls = _distinct(V, lambda: _plan_hits(
             lambda: axioms.check_translate_skew(V, p, q, t, win)))
-        return (_engine(got), calls), _distinct(
-            V, lambda: _naive_translate_skew(V, p, q, t, win)), built
+        return (_typed_report(_engine(got)), calls), _distinct(
+            V, lambda: _typed_report(
+                _naive_translate_skew(V, p, q, t, win))), built
     if kind == "intertwiner":
         V = build_heisenberg(ORACLE_LEVEL)
         moved = (q, t, pick) if corrupt else None
@@ -961,9 +1067,11 @@ def _run_case(kind, vecs, win, corrupt, pick):
     # dual's memo warmed by one does not hide the other's calls
     acts, naive_acts = _actions(V, kind, moved), _actions(V, kind, moved)
     (got, hits, built), calls = _distinct(V, lambda: _plan_hits(
-        lambda: axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")))
-    return (_engine(got), calls), _distinct(
-        V, lambda: _naive_three_term(p, q, t, win, naive_acts)), built
+        lambda: axioms.three_term_check(p, q, t, win, acts, "jacobi", "-")),
+        acts)
+    return (_typed_report(_engine(got)), calls), _distinct(
+        V, lambda: _typed_report(_naive_three_term(p, q, t, win,
+                                                   naive_acts))), built
 
 
 @settings(max_examples=40, deadline=None)
