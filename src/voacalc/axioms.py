@@ -214,11 +214,13 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
     zero one skipping all of its products; the products of the others are
     computed over the image's (x, image) pairs, formed once for its group:
     by the pair loop, or, for one pair (lu, lv, base, c), read off the
-    outer row where the pair loop would keep the pair, c folded into each
-    label's value and an explicit 0 dropped. Each nonzero label is
-    scattered over its feed into that side's list for the label, one entry
-    per position. A label whose two lists are equal holds everywhere; the
-    others are diffed by (position, label)."""
+    outer row, c folded into each label's value and an explicit 0 dropped;
+    the pair loop would keep that pair at every product, since base - i
+    is a plan position's final weight, in 0..level, and level is at most
+    each outer cap. Each nonzero label is scattered over its feed into
+    that side's list for the label, one entry per position. A label whose
+    two lists are equal holds everywhere; the others are diffed by
+    (position, label)."""
     positions, groups = _PLANS[layout](layout, W, win, level, rows)
     seen = []   # (n, term, j, p) of each image's first product that sees it
     for (term, j), entries in groups.items():
@@ -242,14 +244,10 @@ def _evaluate(layout, W: int, win: Window, level: int, rows,
             continue
         row, cap = t.outer.row, t.outer.level
         one = len(pairs) == 1
-        lu, lv, base, c = pairs[0] if one else (None, None, None, 1)
+        lu, lv, _, c = pairs[0] if one else (None, None, None, 1)
         for _, i, side, _, feed in entries:
-            if not one:
-                val = apply_pairs(row, pairs, i, cap)
-            elif i <= base <= i + cap:
-                val = row(lu, i, lv)
-            else:
-                continue
+            # a position's final weight is in 0..level <= cap: one pair is kept
+            val = row(lu, i, lv) if one else apply_pairs(row, pairs, i, cap)
             if val:
                 live = sides[side]
                 for label, x in val.items():

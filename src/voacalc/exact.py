@@ -11,7 +11,10 @@ A Gaussian rational ``QQi`` is three Python ints (a, b, d) standing for
 operation does its work on ints and reduces once, with a single
 three-argument gcd, where two ``Fraction`` components paid a gcd and an
 object per component operation. The normal form is unique, so equality
-compares the triples.
+compares the triples. Only this module reads the triple: an operator
+reads a QQi operand's ints directly, and two fused kernels serve sewing
+with no intermediate object, ``dist2_pair`` (|p - q|^2 as an integer
+pair, with no gcd) and ``plus_quotient`` (p + q/a, normalised once).
 """
 
 from __future__ import annotations
@@ -89,9 +92,8 @@ def _reduced(a: int, b: int, d: int) -> "QQi":
 
 
 def _parts(x) -> tuple[int, int, int]:
-    """The normal-form triple of a QQi, int or Fraction operand."""
-    if isinstance(x, QQi):
-        return x._a, x._b, x._d
+    """The normal-form triple of an int or Fraction operand; each operator
+    reads a QQi operand's triple itself."""
     if isinstance(x, int):
         return int(x), 0, 1
     if isinstance(x, Fraction):
@@ -167,6 +169,27 @@ class QQi:
     def norm2(self) -> Fraction:
         return Fraction(*self.norm2_pair())
 
+    def dist2_pair(self, other: "QQi") -> tuple[int, int]:
+        """|self - other|^2 of two QQi as an integer pair (numerator,
+        denominator), not reduced: no object is built and no gcd taken."""
+        d, f = self._d, other._d
+        x = self._a * f - other._a * d
+        y = self._b * f - other._b * d
+        return x * x + y * y, (d * f) ** 2
+
+    def plus_quotient(self, q: "QQi", a: "QQi") -> "QQi":
+        """self + q/a for QQi q and a, normalised once; raises
+        ``ZeroDivisionError`` when a is zero, as a division does."""
+        c, e, f = q._a, q._b, q._d
+        g, h, k = a._a, a._b, a._d
+        n = g * g + h * h
+        if not n:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        # q/a = k ((cg + eh) + (eg - ch) i) / (f n), over d f n with self
+        d, fn = self._d, f * n
+        return _reduced(self._a * fn + k * (c * g + e * h) * d,
+                        self._b * fn + k * (e * g - c * h) * d, d * fn)
+
     def inverse(self) -> "QQi":
         return _quotient(1, 0, 1, self._a, self._b, self._d)
 
@@ -198,6 +221,9 @@ class QQi:
         return _qqi(-self._a, -self._b, self._d)
 
     def __add__(self, other):
+        if type(other) is QQi:
+            return _sum(self._a, self._b, self._d,
+                        other._a, other._b, other._d)
         if type(other) is int:
             # adding a multiple of d keeps gcd(a, b, d) = 1
             return _qqi(self._a + other * self._d, self._b, self._d)
@@ -206,6 +232,9 @@ class QQi:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is QQi:
+            return _sum(self._a, self._b, self._d,
+                        -other._a, -other._b, other._d)
         c, e, f = _parts(other)
         return _sum(self._a, self._b, self._d, -c, -e, f)
 
@@ -214,19 +243,25 @@ class QQi:
 
     def __mul__(self, other):
         a, b, d = self._a, self._b, self._d
-        if type(other) is int:
+        if type(other) is QQi:
+            c, e, f = other._a, other._b, other._d
+        elif type(other) is int:
             # gcd(a, b, d) = 1, so only other and d can share a factor
             g = gcd(other, d)
             if g != 1:
                 other //= g
                 d //= g
             return _qqi(a * other, b * other, d)
-        c, e, f = _parts(other)
+        else:
+            c, e, f = _parts(other)
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is QQi:
+            return _quotient(self._a, self._b, self._d,
+                             other._a, other._b, other._d)
         return _quotient(self._a, self._b, self._d, *_parts(other))
 
     def __rtruediv__(self, other):

@@ -304,16 +304,17 @@ def _translated_inf(inf_coord, t: QQi, order: int) -> tuple[QQi, ...]:
 def _rescaled(coord: LocalCoordinate, a: QQi) -> LocalCoordinate:
     """The coordinate composed with x -> a x: the scale gains a factor a
     and A_j becomes A_j a^j, one multiplication per power; a linear
-    coordinate keeps its zero tuple."""
-    taylor = coord.taylor
-    if not coord.is_linear:
-        out = []
-        power = a
-        for c in taylor:
-            out.append(c * power if c else ZERO)
-            power = power * a
-        taylor = tuple(out)
-    return LocalCoordinate(coord.scale * a, taylor)
+    coordinate keeps its zero tuple, and its ``is_linear`` with it."""
+    if coord.is_linear:
+        new = LocalCoordinate(coord.scale * a, coord.taylor)
+        object.__setattr__(new, "is_linear", True)
+        return new
+    out = []
+    power = a
+    for c in coord.taylor:
+        out.append(c * power if c else ZERO)
+        power = power * a
+    return LocalCoordinate(coord.scale * a, tuple(out))
 
 
 def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
@@ -344,12 +345,12 @@ def sew(Q1: ModuliElement, i: int, Q2: ModuliElement) -> SewingResult:
     qs = [q.norm2_pair() for q in Q2.positions]
     for j in range(Q1.arity):
         if j != i - 1:
-            dn, dd = (pos1[j] - p_i).norm2_pair()
+            dn, dd = pos1[j].dist2_pair(p_i)
             if any(qn * ad * dd >= an * dn * qd for qn, qd in qs):
                 raise SewingUndefined("no admissible sewing radius")
     # no collision test: the radius test gives |q/a_i| < |p_j - p_i| for
     # every other p_j, and q -> p_i + q/a_i is injective on Q2's positions
-    transplanted_pos = tuple(p_i + q / a_i for q in Q2.positions)
+    transplanted_pos = tuple(p_i.plus_quotient(q, a_i) for q in Q2.positions)
     new_pos = pos1[:i - 1] + transplanted_pos + pos1[i:]
     new_coords = []
     new_coords.extend(Q1.coords[:i - 1])

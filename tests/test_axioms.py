@@ -1215,6 +1215,36 @@ def test_jacobi_l7_builds_one_plan_per_total_weight(monkeypatch):
     assert len(builds) == len(set(builds)) <= len(keys)
 
 
+def test_one_pair_products_always_keep_their_pair(monkeypatch):
+    # the pair loop keeps a pair (lu, lv, base, c) at outer index i when
+    # i <= base <= i + cap; a one-pair product list skips that test, since
+    # every plan position has final weight base - i in 0..level, and level
+    # is the least outer cap: checked over every plan of a level-5 run
+    real, seen = axioms._evaluate, []
+
+    def checking(layout, W, win, level, rows, terms, identity, params):
+        positions, groups = axioms._PLANS[layout](layout, W, win, level, rows)
+        assert all(0 <= W + sum(p) + 1 <= level for p in positions)
+        assert all(level <= t.outer.level for t in terms)
+        for (term, j), entries in groups.items():
+            t = terms[term]
+            pairs = t.image_pairs(j)
+            if len(pairs) == 1:
+                (_, _, base, _), = pairs
+                for _, i, _, p, _ in entries:
+                    assert base - i == W + sum(positions[p]) + 1
+                    assert i <= base <= i + t.outer.level
+                    seen.append(identity)
+        return real(layout, W, win, level, rows, terms, identity, params)
+
+    monkeypatch.setattr(axioms, "_evaluate", checking)
+    reports = cli.run_suites(["jacobi", "s3", "fusion"],
+                             cli.SuiteConfig(level=5)).reports
+    assert not any(r.failed for r in reports)
+    assert {"jacobi", "translate-skew-rewrite",
+            "intertwiner-jacobi"} <= set(seen)
+
+
 def _naive_commutators(V, v, win):
     """The bracket formulas as ``check_commutators`` states them, every
     image through ``act`` and ``virasoro`` and summed as vectors: the

@@ -8,7 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from voacalc.exact import QQi, derived_once, gauss_solve, int_first
 
@@ -166,6 +166,15 @@ class OldQQi:
             out = out * base
         return out
 
+    # the fused kernels of QQi, as the compositions they replace
+
+    def dist2_pair(self, other):
+        n = (self - other).norm2()
+        return n.numerator, n.denominator
+
+    def plus_quotient(self, q, a):
+        return self + q / a
+
     def __repr__(self):
         if self.im == 0:
             return str(self.re)
@@ -208,17 +217,45 @@ def _outcome(fn, *args):
         return ZeroDivisionError
 
 
-@given(_operands, _operands,
+def _dist2_pair(x, y, _):
+    return x.dist2_pair(y)
+
+
+def _plus_quotient(x, y, z):
+    return x.plus_quotient(y, z)
+
+
+_half_3i, _zero = ("q", (Fraction(1, 2), 3)), ("q", (0, 0))
+
+
+@given(_operands, _operands, _operands,
        st.sampled_from([operator.add, operator.sub, operator.mul,
-                        operator.truediv]))
-@settings(max_examples=400, deadline=None)
-def test_qqi_arithmetic_matches_two_fraction_oracle(x, y, op):
-    if "q" not in (x[0], y[0]):
-        x = ("q", (x[1], 0))
-    new = _outcome(op, _new(x), _new(y))
-    old = _outcome(op, _old(x), _old(y))
+                        operator.truediv, _dist2_pair, _plus_quotient]))
+@example(_half_3i, _zero, _zero, operator.truediv)
+@example(_half_3i, ("i", 0), _zero, operator.truediv)
+@example(("i", 1), _zero, _zero, operator.truediv)
+@example(_half_3i, _half_3i, _zero, _plus_quotient)
+@example(_half_3i, _half_3i, ("i", 0), _plus_quotient)
+@settings(max_examples=600, deadline=None)
+def test_qqi_arithmetic_matches_two_fraction_oracle(x, y, z, op):
+    # two QQi operands take the operators' QQi-to-QQi paths; the fused
+    # kernels take QQi operands only, so theirs are promoted; the examples
+    # divide by zero on every division path
+    if op in (_dist2_pair, _plus_quotient):
+        new = _outcome(op, *map(QQi.promote, map(_new, (x, y, z))))
+        old = _outcome(op, *map(OldQQi.promote, map(_old, (x, y, z))))
+    else:
+        if "q" not in (x[0], y[0]):
+            x = ("q", (x[1], 0))
+        new = _outcome(op, _new(x), _new(y))
+        old = _outcome(op, _old(x), _old(y))
     if old is ZeroDivisionError:
         assert new is ZeroDivisionError
+    elif op is _dist2_pair:
+        # an unreduced pair, equal in value to the reduced modulus squared
+        (n, d), (m, e) = new, old
+        assert type(n) is int and type(d) is int and d > 0
+        assert n * e == m * d
     else:
         _check(new, old)
 
